@@ -1,9 +1,7 @@
 //! Placement hot-path microbenchmarks: the cached incremental ranking
 //! engine against the naive exhaustive scan it replaces, plus a small
-//! end-to-end scheduler run. The committed trajectory lives in
-//! `BENCH_placement.json` (regenerated by `cargo run --bin
-//! bench_placement`); `scripts/bench_ratchet.sh` fails CI when the
-//! measured throughput regresses past the ratchet tolerance.
+//! end-to-end scheduler run. For interactive profiling; `benchmark/`
+//! holds the numbers changes are judged by.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fg_bench::figures::sched_models;

@@ -1,9 +1,8 @@
 //! Workload-layer microbenchmarks: generator throughput for each
 //! traffic shape (uniform, heavy-tail, bursty) and the JSONL trace
-//! round trip (dump and replay). The ratcheted trajectory entry lives
-//! in `BENCH_placement.json` under `workload-gen-10k` (regenerated by
-//! `cargo run --bin bench_placement`); these benches give the
-//! per-shape and per-stage breakdown behind that single number.
+//! round trip (dump and replay): the per-shape and per-stage breakdown
+//! behind `benchmark/`'s `sched.workload.generate_ns_per_job` and
+//! `sched.replay.*` layer metrics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fg_bench::figures::sched_models;

@@ -6,7 +6,7 @@
 
 use fg_chunks::Dataset;
 use fg_cluster::Deployment;
-use fg_middleware::{ExecutionReport, Executor, FaultOptions};
+use fg_middleware::{ExecutionReport, Executor, FaultOptions, RunOptions};
 use fg_predict::AppClasses;
 use fg_sim::FaultSchedule;
 use fg_trace::Trace;
@@ -90,19 +90,14 @@ impl PaperApp {
     /// application parameters are the fixed experiment instances, so the
     /// same dataset always does the same work.
     pub fn execute(&self, deployment: Deployment, dataset: &Dataset) -> ExecutionReport {
-        let exec = Executor::new(deployment);
-        match self {
-            PaperApp::KMeans => exec.run(&fg_apps::kmeans::KMeans::paper(7), dataset).report,
-            PaperApp::Em => exec.run(&fg_apps::em::Em::paper(7), dataset).report,
-            PaperApp::Knn => exec.run(&fg_apps::knn::Knn::paper(7), dataset).report,
-            PaperApp::Vortex => exec.run(&fg_apps::vortex::VortexDetect::default(), dataset).report,
-            PaperApp::Defect => {
-                let app = fg_apps::defect::DefectDetect::for_dataset(dataset);
-                exec.run(&app, dataset).report
-            }
-            PaperApp::Apriori => exec.run(&fg_apps::apriori::Apriori::standard(), dataset).report,
-            PaperApp::Ann => exec.run(&fg_apps::ann::AnnTrain::paper(7), dataset).report,
-        }
+        self.execute_with(
+            deployment,
+            dataset,
+            &FaultSchedule::none(),
+            &FaultOptions::default(),
+            false,
+        )
+        .0
     }
 
     /// Execute with tracing enabled, returning the measured report plus
@@ -114,184 +109,46 @@ impl PaperApp {
         deployment: Deployment,
         dataset: &Dataset,
     ) -> (ExecutionReport, Trace) {
-        let exec = Executor::new(deployment);
-        match self {
-            PaperApp::KMeans => {
-                let (r, t) = exec.run_traced(&fg_apps::kmeans::KMeans::paper(7), dataset);
-                (r.report, t)
-            }
-            PaperApp::Em => {
-                let (r, t) = exec.run_traced(&fg_apps::em::Em::paper(7), dataset);
-                (r.report, t)
-            }
-            PaperApp::Knn => {
-                let (r, t) = exec.run_traced(&fg_apps::knn::Knn::paper(7), dataset);
-                (r.report, t)
-            }
-            PaperApp::Vortex => {
-                let (r, t) = exec.run_traced(&fg_apps::vortex::VortexDetect::default(), dataset);
-                (r.report, t)
-            }
-            PaperApp::Defect => {
-                let app = fg_apps::defect::DefectDetect::for_dataset(dataset);
-                let (r, t) = exec.run_traced(&app, dataset);
-                (r.report, t)
-            }
-            PaperApp::Apriori => {
-                let (r, t) = exec.run_traced(&fg_apps::apriori::Apriori::standard(), dataset);
-                (r.report, t)
-            }
-            PaperApp::Ann => {
-                let (r, t) = exec.run_traced(&fg_apps::ann::AnnTrain::paper(7), dataset);
-                (r.report, t)
-            }
-        }
+        let (report, trace) = self.execute_with(
+            deployment,
+            dataset,
+            &FaultSchedule::none(),
+            &FaultOptions::default(),
+            true,
+        );
+        (report, trace.expect("a traced run returns its trace"))
     }
 
     /// Execute under an injected fault `schedule` (recovery tuned by
-    /// `options`), returning the measured report. Same applications and
-    /// fixed parameters as [`PaperApp::execute`], so an empty schedule
-    /// reproduces it bit for bit.
-    pub fn execute_with_faults(
+    /// `options`), returning the measured report and — if `trace` — the
+    /// structured trace (recovery spans included). Same applications and
+    /// fixed parameters as [`PaperApp::execute`], which is this under an
+    /// empty schedule.
+    pub fn execute_with(
         &self,
         deployment: Deployment,
         dataset: &Dataset,
         schedule: &FaultSchedule,
         options: &FaultOptions,
-    ) -> ExecutionReport {
+        trace: bool,
+    ) -> (ExecutionReport, Option<Trace>) {
         let exec = Executor::new(deployment);
-        match self {
-            PaperApp::KMeans => {
-                exec.run_with_faults(
-                    &fg_apps::kmeans::KMeans::paper(7),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                )
-                .report
-            }
-            PaperApp::Em => {
-                exec.run_with_faults(&fg_apps::em::Em::paper(7), dataset, schedule, options, None)
-                    .report
-            }
-            PaperApp::Knn => {
-                exec.run_with_faults(&fg_apps::knn::Knn::paper(7), dataset, schedule, options, None)
-                    .report
-            }
-            PaperApp::Vortex => {
-                exec.run_with_faults(
-                    &fg_apps::vortex::VortexDetect::default(),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                )
-                .report
-            }
-            PaperApp::Defect => {
-                let app = fg_apps::defect::DefectDetect::for_dataset(dataset);
-                exec.run_with_faults(&app, dataset, schedule, options, None).report
-            }
-            PaperApp::Apriori => {
-                exec.run_with_faults(
-                    &fg_apps::apriori::Apriori::standard(),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                )
-                .report
-            }
-            PaperApp::Ann => {
-                exec.run_with_faults(
-                    &fg_apps::ann::AnnTrain::paper(7),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                )
-                .report
-            }
+        // The arms differ only in the application's type.
+        macro_rules! run {
+            ($app:expr) => {{
+                let opts = RunOptions { trace, ..RunOptions::new(schedule, options) };
+                let result = exec.run_with(&$app, dataset, opts).finished();
+                (result.report, result.trace)
+            }};
         }
-    }
-
-    /// Traced variant of [`PaperApp::execute_with_faults`]: same
-    /// execution, plus the structured trace (recovery spans included).
-    pub fn execute_with_faults_traced(
-        &self,
-        deployment: Deployment,
-        dataset: &Dataset,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-    ) -> (ExecutionReport, Trace) {
-        let exec = Executor::new(deployment);
         match self {
-            PaperApp::KMeans => {
-                let (r, t) = exec.run_with_faults_traced(
-                    &fg_apps::kmeans::KMeans::paper(7),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                );
-                (r.report, t)
-            }
-            PaperApp::Em => {
-                let (r, t) = exec.run_with_faults_traced(
-                    &fg_apps::em::Em::paper(7),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                );
-                (r.report, t)
-            }
-            PaperApp::Knn => {
-                let (r, t) = exec.run_with_faults_traced(
-                    &fg_apps::knn::Knn::paper(7),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                );
-                (r.report, t)
-            }
-            PaperApp::Vortex => {
-                let (r, t) = exec.run_with_faults_traced(
-                    &fg_apps::vortex::VortexDetect::default(),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                );
-                (r.report, t)
-            }
-            PaperApp::Defect => {
-                let app = fg_apps::defect::DefectDetect::for_dataset(dataset);
-                let (r, t) = exec.run_with_faults_traced(&app, dataset, schedule, options, None);
-                (r.report, t)
-            }
-            PaperApp::Apriori => {
-                let (r, t) = exec.run_with_faults_traced(
-                    &fg_apps::apriori::Apriori::standard(),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                );
-                (r.report, t)
-            }
-            PaperApp::Ann => {
-                let (r, t) = exec.run_with_faults_traced(
-                    &fg_apps::ann::AnnTrain::paper(7),
-                    dataset,
-                    schedule,
-                    options,
-                    None,
-                );
-                (r.report, t)
-            }
+            PaperApp::KMeans => run!(fg_apps::kmeans::KMeans::paper(7)),
+            PaperApp::Em => run!(fg_apps::em::Em::paper(7)),
+            PaperApp::Knn => run!(fg_apps::knn::Knn::paper(7)),
+            PaperApp::Vortex => run!(fg_apps::vortex::VortexDetect::default()),
+            PaperApp::Defect => run!(fg_apps::defect::DefectDetect::for_dataset(dataset)),
+            PaperApp::Apriori => run!(fg_apps::apriori::Apriori::standard()),
+            PaperApp::Ann => run!(fg_apps::ann::AnnTrain::paper(7)),
         }
     }
 }

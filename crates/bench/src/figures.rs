@@ -591,7 +591,8 @@ pub fn ext_faults() -> Figure {
     ));
     for seed in 1..=6u64 {
         let schedule = FaultSchedule::random(seed, n, c, horizon);
-        let report = app.execute_with_faults(deployment.clone(), &dataset, &schedule, &options);
+        let (report, _) =
+            app.execute_with(deployment.clone(), &dataset, &schedule, &options, false);
         let total = report.total().as_secs_f64();
         let recovery = report.t_recovery().as_secs_f64();
         rows.push((

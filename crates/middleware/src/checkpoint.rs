@@ -5,10 +5,12 @@
 //! reduction objects: folds are associative and commutative, so a
 //! snapshot of the per-core partial objects plus the broadcast state and
 //! a processed-chunk cursor is a *complete* summary of the work done so
-//! far. [`Checkpoint`] is that snapshot. [`crate::Executor::run_resumable`]
-//! produces one at a requested [`StopPoint`]; [`crate::Executor::resume_from`]
-//! continues it — possibly on a different replica — and the final state
-//! is bit-identical to the uninterrupted run.
+//! far. [`Checkpoint`] is that snapshot. [`crate::Executor::run_with`]
+//! produces one at a requested [`StopPoint`]
+//! ([`crate::RunOptions::stop_at`]) and continues one
+//! ([`crate::RunOptions::resume_from`]) — possibly on a different
+//! replica — and the final state is bit-identical to the uninterrupted
+//! run.
 //!
 //! The partial objects are kept *per core*, not merged per node: the
 //! intra-node combination and the master's global merge both happen in a
@@ -99,18 +101,29 @@ impl<S, O: crate::api::ReductionObject> Checkpoint<S, O> {
     }
 }
 
-/// What a resumable run produced: either it finished before the stop
-/// point, or it suspended into a checkpoint.
+/// What [`crate::Executor::run_with`] produced: either the run finished
+/// (always, without a stop point), or it suspended into a checkpoint.
 #[allow(clippy::large_enum_variant)]
 pub enum ResumableOutcome<S, O> {
     /// The application finished before the stop point was reached.
     Finished(crate::exec::RunResult<S>),
     /// The run was suspended; resume it with
-    /// [`crate::Executor::resume_from`].
+    /// [`crate::RunOptions::resume_from`].
     Suspended(Checkpoint<S, O>),
 }
 
 impl<S, O> ResumableOutcome<S, O> {
+    /// The finished run, panicking if it suspended instead — for runs
+    /// with no stop point, which cannot.
+    pub fn finished(self) -> crate::exec::RunResult<S> {
+        match self {
+            ResumableOutcome::Finished(result) => result,
+            ResumableOutcome::Suspended(ck) => {
+                panic!("run suspended at pass {} chunk {}", ck.pass_idx, ck.cursor)
+            }
+        }
+    }
+
     /// The checkpoint, panicking if the run finished instead.
     pub fn expect_suspended(self, msg: &str) -> Checkpoint<S, O> {
         match self {

@@ -10,6 +10,10 @@
 //! threads (rayon); within a worker, chunks are processed in assignment
 //! order, keeping results and meters deterministic regardless of thread
 //! scheduling.
+//!
+//! A pass is folded as *segments* of the global chunk order — one
+//! covering everything, or a prefix and a suffix around a checkpoint —
+//! and the per-core objects are combined only when the pass completes.
 
 use crate::api::{ReductionApp, ReductionObject};
 use crate::meter::WorkMeter;
@@ -17,67 +21,6 @@ use fg_chunks::Dataset;
 use fg_cluster::{MachineSpec, MiddlewareCosts};
 use fg_sim::SimDuration;
 use rayon::prelude::*;
-
-/// Output of one node's local reduction for one pass.
-pub struct NodeResult<O> {
-    /// The node's (already node-locally combined) reduction object.
-    pub obj: O,
-    /// Metered kernel work of each active core, in core order.
-    pub core_meters: Vec<WorkMeter>,
-    /// Metered work of the intra-node sub-object combination.
-    pub smp_merge: WorkMeter,
-    /// Chunks processed by the node.
-    pub chunks: usize,
-    /// Logical bytes of those chunks.
-    pub bytes: u64,
-}
-
-/// Run the local reduction of every compute node (in parallel, for real).
-///
-/// `node_chunks[p]` lists the chunk indices assigned to node `p`, in
-/// processing order; `cores` is the node machine's processor count.
-pub fn run_local_reductions<A: ReductionApp>(
-    app: &A,
-    state: &A::State,
-    dataset: &Dataset,
-    node_chunks: &[Vec<usize>],
-    cores: usize,
-) -> Vec<NodeResult<A::Obj>> {
-    assert!(cores >= 1, "a compute node has at least one core");
-    node_chunks
-        .par_iter()
-        .map(|chunks| {
-            // Split this node's chunks round-robin across its cores.
-            let active = cores.min(chunks.len()).max(1);
-            let per_core: Vec<Vec<usize>> = (0..active)
-                .map(|w| chunks.iter().skip(w).step_by(active).copied().collect())
-                .collect();
-            let mut core_results: Vec<(A::Obj, WorkMeter)> = per_core
-                .par_iter()
-                .map(|core_chunks| {
-                    let mut obj = app.new_object(state);
-                    let mut meter = WorkMeter::new();
-                    for &k in core_chunks {
-                        app.local_reduce(state, &dataset.chunks[k], &mut obj, &mut meter);
-                    }
-                    (obj, meter)
-                })
-                .collect();
-            // Combine the replicated sub-objects node-locally (real,
-            // metered work; runs on one core after the folds complete).
-            let mut smp_merge = WorkMeter::new();
-            let mut iter = core_results.drain(..);
-            let (mut obj, first_meter) = iter.next().expect("at least one core");
-            let mut core_meters = vec![first_meter];
-            for (sub, meter) in iter {
-                obj.merge(&sub, &mut smp_merge);
-                core_meters.push(meter);
-            }
-            let bytes = chunks.iter().map(|&k| dataset.chunks[k].logical_bytes).sum();
-            NodeResult { obj, core_meters, smp_merge, chunks: chunks.len(), bytes }
-        })
-        .collect()
-}
 
 /// One node's state after folding a *segment* of its chunk assignment:
 /// the per-core partial objects (not yet combined node-locally) plus the
@@ -97,13 +40,13 @@ pub struct SegmentResult<O> {
 /// with global ids in `lo..hi`, optionally continuing from previously
 /// checkpointed per-core objects.
 ///
-/// The round-robin core split is computed from the node's *full* chunk
-/// assignment and then filtered to the segment, so each core folds
-/// exactly the same chunk sequence as an unsplit
-/// [`run_local_reductions`] — a full-range segment followed by
-/// [`combine_segment`] is bit-identical to the unsplit path, and so is
-/// any prefix segment resumed with its suffix. That is the invariant the
-/// checkpoint/resume machinery rests on.
+/// `node_chunks[p]` lists the chunk indices assigned to node `p`, in
+/// processing order; `cores` is the node machine's processor count. The
+/// round-robin core split is computed from the node's *full* chunk
+/// assignment and then filtered to the segment, so each core folds the
+/// same chunk sequence whether the pass runs as one full-range segment
+/// or as a prefix segment resumed with its suffix. That is the invariant
+/// the checkpoint/resume machinery rests on.
 #[allow(clippy::too_many_arguments)]
 pub fn run_segment_reductions<A: ReductionApp>(
     app: &A,
@@ -175,9 +118,9 @@ pub fn run_segment_reductions<A: ReductionApp>(
         .collect()
 }
 
-/// Combine one node's per-core partial objects node-locally, exactly as
-/// [`run_local_reductions`] does at the end of a pass: merge in core
-/// order into core 0's object, metering the merge work.
+/// Combine one node's per-core partial objects node-locally at the end
+/// of a pass: merge in core order into core 0's object, metering the
+/// merge work (real work; it runs on one core after the folds complete).
 pub fn combine_segment<O: ReductionObject>(mut core_objs: Vec<O>) -> (O, WorkMeter) {
     let mut smp_merge = WorkMeter::new();
     let mut iter = core_objs.drain(..);
@@ -189,9 +132,15 @@ pub fn combine_segment<O: ReductionObject>(mut core_objs: Vec<O>) -> (O, WorkMet
 }
 
 /// A node's processing time for one *segment* of a pass: the slowest
-/// core's metered kernel work, per-chunk dispatch, and cache traffic for
-/// the segment's chunks. The intra-node combination is not included —
-/// it happens once, when the pass completes (see [`combine_segment`]).
+/// core's metered kernel work (under shared-memory-bus contention),
+/// per-chunk dispatch overhead, and any cache traffic for the segment's
+/// chunks. The intra-node combination is not included — it happens
+/// once, when the pass completes (see [`combine_segment`]).
+///
+/// Cache reads and writes are charged here (to compute time, not disk
+/// time) because they are compute-node-local pipeline stages that scale
+/// with `1/c`, matching the prediction model's treatment of `t_c`;
+/// repository-side retrieval is what the model's `t_d` covers.
 pub fn segment_compute_time<O>(
     seg: &SegmentResult<O>,
     machine: &MachineSpec,
@@ -249,51 +198,6 @@ fn cache_io_time(
     }
     SimDuration::from_secs_f64(bytes as f64 / machine.disk_bw)
         + (machine.disk_seek + costs.cache_chunk_overhead) * chunks as u64
-}
-
-/// A node's total processing time for one pass: the slowest core's
-/// metered kernel work (under shared-memory-bus contention), the
-/// intra-node sub-object combination, per-chunk dispatch overhead, and
-/// any cache traffic. Cache reads and writes are charged here (to
-/// compute time, not disk time) because they are compute-node-local
-/// pipeline stages that scale with `1/c`, matching the prediction
-/// model's treatment of `t_c`; repository-side retrieval is what the
-/// model's `t_d` covers.
-pub fn node_compute_time<O: ReductionObject>(
-    result: &NodeResult<O>,
-    machine: &MachineSpec,
-    costs: &MiddlewareCosts,
-    inflation: f64,
-    cache: CacheTraffic,
-) -> SimDuration {
-    let active = result.core_meters.len();
-    let kernel = result
-        .core_meters
-        .iter()
-        .map(|m| m.time_on_cores(machine, inflation, active))
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let merge = result.smp_merge.time_on(machine, inflation);
-    let dispatch = costs.chunk_dispatch * result.chunks as u64;
-    let cache_time = match cache {
-        CacheTraffic::None => SimDuration::ZERO,
-        CacheTraffic::Write => cache_write_time(machine, costs, result.bytes, result.chunks),
-        CacheTraffic::Read => cache_read_time(machine, costs, result.bytes, result.chunks),
-    };
-    kernel + merge + dispatch + cache_time
-}
-
-/// [`node_compute_time`] for every node of a pass, in node order — the
-/// per-node breakdown behind the compute phase's makespan, used for
-/// trace attribution and straggler planning.
-pub fn node_phase_times<O: ReductionObject>(
-    results: &[NodeResult<O>],
-    machine: &MachineSpec,
-    costs: &MiddlewareCosts,
-    inflation: f64,
-    cache: CacheTraffic,
-) -> Vec<SimDuration> {
-    results.iter().map(|r| node_compute_time(r, machine, costs, inflation, cache)).collect()
 }
 
 /// Which direction (if any) the cache moves during a pass.
@@ -374,84 +278,85 @@ mod tests {
         b.build()
     }
 
+    /// A whole pass, the way the executor runs an uninterrupted one: a
+    /// single segment over every chunk.
+    fn whole_pass(
+        ds: &Dataset,
+        node_chunks: &[Vec<usize>],
+        cores: usize,
+    ) -> Vec<SegmentResult<SumObj>> {
+        run_segment_reductions(&SumApp, &(), ds, node_chunks, cores, 0, ds.num_chunks(), None)
+    }
+
+    /// Each node's combined object and intra-node merge meter.
+    fn combined(segs: Vec<SegmentResult<SumObj>>) -> Vec<(SumObj, WorkMeter)> {
+        segs.into_iter().map(|s| combine_segment(s.core_objs)).collect()
+    }
+
     #[test]
     fn local_reductions_cover_all_chunks() {
         let ds = dataset();
-        let results = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1], vec![2, 3]], 1);
-        assert_eq!(results.len(), 2);
-        let total: f64 = results.iter().map(|r| r.obj.0).sum();
+        let segs = whole_pass(&ds, &[vec![0, 1], vec![2, 3]], 1);
+        assert_eq!(segs.len(), 2);
+        assert_eq!(segs[0].core_meters.len(), 1);
+        assert_eq!(segs[0].core_meters[0].data_counts().flop, 20);
+        assert_eq!(segs[0].chunks, 2);
+        let total: f64 = combined(segs).iter().map(|(obj, _)| obj.0).sum();
         assert_eq!(total, (0..40).sum::<i32>() as f64);
-        assert_eq!(results[0].core_meters.len(), 1);
-        assert_eq!(results[0].core_meters[0].data_counts().flop, 20);
-        assert_eq!(results[0].chunks, 2);
     }
 
     #[test]
     fn smp_split_preserves_the_answer() {
         let ds = dataset();
-        let single = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1, 2, 3]], 1);
-        let dual = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1, 2, 3]], 2);
-        assert_eq!(single[0].obj.0, dual[0].obj.0);
+        let single = whole_pass(&ds, &[vec![0, 1, 2, 3]], 1);
+        let dual = whole_pass(&ds, &[vec![0, 1, 2, 3]], 2);
         assert_eq!(dual[0].core_meters.len(), 2);
         // Two cores split the metered kernel work...
         let total_flops: u64 = dual[0].core_meters.iter().map(|m| m.data_counts().flop).sum();
         assert_eq!(total_flops, single[0].core_meters[0].data_counts().flop);
+        let (single, dual) = (combined(single), combined(dual));
+        assert_eq!(single[0].0 .0, dual[0].0 .0);
         // ...and the node pays a real intra-node merge.
-        assert!(dual[0].smp_merge.fixed_counts().flop > 0);
-        assert!(single[0].smp_merge.fixed_counts().total() == 0);
+        assert!(dual[0].1.fixed_counts().flop > 0);
+        assert!(single[0].1.fixed_counts().total() == 0);
     }
 
     #[test]
     fn more_cores_than_chunks_leaves_cores_idle() {
         let ds = dataset();
-        let results = run_local_reductions(&SumApp, &(), &ds, &[vec![0]], 8);
-        assert_eq!(results[0].core_meters.len(), 1, "one chunk cannot use 8 cores");
+        let segs = whole_pass(&ds, &[vec![0]], 8);
+        assert_eq!(segs[0].core_meters.len(), 1, "one chunk cannot use 8 cores");
     }
 
     #[test]
     fn idle_node_produces_identity_object() {
         let ds = dataset();
-        let results = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1, 2, 3], vec![]], 2);
-        assert_eq!(results[1].obj.0, 0.0);
-        assert_eq!(results[1].bytes, 0);
+        let segs = whole_pass(&ds, &[vec![0, 1, 2, 3], vec![]], 2);
+        assert_eq!(segs[1].bytes, 0);
+        assert_eq!(combined(segs)[1].0 .0, 0.0);
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let ds = dataset();
-        let par = run_local_reductions(&SumApp, &(), &ds, &[vec![0], vec![1], vec![2], vec![3]], 2);
-        let seq = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1, 2, 3]], 1);
-        let par_total: f64 = par.iter().map(|r| r.obj.0).sum();
-        assert_eq!(par_total, seq[0].obj.0);
-    }
-
-    #[test]
-    fn full_range_segment_matches_unsplit_reduction() {
-        let ds = dataset();
-        let node_chunks = vec![vec![0, 1, 2], vec![3]];
-        let unsplit = run_local_reductions(&SumApp, &(), &ds, &node_chunks, 2);
-        let segs = run_segment_reductions(&SumApp, &(), &ds, &node_chunks, 2, 0, 4, None);
-        for (u, s) in unsplit.iter().zip(segs) {
-            let (obj, _) = combine_segment(s.core_objs);
-            assert_eq!(obj.0.to_bits(), u.obj.0.to_bits());
-            assert_eq!(s.chunks, u.chunks);
-            assert_eq!(s.bytes, u.bytes);
-        }
+        let par = combined(whole_pass(&ds, &[vec![0], vec![1], vec![2], vec![3]], 2));
+        let seq = combined(whole_pass(&ds, &[vec![0, 1, 2, 3]], 1));
+        let par_total: f64 = par.iter().map(|(obj, _)| obj.0).sum();
+        assert_eq!(par_total, seq[0].0 .0);
     }
 
     #[test]
     fn split_segments_resume_bit_identically_at_every_boundary() {
         let ds = dataset();
         let node_chunks = vec![vec![0, 2], vec![1, 3]];
-        let unsplit = run_local_reductions(&SumApp, &(), &ds, &node_chunks, 2);
+        let unsplit = combined(whole_pass(&ds, &node_chunks, 2));
         for cut in 0..=4 {
             let prefix = run_segment_reductions(&SumApp, &(), &ds, &node_chunks, 2, 0, cut, None);
             let carried: Vec<Vec<SumObj>> = prefix.into_iter().map(|s| s.core_objs).collect();
             let suffix =
                 run_segment_reductions(&SumApp, &(), &ds, &node_chunks, 2, cut, 4, Some(carried));
-            for (u, s) in unsplit.iter().zip(suffix) {
-                let (obj, _) = combine_segment(s.core_objs);
-                assert_eq!(obj.0.to_bits(), u.obj.0.to_bits(), "cut at {cut}");
+            for ((u, _), (obj, _)) in unsplit.iter().zip(combined(suffix)) {
+                assert_eq!(obj.0.to_bits(), u.0.to_bits(), "cut at {cut}");
             }
         }
     }
@@ -490,9 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn node_compute_time_adds_components() {
+    fn segment_compute_time_adds_components() {
         let ds = dataset();
-        let results = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1]], 1);
+        let segs = whole_pass(&ds, &[vec![0, 1]], 1);
         let m = MachineSpec {
             flop_per_sec: 10.0,
             mem_per_sec: 1e12,
@@ -506,13 +411,13 @@ mod tests {
             ..MiddlewareCosts::default()
         };
         // kernel: 20 flops / 10 = 2 s (mem negligible); dispatch: 2 chunks * 1 s.
-        let t_none = node_compute_time(&results[0], &m, &costs, 1.0, CacheTraffic::None);
+        let t_none = segment_compute_time(&segs[0], &m, &costs, 1.0, CacheTraffic::None);
         assert!((t_none.as_secs_f64() - 4.0).abs() < 1e-6);
         // + cache write of 80 bytes at 100 B/s
-        let t_write = node_compute_time(&results[0], &m, &costs, 1.0, CacheTraffic::Write);
+        let t_write = segment_compute_time(&segs[0], &m, &costs, 1.0, CacheTraffic::Write);
         assert!((t_write.as_secs_f64() - 4.8).abs() < 1e-6);
         // inflation doubles the kernel time only.
-        let t_infl = node_compute_time(&results[0], &m, &costs, 2.0, CacheTraffic::None);
+        let t_infl = segment_compute_time(&segs[0], &m, &costs, 2.0, CacheTraffic::None);
         assert!((t_infl.as_secs_f64() - 6.0).abs() < 1e-6);
     }
 
@@ -532,11 +437,13 @@ mod tests {
             cache_chunk_overhead: SimDuration::ZERO,
             ..MiddlewareCosts::default()
         };
-        let single = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1, 2, 3]], 1);
-        let dual = run_local_reductions(&SumApp, &(), &ds, &[vec![0, 1, 2, 3]], 2);
-        let t1 = node_compute_time(&single[0], &m, &costs, 1.0, CacheTraffic::None);
-        let t2 = node_compute_time(&dual[0], &m, &costs, 1.0, CacheTraffic::None);
-        let speedup = t1.as_secs_f64() / t2.as_secs_f64();
+        // A node's pass time: its folds, then the intra-node combination.
+        let node_time = |cores| {
+            let seg = whole_pass(&ds, &[vec![0, 1, 2, 3]], cores).remove(0);
+            let folds = segment_compute_time(&seg, &m, &costs, 1.0, CacheTraffic::None);
+            folds + combine_segment(seg.core_objs).1.time_on(&m, 1.0)
+        };
+        let speedup = node_time(1).as_secs_f64() / node_time(2).as_secs_f64();
         assert!(speedup > 1.2, "two cores should help: {speedup}");
         assert!(speedup < 1.7, "memory-bound work must not scale linearly: {speedup}");
     }

@@ -1,10 +1,16 @@
-//! The executor: drives an application over a deployment, pass by pass,
-//! optionally under an injected fault schedule.
+//! The executor: drives an application over a deployment, pass by pass.
+//!
+//! There is one pass loop, [`Executor::run_with`]; everything a run can
+//! vary — an injected fault schedule, a re-selection controller, trace
+//! capture, a checkpoint to resume from, a point to suspend at — is a
+//! field of [`RunOptions`], and [`Executor::run`] is the run that sets
+//! none of them. A pass's phase arithmetic therefore lives in exactly
+//! one place.
 //!
 //! # Fault model
 //!
-//! [`Executor::run_with_faults`] threads an [`fg_sim::FaultSchedule`]
-//! through the phase structure:
+//! [`RunOptions::schedule`] threads an [`fg_sim::FaultSchedule`] through
+//! the phase structure:
 //!
 //! * **Data-node crashes** are detected during remote retrieval: fetches
 //!   against a dead node time out per the [`RetryPolicy`], the detection
@@ -30,8 +36,18 @@
 //! the fetch side does — so every chunk is folded on the same node in
 //! the same order as the fault-free run and the final state is
 //! bit-identical by construction. With an empty schedule and no
-//! controller, every fault branch is skipped and the report itself is
-//! bit-identical to [`Executor::run`].
+//! controller every fault term is zero and the report is the fault-free
+//! one.
+//!
+//! # Suspend and resume
+//!
+//! A pass folds the chunks with global id in `[lo, hi)`: the whole
+//! dataset, except in the pass a [`RunOptions::stop_at`] point suspends
+//! (`hi` is its cursor) and in the first pass of a
+//! [`RunOptions::resume_from`] checkpoint (`lo` is its cursor). Per-core
+//! partial objects are carried across the split unmerged, so fold and
+//! merge orders — and with them the final state — match the
+//! uninterrupted run bit for bit.
 
 use crate::api::{PassOutcome, ReductionApp, ReductionObject};
 use crate::checkpoint::{Checkpoint, ResumableOutcome, StopPoint};
@@ -53,6 +69,9 @@ pub struct RunResult<S> {
     /// The application's final state (clusters found, features detected,
     /// ...).
     pub final_state: S,
+    /// Where the virtual time went, when [`RunOptions::trace`] asked for
+    /// it. Its component sums reproduce the report exactly.
+    pub trace: Option<Trace>,
 }
 
 /// Recovery tuning for fault-injected runs.
@@ -115,8 +134,55 @@ pub trait PassController {
     fn after_pass(&mut self, obs: &PassObservation, current: &Deployment) -> PassAction;
 }
 
+/// What [`Executor::run_with`] can vary about a run. [`RunOptions::new`]
+/// is a plain run under the given schedule; set the other fields with
+/// struct-update syntax.
+pub struct RunOptions<'a, S, O> {
+    /// Faults to inject (see the module docs); empty for none.
+    pub schedule: &'a FaultSchedule,
+    /// How the run recovers from them.
+    pub recovery: &'a FaultOptions,
+    /// Mid-run re-selection hook.
+    pub controller: Option<&'a mut dyn PassController>,
+    /// Record a structured trace into [`RunResult::trace`]. Tracing
+    /// observes the run, it never perturbs it: the report is bit-identical
+    /// to the untraced run's.
+    pub trace: bool,
+    /// Continue this suspended run instead of starting a fresh one. The
+    /// executor's deployment may serve a *different replica* of the same
+    /// dataset — that is a migration, charged
+    /// [`FaultOptions::migration_overhead`] in the resumed pass — but the
+    /// compute site and node count must match the checkpoint's.
+    pub resume_from: Option<Checkpoint<S, O>>,
+    /// Suspend into a [`Checkpoint`] at this chunk boundary: chunks with
+    /// global id below `cursor` are folded in pass `pass` before the
+    /// snapshot is taken. A run that finishes before reaching it just
+    /// finishes.
+    ///
+    /// Checkpointed runs (this field or `resume_from`, which exclude each
+    /// other) support neither non-local cache sites, nor a controller,
+    /// nor trace capture.
+    pub stop_at: Option<StopPoint>,
+}
+
+impl<'a, S, O> RunOptions<'a, S, O> {
+    /// An uninterrupted, untraced, uncontrolled run under `schedule`.
+    pub fn new(schedule: &'a FaultSchedule, recovery: &'a FaultOptions) -> Self {
+        RunOptions {
+            schedule,
+            recovery,
+            controller: None,
+            trace: false,
+            resume_from: None,
+            stop_at: None,
+        }
+    }
+}
+
 /// The remote-fetch side of a pass: what each data node serves and the
-/// resulting per-(data node, compute node) flows.
+/// resulting per-(data node, compute node) flows. The default is the
+/// empty plan of a pass that fetches nothing.
+#[derive(Default)]
 struct FetchPlan {
     dn_bytes: Vec<u64>,
     dn_chunks: Vec<usize>,
@@ -124,16 +190,11 @@ struct FetchPlan {
 }
 
 /// Assign every chunk a serving data node (contiguous over the `n - dead`
-/// survivors), honoring the fixed chunk-to-compute-node map `dest`.
-fn fetch_plan(dataset: &Dataset, n: usize, dest: &[usize], dead: &[usize]) -> FetchPlan {
-    fetch_plan_range(dataset, n, dest, dead, 0, dataset.num_chunks())
-}
-
-/// [`fetch_plan`] restricted to the chunks with global id in `[lo, hi)`:
-/// the placement still spans the whole dataset (chunk-to-data-node
-/// assignment is static), but only the segment's chunks contribute
-/// bytes and flows. Resumable runs fetch each pass in such segments.
-fn fetch_plan_range(
+/// survivors), honoring the fixed chunk-to-compute-node map `dest`. The
+/// placement spans the whole dataset (chunk-to-data-node assignment is
+/// static), but only the chunks with global id in `[lo, hi)` contribute
+/// bytes and flows.
+fn fetch_plan(
     dataset: &Dataset,
     n: usize,
     dest: &[usize],
@@ -196,7 +257,8 @@ struct StragglerPlan {
 /// `threshold` times the slowest healthy node is abandoned; the master
 /// re-executes its chunks at spec speed after the healthy nodes finish
 /// (serially, one abandoned node after another). If every node
-/// straggles there is no healthy baseline and nothing is abandoned.
+/// straggles there is no healthy baseline and nothing is abandoned; if
+/// none does, the makespan is simply the slowest node's time.
 fn straggler_plan(base: &[SimDuration], schedule: &FaultSchedule, threshold: f64) -> StragglerPlan {
     let slow: Vec<f64> = (0..base.len()).map(|i| schedule.slowdown(i)).collect();
     let healthy_max = base.iter().zip(&slow).filter(|&(_, &s)| s == 1.0).map(|(t, _)| *t).max();
@@ -212,14 +274,13 @@ fn straggler_plan(base: &[SimDuration], schedule: &FaultSchedule, threshold: f64
             }
         }
         Some(hmax) => {
-            let deadline = hmax.mul_f64(threshold);
             let mut makespan = SimDuration::ZERO;
             let mut recovery = SimDuration::ZERO;
             let mut node_times = Vec::with_capacity(base.len());
             let mut abandoned = Vec::new();
             for (i, (t, &s)) in base.iter().zip(&slow).enumerate() {
                 let scaled = if s == 1.0 { *t } else { t.mul_f64(s) };
-                if s > 1.0 && !hmax.is_zero() && scaled > deadline {
+                if s > 1.0 && !hmax.is_zero() && scaled > hmax.mul_f64(threshold) {
                     recovery += *t;
                     node_times.push(None);
                     abandoned.push((i, *t));
@@ -231,6 +292,131 @@ fn straggler_plan(base: &[SimDuration], schedule: &FaultSchedule, threshold: f64
             StragglerPlan { makespan, recovery, node_times, abandoned }
         }
     }
+}
+
+/// One pass's times below the phase level: what a trace attributes to
+/// individual nodes.
+struct PassDetail<'a> {
+    remote: bool,
+    plan: &'a FetchPlan,
+    read_times: &'a [(usize, SimDuration)],
+    flow_times: &'a [(TransferFlow, SimDuration)],
+    node_times: &'a [Option<SimDuration>],
+    abandoned: &'a [(usize, SimDuration)],
+    send_times: &'a [SimDuration],
+    obj_bytes: &'a [u64],
+    dead_data_nodes: usize,
+}
+
+/// Record the span tree of the pass that started at `now`: one phase span
+/// per non-zero phase, in clock order, with per-node children where the
+/// phase has a breakdown. The cursor retraces exactly the integer
+/// additions that advance the executor's clock, so span durations
+/// reproduce the report bit for bit.
+fn trace_pass(tr: &mut Tracer, now: SimTime, pass: &PassReport, detail: &PassDetail<'_>) {
+    let pass_span = tr.begin(SpanKind::Pass, None, now);
+    let mut t = now;
+    if !pass.fault_detection.is_zero() {
+        tr.record(SpanKind::FaultDetection, None, t, t + pass.fault_detection);
+        t += pass.fault_detection;
+    }
+    if !pass.retrieval.is_zero() {
+        let s = tr.begin(SpanKind::Retrieval, None, t);
+        for &(dn, dt) in detail.read_times {
+            let id = tr.record(SpanKind::NodeRead, Some(NodeRef::data(dn)), t, t + dt);
+            tr.attr(id, "bytes", detail.plan.dn_bytes[dn]);
+            tr.attr(id, "chunks", detail.plan.dn_chunks[dn] as u64);
+        }
+        tr.end(s, t + pass.retrieval);
+        t += pass.retrieval;
+    }
+    if !pass.network.is_zero() {
+        let s = tr.begin(SpanKind::Network, None, t);
+        for &(f, dt) in detail.flow_times {
+            let id = tr.record(SpanKind::NodeTransfer, Some(NodeRef::data(f.data_node)), t, t + dt);
+            tr.attr(id, "bytes", f.bytes);
+            tr.attr(id, "chunks", f.chunks as u64);
+            tr.attr(id, "to_compute", f.compute_node as u64);
+        }
+        tr.end(s, t + pass.network);
+        t += pass.network;
+    }
+    if !pass.cache_disk.is_zero() {
+        tr.record(SpanKind::CacheDisk, None, t, t + pass.cache_disk);
+        t += pass.cache_disk;
+    }
+    if !pass.cache_network.is_zero() {
+        tr.record(SpanKind::CacheNetwork, None, t, t + pass.cache_network);
+        t += pass.cache_network;
+    }
+    if !pass.local_compute.is_zero() {
+        let s = tr.begin(SpanKind::Compute, None, t);
+        for (p, nt) in detail.node_times.iter().enumerate() {
+            if let Some(dt) = nt {
+                if !dt.is_zero() {
+                    tr.record(SpanKind::NodeCompute, Some(NodeRef::compute(p)), t, t + *dt);
+                }
+            }
+        }
+        tr.end(s, t + pass.local_compute);
+        t += pass.local_compute;
+    }
+    if !pass.t_ro.is_zero() {
+        let s = tr.begin(SpanKind::Gather, None, t);
+        let mut g = t;
+        for (i, &dt) in detail.send_times.iter().enumerate() {
+            if !dt.is_zero() {
+                let id = tr.record(SpanKind::NodeSend, Some(NodeRef::compute(i + 1)), g, g + dt);
+                tr.attr(id, "obj_bytes", detail.obj_bytes[i + 1]);
+            }
+            g += dt;
+        }
+        tr.end(s, t + pass.t_ro);
+        t += pass.t_ro;
+    }
+    if !pass.t_g.is_zero() {
+        tr.record(SpanKind::GlobalReduce, Some(NodeRef::master()), t, t + pass.t_g);
+        t += pass.t_g;
+    }
+    if !pass.migration.is_zero() {
+        tr.record(SpanKind::Migration, None, t, t + pass.migration);
+        t += pass.migration;
+    }
+    if !pass.straggler_recovery.is_zero() {
+        let s = tr.begin(SpanKind::StragglerRecovery, None, t);
+        let mut g = t;
+        for &(p, dt) in detail.abandoned {
+            let id = tr.record(SpanKind::NodeReexec, Some(NodeRef::master()), g, g + dt);
+            tr.attr(id, "node", p as u64);
+            g += dt;
+        }
+        tr.end(s, t + pass.straggler_recovery);
+        t += pass.straggler_recovery;
+    }
+    tr.attr(pass_span, "max_obj_bytes", pass.max_obj_bytes);
+    tr.attr(pass_span, "remote", u64::from(detail.remote));
+    tr.end(pass_span, t);
+
+    tr.metrics.counter("passes").inc();
+    if detail.remote {
+        let (fb, fc) = detail
+            .flow_times
+            .iter()
+            .fold((0u64, 0u64), |(b, k), (f, _)| (b + f.bytes, k + f.chunks as u64));
+        tr.metrics.counter("bytes_fetched").add(fb);
+        tr.metrics.counter("chunks_fetched").add(fc);
+    }
+    if !pass.fault_detection.is_zero() {
+        tr.metrics.counter("fault_detections").inc();
+        tr.metrics.gauge("dead_data_nodes").set(detail.dead_data_nodes as f64);
+    }
+    tr.metrics.counter("stragglers_abandoned").add(detail.abandoned.len() as u64);
+    if !pass.migration.is_zero() {
+        tr.metrics.counter("migrations").inc();
+    }
+    tr.metrics
+        .histogram("pass_seconds", &[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
+        .observe(t.saturating_since(now).as_secs_f64());
 }
 
 /// Executes FREERIDE-G applications on a deployment.
@@ -256,124 +442,26 @@ impl Executor {
     /// repository nodes empty is a resource-selection bug, not a
     /// middleware condition).
     pub fn run<A: ReductionApp>(&self, app: &A, dataset: &Dataset) -> RunResult<A::State> {
-        self.run_with_faults(app, dataset, &FaultSchedule::none(), &FaultOptions::default(), None)
+        let (schedule, recovery) = (FaultSchedule::none(), FaultOptions::default());
+        self.run_with(app, dataset, RunOptions::new(&schedule, &recovery)).finished()
     }
 
-    /// [`Executor::run`], additionally recording a structured trace of
-    /// where the virtual time went. The report is bit-identical to the
-    /// untraced run's; the trace's component sums reproduce it exactly.
-    pub fn run_traced<A: ReductionApp>(
+    /// Run `app` over `dataset` as `opts` says: to completion, or into a
+    /// [`Checkpoint`] if [`RunOptions::stop_at`] is reached first.
+    pub fn run_with<A: ReductionApp>(
         &self,
         app: &A,
         dataset: &Dataset,
-    ) -> (RunResult<A::State>, Trace) {
-        self.run_with_faults_traced(
-            app,
-            dataset,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            None,
-        )
-    }
-
-    /// Run `app` over `dataset` under an injected fault `schedule`,
-    /// recovering per `options`, with an optional mid-run re-selection
-    /// `controller` (see the module docs for the fault model).
-    ///
-    /// With an empty schedule and no controller this is exactly
-    /// [`Executor::run`]: same report, bit for bit, same final state.
-    pub fn run_with_faults<A: ReductionApp>(
-        &self,
-        app: &A,
-        dataset: &Dataset,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-        controller: Option<&mut dyn PassController>,
-    ) -> RunResult<A::State> {
-        self.run_inner(app, dataset, schedule, options, controller, None)
-    }
-
-    /// [`Executor::run_with_faults`] with trace capture; see
-    /// [`Executor::run_traced`].
-    pub fn run_with_faults_traced<A: ReductionApp>(
-        &self,
-        app: &A,
-        dataset: &Dataset,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-        controller: Option<&mut dyn PassController>,
-    ) -> (RunResult<A::State>, Trace) {
-        let mut tracer = Tracer::new();
-        let result = self.run_inner(app, dataset, schedule, options, controller, Some(&mut tracer));
-        let meta = result.report.run_meta();
-        (result, tracer.finish(Some(meta)))
-    }
-
-    /// Run `app` until `stop` is reached, suspending into a
-    /// [`Checkpoint`] there — or to completion if the application
-    /// finishes first.
-    ///
-    /// The stop point is a chunk boundary: chunks with global id below
-    /// `stop.cursor` are folded in pass `stop.pass` before the snapshot
-    /// is taken. Resuming the checkpoint (on this or another replica of
-    /// the same dataset, via [`Executor::resume_from`]) yields a final
-    /// state bit-identical to the uninterrupted
-    /// [`Executor::run_with_faults`]: the chunk-to-compute-node map, the
-    /// per-core fold interleave, and every merge order are preserved
-    /// across the split.
-    ///
-    /// Checkpointed runs do not support non-local cache sites.
-    pub fn run_resumable<A: ReductionApp>(
-        &self,
-        app: &A,
-        dataset: &Dataset,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-        stop: StopPoint,
+        opts: RunOptions<'_, A::State, A::Obj>,
     ) -> ResumableOutcome<A::State, A::Obj> {
-        assert!(
-            stop.cursor <= dataset.num_chunks(),
-            "stop cursor {} exceeds the dataset's {} chunks",
-            stop.cursor,
-            dataset.num_chunks()
-        );
-        self.run_segmented(app, dataset, schedule, options, None, Some(stop))
-    }
-
-    /// Continue a suspended run from its [`Checkpoint`] to completion.
-    ///
-    /// The executor's deployment may serve a *different replica* of the
-    /// same dataset — that is a migration, charged
-    /// [`FaultOptions::migration_overhead`] in the resumed pass — but
-    /// the compute site and node count must match the checkpoint's.
-    pub fn resume_from<A: ReductionApp>(
-        &self,
-        app: &A,
-        dataset: &Dataset,
-        checkpoint: Checkpoint<A::State, A::Obj>,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-    ) -> RunResult<A::State> {
-        match self.run_segmented(app, dataset, schedule, options, Some(checkpoint), None) {
-            ResumableOutcome::Finished(result) => result,
-            ResumableOutcome::Suspended(_) => unreachable!("resume has no stop point"),
-        }
-    }
-
-    /// The segmented pass loop behind [`Executor::run_resumable`] and
-    /// [`Executor::resume_from`]: each pass runs as one or two chunk
-    /// segments (`[0, cursor)` then `[cursor, num_chunks)` around a
-    /// split), with per-core partial objects carried across the split so
-    /// fold and merge orders match the unsplit run exactly.
-    fn run_segmented<A: ReductionApp>(
-        &self,
-        app: &A,
-        dataset: &Dataset,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-        start: Option<Checkpoint<A::State, A::Obj>>,
-        stop: Option<StopPoint>,
-    ) -> ResumableOutcome<A::State, A::Obj> {
+        let RunOptions {
+            schedule,
+            recovery: options,
+            mut controller,
+            trace,
+            resume_from: start,
+            stop_at: stop,
+        } = opts;
         let d = &self.deployment;
         let n = d.config.data_nodes;
         let c = d.config.compute_nodes;
@@ -389,85 +477,137 @@ impl Executor {
             options.straggler_threshold >= 1.0,
             "straggler threshold below 1 would abandon healthy nodes"
         );
-        assert!(d.cache.is_none(), "checkpointed runs do not support non-local cache sites");
+        if start.is_some() || stop.is_some() {
+            assert!(d.cache.is_none(), "checkpointed runs do not support non-local cache sites");
+            assert!(controller.is_none(), "checkpointed runs do not support a pass controller");
+            assert!(!trace, "checkpointed runs do not support trace capture");
+            assert!(start.is_none() || stop.is_none(), "a resumed run cannot take a stop point");
+        }
+        if let Some(sp) = stop {
+            assert!(
+                sp.cursor <= num_chunks,
+                "stop cursor {} exceeds the dataset's {} chunks",
+                sp.cursor,
+                num_chunks
+            );
+        }
         let inflation = dataset.work_inflation();
         let site = &d.compute;
         let machine = &site.machine;
 
-        // Unpack the checkpoint (validating it against this executor) or
-        // start fresh. `n0` is the data-node count that fixed the
-        // chunk-to-compute-node map; migration may change the fetch-side
-        // count `n` but never `n0`.
-        let resumed = start.is_some();
-        let (n0, start_pass, start_cursor, mut state, mut passes, stored_mode, migrated) =
-            match &start {
-                Some(ck) => {
-                    assert_eq!(ck.app, app.name(), "checkpoint was taken by a different app");
-                    assert_eq!(
-                        ck.dataset, dataset.id,
-                        "checkpoint was taken over a different dataset"
-                    );
-                    assert_eq!(ck.num_chunks, num_chunks, "checkpoint chunk count mismatch");
-                    assert_eq!(ck.compute_nodes, c, "resume cannot change the compute-node count");
-                    assert_eq!(
-                        ck.compute_machine, machine.name,
-                        "resume is a replica switch; the compute site stays"
-                    );
-                    assert!(ck.cursor <= num_chunks, "checkpoint cursor out of range");
-                    assert_eq!(
-                        ck.partials.len(),
-                        c,
-                        "checkpoint has one partial-object set per compute node"
-                    );
-                    let migrated = ck.repository != d.repository.name;
-                    (
-                        ck.data_nodes,
-                        ck.pass_idx,
-                        ck.cursor,
-                        ck.state.clone(),
-                        ck.completed.clone(),
-                        Some(ck.cache_mode),
-                        migrated,
-                    )
-                }
-                None => (n, 0, 0, app.initial_state(), Vec::new(), None, false),
-            };
-        assert!(
-            num_chunks >= n0,
-            "checkpoint's original configuration used {n0} data nodes over {num_chunks} chunks"
-        );
-        let (mut carried, mut pending_prefix, mut now) = match start {
-            Some(ck) => (Some(ck.partials), Some(ck.prefix), ck.elapsed),
-            None => (None, None, SimTime::ZERO),
+        // Where the run starts: a checkpoint (validated against this
+        // executor) or nothing done yet. `n0` is the data-node count that
+        // fixed the chunk-to-compute-node map; migration may change the
+        // fetch-side count but never `n0`.
+        let (n0, start_pass, start_cursor, stored_mode, mut migration_due) = match &start {
+            Some(ck) => {
+                assert_eq!(ck.app, app.name(), "checkpoint was taken by a different app");
+                assert_eq!(ck.dataset, dataset.id, "checkpoint was taken over a different dataset");
+                assert_eq!(ck.num_chunks, num_chunks, "checkpoint chunk count mismatch");
+                assert_eq!(ck.compute_nodes, c, "resume cannot change the compute-node count");
+                assert_eq!(
+                    ck.compute_machine, machine.name,
+                    "resume is a replica switch; the compute site stays"
+                );
+                assert!(ck.cursor <= num_chunks, "checkpoint cursor out of range");
+                assert_eq!(
+                    ck.partials.len(),
+                    c,
+                    "checkpoint has one partial-object set per compute node"
+                );
+                assert!(
+                    num_chunks >= ck.data_nodes,
+                    "checkpoint's original configuration used {} data nodes over {num_chunks} chunks",
+                    ck.data_nodes
+                );
+                // A resume on a different replica pays the restart
+                // overhead in its first pass.
+                let overhead = if ck.repository != d.repository.name {
+                    options.migration_overhead
+                } else {
+                    SimDuration::ZERO
+                };
+                (ck.data_nodes, ck.pass_idx, ck.cursor, Some(ck.cache_mode), overhead)
+            }
+            None => (n, 0, 0, None, SimDuration::ZERO),
+        };
+        // Virtual clock: faults materialize against the accumulated pass
+        // time, so a crash at t=0 hits the first fetch and one past the
+        // horizon never fires.
+        let (mut state, mut passes, mut carried, mut pending_prefix, mut now) = match start {
+            Some(ck) => (ck.state, ck.completed, Some(ck.partials), Some(ck.prefix), ck.elapsed),
+            None => (app.initial_state(), Vec::new(), None, None, SimTime::ZERO),
         };
 
-        // Static plan, identical to the original run's: chunk -> data
-        // node over `n0`, chunk -> compute node.
+        // Static plan: chunk -> data node over `n0`, chunk -> compute
+        // node. The chunk-to-compute-node map `dest` is fixed for the
+        // whole run (faults only move the fetch side), so local
+        // reductions — and hence the final state — never depend on the
+        // schedule.
         let placement = partition::contiguous(num_chunks, n0);
         let dest = distribution::assign_destinations(&placement, c);
+
+        // The replica currently serving remote fetches; migration
+        // replaces it. Compute-side phases always use `d`.
+        let mut current: Deployment = d.clone();
+        // Data nodes already detected dead (crash indices follow node
+        // positions, so they persist across migration).
+        let mut known_dead: Vec<usize> = Vec::new();
+
+        // Per-compute-node chunk lists, in chunk order.
         let mut node_chunks: Vec<Vec<usize>> = vec![Vec::new(); c];
         for (k, &cn) in dest.iter().enumerate() {
             node_chunks[cn].push(k);
         }
+
+        // Per-compute-node volumes (for cache planning and cache-site
+        // traffic).
         let node_bytes: Vec<u64> = node_chunks
             .iter()
             .map(|list| list.iter().map(|&k| dataset.chunks[k].logical_bytes).sum())
             .collect();
+
+        // Decide how chunks persist between passes: locally if every
+        // node's share fits its scratch storage, at the non-local caching
+        // site if one is attached, else by re-fetching from the origin.
+        // The decision is sticky across a resume: the compute-local cache
+        // survives the replica switch.
         let max_node_bytes = node_bytes.iter().copied().max().unwrap_or(0);
         let cache_mode = match stored_mode {
-            // The cache-mode decision is sticky across a resume: the
-            // compute-local cache survives the replica switch.
             Some(m) => m,
             None if !app.caches() => CacheMode::SinglePass,
             None if max_node_bytes <= site.node_storage_bytes => CacheMode::Local,
+            None if d.cache.is_some() => CacheMode::NonLocal,
             None => CacheMode::Refetch,
         };
 
-        // A resume on a different replica pays the restart overhead in
-        // its first pass.
-        let mut migration_due =
-            if resumed && migrated { options.migration_overhead } else { SimDuration::ZERO };
-        let mut known_dead: Vec<usize> = Vec::new();
+        // Cache-site traffic plan (compute node <-> cache node, banded).
+        let cache_plan = d.cache.as_ref().filter(|_| cache_mode == CacheMode::NonLocal).map(|cs| {
+            let eff_nodes = cs.nodes.min(c);
+            let flows: Vec<TransferFlow> = (0..c)
+                .filter(|&p| node_bytes[p] > 0)
+                .map(|p| TransferFlow {
+                    // `data_node` is the cache-site side of the stream.
+                    data_node: p * eff_nodes / c,
+                    compute_node: p,
+                    bytes: node_bytes[p],
+                    chunks: node_chunks[p].len(),
+                })
+                .collect();
+            let mut per_node_bytes = vec![0u64; eff_nodes];
+            let mut per_node_chunks = vec![0usize; eff_nodes];
+            for f in &flows {
+                per_node_bytes[f.data_node] += f.bytes;
+                per_node_chunks[f.data_node] += f.chunks;
+            }
+            (cs, eff_nodes, flows, per_node_bytes, per_node_chunks)
+        });
+
+        let mut tracer = trace.then(|| {
+            let mut tr = Tracer::new();
+            let run_span = tr.begin(SpanKind::Run, None, now);
+            (tr, run_span)
+        });
         let mut pass_idx = start_pass;
 
         loop {
@@ -477,54 +617,109 @@ impl Executor {
                 app.name(),
                 app.max_passes()
             );
+            // Caching runs fetch from the origin once; single-pass and
+            // storage-starved (Refetch) runs fetch every pass (the paper:
+            // "if caching was performed on the initial iteration, each
+            // subsequent pass retrieves data chunks from local disk").
             let remote =
                 pass_idx == 0 || matches!(cache_mode, CacheMode::SinglePass | CacheMode::Refetch);
+            // This iteration's chunk range: the whole pass, minus what a
+            // resumed checkpoint already folded, minus what lies past a
+            // stop point.
             let lo = if pass_idx == start_pass { start_cursor } else { 0 };
-            let stop_here = stop.is_some_and(|sp| sp.pass == pass_idx);
-            let hi = if stop_here { stop.expect("checked").cursor } else { num_chunks };
-            assert!(lo <= hi, "stop point precedes the resume cursor");
+            let stop_here = stop.filter(|sp| sp.pass == pass_idx);
+            let hi = stop_here.map_or(num_chunks, |sp| sp.cursor);
+            let fetches = remote && hi > lo;
+            let n_cur = current.config.data_nodes;
 
-            // Crash detection, charged once per new dead set, as in the
-            // unsplit run.
+            // Phase 0 (faults only): crash detection. Fetches against
+            // nodes that died by now time out and exhaust their retries;
+            // the timeouts run concurrently, so one detection delay
+            // covers the round. Orphaned chunks are rebalanced over the
+            // survivors before retrieval begins.
             let mut fault_detection = SimDuration::ZERO;
-            let seg_remote = remote && hi > lo;
-            if seg_remote && !schedule.crashes.is_empty() {
+            if fetches && !schedule.crashes.is_empty() {
                 let dead_now: Vec<usize> =
-                    schedule.crashed_nodes(now).into_iter().filter(|&i| i < n).collect();
+                    schedule.crashed_nodes(now).into_iter().filter(|&i| i < n_cur).collect();
                 if dead_now.iter().any(|i| !known_dead.contains(i)) {
                     fault_detection = options.retry.detection_delay();
                     known_dead = dead_now;
                 }
             }
 
-            // Phases 1-2 over the segment's chunks only: retrieval at the
-            // serving replica, then the origin WAN transfer under
-            // whatever degradation is in force.
-            let (retrieval, network) = if seg_remote {
-                let plan = fetch_plan_range(dataset, n, &dest, &known_dead, lo, hi);
-                let read_times =
-                    dataserver::retrieval_times(&d.repository, &plan.dn_bytes, &plan.dn_chunks);
-                let retrieval =
-                    read_times.iter().map(|&(_, t)| t).max().unwrap_or(SimDuration::ZERO);
-                let net_factor = schedule.bandwidth_factor(now + fault_detection + retrieval);
-                let flow_times = if net_factor == 1.0 {
-                    comm::transfer_times(&d.wan, &d.repository.machine, machine, n, c, &plan.flows)
-                } else {
-                    let mut wan = d.wan.clone();
-                    wan.stream_bw *= net_factor;
-                    if let Some(cap) = wan.aggregate_cap.as_mut() {
-                        *cap *= net_factor;
-                    }
-                    comm::transfer_times(&wan, &d.repository.machine, machine, n, c, &plan.flows)
-                };
-                let network = flow_times.iter().map(|&(_, t)| t).max().unwrap_or(SimDuration::ZERO);
-                (retrieval, network)
+            // Phase 1: origin repository retrieval of the range's chunks.
+            // The per-node times feed trace attribution; the phase is
+            // their makespan.
+            let plan = if fetches {
+                let dead: Vec<usize> = known_dead.iter().copied().filter(|&i| i < n_cur).collect();
+                fetch_plan(dataset, n_cur, &dest, &dead, lo, hi)
             } else {
-                (SimDuration::ZERO, SimDuration::ZERO)
+                FetchPlan::default()
+            };
+            let read_times =
+                dataserver::retrieval_times(&current.repository, &plan.dn_bytes, &plan.dn_chunks);
+            let retrieval = read_times.iter().map(|&(_, t)| t).max().unwrap_or(SimDuration::ZERO);
+
+            // Phase 2: origin WAN transfer, at whatever bandwidth the
+            // degradation windows leave when the transfer starts.
+            let net_factor = schedule.bandwidth_factor(now + fault_detection + retrieval);
+            let mut wan = current.wan.clone();
+            wan.stream_bw *= net_factor;
+            if let Some(cap) = wan.aggregate_cap.as_mut() {
+                *cap *= net_factor;
+            }
+            let flow_times = comm::transfer_times(
+                &wan,
+                &current.repository.machine,
+                machine,
+                n_cur,
+                c,
+                &plan.flows,
+            );
+            let network = flow_times.iter().map(|&(_, t)| t).max().unwrap_or(SimDuration::ZERO);
+
+            // Non-local cache traffic: write-through on the first pass,
+            // reads on later passes.
+            let (cache_disk, cache_network) = match &cache_plan {
+                Some((cs, eff_nodes, cache_flows, pnb, pnc)) => {
+                    let disk = dataserver::retrieval_makespan(&cs.site, pnb, pnc);
+                    let net = if pass_idx == 0 {
+                        // Compute nodes stream to the cache site.
+                        comm::transfer_makespan(
+                            &cs.wan,
+                            machine,
+                            &cs.site.machine,
+                            c,
+                            *eff_nodes,
+                            &cache_flows
+                                .iter()
+                                .map(|f| TransferFlow {
+                                    data_node: f.compute_node,
+                                    compute_node: f.data_node,
+                                    bytes: f.bytes,
+                                    chunks: f.chunks,
+                                })
+                                .collect::<Vec<_>>(),
+                        )
+                    } else {
+                        // The cache site streams back to the compute nodes.
+                        comm::transfer_makespan(
+                            &cs.wan,
+                            &cs.site.machine,
+                            machine,
+                            *eff_nodes,
+                            c,
+                            cache_flows,
+                        )
+                    };
+                    (disk, net)
+                }
+                None => (SimDuration::ZERO, SimDuration::ZERO),
             };
 
-            // Phase 3 over the segment: per-core folds, seeded with the
-            // carried partials when resuming mid-pass.
+            // Phase 3: local reductions over the range (real execution;
+            // SMP nodes fold on all cores), seeded with the carried
+            // partials when resuming mid-pass.
             let cache = if cache_mode != CacheMode::Local {
                 CacheTraffic::None
             } else if pass_idx == 0 {
@@ -532,7 +727,6 @@ impl Executor {
             } else {
                 CacheTraffic::Read
             };
-            let init = if pass_idx == start_pass { carried.take() } else { None };
             let segs = computeserver::run_segment_reductions(
                 app,
                 &state,
@@ -541,46 +735,27 @@ impl Executor {
                 machine.cores,
                 lo,
                 hi,
-                init,
+                carried.take(),
             );
-            let seg_times: Vec<SimDuration> = segs
+            let fold_times: Vec<SimDuration> = segs
                 .iter()
                 .map(|s| {
                     computeserver::segment_compute_time(s, machine, &site.costs, inflation, cache)
                 })
                 .collect();
 
-            if stop_here {
+            if let Some(sp) = stop_here {
                 // Suspend: per-core partials stay unmerged so the resume
                 // replays the exact merge tree.
-                let (local_compute, straggler_recovery) = if schedule.stragglers.is_empty() {
-                    (
-                        seg_times.iter().copied().max().unwrap_or(SimDuration::ZERO),
-                        SimDuration::ZERO,
-                    )
-                } else {
-                    let plan = straggler_plan(&seg_times, schedule, options.straggler_threshold);
-                    (plan.makespan, plan.recovery)
-                };
+                let folds = straggler_plan(&fold_times, schedule, options.straggler_threshold);
                 let prefix = PassReport {
                     retrieval,
                     network,
-                    cache_disk: SimDuration::ZERO,
-                    cache_network: SimDuration::ZERO,
-                    local_compute,
-                    t_ro: SimDuration::ZERO,
-                    t_g: SimDuration::ZERO,
-                    max_obj_bytes: 0,
+                    local_compute: folds.makespan,
                     fault_detection,
-                    straggler_recovery,
-                    migration: SimDuration::ZERO,
+                    straggler_recovery: folds.recovery,
+                    ..PassReport::default()
                 };
-                let elapsed = now
-                    + fault_detection
-                    + retrieval
-                    + network
-                    + local_compute
-                    + straggler_recovery;
                 return ResumableOutcome::Suspended(Checkpoint {
                     app: app.name().to_string(),
                     dataset: dataset.id.clone(),
@@ -591,36 +766,45 @@ impl Executor {
                     compute_machine: machine.name.clone(),
                     cache_mode,
                     pass_idx,
-                    cursor: hi,
+                    cursor: sp.cursor,
                     state,
                     partials: segs.into_iter().map(|s| s.core_objs).collect(),
-                    elapsed,
+                    elapsed: now
+                        + fault_detection
+                        + retrieval
+                        + network
+                        + folds.makespan
+                        + folds.recovery,
                     completed: passes,
                     prefix,
                 });
             }
 
-            // The pass completes here: node-local combination, then the
-            // usual gather and global reduction.
+            // The pass completes: each node combines its cores' objects.
             let mut objs = Vec::with_capacity(c);
-            let mut node_times = Vec::with_capacity(c);
-            for (seg_t, seg) in seg_times.iter().zip(segs) {
+            let mut base_times = Vec::with_capacity(c);
+            for (fold_t, seg) in fold_times.iter().zip(segs) {
                 let (obj, smp_merge) = computeserver::combine_segment(seg.core_objs);
-                node_times.push(*seg_t + smp_merge.time_on(machine, inflation));
+                base_times.push(*fold_t + smp_merge.time_on(machine, inflation));
                 objs.push(obj);
             }
-            let (local_compute, straggler_recovery) = if schedule.stragglers.is_empty() {
-                (node_times.iter().copied().max().unwrap_or(SimDuration::ZERO), SimDuration::ZERO)
-            } else {
-                let plan = straggler_plan(&node_times, schedule, options.straggler_threshold);
-                (plan.makespan, plan.recovery)
-            };
+            let StragglerPlan {
+                makespan: local_compute,
+                recovery: straggler_recovery,
+                node_times,
+                abandoned,
+            } = straggler_plan(&base_times, schedule, options.straggler_threshold);
 
+            // Phase 4: reduction-object communication (serialized
+            // gather): t_ro is exactly the sum of the per-sender times.
             let obj_bytes: Vec<u64> = objs.iter().map(|o| o.size().logical(inflation)).collect();
             let send_times = comm::gather_times(site, &obj_bytes[1..]);
             let t_ro: SimDuration = send_times.iter().copied().sum();
             let max_obj_bytes = obj_bytes.iter().copied().max().unwrap_or(0);
 
+            // Phase 5: global reduction at the master (node 0): handle
+            // every object (the master's own included), merge, finalize,
+            // broadcast the next state.
             let mut master_meter = WorkMeter::new();
             let mut iter = objs.into_iter();
             let mut merged = iter.next().expect("at least one compute node");
@@ -641,350 +825,9 @@ impl Executor {
                 + master_meter.time_on(machine, inflation)
                 + broadcast;
 
-            let migration = std::mem::replace(&mut migration_due, SimDuration::ZERO);
-            let mut report = PassReport {
-                retrieval,
-                network,
-                cache_disk: SimDuration::ZERO,
-                cache_network: SimDuration::ZERO,
-                local_compute,
-                t_ro,
-                t_g,
-                max_obj_bytes,
-                fault_detection,
-                straggler_recovery,
-                migration,
-            };
-            // A resumed split pass folds the checkpointed prefix's phase
-            // components into its report, so the run has one report per
-            // logical pass.
-            if let Some(prefix) = pending_prefix.take() {
-                report.retrieval += prefix.retrieval;
-                report.network += prefix.network;
-                report.local_compute += prefix.local_compute;
-                report.fault_detection += prefix.fault_detection;
-                report.straggler_recovery += prefix.straggler_recovery;
-            }
-            now = now
-                + fault_detection
-                + retrieval
-                + network
-                + local_compute
-                + t_ro
-                + t_g
-                + migration
-                + straggler_recovery;
-            passes.push(report);
-            state = next_state;
-            if finished {
-                let report = ExecutionReport {
-                    app: app.name().to_string(),
-                    dataset: dataset.id.clone(),
-                    dataset_bytes: dataset.logical_bytes(),
-                    data_nodes: n,
-                    compute_nodes: c,
-                    wan_bw: d.wan.stream_bw,
-                    repo_machine: d.repository.machine.name.clone(),
-                    compute_machine: machine.name.clone(),
-                    cache_mode,
-                    passes,
-                };
-                return ResumableOutcome::Finished(RunResult { report, final_state: state });
-            }
-            pass_idx += 1;
-        }
-    }
-
-    fn run_inner<A: ReductionApp>(
-        &self,
-        app: &A,
-        dataset: &Dataset,
-        schedule: &FaultSchedule,
-        options: &FaultOptions,
-        mut controller: Option<&mut dyn PassController>,
-        mut tracer: Option<&mut Tracer>,
-    ) -> RunResult<A::State> {
-        let d = &self.deployment;
-        let n = d.config.data_nodes;
-        let c = d.config.compute_nodes;
-        assert!(
-            dataset.num_chunks() >= n,
-            "dataset {} has {} chunks but the configuration uses {} data nodes",
-            dataset.id,
-            dataset.num_chunks(),
-            n
-        );
-        assert!(
-            options.straggler_threshold >= 1.0,
-            "straggler threshold below 1 would abandon healthy nodes"
-        );
-        let inflation = dataset.work_inflation();
-
-        // Static plan: chunk -> data node, chunk -> compute node. The
-        // chunk-to-compute-node map `dest` is fixed for the whole run
-        // (faults only move the fetch side), so local reductions — and
-        // hence the final state — never depend on the schedule.
-        let placement = partition::contiguous(dataset.num_chunks(), n);
-        let dest = distribution::assign_destinations(&placement, c);
-
-        // The replica currently serving remote fetches; migration
-        // replaces it. Compute-side phases always use `d`.
-        let mut current: Deployment = d.clone();
-        let mut plan = fetch_plan(dataset, n, &dest, &[]);
-        // Data nodes already detected dead (crash indices follow node
-        // positions, so they persist across migration).
-        let mut known_dead: Vec<usize> = Vec::new();
-
-        // Per-compute-node chunk lists, in chunk order.
-        let mut node_chunks: Vec<Vec<usize>> = vec![Vec::new(); c];
-        for (k, &cn) in dest.iter().enumerate() {
-            node_chunks[cn].push(k);
-        }
-
-        // Per-compute-node volumes (for cache planning and cache-site
-        // traffic).
-        let node_bytes: Vec<u64> = node_chunks
-            .iter()
-            .map(|list| list.iter().map(|&k| dataset.chunks[k].logical_bytes).sum())
-            .collect();
-        let node_chunk_counts: Vec<usize> = node_chunks.iter().map(Vec::len).collect();
-
-        let site = &d.compute;
-        let machine = &site.machine;
-
-        // Decide how chunks persist between passes: locally if every
-        // node's share fits its scratch storage, at the non-local caching
-        // site if one is attached, else by re-fetching from the origin.
-        let max_node_bytes = node_bytes.iter().copied().max().unwrap_or(0);
-        let cache_mode = if !app.caches() {
-            CacheMode::SinglePass
-        } else if max_node_bytes <= site.node_storage_bytes {
-            CacheMode::Local
-        } else if d.cache.is_some() {
-            CacheMode::NonLocal
-        } else {
-            CacheMode::Refetch
-        };
-
-        // Cache-site traffic plan (compute node <-> cache node, banded).
-        let cache_plan = d.cache.as_ref().map(|cs| {
-            let eff_nodes = cs.nodes.min(c);
-            let flows: Vec<TransferFlow> = (0..c)
-                .filter(|&p| node_bytes[p] > 0)
-                .map(|p| TransferFlow {
-                    // `data_node` is the cache-site side of the stream.
-                    data_node: p * eff_nodes / c,
-                    compute_node: p,
-                    bytes: node_bytes[p],
-                    chunks: node_chunk_counts[p],
-                })
-                .collect();
-            let mut per_node_bytes = vec![0u64; eff_nodes];
-            let mut per_node_chunks = vec![0usize; eff_nodes];
-            for f in &flows {
-                per_node_bytes[f.data_node] += f.bytes;
-                per_node_chunks[f.data_node] += f.chunks;
-            }
-            (cs, eff_nodes, flows, per_node_bytes, per_node_chunks)
-        });
-
-        let mut state = app.initial_state();
-        let mut passes: Vec<PassReport> = Vec::new();
-        // Virtual clock: faults materialize against the accumulated pass
-        // time, so a crash at t=0 hits the first fetch and one past the
-        // horizon never fires.
-        let mut now = SimTime::ZERO;
-        let run_span = tracer.as_deref_mut().map(|tr| tr.begin(SpanKind::Run, None, now));
-
-        loop {
-            assert!(
-                passes.len() < app.max_passes(),
-                "application {} exceeded its pass bound of {}",
-                app.name(),
-                app.max_passes()
-            );
-            let pass_idx = passes.len();
-            // Caching runs fetch from the origin once; single-pass and
-            // storage-starved (Refetch) runs fetch every pass (the paper:
-            // "if caching was performed on the initial iteration, each
-            // subsequent pass retrieves data chunks from local disk").
-            let remote =
-                pass_idx == 0 || matches!(cache_mode, CacheMode::SinglePass | CacheMode::Refetch);
-
-            // Phase 0 (faults only): crash detection. Fetches against
-            // nodes that died by now time out and exhaust their retries;
-            // the timeouts run concurrently, so one detection delay
-            // covers the round. Orphaned chunks are rebalanced over the
-            // survivors before retrieval begins.
-            let mut fault_detection = SimDuration::ZERO;
-            if remote && !schedule.crashes.is_empty() {
-                let n_cur = current.config.data_nodes;
-                let dead_now: Vec<usize> =
-                    schedule.crashed_nodes(now).into_iter().filter(|&i| i < n_cur).collect();
-                if dead_now.iter().any(|i| !known_dead.contains(i)) {
-                    fault_detection = options.retry.detection_delay();
-                    known_dead = dead_now;
-                    plan = fetch_plan(dataset, n_cur, &dest, &known_dead);
-                }
-            }
-
-            // Phase 1: origin repository retrieval. The per-node times
-            // feed trace attribution; the phase is their makespan.
-            let read_times = if remote {
-                dataserver::retrieval_times(&current.repository, &plan.dn_bytes, &plan.dn_chunks)
-            } else {
-                Vec::new()
-            };
-            let retrieval = read_times.iter().map(|&(_, t)| t).max().unwrap_or(SimDuration::ZERO);
-            // Snapshot per-node shares before a migrating controller can
-            // swap `plan` out at the end of the pass.
-            let read_stats: Vec<(u64, usize)> =
-                read_times.iter().map(|&(d, _)| (plan.dn_bytes[d], plan.dn_chunks[d])).collect();
-
-            // Phase 2: origin WAN transfer, at whatever bandwidth the
-            // degradation windows leave when the transfer starts.
-            let net_factor = if remote {
-                schedule.bandwidth_factor(now + fault_detection + retrieval)
-            } else {
-                1.0
-            };
-            let flow_times = if remote {
-                let n_cur = current.config.data_nodes;
-                if net_factor == 1.0 {
-                    comm::transfer_times(
-                        &current.wan,
-                        &current.repository.machine,
-                        machine,
-                        n_cur,
-                        c,
-                        &plan.flows,
-                    )
-                } else {
-                    let mut wan = current.wan.clone();
-                    wan.stream_bw *= net_factor;
-                    if let Some(cap) = wan.aggregate_cap.as_mut() {
-                        *cap *= net_factor;
-                    }
-                    comm::transfer_times(
-                        &wan,
-                        &current.repository.machine,
-                        machine,
-                        n_cur,
-                        c,
-                        &plan.flows,
-                    )
-                }
-            } else {
-                Vec::new()
-            };
-            let network = flow_times.iter().map(|&(_, t)| t).max().unwrap_or(SimDuration::ZERO);
-
-            // Non-local cache traffic: write-through on the first pass,
-            // reads on later passes.
-            let (cache_disk, cache_network) = if cache_mode == CacheMode::NonLocal {
-                let (cs, eff_nodes, cache_flows, pnb, pnc) =
-                    cache_plan.as_ref().expect("NonLocal implies a cache site");
-                let disk = dataserver::retrieval_makespan(&cs.site, pnb, pnc);
-                let net = if pass_idx == 0 {
-                    // Compute nodes stream to the cache site.
-                    comm::transfer_makespan(
-                        &cs.wan,
-                        machine,
-                        &cs.site.machine,
-                        c,
-                        *eff_nodes,
-                        &cache_flows
-                            .iter()
-                            .map(|f| TransferFlow {
-                                data_node: f.compute_node,
-                                compute_node: f.data_node,
-                                bytes: f.bytes,
-                                chunks: f.chunks,
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                } else {
-                    // The cache site streams back to the compute nodes.
-                    comm::transfer_makespan(
-                        &cs.wan,
-                        &cs.site.machine,
-                        machine,
-                        *eff_nodes,
-                        c,
-                        cache_flows,
-                    )
-                };
-                (disk, net)
-            } else {
-                (SimDuration::ZERO, SimDuration::ZERO)
-            };
-
-            // Phase 3: local reductions (real execution; SMP nodes fold
-            // on all cores and combine node-locally).
-            let results = computeserver::run_local_reductions(
-                app,
-                &state,
-                dataset,
-                &node_chunks,
-                machine.cores,
-            );
-            let cache = if cache_mode != CacheMode::Local {
-                CacheTraffic::None
-            } else if pass_idx == 0 {
-                CacheTraffic::Write
-            } else {
-                CacheTraffic::Read
-            };
-            let base_times =
-                computeserver::node_phase_times(&results, machine, &site.costs, inflation, cache);
-            let (local_compute, straggler_recovery, node_times, abandoned) =
-                if schedule.stragglers.is_empty() {
-                    (
-                        base_times.iter().copied().max().unwrap_or(SimDuration::ZERO),
-                        SimDuration::ZERO,
-                        base_times.iter().map(|&t| Some(t)).collect::<Vec<_>>(),
-                        Vec::new(),
-                    )
-                } else {
-                    let plan = straggler_plan(&base_times, schedule, options.straggler_threshold);
-                    (plan.makespan, plan.recovery, plan.node_times, plan.abandoned)
-                };
-
-            // Phase 4: reduction-object communication (serialized
-            // gather): t_ro is exactly the sum of the per-sender times.
-            let obj_bytes: Vec<u64> =
-                results.iter().map(|r| r.obj.size().logical(inflation)).collect();
-            let send_times = comm::gather_times(site, &obj_bytes[1..]);
-            let t_ro: SimDuration = send_times.iter().copied().sum();
-            let max_obj_bytes = obj_bytes.iter().copied().max().unwrap_or(0);
-
-            // Phase 5: global reduction at the master (node 0): handle
-            // every object (the master's own included), merge, finalize,
-            // broadcast the next state.
-            let mut results = results;
-            let mut master_meter = WorkMeter::new();
-            let mut iter = results.drain(..);
-            let mut merged = iter.next().expect("at least one compute node").obj;
-            for r in iter {
-                merged.merge(&r.obj, &mut master_meter);
-            }
-            let outcome = app.global_finalize(&state, merged, &mut master_meter);
-            let (next_state, finished) = match outcome {
-                PassOutcome::NextPass(s) => (s, false),
-                PassOutcome::Finished(s) => (s, true),
-            };
-            let broadcast = if finished {
-                SimDuration::ZERO
-            } else {
-                comm::broadcast_time(site, app.state_size(&next_state).logical(inflation), c)
-            };
-            let t_g = site.costs.obj_handling * c as u64
-                + master_meter.time_on(machine, inflation)
-                + broadcast;
-
             // The controller sees the pass and may migrate the fetch
             // side to another replica for subsequent remote passes.
-            let mut migration = SimDuration::ZERO;
+            let mut migration = std::mem::take(&mut migration_due);
             let phases_done = now
                 + fault_detection
                 + retrieval
@@ -999,11 +842,7 @@ impl Executor {
                     pass_idx,
                     elapsed: phases_done,
                     remote,
-                    observed_wan_bw: if remote {
-                        Some(current.wan.stream_bw * net_factor)
-                    } else {
-                        None
-                    },
+                    observed_wan_bw: remote.then_some(wan.stream_bw),
                     finished,
                 };
                 match ctrl.after_pass(&obs, &current) {
@@ -1020,148 +859,12 @@ impl Executor {
                             );
                             migration = options.migration_overhead;
                             current = *new_d;
-                            plan = fetch_plan(
-                                dataset,
-                                current.config.data_nodes,
-                                &dest,
-                                &known_dead
-                                    .iter()
-                                    .copied()
-                                    .filter(|&i| i < current.config.data_nodes)
-                                    .collect::<Vec<_>>(),
-                            );
                         }
                     }
                 }
             }
 
-            // Record the pass's span tree: one phase span per non-zero
-            // phase, in clock order, with per-node children where the
-            // phase has a breakdown. The cursor retraces exactly the
-            // integer additions of `phases_done`, so span durations
-            // reproduce the report bit for bit.
-            if let Some(tr) = tracer.as_deref_mut() {
-                let pass_span = tr.begin(SpanKind::Pass, None, now);
-                let mut t = now;
-                if !fault_detection.is_zero() {
-                    tr.record(SpanKind::FaultDetection, None, t, t + fault_detection);
-                    t += fault_detection;
-                }
-                if !retrieval.is_zero() {
-                    let s = tr.begin(SpanKind::Retrieval, None, t);
-                    for (&(d, dt), &(bytes, chunks)) in read_times.iter().zip(&read_stats) {
-                        let id = tr.record(SpanKind::NodeRead, Some(NodeRef::data(d)), t, t + dt);
-                        tr.attr(id, "bytes", bytes);
-                        tr.attr(id, "chunks", chunks as u64);
-                    }
-                    tr.end(s, t + retrieval);
-                    t += retrieval;
-                }
-                if !network.is_zero() {
-                    let s = tr.begin(SpanKind::Network, None, t);
-                    for &(f, dt) in &flow_times {
-                        let id = tr.record(
-                            SpanKind::NodeTransfer,
-                            Some(NodeRef::data(f.data_node)),
-                            t,
-                            t + dt,
-                        );
-                        tr.attr(id, "bytes", f.bytes);
-                        tr.attr(id, "chunks", f.chunks as u64);
-                        tr.attr(id, "to_compute", f.compute_node as u64);
-                    }
-                    tr.end(s, t + network);
-                    t += network;
-                }
-                if !cache_disk.is_zero() {
-                    tr.record(SpanKind::CacheDisk, None, t, t + cache_disk);
-                    t += cache_disk;
-                }
-                if !cache_network.is_zero() {
-                    tr.record(SpanKind::CacheNetwork, None, t, t + cache_network);
-                    t += cache_network;
-                }
-                if !local_compute.is_zero() {
-                    let s = tr.begin(SpanKind::Compute, None, t);
-                    for (p, nt) in node_times.iter().enumerate() {
-                        if let Some(dt) = nt {
-                            if !dt.is_zero() {
-                                tr.record(
-                                    SpanKind::NodeCompute,
-                                    Some(NodeRef::compute(p)),
-                                    t,
-                                    t + *dt,
-                                );
-                            }
-                        }
-                    }
-                    tr.end(s, t + local_compute);
-                    t += local_compute;
-                }
-                if !t_ro.is_zero() {
-                    let s = tr.begin(SpanKind::Gather, None, t);
-                    let mut g = t;
-                    for (i, &dt) in send_times.iter().enumerate() {
-                        if !dt.is_zero() {
-                            let id = tr.record(
-                                SpanKind::NodeSend,
-                                Some(NodeRef::compute(i + 1)),
-                                g,
-                                g + dt,
-                            );
-                            tr.attr(id, "obj_bytes", obj_bytes[i + 1]);
-                        }
-                        g += dt;
-                    }
-                    tr.end(s, t + t_ro);
-                    t += t_ro;
-                }
-                if !t_g.is_zero() {
-                    tr.record(SpanKind::GlobalReduce, Some(NodeRef::master()), t, t + t_g);
-                    t += t_g;
-                }
-                if !migration.is_zero() {
-                    tr.record(SpanKind::Migration, None, t, t + migration);
-                    t += migration;
-                }
-                if !straggler_recovery.is_zero() {
-                    let s = tr.begin(SpanKind::StragglerRecovery, None, t);
-                    let mut g = t;
-                    for &(p, dt) in &abandoned {
-                        let id =
-                            tr.record(SpanKind::NodeReexec, Some(NodeRef::master()), g, g + dt);
-                        tr.attr(id, "node", p as u64);
-                        g += dt;
-                    }
-                    tr.end(s, t + straggler_recovery);
-                    t += straggler_recovery;
-                }
-                tr.attr(pass_span, "max_obj_bytes", max_obj_bytes);
-                tr.attr(pass_span, "remote", u64::from(remote));
-                tr.end(pass_span, t);
-
-                tr.metrics.counter("passes").inc();
-                if remote {
-                    let (fb, fc) = flow_times
-                        .iter()
-                        .fold((0u64, 0u64), |(b, k), (f, _)| (b + f.bytes, k + f.chunks as u64));
-                    tr.metrics.counter("bytes_fetched").add(fb);
-                    tr.metrics.counter("chunks_fetched").add(fc);
-                }
-                if !fault_detection.is_zero() {
-                    tr.metrics.counter("fault_detections").inc();
-                    tr.metrics.gauge("dead_data_nodes").set(known_dead.len() as f64);
-                }
-                tr.metrics.counter("stragglers_abandoned").add(abandoned.len() as u64);
-                if !migration.is_zero() {
-                    tr.metrics.counter("migrations").inc();
-                }
-                tr.metrics
-                    .histogram("pass_seconds", &[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
-                    .observe(t.saturating_since(now).as_secs_f64());
-            }
-
-            passes.push(PassReport {
+            let mut report = PassReport {
                 retrieval,
                 network,
                 cache_disk,
@@ -1173,16 +876,38 @@ impl Executor {
                 fault_detection,
                 straggler_recovery,
                 migration,
-            });
+            };
+            if let Some((tr, _)) = tracer.as_mut() {
+                let detail = PassDetail {
+                    remote,
+                    plan: &plan,
+                    read_times: &read_times,
+                    flow_times: &flow_times,
+                    node_times: &node_times,
+                    abandoned: &abandoned,
+                    send_times: &send_times,
+                    obj_bytes: &obj_bytes,
+                    dead_data_nodes: known_dead.len(),
+                };
+                trace_pass(tr, now, &report, &detail);
+            }
+            // A resumed split pass folds the checkpointed prefix's phase
+            // components into its report, so the run has one report per
+            // logical pass.
+            if let Some(prefix) = pending_prefix.take() {
+                report.retrieval += prefix.retrieval;
+                report.network += prefix.network;
+                report.local_compute += prefix.local_compute;
+                report.fault_detection += prefix.fault_detection;
+                report.straggler_recovery += prefix.straggler_recovery;
+            }
+            passes.push(report);
             now = phases_done + migration + straggler_recovery;
             state = next_state;
             if finished {
                 break;
             }
-        }
-
-        if let (Some(tr), Some(id)) = (tracer, run_span) {
-            tr.end(id, now);
+            pass_idx += 1;
         }
 
         let report = ExecutionReport {
@@ -1197,7 +922,11 @@ impl Executor {
             cache_mode,
             passes,
         };
-        RunResult { report, final_state: state }
+        let trace = tracer.map(|(mut tr, run_span)| {
+            tr.end(run_span, now);
+            tr.finish(Some(report.run_meta()))
+        });
+        ResumableOutcome::Finished(RunResult { report, final_state: state, trace })
     }
 }
 
@@ -1406,20 +1135,65 @@ mod tests {
         }
     }
 
-    use fg_sim::{FaultSchedule, SimTime};
+    /// A run to completion under `schedule` with default recovery.
+    fn run_faulty(ex: &Executor, ds: &Dataset, schedule: &FaultSchedule) -> RunResult<Phase> {
+        ex.run_with(&TwoPass, ds, RunOptions::new(schedule, &FaultOptions::default())).finished()
+    }
+
+    /// [`run_faulty`] with trace capture and an optional controller.
+    fn run_traced(
+        ex: &Executor,
+        ds: &Dataset,
+        schedule: &FaultSchedule,
+        controller: Option<&mut dyn PassController>,
+    ) -> (RunResult<Phase>, Trace) {
+        let recovery = FaultOptions::default();
+        let mut opts = RunOptions { trace: true, ..RunOptions::new(schedule, &recovery) };
+        if let Some(ctrl) = controller {
+            opts.controller = Some(ctrl);
+        }
+        let mut result = ex.run_with(&TwoPass, ds, opts).finished();
+        let trace = result.trace.take().expect("a traced run returns its trace");
+        (result, trace)
+    }
+
+    /// Suspend at `stop`.
+    fn suspend(
+        ex: &Executor,
+        ds: &Dataset,
+        schedule: &FaultSchedule,
+        stop: StopPoint,
+    ) -> ResumableOutcome<Phase, Acc> {
+        let recovery = FaultOptions::default();
+        ex.run_with(
+            &TwoPass,
+            ds,
+            RunOptions { stop_at: Some(stop), ..RunOptions::new(schedule, &recovery) },
+        )
+    }
+
+    /// Continue `ck` to completion.
+    fn resume(
+        ex: &Executor,
+        ds: &Dataset,
+        schedule: &FaultSchedule,
+        ck: Checkpoint<Phase, Acc>,
+    ) -> RunResult<Phase> {
+        let recovery = FaultOptions::default();
+        ex.run_with(
+            &TwoPass,
+            ds,
+            RunOptions { resume_from: Some(ck), ..RunOptions::new(schedule, &recovery) },
+        )
+        .finished()
+    }
 
     #[test]
     fn empty_schedule_is_bit_identical_to_run() {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(2, 4));
         let plain = ex.run(&TwoPass, &ds);
-        let faulty = ex.run_with_faults(
-            &TwoPass,
-            &ds,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            None,
-        );
+        let faulty = run_faulty(&ex, &ds, &FaultSchedule::none());
         assert_eq!(plain.report, faulty.report);
         assert_eq!(final_count(&plain.final_state), final_count(&faulty.final_state));
         assert_eq!(faulty.report.t_recovery(), SimDuration::ZERO);
@@ -1432,7 +1206,7 @@ mod tests {
         let plain = ex.run(&TwoPass, &ds);
         let opts = FaultOptions::default();
         let s = FaultSchedule::none().crash(1, SimTime::ZERO).crash(3, SimTime::ZERO);
-        let faulty = ex.run_with_faults(&TwoPass, &ds, &s, &opts, None);
+        let faulty = run_faulty(&ex, &ds, &s);
         // Both crashes are found in one concurrent detection round.
         assert_eq!(faulty.report.passes[0].fault_detection, opts.retry.detection_delay());
         // Cached second pass touches no data nodes: nothing to detect.
@@ -1449,13 +1223,7 @@ mod tests {
     fn losing_every_data_node_is_fatal() {
         let ds = dataset(8, 10);
         let s = FaultSchedule::none().crash(0, SimTime::ZERO).crash(1, SimTime::ZERO);
-        Executor::new(deployment(2, 2)).run_with_faults(
-            &TwoPass,
-            &ds,
-            &s,
-            &FaultOptions::default(),
-            None,
-        );
+        run_faulty(&Executor::new(deployment(2, 2)), &ds, &s);
     }
 
     #[test]
@@ -1466,7 +1234,7 @@ mod tests {
         let ex = Executor::new(deployment(2, 4));
         let plain = ex.run(&TwoPass, &ds);
         let s = FaultSchedule::none().crash(1, SimTime::from_nanos(1));
-        let faulty = ex.run_with_faults(&TwoPass, &ds, &s, &FaultOptions::default(), None);
+        let faulty = run_faulty(&ex, &ds, &s);
         assert_eq!(plain.report, faulty.report);
     }
 
@@ -1476,7 +1244,7 @@ mod tests {
         let ex = Executor::new(deployment(2, 4));
         let plain = ex.run(&TwoPass, &ds);
         let s = FaultSchedule::none().degrade(SimTime::ZERO, SimTime::MAX, 0.5);
-        let faulty = ex.run_with_faults(&TwoPass, &ds, &s, &FaultOptions::default(), None);
+        let faulty = run_faulty(&ex, &ds, &s);
         assert!(faulty.report.passes[0].network > plain.report.passes[0].network);
         assert_eq!(faulty.report.passes[0].retrieval, plain.report.passes[0].retrieval);
         assert_eq!(final_count(&faulty.final_state), final_count(&plain.final_state));
@@ -1488,7 +1256,7 @@ mod tests {
         let ex = Executor::new(deployment(2, 4));
         let plain = ex.run(&TwoPass, &ds);
         let s = FaultSchedule::none().straggler(2, 1.5);
-        let faulty = ex.run_with_faults(&TwoPass, &ds, &s, &FaultOptions::default(), None);
+        let faulty = run_faulty(&ex, &ds, &s);
         assert!(faulty.report.passes[0].local_compute >= plain.report.passes[0].local_compute);
         assert_eq!(faulty.report.t_straggler_recovery(), SimDuration::ZERO);
         assert_eq!(final_count(&faulty.final_state), final_count(&plain.final_state));
@@ -1500,7 +1268,7 @@ mod tests {
         let ex = Executor::new(deployment(2, 4));
         let plain = ex.run(&TwoPass, &ds);
         let s = FaultSchedule::none().straggler(2, 100.0);
-        let faulty = ex.run_with_faults(&TwoPass, &ds, &s, &FaultOptions::default(), None);
+        let faulty = run_faulty(&ex, &ds, &s);
         // Degraded-mode completion: the healthy nodes bound the phase,
         // and the master re-runs the abandoned share afterwards.
         assert!(!faulty.report.t_straggler_recovery().is_zero());
@@ -1541,9 +1309,14 @@ mod tests {
         let slow = refetch_deployment(2, 4, 1e5);
         let fast = refetch_deployment(2, 4, 1e6);
         let mut ctrl = MigrateOnce { target: Some(fast), observed: Vec::new() };
-        let opts = FaultOptions::default();
+        let (schedule, opts) = (FaultSchedule::none(), FaultOptions::default());
         let r = Executor::new(slow)
-            .run_with_faults(&TwoPass, &ds, &FaultSchedule::none(), &opts, Some(&mut ctrl))
+            .run_with(
+                &TwoPass,
+                &ds,
+                RunOptions { controller: Some(&mut ctrl), ..RunOptions::new(&schedule, &opts) },
+            )
+            .finished()
             .report;
         assert_eq!(r.passes[0].migration, opts.migration_overhead);
         assert_eq!(r.passes[1].migration, SimDuration::ZERO);
@@ -1559,7 +1332,7 @@ mod tests {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(2, 4));
         let plain = ex.run(&TwoPass, &ds);
-        let (traced, trace) = ex.run_traced(&TwoPass, &ds);
+        let (traced, trace) = run_traced(&ex, &ds, &FaultSchedule::none(), None);
         assert_eq!(plain.report, traced.report);
         assert_eq!(final_count(&plain.final_state), final_count(&traced.final_state));
         trace.check_well_formed().expect("trace must be well-formed");
@@ -1569,7 +1342,8 @@ mod tests {
     #[test]
     fn trace_component_sums_equal_report_components() {
         let ds = dataset(8, 100);
-        let (result, trace) = Executor::new(deployment(2, 4)).run_traced(&TwoPass, &ds);
+        let (result, trace) =
+            run_traced(&Executor::new(deployment(2, 4)), &ds, &FaultSchedule::none(), None);
         let r = &result.report;
         assert_eq!(
             trace.component_sum(SpanKind::Retrieval) + trace.component_sum(SpanKind::CacheDisk),
@@ -1590,25 +1364,10 @@ mod tests {
     #[test]
     fn report_round_trips_through_its_trace() {
         let ds = dataset(8, 100);
-        let (result, trace) = Executor::new(deployment(2, 4)).run_traced(&TwoPass, &ds);
+        let (result, trace) =
+            run_traced(&Executor::new(deployment(2, 4)), &ds, &FaultSchedule::none(), None);
         let rebuilt = crate::ExecutionReport::from_trace(&trace).expect("reconstructable");
         assert_eq!(rebuilt, result.report);
-    }
-
-    #[test]
-    fn traced_empty_fault_schedule_matches_plain_traced_run() {
-        let ds = dataset(8, 100);
-        let ex = Executor::new(deployment(2, 4));
-        let (_, plain) = ex.run_traced(&TwoPass, &ds);
-        let (_, faulty) = ex.run_with_faults_traced(
-            &TwoPass,
-            &ds,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            None,
-        );
-        assert_eq!(plain.spans, faulty.spans);
-        assert_eq!(plain.meta, faulty.meta);
     }
 
     #[test]
@@ -1616,8 +1375,7 @@ mod tests {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(4, 4));
         let s = FaultSchedule::none().crash(1, SimTime::ZERO).straggler(2, 100.0);
-        let (result, trace) =
-            ex.run_with_faults_traced(&TwoPass, &ds, &s, &FaultOptions::default(), None);
+        let (result, trace) = run_traced(&ex, &ds, &s, None);
         trace.check_well_formed().expect("faulted trace must be well-formed");
         let r = &result.report;
         assert_eq!(trace.component_sum(SpanKind::FaultDetection), r.t_fault_detection());
@@ -1640,16 +1398,13 @@ mod tests {
         let ds = dataset(8, 100);
         let fast = refetch_deployment(2, 4, 1e6);
         let mut ctrl = MigrateOnce { target: Some(fast), observed: Vec::new() };
-        let opts = FaultOptions::default();
-        let (result, trace) = Executor::new(refetch_deployment(2, 4, 1e5)).run_with_faults_traced(
-            &TwoPass,
-            &ds,
-            &FaultSchedule::none(),
-            &opts,
-            Some(&mut ctrl),
-        );
+        let ex = Executor::new(refetch_deployment(2, 4, 1e5));
+        let (result, trace) = run_traced(&ex, &ds, &FaultSchedule::none(), Some(&mut ctrl));
         trace.check_well_formed().expect("migrated trace must be well-formed");
-        assert_eq!(trace.component_sum(SpanKind::Migration), opts.migration_overhead);
+        assert_eq!(
+            trace.component_sum(SpanKind::Migration),
+            FaultOptions::default().migration_overhead
+        );
         let rebuilt = crate::ExecutionReport::from_trace(&trace).expect("reconstructable");
         assert_eq!(rebuilt, result.report);
     }
@@ -1657,7 +1412,8 @@ mod tests {
     #[test]
     fn traced_run_collects_metrics() {
         let ds = dataset(8, 100);
-        let (result, trace) = Executor::new(deployment(2, 4)).run_traced(&TwoPass, &ds);
+        let (result, trace) =
+            run_traced(&Executor::new(deployment(2, 4)), &ds, &FaultSchedule::none(), None);
         assert_eq!(trace.metrics.counter("passes"), Some(result.report.num_passes() as u64));
         let fetched = trace.metrics.counter("bytes_fetched").unwrap_or(0);
         assert_eq!(fetched, ds.logical_bytes(), "pass 0 fetches the whole dataset once");
@@ -1669,12 +1425,11 @@ mod tests {
         let ds = dataset(8, 10);
         let mut ctrl =
             MigrateOnce { target: Some(refetch_deployment(2, 8, 1e6)), observed: Vec::new() };
-        Executor::new(refetch_deployment(2, 4, 1e5)).run_with_faults(
+        let (schedule, opts) = (FaultSchedule::none(), FaultOptions::default());
+        Executor::new(refetch_deployment(2, 4, 1e5)).run_with(
             &TwoPass,
             &ds,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            Some(&mut ctrl),
+            RunOptions { controller: Some(&mut ctrl), ..RunOptions::new(&schedule, &opts) },
         );
     }
 
@@ -1695,17 +1450,15 @@ mod tests {
     fn resumable_split_is_bit_identical_at_every_boundary() {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(2, 4));
-        let opts = FaultOptions::default();
         let sched = FaultSchedule::none();
         let unsplit = ex.run(&TwoPass, &ds);
         for pass in 0..2 {
             for cursor in 0..=ds.num_chunks() {
-                let ck = ex
-                    .run_resumable(&TwoPass, &ds, &sched, &opts, StopPoint { pass, cursor })
+                let ck = suspend(&ex, &ds, &sched, StopPoint { pass, cursor })
                     .expect_suspended("two-pass app suspends inside either pass");
                 assert_eq!(ck.pass_idx, pass);
                 assert_eq!(ck.cursor, cursor);
-                let resumed = ex.resume_from(&TwoPass, &ds, ck, &sched, &opts);
+                let resumed = resume(&ex, &ds, &sched, ck);
                 assert_eq!(
                     final_count(&resumed.final_state),
                     final_count(&unsplit.final_state),
@@ -1723,13 +1476,7 @@ mod tests {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(2, 4));
         let unsplit = ex.run(&TwoPass, &ds);
-        let outcome = ex.run_resumable(
-            &TwoPass,
-            &ds,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            StopPoint { pass: 7, cursor: 0 },
-        );
+        let outcome = suspend(&ex, &ds, &FaultSchedule::none(), StopPoint { pass: 7, cursor: 0 });
         match outcome {
             ResumableOutcome::Finished(r) => {
                 assert_eq!(r.report, unsplit.report);
@@ -1746,14 +1493,13 @@ mod tests {
         let sched = FaultSchedule::none();
         let home = Executor::new(refetch_deployment(2, 4, 1e5));
         let unsplit = home.run(&TwoPass, &ds);
-        let ck = home
-            .run_resumable(&TwoPass, &ds, &sched, &opts, StopPoint { pass: 1, cursor: 3 })
+        let ck = suspend(&home, &ds, &sched, StopPoint { pass: 1, cursor: 3 })
             .expect_suspended("stops mid second pass");
         // A faster replica serves the remaining fraction after the
         // switch; the answer is unchanged and the overhead is charged to
         // the resumed pass.
         let away = Executor::new(refetch_replica(2, 4, 1e6));
-        let resumed = away.resume_from(&TwoPass, &ds, ck, &sched, &opts);
+        let resumed = resume(&away, &ds, &sched, ck);
         assert_eq!(final_count(&resumed.final_state), final_count(&unsplit.final_state));
         assert_eq!(resumed.report.passes[1].migration, opts.migration_overhead);
     }
@@ -1762,17 +1508,15 @@ mod tests {
     fn resumable_split_under_faults_matches_the_uninterrupted_run() {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(4, 4));
-        let opts = FaultOptions::default();
         let sched = FaultSchedule::none()
             .crash(1, SimTime::ZERO)
             .degrade(SimTime::ZERO, SimTime::MAX, 0.5)
             .straggler(2, 100.0);
-        let unsplit = ex.run_with_faults(&TwoPass, &ds, &sched, &opts, None);
+        let unsplit = run_faulty(&ex, &ds, &sched);
         for (pass, cursor) in [(0, 1), (0, 5), (1, 4), (1, 8)] {
-            let ck = ex
-                .run_resumable(&TwoPass, &ds, &sched, &opts, StopPoint { pass, cursor })
+            let ck = suspend(&ex, &ds, &sched, StopPoint { pass, cursor })
                 .expect_suspended("stops inside the run");
-            let resumed = ex.resume_from(&TwoPass, &ds, ck, &sched, &opts);
+            let resumed = resume(&ex, &ds, &sched, ck);
             assert_eq!(
                 final_count(&resumed.final_state),
                 final_count(&unsplit.final_state),
@@ -1785,16 +1529,14 @@ mod tests {
     fn checkpoint_resumes_after_a_serialization_roundtrip() {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(2, 4));
-        let opts = FaultOptions::default();
         let sched = FaultSchedule::none();
         let unsplit = ex.run(&TwoPass, &ds);
-        let ck = ex
-            .run_resumable(&TwoPass, &ds, &sched, &opts, StopPoint { pass: 1, cursor: 5 })
+        let ck = suspend(&ex, &ds, &sched, StopPoint { pass: 1, cursor: 5 })
             .expect_suspended("stops mid second pass");
         let value = ck.to_value();
         let back: Checkpoint<Phase, Acc> =
             Deserialize::from_value(&value).expect("checkpoint round-trips");
-        let resumed = ex.resume_from(&TwoPass, &ds, back, &sched, &opts);
+        let resumed = resume(&ex, &ds, &sched, back);
         assert_eq!(final_count(&resumed.final_state), final_count(&unsplit.final_state));
     }
 
@@ -1802,21 +1544,107 @@ mod tests {
     #[should_panic(expected = "resume cannot change the compute-node count")]
     fn resume_with_a_different_compute_count_is_rejected() {
         let ds = dataset(8, 100);
-        let ck = Executor::new(deployment(2, 4))
-            .run_resumable(
-                &TwoPass,
-                &ds,
-                &FaultSchedule::none(),
-                &FaultOptions::default(),
-                StopPoint { pass: 0, cursor: 4 },
-            )
+        let sched = FaultSchedule::none();
+        let ck = suspend(&Executor::new(deployment(2, 4)), &ds, &sched, mid_first_pass())
             .expect_suspended("stops mid first pass");
-        Executor::new(deployment(2, 8)).resume_from(
-            &TwoPass,
-            &ds,
-            ck,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-        );
+        resume(&Executor::new(deployment(2, 8)), &ds, &sched, ck);
+    }
+
+    const fn mid_first_pass() -> StopPoint {
+        StopPoint { pass: 0, cursor: 4 }
+    }
+
+    /// A deployment with a non-local cache site attached.
+    fn cache_site_deployment() -> Deployment {
+        deployment(2, 4).with_cache(fg_cluster::CacheSite::new(
+            RepositorySite::pentium_repository("cache", 4),
+            2,
+            Wan::per_stream(1e6),
+        ))
+    }
+
+    /// A checkpoint taken mid first pass on `deployment(2, 4)`.
+    fn a_checkpoint(ds: &Dataset) -> Checkpoint<Phase, Acc> {
+        suspend(&Executor::new(deployment(2, 4)), ds, &FaultSchedule::none(), mid_first_pass())
+            .expect_suspended("stops mid first pass")
+    }
+
+    /// `run_with` over an 8-chunk dataset under no faults; `tweak` sets
+    /// the combination under test on top of [`RunOptions::new`].
+    macro_rules! run_rejected {
+        ($deployment:expr, |$o:ident, $ds:ident| $tweak:block) => {{
+            let $ds = dataset(8, 100);
+            let (schedule, recovery) = (FaultSchedule::none(), FaultOptions::default());
+            let mut $o = RunOptions::new(&schedule, &recovery);
+            $tweak
+            Executor::new($deployment).run_with(&TwoPass, &$ds, $o);
+        }};
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed runs do not support non-local cache sites")]
+    fn stop_point_with_a_cache_site_is_rejected() {
+        run_rejected!(cache_site_deployment(), |o, ds| { o.stop_at = Some(mid_first_pass()) });
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed runs do not support non-local cache sites")]
+    fn resume_with_a_cache_site_is_rejected() {
+        run_rejected!(cache_site_deployment(), |o, ds| { o.resume_from = Some(a_checkpoint(&ds)) });
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed runs do not support a pass controller")]
+    fn stop_point_with_a_controller_is_rejected() {
+        let mut ctrl = MigrateOnce { target: None, observed: Vec::new() };
+        run_rejected!(deployment(2, 4), |o, ds| {
+            o.stop_at = Some(mid_first_pass());
+            o.controller = Some(&mut ctrl);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed runs do not support a pass controller")]
+    fn resume_with_a_controller_is_rejected() {
+        let mut ctrl = MigrateOnce { target: None, observed: Vec::new() };
+        run_rejected!(deployment(2, 4), |o, ds| {
+            o.resume_from = Some(a_checkpoint(&ds));
+            o.controller = Some(&mut ctrl);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed runs do not support trace capture")]
+    fn stop_point_with_tracing_is_rejected() {
+        run_rejected!(deployment(2, 4), |o, ds| {
+            o.stop_at = Some(mid_first_pass());
+            o.trace = true;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpointed runs do not support trace capture")]
+    fn resume_with_tracing_is_rejected() {
+        run_rejected!(deployment(2, 4), |o, ds| {
+            o.resume_from = Some(a_checkpoint(&ds));
+            o.trace = true;
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a resumed run cannot take a stop point")]
+    fn resume_with_a_stop_point_is_rejected() {
+        run_rejected!(deployment(2, 4), |o, ds| {
+            o.resume_from = Some(a_checkpoint(&ds));
+            o.stop_at = Some(StopPoint { pass: 1, cursor: 2 });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "stop cursor 9 exceeds the dataset's 8 chunks")]
+    fn stop_cursor_past_the_dataset_is_rejected() {
+        run_rejected!(deployment(2, 4), |o, ds| {
+            o.stop_at = Some(StopPoint { pass: 0, cursor: 9 })
+        });
     }
 }

@@ -44,7 +44,9 @@ pub mod timeline;
 pub use api::{ObjSize, PassOutcome, ReductionApp, ReductionObject};
 pub use checkpoint::{Checkpoint, ResumableOutcome, StopPoint};
 pub use dataserver::RetryPolicy;
-pub use exec::{Executor, FaultOptions, PassAction, PassController, PassObservation};
+pub use exec::{
+    Executor, FaultOptions, PassAction, PassController, PassObservation, RunOptions, RunResult,
+};
 pub use meter::WorkMeter;
 pub use pipeline::{run_pipelined, run_pipelined_traced, PipelinedRun};
 pub use report::{CacheMode, ExecutionReport, PassReport};

@@ -14,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Per-pass timing detail.
 ///
 /// The three recovery components (`fault_detection`,
-/// `straggler_recovery`, `migration`) are zero on fault-free runs, so a
-/// report from [`crate::Executor::run`] is bit-identical to one from
-/// `run_with_faults` under an empty schedule.
+/// `straggler_recovery`, `migration`) are zero on fault-free runs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PassReport {
     /// Origin-repository retrieval makespan (zero on cached passes).

@@ -532,9 +532,6 @@ impl SchedCore {
         let full = FreeSlices::new(max_data, max_cmp);
         let bw: Vec<f64> = grid.repos.iter().map(|r| r.wan.stream_bw).collect();
         let mut engine = PlacementEngine::new(grid);
-        if scheduler.parallel_scoring {
-            engine = engine.with_parallel();
-        }
         if scheduler.naive_placement {
             engine = engine.with_naive();
         }

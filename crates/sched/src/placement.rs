@@ -37,7 +37,6 @@
 use crate::grid::{AppModel, GridSpec};
 use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::{Prediction, Predictor};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// The winning candidate of a placement query.
@@ -203,7 +202,6 @@ pub struct PlacementStats {
 pub struct PlacementEngine {
     entries: HashMap<(usize, u64), Entry>,
     capacity: usize,
-    parallel: bool,
     naive: bool,
     stats: PlacementStats,
 }
@@ -222,19 +220,9 @@ impl PlacementEngine {
         PlacementEngine {
             entries: HashMap::new(),
             capacity: DEFAULT_CAPACITY,
-            parallel: false,
             naive: false,
             stats: PlacementStats::default(),
         }
-    }
-
-    /// Rebuild stale rankings through rayon's parallel iterator. The
-    /// reduce is determinism-preserving: rebuilt rankings are installed
-    /// back in repository-index order, so the cache state (and every
-    /// later query) is bit-identical to the sequential rebuild.
-    pub fn with_parallel(mut self) -> PlacementEngine {
-        self.parallel = true;
-        self
     }
 
     /// Bypass the cache entirely and answer every query with
@@ -301,36 +289,23 @@ impl PlacementEngine {
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             self.entries.clear();
         }
-        let nrepo = grid.repos.len();
-        let epoch = pred.epoch();
         let entry = self
             .entries
             .entry(key)
-            .or_insert_with(|| Entry { repos: vec![RepoRanking::stale(); nrepo] });
-        let stale: Vec<usize> = (0..nrepo)
-            .filter(|&ri| {
-                entry.repos[ri].bw_bits != bw[ri].to_bits() || entry.repos[ri].epoch != epoch
-            })
-            .collect();
-        self.stats.rebuilds += stale.len() as u64;
-        if self.parallel && stale.len() > 1 {
-            let rebuilt: Vec<RepoRanking> = stale
-                .par_iter()
-                .map(|&ri| {
-                    build_ranking(pred, epoch, grid, model, &grid.repos[ri], dataset_bytes, bw[ri])
-                })
-                .collect();
-            for (&ri, ranking) in stale.iter().zip(rebuilt) {
-                entry.repos[ri] = ranking;
-            }
-        } else {
-            for &ri in &stale {
-                entry.repos[ri] =
-                    build_ranking(pred, epoch, grid, model, &grid.repos[ri], dataset_bytes, bw[ri]);
-            }
-        }
-        walk(&entry.repos, free.data(), free.cmp(), quota_cap)
-            .map(|(ri, c)| to_placement(grid, ri, &c))
+            .or_insert_with(|| Entry { repos: vec![RepoRanking::stale(); grid.repos.len()] });
+        let (rebuilds, best) = refresh_and_walk(
+            pred,
+            grid,
+            model,
+            dataset_bytes,
+            &mut entry.repos,
+            bw,
+            free.data(),
+            free.cmp(),
+            quota_cap,
+        );
+        self.stats.rebuilds += rebuilds;
+        best
     }
 
     /// Best placement on an *empty* grid at each repository's nominal
@@ -349,12 +324,9 @@ impl PlacementEngine {
         app: &str,
         dataset_bytes: u64,
     ) -> Option<Placement> {
-        let app_idx = grid.apps.iter().position(|(n, _)| n == app)?;
-        let model = &grid.apps[app_idx].1;
-        let max_data: Vec<usize> = grid.repos.iter().map(|r| r.site.max_nodes).collect();
-        let max_cmp: Vec<usize> = grid.sites.iter().map(|s| s.site.max_nodes).collect();
         if self.naive {
-            let nominal: Vec<f64> = grid.repos.iter().map(|r| r.wan.stream_bw).collect();
+            let (_, model) = grid.apps.iter().find(|(n, _)| n == app)?;
+            let (max_data, max_cmp, nominal) = empty_grid(grid);
             return naive_best_placement_with(
                 pred,
                 grid,
@@ -366,32 +338,61 @@ impl PlacementEngine {
                 None,
             );
         }
-        let epoch = pred.epoch();
-        let rankings: Vec<RepoRanking> = if self.parallel && grid.repos.len() > 1 {
-            grid.repos
-                .par_iter()
-                .map(|r| build_ranking(pred, epoch, grid, model, r, dataset_bytes, r.wan.stream_bw))
-                .collect()
-        } else {
-            grid.repos
-                .iter()
-                .map(|r| build_ranking(pred, epoch, grid, model, r, dataset_bytes, r.wan.stream_bw))
-                .collect()
-        };
-        walk(&rankings, &max_data, &max_cmp, None).map(|(ri, c)| to_placement(grid, ri, &c))
+        uncached_standalone_placement(pred, grid, app, dataset_bytes)
     }
 }
 
-fn to_placement(grid: &GridSpec, repo: usize, c: &Ranked) -> Placement {
-    Placement { repo, site: c.site, cfg: grid.configs[c.cfg], predicted: c.predicted }
+/// An idle grid as a placement query sees it: every data and compute
+/// node free, every repository at its nominal bandwidth.
+fn empty_grid(grid: &GridSpec) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    (
+        grid.repos.iter().map(|r| r.site.max_nodes).collect(),
+        grid.sites.iter().map(|s| s.site.max_nodes).collect(),
+        grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
+    )
+}
+
+/// Re-price every ranking in `repos` that is stale for its repository's
+/// bandwidth or the predictor's epoch, then walk them against the free
+/// slices. Returns how many rankings were rebuilt, and the winner. The
+/// one place a query turns prices into a placement: the engine passes
+/// its cached rankings, the uncached queries an all-stale set.
+#[allow(clippy::too_many_arguments)]
+fn refresh_and_walk<P: Predictor + ?Sized>(
+    pred: &P,
+    grid: &GridSpec,
+    model: &AppModel,
+    dataset_bytes: u64,
+    repos: &mut [RepoRanking],
+    bw: &[f64],
+    free_data: &[usize],
+    free_cmp: &[usize],
+    quota_cap: Option<usize>,
+) -> (u64, Option<Placement>) {
+    let epoch = pred.epoch();
+    let mut rebuilds = 0;
+    for (ri, ranking) in repos.iter_mut().enumerate() {
+        if ranking.bw_bits != bw[ri].to_bits() || ranking.epoch != epoch {
+            *ranking =
+                build_ranking(pred, epoch, grid, model, &grid.repos[ri], dataset_bytes, bw[ri]);
+            rebuilds += 1;
+        }
+    }
+    let best = walk(repos, free_data, free_cmp, quota_cap).map(|(ri, c)| Placement {
+        repo: ri,
+        site: c.site,
+        cfg: grid.configs[c.cfg],
+        predicted: c.predicted,
+    });
+    (rebuilds, best)
 }
 
 /// The cached engine's query, priced fresh with no cache: build every
 /// repository's ranking at the given bandwidths and walk it against
 /// the free slices. Bit-identical to [`PlacementEngine::best_placement`]
-/// over the same inputs (same `build_ranking`, same `walk`), which is
-/// what lets an immutable snapshot answer placement queries from
-/// `&self` without sharing the engine's mutable cache.
+/// over the same inputs (same [`refresh_and_walk`], from an empty
+/// cache), which is what lets an immutable snapshot answer placement
+/// queries from `&self` without sharing the engine's mutable cache.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn uncached_best_placement<P: Predictor + ?Sized>(
     pred: &P,
@@ -403,38 +404,32 @@ pub(crate) fn uncached_best_placement<P: Predictor + ?Sized>(
     bw: &[f64],
     quota_cap: Option<usize>,
 ) -> Option<Placement> {
-    let app_idx = grid.apps.iter().position(|(n, _)| n == app)?;
-    let model = &grid.apps[app_idx].1;
-    let epoch = pred.epoch();
-    let rankings: Vec<RepoRanking> = grid
-        .repos
-        .iter()
-        .enumerate()
-        .map(|(ri, r)| build_ranking(pred, epoch, grid, model, r, dataset_bytes, bw[ri]))
-        .collect();
-    walk(&rankings, free_data, free_cmp, quota_cap).map(|(ri, c)| to_placement(grid, ri, &c))
+    let (_, model) = grid.apps.iter().find(|(n, _)| n == app)?;
+    let mut fresh = vec![RepoRanking::stale(); grid.repos.len()];
+    refresh_and_walk(
+        pred,
+        grid,
+        model,
+        dataset_bytes,
+        &mut fresh,
+        bw,
+        free_data,
+        free_cmp,
+        quota_cap,
+    )
+    .1
 }
 
 /// The standalone query without an engine: best placement on an empty
-/// grid at nominal bandwidths. Bit-identical to
-/// [`PlacementEngine::standalone_placement`].
+/// grid at nominal bandwidths.
 pub(crate) fn uncached_standalone_placement<P: Predictor + ?Sized>(
     pred: &P,
     grid: &GridSpec,
     app: &str,
     dataset_bytes: u64,
 ) -> Option<Placement> {
-    let app_idx = grid.apps.iter().position(|(n, _)| n == app)?;
-    let model = &grid.apps[app_idx].1;
-    let max_data: Vec<usize> = grid.repos.iter().map(|r| r.site.max_nodes).collect();
-    let max_cmp: Vec<usize> = grid.sites.iter().map(|s| s.site.max_nodes).collect();
-    let epoch = pred.epoch();
-    let rankings: Vec<RepoRanking> = grid
-        .repos
-        .iter()
-        .map(|r| build_ranking(pred, epoch, grid, model, r, dataset_bytes, r.wan.stream_bw))
-        .collect();
-    walk(&rankings, &max_data, &max_cmp, None).map(|(ri, c)| to_placement(grid, ri, &c))
+    let (max_data, max_cmp, nominal) = empty_grid(grid);
+    uncached_best_placement(pred, grid, app, dataset_bytes, &max_data, &max_cmp, &nominal, None)
 }
 
 /// Price every (site, configuration) candidate of one repository at

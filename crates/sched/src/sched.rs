@@ -249,7 +249,6 @@ pub struct Scheduler {
     pub(crate) preemption: Option<f64>,
     pub(crate) migration: Option<MigrationConfig>,
     pub(crate) degradations: Vec<Degradation>,
-    pub(crate) parallel_scoring: bool,
     pub(crate) naive_placement: bool,
     pub(crate) workload_metrics: bool,
     pub(crate) telemetry: Option<TelemetryConfig>,
@@ -268,7 +267,6 @@ impl Scheduler {
             preemption: None,
             migration: None,
             degradations: Vec::new(),
-            parallel_scoring: false,
             naive_placement: false,
             workload_metrics: false,
             telemetry: None,
@@ -293,14 +291,6 @@ impl Scheduler {
     /// The predictor placements are priced through.
     pub fn predictor(&self) -> &Arc<dyn Predictor> {
         &self.predictor
-    }
-
-    /// Rebuild stale placement rankings through rayon's parallel
-    /// iterators. The reduce installs results in repository-index
-    /// order, so the run stays bit-identical to the sequential one.
-    pub fn with_parallel_scoring(mut self) -> Scheduler {
-        self.parallel_scoring = true;
-        self
     }
 
     /// Replace the cached placement engine with the naive exhaustive
@@ -612,8 +602,6 @@ mod tests {
             let naive = Scheduler::new(grid(), policy).with_naive_placement().run(&jobs);
             assert_eq!(fast.outcomes, naive.outcomes, "policy {}", policy.name());
             assert_eq!(fg_trace::to_jsonl(&fast.trace), fg_trace::to_jsonl(&naive.trace));
-            let parallel = Scheduler::new(grid(), policy).with_parallel_scoring().run(&jobs);
-            assert_eq!(fast.outcomes, parallel.outcomes, "policy {}", policy.name());
         }
     }
 

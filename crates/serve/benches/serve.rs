@@ -1,8 +1,7 @@
 //! Criterion benchmarks for the service path: frame codec throughput,
 //! quote requests through the full wire round trip, and a submit
-//! stream replayed end to end. The ratcheted numbers live in
-//! `BENCH_serve.json` (produced by `fg-bench`'s `bench_serve` bin);
-//! these benches are for interactive profiling.
+//! stream replayed end to end. For interactive profiling; `benchmark/`
+//! holds the numbers changes are judged by.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fg_bench::figures::sched_models;

@@ -175,7 +175,9 @@ pub struct Server {
 
 impl Server {
     /// Start the service for one scheduling session over `cfg`'s grid
-    /// and policy.
+    /// and policy. Returns once the core thread has published its first
+    /// snapshot, so a query sent right after [`connect`](Server::connect)
+    /// is answered from it.
     pub fn start(cfg: Scheduler) -> Server {
         let published: Published = Arc::new(RwLock::new(None));
         let metrics =
@@ -183,6 +185,7 @@ impl Server {
         let incidents: Arc<Mutex<Vec<IncidentBundle>>> = Arc::default();
         let (core_tx, core_rx) = mpsc::channel::<CoreMsg>();
         let (query_tx, query_rx) = mpsc::channel::<QueryMsg>();
+        let (ready_tx, ready_rx) = mpsc::channel::<()>();
         let mut threads = Vec::new();
 
         let pub_core = Arc::clone(&published);
@@ -191,7 +194,9 @@ impl Server {
         threads.push(
             thread::Builder::new()
                 .name("fg-serve-core".into())
-                .spawn(move || core_loop(cfg, core_rx, pub_core, hub_core, incidents_core))
+                .spawn(move || {
+                    core_loop(cfg, core_rx, pub_core, hub_core, incidents_core, ready_tx)
+                })
                 .expect("spawn core thread"),
         );
 
@@ -208,6 +213,9 @@ impl Server {
             );
         }
 
+        // An error means the core thread died building its engine; its
+        // sessions will say so, as they do for one that dies later.
+        let _ = ready_rx.recv();
         Server { core_tx, query_tx, workers, threads, sessions: Arc::default(), metrics, incidents }
     }
 
@@ -262,12 +270,14 @@ fn core_loop(
     published: Published,
     hub: Arc<MetricsHub>,
     incidents: Arc<Mutex<Vec<IncidentBundle>>>,
+    ready: mpsc::Sender<()>,
 ) {
     // The decision core is built here, on the core thread: it is not
     // `Send`, only its configuration is.
     let mut engine = ServerEngine::new(cfg);
     publish(&published, &engine);
     publish_metrics(&hub, &mut engine);
+    let _ = ready.send(());
     while let Ok(msg) = rx.recv() {
         match msg {
             CoreMsg::Handle { req, reply } => {

@@ -8,7 +8,7 @@
 
 use freeride_g::apps::kmeans;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{timeline, Executor, FaultOptions};
+use freeride_g::middleware::{timeline, Executor, FaultOptions, RunOptions};
 use freeride_g::predict::bandwidth::Ewma;
 use freeride_g::predict::{AppClasses, Profile, ReselectionController};
 use freeride_g::sim::{FaultSchedule, SimDuration, SimTime};
@@ -43,13 +43,10 @@ fn main() {
         .crash(3, SimTime::ZERO)
         .degrade(SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(60), 0.3)
         .straggler(5, 4.0);
-    let faulty = Executor::new(replica("primary", 40e6, n, c)).run_with_faults(
-        &app,
-        &dataset,
-        &schedule,
-        &FaultOptions::default(),
-        None,
-    );
+    let recovery = FaultOptions::default();
+    let faulty = Executor::new(replica("primary", 40e6, n, c))
+        .run_with(&app, &dataset, RunOptions::new(&schedule, &recovery))
+        .finished();
     let r = &faulty.report;
     println!(
         "under faults: {:.2}s (detection {:.2}s, straggler recovery {:.2}s)",
@@ -85,13 +82,16 @@ fn main() {
         SimTime::ZERO + SimDuration::from_secs(40),
         0.1,
     );
-    let migrated = Executor::new(replica("primary", 40e6, n, c)).run_with_faults(
-        &app,
-        &dataset,
-        &collapse,
-        &FaultOptions::default(),
-        Some(&mut controller),
-    );
+    let migrated = Executor::new(replica("primary", 40e6, n, c))
+        .run_with(
+            &app,
+            &dataset,
+            RunOptions {
+                controller: Some(&mut controller),
+                ..RunOptions::new(&collapse, &recovery)
+            },
+        )
+        .finished();
     println!(
         "primary collapsed to 4 MB/s: controller migrated {} time(s), finished in {:.2}s \
          ({:.2}s charged to migration)",

@@ -9,8 +9,9 @@
 //! fault-free executor, and a seeded schedule is fully deterministic.
 
 use freeride_g::apps::kmeans;
+use freeride_g::chunks::Dataset;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{Executor, FaultOptions};
+use freeride_g::middleware::{Executor, FaultOptions, RunOptions, RunResult};
 use freeride_g::sim::{FaultSchedule, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -38,6 +39,17 @@ fn refetch_deployment(n: usize, c: usize) -> Deployment {
     )
 }
 
+/// Run `app` to completion under `schedule` with default recovery.
+fn run_faulty(
+    deployment: Deployment,
+    app: &kmeans::KMeans,
+    ds: &Dataset,
+    schedule: &FaultSchedule,
+) -> RunResult<kmeans::KMeansState> {
+    let recovery = FaultOptions::default();
+    Executor::new(deployment).run_with(app, ds, RunOptions::new(schedule, &recovery)).finished()
+}
+
 fn centroid_bits(state: &kmeans::KMeansState) -> Vec<Vec<u32>> {
     state.centroids.iter().map(|c| c.iter().map(|v| v.to_bits()).collect()).collect()
 }
@@ -47,13 +59,7 @@ fn empty_schedule_is_bit_identical_to_the_fault_free_executor() {
     let ds = kmeans::generate("fr-empty", 20.0, SCALE, 11, 4);
     let app = kmeans::KMeans::paper(11);
     let plain = Executor::new(deployment(4, 8)).run(&app, &ds);
-    let faulty = Executor::new(deployment(4, 8)).run_with_faults(
-        &app,
-        &ds,
-        &FaultSchedule::none(),
-        &FaultOptions::default(),
-        None,
-    );
+    let faulty = run_faulty(deployment(4, 8), &app, &ds, &FaultSchedule::none());
     assert_eq!(plain.report, faulty.report);
     assert_eq!(centroid_bits(&plain.final_state), centroid_bits(&faulty.final_state));
 }
@@ -64,15 +70,7 @@ fn seeded_schedules_are_deterministic() {
     let app = kmeans::KMeans::paper(12);
     let horizon = SimDuration::from_secs(120);
     let schedule = FaultSchedule::random(8, 4, 8, horizon);
-    let run = || {
-        Executor::new(refetch_deployment(4, 8)).run_with_faults(
-            &app,
-            &ds,
-            &schedule,
-            &FaultOptions::default(),
-            None,
-        )
-    };
+    let run = || run_faulty(refetch_deployment(4, 8), &app, &ds, &schedule);
     let (a, b) = (run(), run());
     assert_eq!(a.report, b.report);
     assert_eq!(centroid_bits(&a.final_state), centroid_bits(&b.final_state));
@@ -86,13 +84,7 @@ fn crash_recovery_costs_time_but_not_correctness() {
     // Two of four data nodes die before the run starts: every pass pays
     // the slower surviving streams, the first pays detection too.
     let schedule = FaultSchedule::none().crash(1, SimTime::ZERO).crash(3, SimTime::ZERO);
-    let faulty = Executor::new(refetch_deployment(4, 8)).run_with_faults(
-        &app,
-        &ds,
-        &schedule,
-        &FaultOptions::default(),
-        None,
-    );
+    let faulty = run_faulty(refetch_deployment(4, 8), &app, &ds, &schedule);
     assert!(!faulty.report.t_fault_detection().is_zero());
     assert!(faulty.report.total() > plain.report.total());
     assert_eq!(centroid_bits(&plain.final_state), centroid_bits(&faulty.final_state));
@@ -111,13 +103,7 @@ proptest! {
         let plain = Executor::new(refetch_deployment(4, 8)).run(&app, &ds);
         let horizon = plain.report.total();
         let schedule = FaultSchedule::random(seed, 4, 8, horizon);
-        let faulty = Executor::new(refetch_deployment(4, 8)).run_with_faults(
-            &app,
-            &ds,
-            &schedule,
-            &FaultOptions::default(),
-            None,
-        );
+        let faulty = run_faulty(refetch_deployment(4, 8), &app, &ds, &schedule);
         prop_assert_eq!(centroid_bits(&plain.final_state), centroid_bits(&faulty.final_state));
         // Faults never make the run faster.
         prop_assert!(faulty.report.total() >= plain.report.total());
@@ -154,13 +140,7 @@ proptest! {
             FaultSchedule::none().straggler(straggler, slowdown),
         ];
         for schedule in &schedules {
-            let faulty = Executor::new(refetch_deployment(4, 8)).run_with_faults(
-                &app,
-                &ds,
-                schedule,
-                &FaultOptions::default(),
-                None,
-            );
+            let faulty = run_faulty(refetch_deployment(4, 8), &app, &ds, schedule);
             prop_assert_eq!(
                 centroid_bits(&plain.final_state),
                 centroid_bits(&faulty.final_state)

@@ -21,7 +21,9 @@ use fg_bench::PaperApp;
 use freeride_g::apps::{ann, apriori, defect, em, kmeans, knn, vortex};
 use freeride_g::chunks::Dataset;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{Checkpoint, Executor, FaultOptions, ReductionApp, StopPoint};
+use freeride_g::middleware::{
+    Checkpoint, Executor, FaultOptions, ReductionApp, RunOptions, StopPoint,
+};
 use freeride_g::sched::{LoadLevel, Policy, WorkloadShape};
 use freeride_g::sim::{FaultSchedule, SimDuration, SimTime};
 use freeride_g::trace::{to_jsonl, SpanKind};
@@ -137,7 +139,7 @@ fn differential_replay<A>(
 {
     let opts = FaultOptions::default();
     let home = Executor::new(home_deployment());
-    let unsplit = home.run_with_faults(app, ds, schedule, &opts, None);
+    let unsplit = home.run_with(app, ds, RunOptions::new(schedule, &opts)).finished();
     let want = state_bits(&unsplit.final_state);
     let passes = unsplit.report.num_passes();
     assert!(passes >= 1);
@@ -147,8 +149,9 @@ fn differential_replay<A>(
         let cursor = (lcg_next(lcg) as usize) % (ds.num_chunks() + 1);
         let label = format!("{} split (pass {pass}, chunk {cursor})", app.name());
 
+        let stop_at = Some(StopPoint { pass, cursor });
         let ck = home
-            .run_resumable(app, ds, schedule, &opts, StopPoint { pass, cursor })
+            .run_with(app, ds, RunOptions { stop_at, ..RunOptions::new(schedule, &opts) })
             .expect_suspended(&label);
         assert_eq!(ck.pass_idx, pass);
         assert_eq!(ck.cursor, cursor);
@@ -158,14 +161,19 @@ fn differential_replay<A>(
         let wire = ck.to_value();
         let back: Checkpoint<A::State, A::Obj> =
             Deserialize::from_value(&wire).unwrap_or_else(|e| panic!("{label}: round-trip: {e}"));
-        let resumed = home.resume_from(app, ds, back, schedule, &opts);
+        let resume = |ex: &Executor, ck| {
+            let resume_from = Some(ck);
+            ex.run_with(app, ds, RunOptions { resume_from, ..RunOptions::new(schedule, &opts) })
+                .finished()
+        };
+        let resumed = resume(&home, back);
         assert_eq!(state_bits(&resumed.final_state), want, "{label}: same-replica resume");
         assert_eq!(resumed.report.num_passes(), passes, "{label}: pass count");
 
         let moved: Checkpoint<A::State, A::Obj> =
             Deserialize::from_value(&wire).expect("second decode of the same wire value");
         let away = Executor::new(away_deployment());
-        let migrated = away.resume_from(app, ds, moved, schedule, &opts);
+        let migrated = resume(&away, moved);
         assert_eq!(state_bits(&migrated.final_state), want, "{label}: cross-replica resume");
         if cursor < ds.num_chunks() {
             assert_eq!(

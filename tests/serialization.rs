@@ -6,7 +6,9 @@ use fg_bench::PaperApp;
 use freeride_g::apps::{ann, apriori, defect, em, kmeans, knn, vortex};
 use freeride_g::chunks::Dataset;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{Checkpoint, Executor, FaultOptions, ReductionApp, StopPoint};
+use freeride_g::middleware::{
+    Checkpoint, Executor, FaultOptions, ReductionApp, RunOptions, StopPoint,
+};
 use freeride_g::predict::{Prediction, Profile, ScalingFactors, Target};
 use freeride_g::sim::FaultSchedule;
 use serde::{Deserialize, Serialize, Value};
@@ -73,7 +75,7 @@ where
     let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
     let stop = StopPoint { pass: 0, cursor: ds.num_chunks() / 2 };
     let ck = ex
-        .run_resumable(app, ds, &sched, &opts, stop)
+        .run_with(app, ds, RunOptions { stop_at: Some(stop), ..RunOptions::new(&sched, &opts) })
         .expect_suspended("every app runs at least one full pass");
 
     let wire = ck.to_value();
@@ -87,7 +89,9 @@ where
     assert_eq!(back.partials.len(), 4, "one partial-object vector per compute node");
 
     let unsplit = ex.run(app, ds);
-    let resumed = ex.resume_from(app, ds, back, &sched, &opts);
+    let resumed = ex
+        .run_with(app, ds, RunOptions { resume_from: Some(back), ..RunOptions::new(&sched, &opts) })
+        .finished();
     assert_eq!(
         resumed.final_state.to_value(),
         unsplit.final_state.to_value(),
@@ -112,14 +116,10 @@ fn checkpoints_roundtrip_for_all_seven_apps() {
 fn kmeans_checkpoint() -> (Dataset, Value) {
     let ds = kmeans::generate("ser-ck-corrupt", 50.0, 0.004, 5, 4);
     let app = kmeans::KMeans { k: 4, passes: 3, seed: 5 };
+    let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
+    let stop_at = Some(StopPoint { pass: 1, cursor: 3 });
     let ck = Executor::new(deployment(2, 4))
-        .run_resumable(
-            &app,
-            &ds,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            StopPoint { pass: 1, cursor: 3 },
-        )
+        .run_with(&app, &ds, RunOptions { stop_at, ..RunOptions::new(&sched, &opts) })
         .expect_suspended("three passes reach pass 1");
     let wire = ck.to_value();
     (ds, wire)
@@ -168,12 +168,11 @@ fn out_of_range_checkpoint_cursor_is_rejected_at_resume() {
     let mut ck: KmCheckpoint = Deserialize::from_value(&wire).expect("intact wire decodes");
     ck.cursor = ds.num_chunks() + 7;
     let app = kmeans::KMeans { k: 4, passes: 3, seed: 5 };
-    Executor::new(deployment(2, 4)).resume_from(
+    let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
+    Executor::new(deployment(2, 4)).run_with(
         &app,
         &ds,
-        ck,
-        &FaultSchedule::none(),
-        &FaultOptions::default(),
+        RunOptions { resume_from: Some(ck), ..RunOptions::new(&sched, &opts) },
     );
 }
 

@@ -2,8 +2,8 @@
 //! applications, configurations, and dataset sizes, every emitted trace
 //! must (a) nest spans properly, (b) keep per-node timestamps
 //! monotonic, (c) reproduce the `ExecutionReport` component sums bit
-//! for bit, and (d) be identical between `run` and `run_with_faults`
-//! under an empty `FaultSchedule`.
+//! for bit, and (d) be identical between `execute_traced` and
+//! `execute_with` under an empty `FaultSchedule`.
 
 use fg_bench::{pentium_deployment, PaperApp};
 use freeride_g::middleware::{ExecutionReport, FaultOptions};
@@ -134,13 +134,14 @@ proptest! {
         let dataset = app.generate("ti", mb as f64, 0.01, seed);
         let dep = pentium_deployment(n, c.max(n), 1e6);
         let (plain_report, plain_trace) = app.execute_traced(dep.clone(), &dataset);
-        let (fault_report, fault_trace) = app.execute_with_faults_traced(
+        let (fault_report, fault_trace) = app.execute_with(
             dep,
             &dataset,
             &FaultSchedule::none(),
             &FaultOptions::default(),
+            true,
         );
         prop_assert_eq!(plain_report, fault_report);
-        prop_assert_eq!(plain_trace, fault_trace);
+        prop_assert_eq!(Some(plain_trace), fault_trace);
     }
 }
