@@ -105,20 +105,20 @@ impl Figure {
 
 /// JSON has no NaN; not-applicable cells round-trip as `null`.
 mod nan_as_null {
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::{Deserialize, Error, Reader, Serialize, Writer};
 
-    pub fn to_value(rows: &[(String, Vec<f64>)]) -> Value {
+    pub fn serialize(rows: &[(String, Vec<f64>)], w: &mut Writer) {
         let mapped: Vec<(&String, Vec<Option<f64>>)> = rows
             .iter()
             .map(|(l, vs)| {
                 (l, vs.iter().map(|v| if v.is_nan() { None } else { Some(*v) }).collect())
             })
             .collect();
-        mapped.to_value()
+        mapped.serialize(w);
     }
 
-    pub fn from_value(value: &Value) -> Result<Vec<(String, Vec<f64>)>, Error> {
-        let mapped: Vec<(String, Vec<Option<f64>>)> = Deserialize::from_value(value)?;
+    pub fn deserialize(r: &mut Reader<'_>) -> Result<Vec<(String, Vec<f64>)>, Error> {
+        let mapped: Vec<(String, Vec<Option<f64>>)> = Deserialize::deserialize(r)?;
         Ok(mapped
             .into_iter()
             .map(|(l, vs)| (l, vs.into_iter().map(|v| v.unwrap_or(f64::NAN)).collect()))

@@ -62,21 +62,23 @@ impl MovingAverage {
 /// invariant as [`MovingAverage::new`] — a derived impl would accept
 /// `{"window": 0}` and then panic on the first `estimate()`.
 impl serde::Deserialize for MovingAverage {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("expected object for MovingAverage"))?;
-        let window: usize = serde::Deserialize::from_value(
-            serde::get_field(obj, "window")
-                .ok_or_else(|| serde::Error::custom("missing field window"))?,
-        )?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut window, mut values) = (None, None);
+        let mut more = r.object_start("MovingAverage")?;
+        while more {
+            match &*r.key()? {
+                "window" => r.field(&mut window)?,
+                "values" => r.field(&mut values)?,
+                _ => r.skip_value()?,
+            }
+            more = r.object_more()?;
+        }
+        let window: usize = serde::required(window, "window", "MovingAverage")?;
         if window < 1 {
             return Err(serde::Error::custom("MovingAverage window must be >= 1"));
         }
-        let values: std::collections::VecDeque<f64> = serde::Deserialize::from_value(
-            serde::get_field(obj, "values")
-                .ok_or_else(|| serde::Error::custom("missing field values"))?,
-        )?;
+        let values: std::collections::VecDeque<f64> =
+            serde::required(values, "values", "MovingAverage")?;
         if values.len() > window {
             return Err(serde::Error::custom("MovingAverage holds more values than its window"));
         }
@@ -119,20 +121,22 @@ impl Ewma {
 /// Hand-written for the same reason as [`MovingAverage`]'s impl: the
 /// `0 < alpha <= 1` constructor invariant must survive deserialization.
 impl serde::Deserialize for Ewma {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj =
-            value.as_object().ok_or_else(|| serde::Error::custom("expected object for Ewma"))?;
-        let alpha: f64 = serde::Deserialize::from_value(
-            serde::get_field(obj, "alpha")
-                .ok_or_else(|| serde::Error::custom("missing field alpha"))?,
-        )?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut alpha, mut value) = (None, None);
+        let mut more = r.object_start("Ewma")?;
+        while more {
+            match &*r.key()? {
+                "alpha" => r.field(&mut alpha)?,
+                "value" => r.field(&mut value)?,
+                _ => r.skip_value()?,
+            }
+            more = r.object_more()?;
+        }
+        let alpha: f64 = serde::required(alpha, "alpha", "Ewma")?;
         if !(alpha > 0.0 && alpha <= 1.0) {
             return Err(serde::Error::custom("Ewma alpha must satisfy 0 < alpha <= 1"));
         }
-        let value: Option<f64> = serde::Deserialize::from_value(
-            serde::get_field(obj, "value")
-                .ok_or_else(|| serde::Error::custom("missing field value"))?,
-        )?;
+        let value: Option<f64> = serde::required(value, "value", "Ewma")?;
         Ok(Ewma { alpha, value })
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::report::{CacheMode, PassReport};
 use fg_sim::SimTime;
-use serde::{get_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 
 /// Where a resumable run should suspend: before chunk `cursor` of pass
 /// `pass` (both zero-based; `cursor` counts chunks of the whole dataset,
@@ -134,60 +134,77 @@ impl<S, O> ResumableOutcome<S, O> {
 }
 
 // The vendored serde_derive does not support generic types, so the
-// checkpoint's impls are written out by hand.
-impl<S: Serialize, O: Serialize> Serialize for Checkpoint<S, O> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("app".to_string(), self.app.to_value()),
-            ("dataset".to_string(), self.dataset.to_value()),
-            ("num_chunks".to_string(), self.num_chunks.to_value()),
-            ("data_nodes".to_string(), self.data_nodes.to_value()),
-            ("compute_nodes".to_string(), self.compute_nodes.to_value()),
-            ("repository".to_string(), self.repository.to_value()),
-            ("compute_machine".to_string(), self.compute_machine.to_value()),
-            ("cache_mode".to_string(), self.cache_mode.to_value()),
-            ("pass_idx".to_string(), self.pass_idx.to_value()),
-            ("cursor".to_string(), self.cursor.to_value()),
-            ("state".to_string(), self.state.to_value()),
-            ("partials".to_string(), self.partials.to_value()),
-            ("elapsed".to_string(), self.elapsed.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("prefix".to_string(), self.prefix.to_value()),
-        ])
-    }
-}
-
-impl<S: Deserialize, O: Deserialize> Deserialize for Checkpoint<S, O> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v.as_object().ok_or_else(|| Error::custom("expected object for Checkpoint"))?;
-        fn field<T: Deserialize>(obj: &[(String, Value)], name: &str) -> Result<T, Error> {
-            let v = get_field(obj, name)
-                .ok_or_else(|| Error::custom(format!("missing field `{name}` in Checkpoint")))?;
-            T::from_value(v)
+// checkpoint's impls are written out here, in the shape the derive
+// emits: literal `"name":` prefixes on the way out; on the way in one
+// slot per field filled in key order, unknown keys skipped, and the
+// first missing field in declaration order named.
+macro_rules! checkpoint_codec {
+    ($first:ident $(, $field:ident)*) => {
+        impl<S: Serialize, O: Serialize> Serialize for Checkpoint<S, O> {
+            fn serialize(&self, w: &mut Writer) {
+                w.raw(concat!("{\"", stringify!($first), "\":"));
+                self.$first.serialize(w);
+                $(
+                    w.raw(concat!(",\"", stringify!($field), "\":"));
+                    self.$field.serialize(w);
+                )*
+                w.raw("}");
+            }
         }
-        Ok(Checkpoint {
-            app: field(obj, "app")?,
-            dataset: field(obj, "dataset")?,
-            num_chunks: field(obj, "num_chunks")?,
-            data_nodes: field(obj, "data_nodes")?,
-            compute_nodes: field(obj, "compute_nodes")?,
-            repository: field(obj, "repository")?,
-            compute_machine: field(obj, "compute_machine")?,
-            cache_mode: field(obj, "cache_mode")?,
-            pass_idx: field(obj, "pass_idx")?,
-            cursor: field(obj, "cursor")?,
-            state: field(obj, "state")?,
-            partials: field(obj, "partials")?,
-            elapsed: field(obj, "elapsed")?,
-            completed: field(obj, "completed")?,
-            prefix: field(obj, "prefix")?,
-        })
-    }
+
+        impl<S: Deserialize, O: Deserialize> Deserialize for Checkpoint<S, O> {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let mut $first = None;
+                $(let mut $field = None;)*
+                let mut more = r.object_start("Checkpoint")?;
+                while more {
+                    match &*r.key()? {
+                        stringify!($first) => r.field(&mut $first)?,
+                        $(stringify!($field) => r.field(&mut $field)?,)*
+                        _ => r.skip_value()?,
+                    }
+                    more = r.object_more()?;
+                }
+                Ok(Checkpoint {
+                    $first: serde::required($first, stringify!($first), "Checkpoint")?,
+                    $($field: serde::required($field, stringify!($field), "Checkpoint")?,)*
+                })
+            }
+        }
+    };
 }
+checkpoint_codec!(
+    app,
+    dataset,
+    num_chunks,
+    data_nodes,
+    compute_nodes,
+    repository,
+    compute_machine,
+    cache_mode,
+    pass_idx,
+    cursor,
+    state,
+    partials,
+    elapsed,
+    completed,
+    prefix
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+
+    fn text<T: Serialize>(value: &T) -> String {
+        let mut w = Writer::new();
+        value.serialize(&mut w);
+        w.into_string()
+    }
+
+    fn parse<T: Deserialize>(text: &str) -> Result<T, Error> {
+        T::deserialize(&mut Reader::new(text))
+    }
 
     fn checkpoint() -> Checkpoint<f64, u64> {
         Checkpoint {
@@ -210,9 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_roundtrips_through_value() {
+    fn checkpoint_roundtrips_through_text() {
         let ck = checkpoint();
-        let back: Checkpoint<f64, u64> = Deserialize::from_value(&ck.to_value()).unwrap();
+        let wire = text(&ck);
+        let back: Checkpoint<f64, u64> = parse(&wire).unwrap();
+        assert_eq!(text(&back), wire);
         assert_eq!(back.app, ck.app);
         assert_eq!(back.cursor, 6);
         assert_eq!(back.partials, ck.partials);
@@ -221,9 +240,11 @@ mod tests {
 
     #[test]
     fn missing_field_is_rejected() {
-        let Value::Object(mut fields) = checkpoint().to_value() else { unreachable!() };
+        let Value::Object(mut fields) = parse(&text(&checkpoint())).unwrap() else {
+            unreachable!()
+        };
         fields.retain(|(k, _)| k != "partials");
-        let r: Result<Checkpoint<f64, u64>, _> = Deserialize::from_value(&Value::Object(fields));
+        let r: Result<Checkpoint<f64, u64>, _> = parse(&text(&Value::Object(fields)));
         assert!(r.unwrap_err().to_string().contains("partials"));
     }
 

@@ -1533,9 +1533,11 @@ mod tests {
         let unsplit = ex.run(&TwoPass, &ds);
         let ck = suspend(&ex, &ds, &sched, StopPoint { pass: 1, cursor: 5 })
             .expect_suspended("stops mid second pass");
-        let value = ck.to_value();
-        let back: Checkpoint<Phase, Acc> =
-            Deserialize::from_value(&value).expect("checkpoint round-trips");
+        let mut wire = serde::Writer::new();
+        ck.serialize(&mut wire);
+        let back =
+            Checkpoint::<Phase, Acc>::deserialize(&mut serde::Reader::new(&wire.into_string()))
+                .expect("checkpoint round-trips");
         let resumed = resume(&ex, &ds, &sched, back);
         assert_eq!(final_count(&resumed.final_state), final_count(&unsplit.final_state));
     }

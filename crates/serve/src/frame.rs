@@ -34,7 +34,10 @@ pub const VERSION: u8 = 1;
 /// Bytes in the fixed header.
 pub const HEADER_LEN: usize = 16;
 /// Hard cap on a single frame's payload; larger lengths are treated
-/// as corruption, not as a request for a 4 GiB allocation.
+/// as corruption, not as a request for a 4 GiB allocation. Within the
+/// cap, the message layer's JSON reader bounds nesting at
+/// [`serde::MAX_DEPTH`] (128), so megabytes of `[` are a
+/// [`WireError::BadPayload`], not a stack overflow.
 pub const MAX_PAYLOAD: u32 = 16 << 20;
 
 /// What a frame carries, from the header's kind byte.

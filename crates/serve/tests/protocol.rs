@@ -3,6 +3,11 @@
 //! or truncated byte stream is ever accepted silently — every
 //! corruption surfaces as a typed [`WireError`] naming the offending
 //! frame, and never as a panic or a desynchronised decode.
+//!
+//! Below the framing, the JSON reader is held to the same standard:
+//! documents whose keys are permuted, repeated or padded with unknown
+//! members decode to the canonical message; truncated or bit-flipped
+//! documents and hostile nesting are errors, not panics.
 
 use fg_sched::{
     Component, CoreEvent, CoreStats, DriftAlarm, JobOutcome, JobSpec, KeyDrift, PlacementInfo,
@@ -14,8 +19,9 @@ use fg_serve::msg::{
     encode_events, encode_metrics, encode_request, encode_response, encode_subscribe, DrainedRun,
     EventBatch, Request, Response, ServeMetrics, SubscribeMetrics,
 };
-use fg_serve::Server;
+use fg_serve::{ServeClient, Server};
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// SplitMix64: a tiny deterministic value well for building message
 /// fields from a single proptest-drawn seed (the vendored proptest has
@@ -280,6 +286,101 @@ impl Well {
     }
 }
 
+impl Well {
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// An arbitrary JSON tree at most `depth` containers deep. Integers
+    /// are spelled the way the reader classifies them (a non-negative
+    /// one is `UInt`), so `parse(print(v)) == v` holds variant for
+    /// variant.
+    fn value(&mut self, depth: usize) -> Value {
+        match self.below(if depth == 0 { 6 } else { 8 }) {
+            0 => Value::Null,
+            1 => Value::Bool(self.next().is_multiple_of(2)),
+            2 => Value::UInt(self.next()),
+            3 => Value::Int(-1 - (self.next() >> 1) as i64),
+            4 => Value::Float(self.f64()),
+            5 => Value::Str(self.junk_string()),
+            6 => Value::Array((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+            _ => Value::Object(
+                (0..self.below(4)).map(|_| (self.junk_string(), self.value(depth - 1))).collect(),
+            ),
+        }
+    }
+
+    /// Strings chosen to confuse a reader that skips by counting
+    /// brackets or quotes instead of tokenizing.
+    fn junk_string(&mut self) -> String {
+        let choices = ["}", "]}", "\"", "a\"}b", "\\", "{\"k\":[", "é\n", "", "plain"];
+        choices[self.below(choices.len())].to_string()
+    }
+
+    /// Rewrite every struct-shaped object of a canonical document into
+    /// an equivalent one: members shuffled, unknown members injected,
+    /// known keys repeated *after* their first occurrence with junk
+    /// values. Enum wrappers — single-member objects tagged with a
+    /// CamelCase variant name — keep their one member.
+    fn disguise(&mut self, v: &mut Value) {
+        match v {
+            Value::Array(items) => items.iter_mut().for_each(|x| self.disguise(x)),
+            Value::Object(members) => {
+                members.iter_mut().for_each(|(_, x)| self.disguise(x));
+                let is_variant = members.len() == 1
+                    && members[0].0.starts_with(|c: char| c.is_ascii_uppercase());
+                if is_variant {
+                    return;
+                }
+                for i in (1..members.len()).rev() {
+                    members.swap(i, self.below(i + 1));
+                }
+                for n in 0..self.below(3) {
+                    let at = self.below(members.len() + 1);
+                    let key = format!("unknown_{n}{}", self.junk_string());
+                    members.insert(at, (key, self.value(3)));
+                }
+                for _ in 0..self.below(3).min(members.len()) {
+                    let first = self.below(members.len());
+                    let key = members[first].0.clone();
+                    if members[..first].iter().any(|(k, _)| *k == key) {
+                        continue; // `first` is itself a repeat
+                    }
+                    let at = first + 1 + self.below(members.len() - first);
+                    members.insert(at, (key, self.value(2)));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Any wire document, with the decoder for its kind.
+    fn any_document(&mut self) -> (FrameKind, Vec<u8>) {
+        match self.below(4) {
+            0 => (FrameKind::Request, encode_request(&self.request())),
+            1 => (FrameKind::Response, encode_response(&self.response())),
+            2 => {
+                let events = (0..self.below(4)).map(|_| self.core_event()).collect();
+                (FrameKind::Event, encode_events(&EventBatch { events }))
+            }
+            _ => (FrameKind::MetricsSnapshot, encode_metrics(&self.serve_metrics())),
+        }
+    }
+}
+
+/// Decode `payload` as the message type `kind` carries and re-encode
+/// it: `Ok(canonical bytes)` or the decode error.
+fn recode(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, WireError> {
+    let frame = Frame { kind, seq: 0, payload: payload.to_vec().into() };
+    Ok(match kind {
+        FrameKind::Request => encode_request(&decode_request(&frame, 0)?),
+        FrameKind::Response => encode_response(&decode_response(&frame, 0)?),
+        FrameKind::Event => encode_events(&decode_events(&frame, 0)?),
+        FrameKind::MetricsSnapshot => encode_metrics(&decode_metrics(&frame, 0)?),
+        FrameKind::SubscribeMetrics => encode_subscribe(&decode_subscribe(&frame, 0)?),
+    })
+}
+
 /// Run one payload through the real wire: frame it, push it through a
 /// fresh decoder in awkward chunks, return the decoded frame.
 fn wire_trip(kind: FrameKind, seq: u32, payload: &[u8]) -> Frame {
@@ -341,6 +442,66 @@ proptest! {
         let m = w.serve_metrics();
         let frame = wire_trip(FrameKind::MetricsSnapshot, seq, &encode_metrics(&m));
         prop_assert_eq!(decode_metrics(&frame, 0).unwrap(), m);
+    }
+
+    /// `Value` is a data type like any other: arbitrary trees survive
+    /// the compact and the pretty text form, variant for variant.
+    #[test]
+    fn arbitrary_value_trees_round_trip_through_text(seed in any::<u64>()) {
+        let v = Well(seed).value(5);
+        let text = serde_json::to_string(&v).unwrap();
+        let back = serde_json::value_from_str(&text).unwrap();
+        prop_assert_eq!(&back, &v);
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
+        let pretty = serde_json::to_string_pretty(&v).unwrap();
+        prop_assert_eq!(serde_json::value_from_str(&pretty).unwrap(), v);
+    }
+
+    /// Field order, unknown members and repeated keys are the sender's
+    /// business: any disguise of a canonical document decodes to the
+    /// same message, compact or pretty-printed.
+    #[test]
+    fn disguised_documents_decode_to_the_canonical_message(seed in any::<u64>()) {
+        let mut w = Well(seed);
+        let (kind, canonical) = w.any_document();
+        let mut tree = serde_json::value_from_str(std::str::from_utf8(&canonical).unwrap()).unwrap();
+        w.disguise(&mut tree);
+        let compact = serde_json::to_string(&tree).unwrap();
+        prop_assert_eq!(recode(kind, compact.as_bytes()).unwrap(), canonical.clone());
+        let pretty = serde_json::to_string_pretty(&tree).unwrap();
+        prop_assert_eq!(recode(kind, pretty.as_bytes()).unwrap(), canonical);
+    }
+
+    /// Every wire document ends in `}` or `"`, so no strict prefix of
+    /// one is a document: each must be refused (and none may panic).
+    #[test]
+    fn every_strict_prefix_of_a_document_is_refused(seed in any::<u64>()) {
+        let (kind, doc) = Well(seed).any_document();
+        for cut in 0..doc.len() {
+            prop_assert!(
+                matches!(recode(kind, &doc[..cut]), Err(WireError::BadPayload { .. })),
+                "a {}-byte prefix of {:?} decoded", cut, String::from_utf8_lossy(&doc)
+            );
+        }
+    }
+
+    /// One flipped byte (under the checksum's radar, say) never panics
+    /// the reader. It usually fails to decode; when it does decode — a
+    /// digit became another digit, a letter inside a string changed —
+    /// what it decodes to is a well-formed message.
+    #[test]
+    fn a_flipped_byte_never_panics_the_reader(
+        seed in any::<u64>(),
+        pos_pick in any::<u64>(),
+        mask_pick in any::<u8>(),
+    ) {
+        let (kind, mut doc) = Well(seed).any_document();
+        let pos = (pos_pick % doc.len() as u64) as usize;
+        doc[pos] ^= if mask_pick == 0 { 1 } else { mask_pick };
+        match recode(kind, &doc) {
+            Err(e) => prop_assert!(matches!(e, WireError::BadPayload { .. }), "{}", e),
+            Ok(canonical) => prop_assert_eq!(recode(kind, &canonical).unwrap(), canonical),
+        }
     }
 
     /// Corruption sweep: flip any byte of a valid multi-frame stream
@@ -469,5 +630,93 @@ fn a_live_session_reports_corruption_and_hangs_up() {
         other => panic!("expected a typed error response, got {other:?}"),
     }
     drop(conn);
+    server.shutdown();
+}
+
+/// Payloads that nest far past anything the service writes: a mebibyte
+/// of `[`, the same in objects, and *well-formed* deep arrays and
+/// objects hidden under a key a `Quote` does not have (so they are
+/// skipped, not read). The typed reader refuses the first two at the
+/// first token; the hidden ones are where the nesting limit bites.
+fn hostile_nests() -> Vec<(&'static str, Vec<u8>, &'static str)> {
+    let hidden = |open: &str, inner: &str, close: &str, n: usize| {
+        format!(
+            "{{\"Quote\":{{\"app\":\"kmeans\",\"extra\":{}{inner}{},\"dataset_bytes\":1,\
+             \"deadline_slack\":2.0}}}}",
+            open.repeat(n),
+            close.repeat(n),
+        )
+        .into_bytes()
+    };
+    // (case, payload, what the error must say)
+    vec![
+        ("arrays", vec![b'['; 1 << 20], "for Request"),
+        ("objects", "{\"a\":".repeat((1 << 20) / 5).into_bytes(), "unknown variant"),
+        ("skipped arrays", hidden("[", "", "]", 1 << 19), "nests deeper"),
+        ("skipped objects", hidden("{\"a\":", "1", "}", 1 << 17), "nests deeper"),
+    ]
+}
+
+/// A correctly framed, correctly checksummed request whose JSON nests
+/// a million levels deep is a bad payload — not a stack overflow that
+/// takes the process down.
+#[test]
+fn hostile_nesting_is_a_bad_payload_not_a_stack_overflow() {
+    for (what, payload, must_say) in hostile_nests() {
+        let frame = wire_trip(FrameKind::Request, 9, &payload);
+        match decode_request(&frame, 0) {
+            Err(WireError::BadPayload { seq: 9, reason, .. }) => {
+                assert!(reason.contains(must_say), "{what}: {reason}")
+            }
+            other => panic!("{what}: expected BadPayload, got {other:?}"),
+        }
+    }
+    // The limit is far above real documents: a hundred levels of junk
+    // under an unknown key are skipped and the quote still decodes.
+    let tame = format!(
+        "{{\"Quote\":{{\"extra\":{}{},\"app\":\"kmeans\",\"dataset_bytes\":1,\"deadline_slack\":2.0}}}}",
+        "[".repeat(100),
+        "]".repeat(100),
+    );
+    let frame = wire_trip(FrameKind::Request, 0, tame.as_bytes());
+    assert_eq!(
+        decode_request(&frame, 0).unwrap(),
+        Request::Quote { app: "kmeans".into(), dataset_bytes: 1, deadline_slack: 2.0 }
+    );
+}
+
+/// A live session sent such a frame is answered with the typed error
+/// and hung up on, like any other undecodable request; the server and
+/// its other sessions carry on quoting.
+#[test]
+fn a_live_server_survives_hostile_nesting() {
+    use fg_bench::figures::sched_models;
+    use fg_sched::{GridSpec, Policy, Scheduler};
+
+    let server = Server::start(Scheduler::new(GridSpec::demo(sched_models()), Policy::Fcfs));
+    let mut bystander = ServeClient::connect(&server);
+    let before = bystander.quote("kmeans", 1 << 28, 2.0).expect("quote before");
+    assert!(before.is_some());
+
+    for (what, payload, _) in hostile_nests() {
+        let conn = server.connect();
+        conn.send(&encode_frame(FrameKind::Request, 3, &payload));
+        let mut dec = FrameDecoder::new();
+        let mut responses = Vec::new();
+        while let Some(chunk) = conn.recv() {
+            dec.push(&chunk);
+            while let Some(frame) = dec.next_frame().expect("server output stays well-framed") {
+                assert_eq!(frame.seq, u32::MAX, "{what}: the error uses the sentinel sequence");
+                responses.push(decode_response(&frame, dec.frames() - 1).expect("decodes"));
+            }
+        }
+        // `recv` returned `None`: the server hung up after its final word.
+        match responses.as_slice() {
+            [Response::Error { reason }] => assert!(reason.contains("frame 0"), "{reason}"),
+            other => panic!("{what}: expected one typed error, got {other:?}"),
+        }
+        assert_eq!(bystander.quote("kmeans", 1 << 28, 2.0).expect("quote after"), before);
+    }
+    drop(bystander);
     server.shutdown();
 }

@@ -321,8 +321,10 @@ mod tests {
     #[test]
     fn schedules_serialize_round_trip() {
         let s = FaultSchedule::none().crash(1, t(10)).degrade(t(5), t(20), 0.25).straggler(3, 2.5);
-        let v = serde::Serialize::to_value(&s);
-        let back: FaultSchedule = serde::Deserialize::from_value(&v).unwrap();
+        let mut w = serde::Writer::new();
+        serde::Serialize::serialize(&s, &mut w);
+        let back: FaultSchedule =
+            serde::Deserialize::deserialize(&mut serde::Reader::new(&w.into_string())).unwrap();
         assert_eq!(back, s);
     }
 }

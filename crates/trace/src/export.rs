@@ -3,10 +3,12 @@
 //! Perfetto).
 
 use crate::span::{NodeRef, NodeRole, RunMeta, Span, Trace};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value, Writer};
 
 /// One line of the JSON-lines format, externally tagged by record type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`to_jsonl`] writes the same tags around borrowed payloads; this
+/// owned form is what [`from_jsonl`] reads a line into.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 enum Record {
     /// The run header.
     Meta(RunMeta),
@@ -21,21 +23,22 @@ enum Record {
 /// integer nanoseconds and floats print shortest-roundtrip, so
 /// [`from_jsonl`] reconstructs the trace exactly.
 pub fn to_jsonl(trace: &Trace) -> String {
-    let mut out = String::new();
-    let mut push = |record: &Record| {
-        out.push_str(&serde_json::to_string(record).expect("serialize trace record"));
-        out.push('\n');
-    };
+    fn line<T: Serialize>(w: &mut Writer, tag: &str, payload: &T) {
+        w.raw(tag);
+        payload.serialize(w);
+        w.raw("}\n");
+    }
+    let mut w = Writer::new();
     if let Some(meta) = &trace.meta {
-        push(&Record::Meta(meta.clone()));
+        line(&mut w, "{\"Meta\":", meta);
     }
     for span in &trace.spans {
-        push(&Record::Span(span.clone()));
+        line(&mut w, "{\"Span\":", span);
     }
     if trace.metrics != crate::metrics::MetricsSnapshot::default() {
-        push(&Record::Metrics(trace.metrics.clone()));
+        line(&mut w, "{\"Metrics\":", &trace.metrics);
     }
-    out
+    w.into_string()
 }
 
 /// Parse a JSON-lines trace back into memory. Inverse of [`to_jsonl`].
@@ -88,16 +91,6 @@ fn event(ph: &str, name: &str, ts_us: f64, tid: u64) -> Value {
         ("pid", Value::UInt(0)),
         ("tid", Value::UInt(tid)),
     ])
-}
-
-/// Raw-value wrapper so a hand-built [`Value`] tree can go through
-/// `serde_json::to_string`.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
 }
 
 /// Export the trace in Chrome `trace_event` JSON format (load in
@@ -161,9 +154,9 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
     ];
     if let Some(meta) = &trace.meta {
-        doc.push(("otherData".to_string(), meta.to_value()));
+        doc.push(("otherData".to_string(), serde_json::to_value(meta).expect("meta is JSON")));
     }
-    serde_json::to_string(&Raw(Value::Object(doc))).expect("serialize chrome trace")
+    serde_json::to_string(&Value::Object(doc)).expect("serialize chrome trace")
 }
 
 #[cfg(test)]

@@ -113,7 +113,7 @@ fn canon(v: &Value, out: &mut String) {
 
 fn state_bits<S: Serialize>(state: &S) -> String {
     let mut out = String::new();
-    canon(&state.to_value(), &mut out);
+    canon(&serde_json::to_value(state).expect("state serializes"), &mut out);
     out
 }
 
@@ -158,9 +158,9 @@ fn differential_replay<A>(
 
         // The checkpoint travels serialized: the resumes below consume
         // what came back out of the wire format, not the original.
-        let wire = ck.to_value();
+        let wire = serde_json::to_value(&ck).expect("checkpoint serializes");
         let back: Checkpoint<A::State, A::Obj> =
-            Deserialize::from_value(&wire).unwrap_or_else(|e| panic!("{label}: round-trip: {e}"));
+            serde_json::from_value(&wire).unwrap_or_else(|e| panic!("{label}: round-trip: {e}"));
         let resume = |ex: &Executor, ck| {
             let resume_from = Some(ck);
             ex.run_with(app, ds, RunOptions { resume_from, ..RunOptions::new(schedule, &opts) })
@@ -171,7 +171,7 @@ fn differential_replay<A>(
         assert_eq!(resumed.report.num_passes(), passes, "{label}: pass count");
 
         let moved: Checkpoint<A::State, A::Obj> =
-            Deserialize::from_value(&wire).expect("second decode of the same wire value");
+            serde_json::from_value(&wire).expect("second decode of the same wire value");
         let away = Executor::new(away_deployment());
         let migrated = resume(&away, moved);
         assert_eq!(state_bits(&migrated.final_state), want, "{label}: cross-replica resume");

@@ -78,10 +78,15 @@ where
         .run_with(app, ds, RunOptions { stop_at: Some(stop), ..RunOptions::new(&sched, &opts) })
         .expect_suspended("every app runs at least one full pass");
 
-    let wire = ck.to_value();
+    let wire = serde_json::to_value(&ck).expect("checkpoint serializes");
     let back: Checkpoint<A::State, A::Obj> =
-        Deserialize::from_value(&wire).unwrap_or_else(|e| panic!("{}: decode: {e}", app.name()));
-    assert_eq!(back.to_value(), wire, "{}: re-serialization must be a fixpoint", app.name());
+        serde_json::from_value(&wire).unwrap_or_else(|e| panic!("{}: decode: {e}", app.name()));
+    assert_eq!(
+        serde_json::to_value(&back).unwrap(),
+        wire,
+        "{}: re-serialization must be a fixpoint",
+        app.name()
+    );
     assert_eq!(back.app, app.name());
     assert_eq!(back.pass_idx, stop.pass);
     assert_eq!(back.cursor, stop.cursor);
@@ -93,8 +98,8 @@ where
         .run_with(app, ds, RunOptions { resume_from: Some(back), ..RunOptions::new(&sched, &opts) })
         .finished();
     assert_eq!(
-        resumed.final_state.to_value(),
-        unsplit.final_state.to_value(),
+        serde_json::to_value(&resumed.final_state).unwrap(),
+        serde_json::to_value(&unsplit.final_state).unwrap(),
         "{}: a decoded checkpoint must resume to the unsplit answer",
         app.name()
     );
@@ -121,7 +126,7 @@ fn kmeans_checkpoint() -> (Dataset, Value) {
     let ck = Executor::new(deployment(2, 4))
         .run_with(&app, &ds, RunOptions { stop_at, ..RunOptions::new(&sched, &opts) })
         .expect_suspended("three passes reach pass 1");
-    let wire = ck.to_value();
+    let wire = serde_json::to_value(&ck).expect("checkpoint serializes");
     (ds, wire)
 }
 
@@ -135,7 +140,7 @@ fn truncated_checkpoint_is_rejected() {
     // truncation point must fail decoding with the missing field named.
     for keep in 0..fields.len() {
         let cut = Value::Object(fields[..keep].to_vec());
-        let err = <KmCheckpoint as Deserialize>::from_value(&cut)
+        let err = serde_json::from_value::<KmCheckpoint>(&cut)
             .err()
             .unwrap_or_else(|| panic!("truncation at {keep} fields must be rejected"));
         assert!(
@@ -155,7 +160,7 @@ fn corrupt_checkpoint_fields_are_rejected() {
         bad.iter_mut().find(|(k, _)| k == victim).expect("field exists").1 =
             Value::Str("garbage".into());
         assert!(
-            <KmCheckpoint as Deserialize>::from_value(&Value::Object(bad)).is_err(),
+            serde_json::from_value::<KmCheckpoint>(&Value::Object(bad)).is_err(),
             "type-corrupted `{victim}` must be rejected"
         );
     }
@@ -165,7 +170,7 @@ fn corrupt_checkpoint_fields_are_rejected() {
 #[should_panic(expected = "checkpoint cursor out of range")]
 fn out_of_range_checkpoint_cursor_is_rejected_at_resume() {
     let (ds, wire) = kmeans_checkpoint();
-    let mut ck: KmCheckpoint = Deserialize::from_value(&wire).expect("intact wire decodes");
+    let mut ck: KmCheckpoint = serde_json::from_value(&wire).expect("intact wire decodes");
     ck.cursor = ds.num_chunks() + 7;
     let app = kmeans::KMeans { k: 4, passes: 3, seed: 5 };
     let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
