@@ -88,6 +88,31 @@ impl Default for LearnConfig {
     }
 }
 
+impl LearnConfig {
+    /// Check every knob's range; the error names the first offender.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.min_samples < DIMS {
+            return Err(format!(
+                "min_samples {}: cannot fit {DIMS} coefficients from fewer samples",
+                self.min_samples
+            ));
+        }
+        if self.capacity < self.min_samples {
+            return Err(format!(
+                "capacity {} is below min_samples {}",
+                self.capacity, self.min_samples
+            ));
+        }
+        if !(self.lambda.is_finite() && self.lambda >= 0.0) {
+            return Err(format!("lambda {} must be finite and non-negative", self.lambda));
+        }
+        if !(self.trust.is_finite() && self.trust >= 1.0) {
+            return Err(format!("trust {} must be finite and at least 1", self.trust));
+        }
+        Ok(())
+    }
+}
+
 /// One retained training sample: the placement tuple and the observed
 /// component times. The prediction that accompanied it is not stored —
 /// fits regress *observed* times on the tuple alone.
@@ -154,10 +179,9 @@ impl Default for LearnedPredictor {
 impl LearnedPredictor {
     /// An empty predictor: answers analytically until trained.
     pub fn new(cfg: LearnConfig) -> LearnedPredictor {
-        assert!(cfg.min_samples >= DIMS, "cannot fit {DIMS} coefficients from fewer samples");
-        assert!(cfg.capacity >= cfg.min_samples);
-        assert!(cfg.lambda.is_finite() && cfg.lambda >= 0.0);
-        assert!(cfg.trust.is_finite() && cfg.trust >= 1.0);
+        if let Err(e) = cfg.validate() {
+            panic!("bad LearnConfig: {e}");
+        }
         LearnedPredictor { cfg, state: Mutex::new(Vec::new()), epoch: AtomicU64::new(0) }
     }
 
@@ -219,6 +243,7 @@ impl LearnedPredictor {
                 header.version
             ));
         }
+        header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
         let pred = LearnedPredictor::new(header.config);
         let mut keys: Vec<KeyState> = Vec::new();
         for (i, line) in lines {
@@ -373,6 +398,22 @@ impl Default for HybridConfig {
     }
 }
 
+impl HybridConfig {
+    /// Check every knob's range; the error names the first offender.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err(format!("alpha {} must be in (0, 1]", self.alpha));
+        }
+        if !(self.min_ratio > 0.0 && self.min_ratio <= 1.0) {
+            return Err(format!("min_ratio {} must be in (0, 1]", self.min_ratio));
+        }
+        if !(self.max_ratio >= 1.0 && self.max_ratio.is_finite()) {
+            return Err(format!("max_ratio {} must be finite and at least 1", self.max_ratio));
+        }
+        Ok(())
+    }
+}
+
 /// Per-`(app, repository)` multiplicative correction state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct HybridKey {
@@ -412,9 +453,9 @@ impl HybridPredictor {
     /// A fresh corrector: every factor starts at 1, so an untrained
     /// instance is bit-identical to the analytical model.
     pub fn new(cfg: HybridConfig) -> HybridPredictor {
-        assert!(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(cfg.min_ratio > 0.0 && cfg.min_ratio <= 1.0);
-        assert!(cfg.max_ratio >= 1.0 && cfg.max_ratio.is_finite());
+        if let Err(e) = cfg.validate() {
+            panic!("bad HybridConfig: {e}");
+        }
         HybridPredictor { cfg, state: Mutex::new(Vec::new()), epoch: AtomicU64::new(0) }
     }
 
@@ -465,6 +506,7 @@ impl HybridPredictor {
                 header.version
             ));
         }
+        header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
         let pred = HybridPredictor::new(header.config);
         let mut keys: Vec<HybridKey> = Vec::new();
         for (i, line) in lines {
@@ -788,6 +830,45 @@ mod tests {
         assert!(LearnedPredictor::replay_jsonl(&hybrid_dump).is_err());
         let future = "{\"kind\":\"fg-learn-model\",\"version\":999,\"config\":{\"min_samples\":8,\"capacity\":512,\"lambda\":1e-6,\"trust\":2.0}}\n";
         assert!(LearnedPredictor::replay_jsonl(future).is_err());
+        // One out-of-range header per checked field: an error naming
+        // the line, never a panic.
+        for config in [
+            r#"{"min_samples":1,"capacity":512,"lambda":1e-6,"trust":2.0}"#,
+            r#"{"min_samples":8,"capacity":7,"lambda":1e-6,"trust":2.0}"#,
+            r#"{"min_samples":8,"capacity":512,"lambda":-1.0,"trust":2.0}"#,
+            r#"{"min_samples":8,"capacity":512,"lambda":"nan","trust":2.0}"#,
+            r#"{"min_samples":8,"capacity":512,"lambda":1e-6,"trust":0.5}"#,
+            r#"{"min_samples":8,"capacity":512,"lambda":1e-6,"trust":"nan"}"#,
+            r#"{"min_samples":8,"capacity":512,"lambda":1e-6,"trust":"inf"}"#,
+        ] {
+            let dump = format!(r#"{{"kind":"fg-learn-model","version":1,"config":{config}}}"#);
+            let err = LearnedPredictor::replay_jsonl(&dump).unwrap_err();
+            assert!(err.starts_with("line 1: bad config: "), "{config}: {err}");
+        }
+    }
+
+    #[test]
+    fn hybrid_replay_rejects_foreign_and_future_dumps() {
+        assert!(HybridPredictor::replay_jsonl("").is_err());
+        let learned_dump = LearnedPredictor::default().dump_jsonl();
+        assert!(HybridPredictor::replay_jsonl(&learned_dump).is_err());
+        let future = r#"{"kind":"fg-hybrid-model","version":999,"config":{"alpha":0.3,"min_ratio":0.25,"max_ratio":4.0}}"#;
+        assert!(HybridPredictor::replay_jsonl(future).is_err());
+        for config in [
+            r#"{"alpha":0.0,"min_ratio":0.25,"max_ratio":4.0}"#,
+            r#"{"alpha":1.5,"min_ratio":0.25,"max_ratio":4.0}"#,
+            r#"{"alpha":"nan","min_ratio":0.25,"max_ratio":4.0}"#,
+            r#"{"alpha":0.3,"min_ratio":0.0,"max_ratio":4.0}"#,
+            r#"{"alpha":0.3,"min_ratio":1.5,"max_ratio":4.0}"#,
+            r#"{"alpha":0.3,"min_ratio":"nan","max_ratio":4.0}"#,
+            r#"{"alpha":0.3,"min_ratio":0.25,"max_ratio":0.5}"#,
+            r#"{"alpha":0.3,"min_ratio":0.25,"max_ratio":"nan"}"#,
+            r#"{"alpha":0.3,"min_ratio":0.25,"max_ratio":"inf"}"#,
+        ] {
+            let dump = format!(r#"{{"kind":"fg-hybrid-model","version":1,"config":{config}}}"#);
+            let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+            assert!(err.starts_with("line 1: bad config: "), "{config}: {err}");
+        }
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   decision state (bandwidth estimates, free slices, backlog).
 //!   Every query method takes `&self`: ranking placements and quoting
 //!   admission estimates against a snapshot needs no mutable access
-//!   and therefore no lock, which is what lets `fg-serve` answer
-//!   prediction queries from a worker pool while the core thread owns
-//!   the clock.
+//!   and therefore no lock on the live core, which is what lets
+//!   `fg-serve`'s session threads answer prediction queries while the
+//!   core thread owns the clock.
 //!
 //! The incremental/batch equivalence is structural, not approximate:
 //! the batch loop never integrates the fluid network model past the
@@ -754,10 +754,11 @@ impl SchedCore {
     }
 
     /// An immutable view of the decision state at this instant, for
-    /// lock-free `&self` prediction queries. Cloning the snapshot is
-    /// cheap (an [`Arc`] for the grid plus a few small vectors), so a
-    /// server can publish one per clock step and let a worker pool
-    /// answer queries against it concurrently.
+    /// `&self` prediction queries that never touch the live core.
+    /// Building one copies three small vectors (the grid and the
+    /// predictor are [`Arc`]s), so a server can publish one per state
+    /// change — behind an `Arc`, so readers share it instead of
+    /// copying it again — and answer queries on any number of threads.
     pub fn snapshot(&self) -> SchedSnapshot {
         // The same backlog arithmetic the arrival block uses for
         // admission estimates: remaining predicted slot-seconds of the
@@ -1754,8 +1755,8 @@ pub struct PredictionQuote {
 }
 
 /// An immutable view of the scheduler's decision state, detached from
-/// the event loop. All query methods take `&self`: a server can hand
-/// clones to a pool of worker threads and answer prediction queries
+/// the event loop. All query methods take `&self`: a server can share
+/// one among its connection threads and answer prediction queries
 /// concurrently, without locking the live core.
 #[derive(Debug, Clone)]
 pub struct SchedSnapshot {

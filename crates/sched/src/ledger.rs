@@ -115,6 +115,25 @@ impl Default for DriftConfig {
     }
 }
 
+impl DriftConfig {
+    /// Check every knob's range; the error names the first offender.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
+            return Err(format!("EWMA alpha {} must be in (0, 1]", self.alpha));
+        }
+        if self.capacity < 1 {
+            return Err("ledger capacity must be at least 1".into());
+        }
+        if !(self.z_threshold > 0.0 && self.residual_threshold >= 0.0) {
+            return Err(format!(
+                "drift thresholds (z {}, residual {}) must be positive",
+                self.z_threshold, self.residual_threshold
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// One completed job's labelled observation: the prediction target,
 /// the predicted breakdown, and what actually happened.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -259,12 +278,9 @@ pub struct AccuracyLedger {
 impl AccuracyLedger {
     /// An empty ledger under `cfg`.
     pub fn new(cfg: DriftConfig) -> AccuracyLedger {
-        assert!(cfg.alpha > 0.0 && cfg.alpha <= 1.0, "EWMA alpha must be in (0, 1]");
-        assert!(cfg.capacity >= 1, "ledger capacity must be at least 1");
-        assert!(
-            cfg.z_threshold > 0.0 && cfg.residual_threshold >= 0.0,
-            "drift thresholds must be positive"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("bad DriftConfig: {e}");
+        }
         AccuracyLedger { cfg, keys: Vec::new(), alarms: Vec::new(), total: 0 }
     }
 
@@ -426,6 +442,7 @@ impl AccuracyLedger {
                 header.version
             ));
         }
+        header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
         let mut ledger = AccuracyLedger::new(header.config);
         let mut dumped_alarms: Vec<DriftAlarm> = Vec::new();
         for (i, line) in lines {
@@ -563,6 +580,24 @@ mod tests {
         let bad_version = r#"{"kind":"fg-accuracy-ledger","version":99,"config":{"alpha":0.25,"min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":256},"total":0}"#;
         let err = AccuracyLedger::replay_jsonl(bad_version).unwrap_err();
         assert!(err.contains("version 99"), "{err}");
+        // One out-of-range header per checked field: an error naming
+        // the line, never a panic.
+        for config in [
+            r#"{"alpha":0.0,"min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":256}"#,
+            r#"{"alpha":1.5,"min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":256}"#,
+            r#"{"alpha":"nan","min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":256}"#,
+            r#"{"alpha":0.25,"min_samples":8,"z_threshold":0.0,"residual_threshold":3.0,"capacity":256}"#,
+            r#"{"alpha":0.25,"min_samples":8,"z_threshold":"nan","residual_threshold":3.0,"capacity":256}"#,
+            r#"{"alpha":0.25,"min_samples":8,"z_threshold":4.0,"residual_threshold":-1.0,"capacity":256}"#,
+            r#"{"alpha":0.25,"min_samples":8,"z_threshold":4.0,"residual_threshold":"nan","capacity":256}"#,
+            r#"{"alpha":0.25,"min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":0}"#,
+        ] {
+            let dump = format!(
+                r#"{{"kind":"fg-accuracy-ledger","version":1,"config":{config},"total":0}}"#
+            );
+            let err = AccuracyLedger::replay_jsonl(&dump).unwrap_err();
+            assert!(err.starts_with("line 1: bad config: "), "{config}: {err}");
+        }
     }
 
     #[test]

@@ -316,7 +316,7 @@ impl PlacementEngine {
     /// live-bandwidth cache would thrash it (arrival computes both a
     /// nominal and a corrected estimate for the same key). Takes
     /// `&self` — the query touches no cache state, so concurrent
-    /// readers (a snapshot-serving worker pool) need no lock.
+    /// readers (threads serving one shared snapshot) need no lock.
     pub fn standalone_placement<P: Predictor + ?Sized>(
         &self,
         pred: &P,

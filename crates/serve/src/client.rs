@@ -7,7 +7,7 @@
 //! back everything needed to prove the served run bit-identical to
 //! driving [`fg_sched::Scheduler`] directly.
 
-use crate::frame::{encode_frame, FrameDecoder, FrameKind, WireError};
+use crate::frame::{encode_frame, Frame, FrameDecoder, FrameKind, WireError};
 use crate::msg::{
     decode_events, decode_metrics, decode_response, encode_request, encode_subscribe, DrainedRun,
     Request, Response, ServeMetrics, SubscribeMetrics,
@@ -84,41 +84,21 @@ impl ServeClient {
         std::mem::take(&mut self.metrics)
     }
 
-    /// One request/response round trip, absorbing any event frames
-    /// streamed ahead of the response.
-    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.conn.send(&encode_frame(FrameKind::Request, seq, &encode_request(req)));
+    /// Decode inbound frames until `on_frame` yields a value, blocking
+    /// on the connection whenever the decoder runs dry. Event frames
+    /// are absorbed here; every other frame goes to `on_frame` with
+    /// its stream ordinal and the metrics backlog to push into.
+    fn pump<T>(
+        &mut self,
+        mut on_frame: impl FnMut(&mut Vec<ServeMetrics>, &Frame, u64) -> Result<Option<T>, ClientError>,
+    ) -> Result<T, ClientError> {
         loop {
             while let Some(frame) = self.dec.next_frame()? {
                 let ord = self.dec.frames() - 1;
-                match frame.kind {
-                    FrameKind::Event => {
-                        self.events.extend(decode_events(&frame, ord)?.events);
-                    }
-                    FrameKind::Response => {
-                        let resp = decode_response(&frame, ord)?;
-                        if let Response::Error { reason } = resp {
-                            return Err(ClientError::Server(reason));
-                        }
-                        if frame.seq != seq {
-                            return Err(ClientError::Server(format!(
-                                "response seq {} does not match request seq {seq}",
-                                frame.seq
-                            )));
-                        }
-                        return Ok(resp);
-                    }
-                    FrameKind::MetricsSnapshot => {
-                        self.metrics.push(decode_metrics(&frame, ord)?);
-                    }
-                    FrameKind::Request | FrameKind::SubscribeMetrics => {
-                        return Err(ClientError::Server(format!(
-                            "server sent a client-only frame kind {:?} (seq {})",
-                            frame.kind, frame.seq
-                        )));
-                    }
+                if frame.kind == FrameKind::Event {
+                    self.events.extend(decode_events(&frame, ord)?.events);
+                } else if let Some(out) = on_frame(&mut self.metrics, &frame, ord)? {
+                    return Ok(out);
                 }
             }
             let Some(chunk) = self.conn.recv() else {
@@ -126,6 +106,31 @@ impl ServeClient {
             };
             self.dec.push(&chunk);
         }
+    }
+
+    /// One request/response round trip, absorbing any event and
+    /// metrics frames streamed ahead of the response.
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.conn.send(&encode_frame(FrameKind::Request, seq, &encode_request(req)));
+        self.pump(|metrics, frame, ord| match frame.kind {
+            FrameKind::Response => {
+                let resp = server_said(frame, ord)?;
+                if frame.seq != seq {
+                    return Err(ClientError::Server(format!(
+                        "response seq {} does not match request seq {seq}",
+                        frame.seq
+                    )));
+                }
+                Ok(Some(resp))
+            }
+            FrameKind::MetricsSnapshot => {
+                metrics.push(decode_metrics(frame, ord)?);
+                Ok(None)
+            }
+            _ => Err(client_only(frame)),
+        })
     }
 
     /// Subscribe this session to streamed telemetry. The server acks
@@ -139,42 +144,23 @@ impl ServeClient {
         self.next_seq += 1;
         let payload = encode_subscribe(&SubscribeMetrics { min_epoch });
         self.conn.send(&encode_frame(FrameKind::SubscribeMetrics, seq, &payload));
-        loop {
-            while let Some(frame) = self.dec.next_frame()? {
-                let ord = self.dec.frames() - 1;
-                match frame.kind {
-                    FrameKind::Event => {
-                        self.events.extend(decode_events(&frame, ord)?.events);
-                    }
-                    FrameKind::MetricsSnapshot => {
-                        let m = decode_metrics(&frame, ord)?;
-                        if frame.seq == seq {
-                            return Ok(m);
-                        }
-                        self.metrics.push(m);
-                    }
-                    FrameKind::Response => {
-                        let resp = decode_response(&frame, ord)?;
-                        if let Response::Error { reason } = resp {
-                            return Err(ClientError::Server(reason));
-                        }
-                        return Err(ClientError::Server(format!(
-                            "unexpected response {resp:?} to a metrics subscription"
-                        )));
-                    }
-                    FrameKind::Request | FrameKind::SubscribeMetrics => {
-                        return Err(ClientError::Server(format!(
-                            "server sent a client-only frame kind {:?} (seq {})",
-                            frame.kind, frame.seq
-                        )));
-                    }
+        self.pump(|metrics, frame, ord| match frame.kind {
+            FrameKind::MetricsSnapshot => {
+                let m = decode_metrics(frame, ord)?;
+                if frame.seq == seq {
+                    return Ok(Some(m));
                 }
+                metrics.push(m);
+                Ok(None)
             }
-            let Some(chunk) = self.conn.recv() else {
-                return Err(ClientError::Closed);
-            };
-            self.dec.push(&chunk);
-        }
+            FrameKind::Response => {
+                let resp = server_said(frame, ord)?;
+                Err(ClientError::Server(format!(
+                    "unexpected response {resp:?} to a metrics subscription"
+                )))
+            }
+            _ => Err(client_only(frame)),
+        })
     }
 
     /// Block until the next pushed telemetry snapshot arrives (event
@@ -182,29 +168,13 @@ impl ServeClient {
     /// final plane is pushed *behind* the drain response: one call
     /// collects it deterministically.
     pub fn recv_metrics(&mut self) -> Result<ServeMetrics, ClientError> {
-        loop {
-            while let Some(frame) = self.dec.next_frame()? {
-                let ord = self.dec.frames() - 1;
-                match frame.kind {
-                    FrameKind::Event => {
-                        self.events.extend(decode_events(&frame, ord)?.events);
-                    }
-                    FrameKind::MetricsSnapshot => {
-                        return decode_metrics(&frame, ord).map_err(ClientError::from);
-                    }
-                    other => {
-                        return Err(ClientError::Server(format!(
-                            "expected a metrics push, got {other:?} (seq {})",
-                            frame.seq
-                        )));
-                    }
-                }
-            }
-            let Some(chunk) = self.conn.recv() else {
-                return Err(ClientError::Closed);
-            };
-            self.dec.push(&chunk);
-        }
+        self.pump(|_, frame, ord| match frame.kind {
+            FrameKind::MetricsSnapshot => Ok(Some(decode_metrics(frame, ord)?)),
+            other => Err(ClientError::Server(format!(
+                "expected a metrics push, got {other:?} (seq {})",
+                frame.seq
+            ))),
+        })
     }
 
     /// Submit a job; arrivals must be non-decreasing across the
@@ -247,6 +217,22 @@ impl ServeClient {
             other => Err(ClientError::Server(format!("unexpected response {other:?}"))),
         }
     }
+}
+
+/// Decode a response frame; a [`Response::Error`] is the server
+/// refusing, whatever was asked.
+fn server_said(frame: &Frame, ord: u64) -> Result<Response, ClientError> {
+    match decode_response(frame, ord)? {
+        Response::Error { reason } => Err(ClientError::Server(reason)),
+        resp => Ok(resp),
+    }
+}
+
+fn client_only(frame: &Frame) -> ClientError {
+    ClientError::Server(format!(
+        "server sent a client-only frame kind {:?} (seq {})",
+        frame.kind, frame.seq
+    ))
 }
 
 /// Everything a replayed session produced, for differential checks

@@ -17,8 +17,10 @@
 use crate::msg::{DrainedRun, Request, Response, ServeMetrics};
 use crate::recorder::{FlightRecorder, IncidentBundle, IncidentReason, RecorderConfig};
 use fg_sched::{
-    CoreEvent, CoreStats, SchedCore, SchedSnapshot, Scheduler, TelemetryConfig, TelemetrySnapshot,
+    AccuracySample, CoreEvent, CoreStats, SchedCore, SchedSnapshot, Scheduler, TelemetryConfig,
+    TelemetrySnapshot,
 };
+use std::borrow::Borrow;
 
 /// The state machine behind a serving session: one live decision core
 /// until drained, then a terminal state that refuses further work.
@@ -53,12 +55,8 @@ impl ServerEngine {
         }
     }
 
-    /// Is the engine still accepting work?
-    pub fn is_live(&self) -> bool {
-        self.core.is_some()
-    }
-
-    /// A detached snapshot for the query pool, or `None` after drain.
+    /// A detached snapshot of the decision state — what the server's
+    /// core thread publishes for its sessions — or `None` after drain.
     pub fn snapshot(&self) -> Option<SchedSnapshot> {
         self.core.as_ref().map(SchedCore::snapshot)
     }
@@ -115,124 +113,121 @@ impl ServerEngine {
         self.recorder.trip(reason, at, stats, tail, alarms);
     }
 
-    /// Feed a request's decision events through the flight recorder:
-    /// ring them all, then trip a bundle per drift alarm and per newly
-    /// breached tenant SLO.
-    fn observe(&mut self, events: &[CoreEvent], snapshot: Option<&TelemetrySnapshot>) {
-        for e in events {
-            self.recorder.record(e);
-        }
-        let mut reasons: Vec<(IncidentReason, f64)> = events
-            .iter()
-            .filter_map(|e| match e {
-                CoreEvent::DriftAlarm { alarm } => {
-                    Some((IncidentReason::Drift { alarm: alarm.clone() }, alarm.at))
-                }
-                _ => None,
-            })
-            .collect();
-        if let Some(snap) = snapshot {
-            for reason in self.recorder.slo_breaches(snap) {
-                reasons.push((reason, snap.now));
-            }
-        }
-        if reasons.is_empty() {
-            return;
-        }
-        let stats = self.stats();
-        let (tail, alarms) = match (self.core.as_ref(), snapshot) {
-            (Some(core), Some(snap)) => {
-                (core.ledger_tail(self.recorder.config().ledger_tail), snap.alarms.clone())
-            }
-            _ => (Vec::new(), Vec::new()),
-        };
-        for (reason, at) in reasons {
-            self.recorder.trip(reason, at, stats.clone(), tail.clone(), alarms.clone());
-        }
-    }
-
     /// Handle one request. Returns the response plus any scheduling
     /// events the request caused, in decision order, for streaming.
     ///
-    /// [`Request::Quote`] and [`Request::Stats`] are answered here for
-    /// completeness (a single-threaded driver wants one entry point),
-    /// but the threaded server routes them to its snapshot-backed
-    /// query pool instead — the answers are identical because
-    /// [`SchedSnapshot`] is the only arithmetic either path uses.
+    /// [`Request::Quote`] and [`Request::Stats`] go through
+    /// [`answer_read`], the same function a server session calls with
+    /// the published snapshot — so a single-threaded driver and the
+    /// threaded server give identical answers by construction.
     pub fn handle(&mut self, req: Request) -> (Response, Vec<CoreEvent>) {
         let Some(core) = self.core.as_mut() else {
-            return (Response::Error { reason: "session already drained".into() }, Vec::new());
+            return (drained(), Vec::new());
         };
         match req {
             Request::Submit { job } => match core.submit(job) {
                 Ok(outcome) => {
                     let events = core.take_events();
-                    let snap = core.telemetry_snapshot();
-                    self.observe(&events, snap.as_ref());
+                    let plane = core.telemetry_snapshot();
+                    observe(&mut self.recorder, &events, plane.as_ref(), |n| {
+                        (core.stats(), core.ledger_tail(n))
+                    });
                     (Response::Submitted { outcome }, events)
                 }
                 Err(e) => (Response::SubmitFailed { reason: e.to_string() }, Vec::new()),
             },
-            Request::Quote { app, dataset_bytes, deadline_slack } => {
-                let quote = core.snapshot().quote(&app, dataset_bytes, deadline_slack);
-                (Response::Quoted { quote }, Vec::new())
+            read @ (Request::Quote { .. } | Request::Stats) => {
+                (answer_read(&read, || core.snapshot(), || core.stats()), Vec::new())
             }
-            Request::Stats => (Response::Stats { stats: core.stats() }, Vec::new()),
             Request::Drain => {
                 let pre = core.stats();
                 let core = self.core.take().expect("checked live above");
                 let (result, events) = core.finish_with_events();
+                let report = result.telemetry.as_ref();
+                let plane = report.map(|r| &r.snapshot);
+                // After the drain every admitted job has completed and
+                // nothing is queued or running.
+                let stats = CoreStats {
+                    now: plane.map_or(pre.now, |p| p.now),
+                    makespan: result.makespan,
+                    completed: pre.admitted,
+                    queued: 0,
+                    running: 0,
+                    suspended: 0,
+                    ..pre
+                };
+                observe(&mut self.recorder, &events, plane, |n| {
+                    (stats.clone(), report.map_or_else(Vec::new, |r| r.ledger.tail(n)))
+                });
                 // Stash the end-of-run plane so the publisher can push
-                // one final snapshot: after the drain every admitted
-                // job has completed and nothing is queued or running.
-                if let Some(report) = &result.telemetry {
-                    let snap = report.snapshot.clone();
-                    let tail_n = self.recorder.config().ledger_tail;
-                    let stats = CoreStats {
-                        now: snap.now,
-                        makespan: result.makespan,
-                        submitted: pre.submitted,
-                        admitted: pre.admitted,
-                        rejected: pre.rejected,
-                        completed: pre.admitted,
-                        queued: 0,
-                        running: 0,
-                        suspended: 0,
-                    };
-                    for e in &events {
-                        self.recorder.record(e);
-                    }
-                    let mut reasons: Vec<(IncidentReason, f64)> = events
-                        .iter()
-                        .filter_map(|e| match e {
-                            CoreEvent::DriftAlarm { alarm } => {
-                                Some((IncidentReason::Drift { alarm: alarm.clone() }, alarm.at))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    for reason in self.recorder.slo_breaches(&snap) {
-                        reasons.push((reason, snap.now));
-                    }
-                    let tail = report.ledger.tail(tail_n);
-                    for (reason, at) in reasons {
-                        self.recorder.trip(
-                            reason,
-                            at,
-                            Some(stats.clone()),
-                            tail.clone(),
-                            snap.alarms.clone(),
-                        );
-                    }
-                    self.final_metrics =
-                        Some(ServeMetrics { epoch: snap.epoch, stats, telemetry: snap });
-                } else {
-                    for e in &events {
-                        self.recorder.record(e);
-                    }
-                }
+                // one final snapshot even though the core is gone.
+                self.final_metrics =
+                    plane.map(|p| ServeMetrics { epoch: p.epoch, stats, telemetry: p.clone() });
                 (Response::Drained { result: DrainedRun::from_result(&result) }, events)
             }
         }
+    }
+}
+
+/// The reply to any request that arrives after the drain.
+pub(crate) fn drained() -> Response {
+    Response::Error { reason: "session already drained".into() }
+}
+
+/// The one place a read becomes a [`Response`]: a `Quote` is priced
+/// against `snapshot`, `Stats` returns `stats`. Both sources are lazy,
+/// so neither caller builds the half a request does not use — the
+/// engine reads its live core, a server session the pair the core
+/// thread last published.
+pub(crate) fn answer_read<S: Borrow<SchedSnapshot>>(
+    req: &Request,
+    snapshot: impl FnOnce() -> S,
+    stats: impl FnOnce() -> CoreStats,
+) -> Response {
+    match req {
+        Request::Quote { app, dataset_bytes, deadline_slack } => Response::Quoted {
+            quote: snapshot().borrow().quote(app, *dataset_bytes, *deadline_slack),
+        },
+        Request::Stats => Response::Stats { stats: stats() },
+        write => Response::Error { reason: format!("only the core can serve {write:?}") },
+    }
+}
+
+/// Feed a request's decision events through the flight recorder: ring
+/// them all, then trip a bundle per drift alarm and per tenant SLO
+/// newly breached on `plane`. `context` yields the counters and the
+/// ledger tail (of the length it is asked for) that a bundle carries —
+/// from the live core after a submit, from the finished run's report
+/// after a drain — and runs only when something trips.
+fn observe(
+    recorder: &mut FlightRecorder,
+    events: &[CoreEvent],
+    plane: Option<&TelemetrySnapshot>,
+    context: impl FnOnce(usize) -> (CoreStats, Vec<AccuracySample>),
+) {
+    for e in events {
+        recorder.record(e);
+    }
+    let mut reasons: Vec<(IncidentReason, f64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            CoreEvent::DriftAlarm { alarm } => {
+                Some((IncidentReason::Drift { alarm: alarm.clone() }, alarm.at))
+            }
+            _ => None,
+        })
+        .collect();
+    if let Some(plane) = plane {
+        for reason in recorder.slo_breaches(plane) {
+            reasons.push((reason, plane.now));
+        }
+    }
+    if reasons.is_empty() {
+        return;
+    }
+    let (stats, tail) = context(recorder.config().ledger_tail);
+    let alarms = plane.map(|p| p.alarms.clone()).unwrap_or_default();
+    for (reason, at) in reasons {
+        recorder.trip(reason, at, Some(stats.clone()), tail.clone(), alarms.clone());
     }
 }

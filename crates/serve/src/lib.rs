@@ -14,11 +14,15 @@
 //!   canonical JSON payloads so encode→frame→decode is an identity.
 //! * [`engine`] — the sans-IO session state machine over the decision
 //!   core; tests drive it directly, the server drives it on a thread.
-//! * [`server`] — the threaded service: one core thread (the decision
-//!   core is intentionally not `Send`), a thread-per-core query pool
-//!   answering quotes and stats from a lock-free
-//!   [`fg_sched::SchedSnapshot`], and a session thread per connection
-//!   streaming scheduling events ahead of each response.
+//! * [`server`] — the threaded service, two thread roles: one core
+//!   thread serialising writes (the decision core is intentionally not
+//!   `Send`) and publishing an `Arc`'d [`fg_sched::SchedSnapshot`]
+//!   after each, and a session thread per connection that answers
+//!   quotes and stats itself from the published snapshot — the read
+//!   guard is held for one refcount bump — and streams scheduling
+//!   events ahead of each write's response. There is no query pool:
+//!   sessions are closed-loop threads already, so one added no
+//!   parallelism and cost half the handoff time of a quote.
 //! * [`recorder`] — the flight recorder: a bounded ring of recent
 //!   decision events that cuts a self-contained JSONL
 //!   [`recorder::IncidentBundle`] (reason, stats, last-N events,
@@ -34,7 +38,7 @@
 //! Determinism: submissions are totally ordered by the single core
 //! thread, the incremental event loop parks *before* each scheduling
 //! pass so equal-arrival submissions join the same arrival batch the
-//! batch loop would form, and queries never touch the core — so the
+//! batch loop would form, and reads never touch the core — so the
 //! wire protocol adds concurrency without adding nondeterminism.
 
 #![warn(missing_docs)]

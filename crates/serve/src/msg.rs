@@ -26,8 +26,9 @@ pub enum Request {
         job: JobSpec,
     },
     /// Ask what admission estimate a hypothetical job would receive
-    /// right now, without submitting anything. Answered by the query
-    /// pool from a lock-free snapshot — never by the core thread.
+    /// right now, without submitting anything. Answered by the
+    /// session thread from the published snapshot — never by the core
+    /// thread.
     Quote {
         /// Application name from the grid's menu.
         app: String,

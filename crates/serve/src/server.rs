@@ -1,32 +1,40 @@
-//! The threaded server: one core thread owning the decision state, a
-//! thread-per-core query pool answering predictions from a lock-free
-//! snapshot, and one session thread per connection speaking the wire
-//! protocol over an in-process byte pipe.
+//! The threaded server: one core thread owning the decision state and
+//! one session thread per connection, speaking the wire protocol over
+//! an in-process byte pipe. Two thread roles, no third.
 //!
 //! Threading model:
 //!
 //! * **Core thread** — the only thread that ever touches the
-//!   [`SchedCore`] (whose trace counters are deliberately not `Send`,
-//!   so the compiler enforces this). It serialises submissions and the
-//!   final drain, and republishes a fresh [`SchedSnapshot`] after
-//!   every state change — *before* acknowledging the request, so a
-//!   client that has its submit response is guaranteed the next quote
-//!   reflects that submission.
-//! * **Query pool** — `available_parallelism` workers. Quotes and
-//!   stats are answered purely from the published snapshot (every
-//!   [`SchedSnapshot`] method takes `&self`), so arbitrarily many
-//!   predictions run concurrently without ever blocking the core.
-//! * **Session threads** — one per [`connect`](Server::connect). They
-//!   decode frames, route submissions to the core and queries to the
-//!   pool, and stream event frames back ahead of each response.
+//!   [`SchedCore`](fg_sched::SchedCore) (whose trace counters are
+//!   deliberately not `Send`, so the compiler enforces this). It
+//!   serialises submissions and the final drain, and republishes a
+//!   fresh [`SchedSnapshot`] after every state change — *before*
+//!   acknowledging the request, so a client that has its submit
+//!   response is guaranteed the next quote reflects that submission.
+//! * **Session threads** — one per [`connect`](Server::connect). A
+//!   session decodes frames, sends writes (`Submit`, `Drain`) to the
+//!   core and blocks on the reply, and answers reads (`Quote`,
+//!   `Stats`) itself from what the core last published: it takes the
+//!   read guard for exactly one `Arc` clone, drops it, then prices
+//!   (every [`SchedSnapshot`] method takes `&self`), so a slow quote
+//!   never delays a publish and quotes on different sessions run
+//!   concurrently.
+//!
+//! There is no query pool between the two. A session is closed-loop —
+//! it decodes a request, answers it, then decodes the next — so the
+//! reads in flight are bounded by the sessions with or without a pool;
+//! handing a read to a third thread bought no parallelism and cost a
+//! contended queue, a reply channel and two context switches per quote
+//! (`serve.server.handoff_us` 7.26 → 3.28 µs when the pool went; see
+//! ROADMAP open item 1).
 //!
 //! The transport is an in-process pipe rather than a socket: the wire
 //! bytes, framing, and thread handoffs are all real, but tests stay
 //! hermetic and the protocol layer stays reusable over any transport
 //! that can move bytes.
 
-use crate::engine::ServerEngine;
-use crate::frame::{encode_frame, FrameDecoder, FrameKind, WireError};
+use crate::engine::{answer_read, drained, ServerEngine};
+use crate::frame::{encode_frame, Frame, FrameDecoder, FrameKind, WireError};
 use crate::msg::{
     decode_request, decode_subscribe, encode_events, encode_metrics, encode_response, EventBatch,
     Request, Response, ServeMetrics,
@@ -123,25 +131,54 @@ impl Drop for WireConn {
     }
 }
 
-/// What the core thread has published for the query pool: the
-/// snapshot-and-counters pair from after the most recent state change,
-/// `None` once the session is drained.
-type Published = Arc<RwLock<Option<(SchedSnapshot, CoreStats)>>>;
-
-/// The telemetry side-channel the core thread publishes into and the
-/// session threads stream from. The [`AtomicU64`] carries the latest
-/// published epoch, so a subscribed session pays exactly one relaxed
-/// load per response to learn nothing has changed — the structural
-/// guarantee behind the "<5% subscriber overhead on the quote path"
-/// figure claim.
+/// Everything the core thread publishes and the session threads read.
 #[derive(Debug, Default)]
-struct MetricsHub {
-    epoch: AtomicU64,
-    latest: RwLock<Option<ServeMetrics>>,
+struct Shared {
+    /// The snapshot-and-counters pair from after the most recent state
+    /// change, `None` once the session is drained. A reader holds the
+    /// guard for one refcount bump, the publisher for one pointer swap.
+    view: RwLock<Option<Arc<(SchedSnapshot, CoreStats)>>>,
+    /// Epoch of `metrics` (0 until the first publish), so a subscribed
+    /// session pays exactly one atomic load per response to learn
+    /// nothing has changed — the structural guarantee behind the "<5%
+    /// subscriber overhead on the quote path" figure claim.
+    metrics_epoch: AtomicU64,
+    metrics: RwLock<Option<ServeMetrics>>,
+    incidents: Mutex<Vec<IncidentBundle>>,
 }
 
-/// Epoch value meaning "nothing published yet".
-const EPOCH_NONE: u64 = u64::MAX;
+impl Shared {
+    /// Publish whatever the engine's last request changed: the view
+    /// always; the telemetry plane only when the engine says it moved
+    /// (epoch-gated), with the epoch store ordered *after* the snapshot
+    /// write so a session that observes the new epoch always finds the
+    /// matching snapshot; and any incident bundles the request cut.
+    fn publish(&self, engine: &mut ServerEngine) {
+        let fresh = engine.snapshot().zip(engine.stats()).map(Arc::new);
+        let stale = std::mem::replace(&mut *self.view.write().expect("published lock"), fresh);
+        drop(stale); // after the guard is gone: the old view is freed off-lock
+        if let Some(m) = engine.metrics_if_changed() {
+            let epoch = m.epoch;
+            *self.metrics.write().expect("metrics lock") = Some(m);
+            self.metrics_epoch.store(epoch, Ordering::Release);
+        }
+        let cut = engine.take_incidents();
+        if !cut.is_empty() {
+            self.incidents.lock().expect("incident registry lock").extend(cut);
+        }
+    }
+
+    /// Answer a `Quote` or `Stats` on the calling thread. The read
+    /// guard is a temporary of the first statement — gone before any
+    /// pricing starts, so a slow quote never delays `publish`.
+    fn read(&self, req: &Request) -> Response {
+        let view = self.view.read().expect("published lock").clone();
+        match view {
+            Some(view) => answer_read(req, || &view.0, || view.1.clone()),
+            None => drained(),
+        }
+    }
+}
 
 enum CoreMsg {
     Handle {
@@ -155,22 +192,15 @@ enum CoreMsg {
     },
 }
 
-enum QueryMsg {
-    Handle { req: Request, reply: mpsc::Sender<(Response, Vec<CoreEvent>)> },
-}
-
 /// The running service. Dropping (or [`shutdown`](Server::shutdown))
-/// stops the core thread and the query pool; open sessions end when
-/// their client disconnects.
+/// stops the core thread; open sessions end when their client
+/// disconnects.
 #[derive(Debug)]
 pub struct Server {
     core_tx: mpsc::Sender<CoreMsg>,
-    query_tx: mpsc::Sender<QueryMsg>,
-    workers: usize,
-    threads: Vec<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    metrics: Arc<MetricsHub>,
-    incidents: Arc<Mutex<Vec<IncidentBundle>>>,
+    core: JoinHandle<()>,
+    sessions: Mutex<Vec<JoinHandle<()>>>,
+    shared: Arc<Shared>,
 }
 
 impl Server {
@@ -179,104 +209,74 @@ impl Server {
     /// snapshot, so a query sent right after [`connect`](Server::connect)
     /// is answered from it.
     pub fn start(cfg: Scheduler) -> Server {
-        let published: Published = Arc::new(RwLock::new(None));
-        let metrics =
-            Arc::new(MetricsHub { epoch: AtomicU64::new(EPOCH_NONE), latest: RwLock::new(None) });
-        let incidents: Arc<Mutex<Vec<IncidentBundle>>> = Arc::default();
+        let shared = Arc::<Shared>::default();
         let (core_tx, core_rx) = mpsc::channel::<CoreMsg>();
-        let (query_tx, query_rx) = mpsc::channel::<QueryMsg>();
         let (ready_tx, ready_rx) = mpsc::channel::<()>();
-        let mut threads = Vec::new();
-
-        let pub_core = Arc::clone(&published);
-        let hub_core = Arc::clone(&metrics);
-        let incidents_core = Arc::clone(&incidents);
-        threads.push(
-            thread::Builder::new()
-                .name("fg-serve-core".into())
-                .spawn(move || {
-                    core_loop(cfg, core_rx, pub_core, hub_core, incidents_core, ready_tx)
-                })
-                .expect("spawn core thread"),
-        );
-
-        let workers = thread::available_parallelism().map_or(2, usize::from);
-        let query_rx = Arc::new(Mutex::new(query_rx));
-        for i in 0..workers {
-            let rx = Arc::clone(&query_rx);
-            let published = Arc::clone(&published);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("fg-serve-query-{i}"))
-                    .spawn(move || query_loop(rx, published))
-                    .expect("spawn query worker"),
-            );
-        }
-
+        let published = Arc::clone(&shared);
+        let core = thread::Builder::new()
+            .name("fg-serve-core".into())
+            .spawn(move || core_loop(cfg, core_rx, &published, ready_tx))
+            .expect("spawn core thread");
         // An error means the core thread died building its engine; its
         // sessions will say so, as they do for one that dies later.
         let _ = ready_rx.recv();
-        Server { core_tx, query_tx, workers, threads, sessions: Arc::default(), metrics, incidents }
-    }
-
-    /// Query-pool width (one worker per available core).
-    pub fn workers(&self) -> usize {
-        self.workers
+        Server { core_tx, core, sessions: Mutex::default(), shared }
     }
 
     /// Incident bundles the flight recorder has cut so far (drift
     /// alarms, SLO breaches, decode poisonings), in trip order.
     pub fn incidents(&self) -> Vec<IncidentBundle> {
-        self.incidents.lock().expect("incident registry lock").clone()
+        self.shared.incidents.lock().expect("incident registry lock").clone()
     }
 
     /// Open a connection: spawns a session thread and returns the
     /// client end of the wire.
     pub fn connect(&self) -> WireConn {
         let (client_end, server_end) = WireConn::pair();
-        let core_tx = self.core_tx.clone();
-        let query_tx = self.query_tx.clone();
-        let hub = Arc::clone(&self.metrics);
+        let session = Session {
+            conn: server_end,
+            core_tx: self.core_tx.clone(),
+            shared: Arc::clone(&self.shared),
+            event_seq: 0,
+            sub: None,
+        };
         let handle = thread::Builder::new()
             .name("fg-serve-session".into())
-            .spawn(move || session_loop(server_end, core_tx, query_tx, hub))
+            .spawn(move || session.run())
             .expect("spawn session thread");
-        self.sessions.lock().expect("session registry lock").push(handle);
+        let mut sessions = self.sessions.lock().expect("session registry lock");
+        // Forget the sessions that have ended, so the registry is
+        // bounded by the connections open now, not by every connection
+        // ever made.
+        sessions.retain(|h| !h.is_finished());
+        sessions.push(handle);
         client_end
     }
 
     /// Stop the service and join every thread. Sessions whose clients
     /// are still connected are waited on, so drop clients first.
     pub fn shutdown(self) {
-        let Server { core_tx, query_tx, threads, sessions, .. } = self;
-        // Sessions hold channel clones; the core and pool loops end
-        // once every sender is gone, so wait for the sessions first.
+        let Server { core_tx, core, sessions, .. } = self;
+        // Sessions hold sender clones; the core loop ends once every
+        // sender is gone, so wait for the sessions first.
         drop(core_tx);
-        drop(query_tx);
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *sessions.lock().expect("session registry lock"));
-        for h in handles {
+        for h in sessions.into_inner().expect("session registry lock") {
             let _ = h.join();
         }
-        for h in threads {
-            let _ = h.join();
-        }
+        let _ = core.join();
     }
 }
 
 fn core_loop(
     cfg: Scheduler,
     rx: mpsc::Receiver<CoreMsg>,
-    published: Published,
-    hub: Arc<MetricsHub>,
-    incidents: Arc<Mutex<Vec<IncidentBundle>>>,
+    shared: &Shared,
     ready: mpsc::Sender<()>,
 ) {
     // The decision core is built here, on the core thread: it is not
     // `Send`, only its configuration is.
     let mut engine = ServerEngine::new(cfg);
-    publish(&published, &engine);
-    publish_metrics(&hub, &mut engine);
+    shared.publish(&mut engine);
     let _ = ready.send(());
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -285,194 +285,148 @@ fn core_loop(
                 // Publish before acknowledging: once a client sees its
                 // response, every later quote reflects that submission
                 // — and any telemetry change rides the same ordering.
-                publish(&published, &engine);
-                publish_metrics(&hub, &mut engine);
-                collect_incidents(&incidents, &mut engine);
+                shared.publish(&mut engine);
                 let _ = reply.send(out);
             }
             CoreMsg::Poisoned { error } => {
                 engine.decode_poisoned(error);
-                collect_incidents(&incidents, &mut engine);
+                shared.publish(&mut engine);
             }
         }
     }
 }
 
-fn publish(published: &Published, engine: &ServerEngine) {
-    let fresh = engine.snapshot().zip(engine.stats());
-    *published.write().expect("published lock") = fresh;
-}
-
-/// Push a fresh telemetry snapshot into the hub — but only when the
-/// engine says the plane actually changed (epoch-gated), and with the
-/// epoch store ordered *after* the snapshot write so a session that
-/// observes the new epoch always finds the matching snapshot.
-fn publish_metrics(hub: &MetricsHub, engine: &mut ServerEngine) {
-    if let Some(m) = engine.metrics_if_changed() {
-        let epoch = m.epoch;
-        *hub.latest.write().expect("metrics hub lock") = Some(m);
-        hub.epoch.store(epoch, Ordering::Release);
-    }
-}
-
-fn collect_incidents(incidents: &Mutex<Vec<IncidentBundle>>, engine: &mut ServerEngine) {
-    let fresh = engine.take_incidents();
-    if !fresh.is_empty() {
-        incidents.lock().expect("incident registry lock").extend(fresh);
-    }
-}
-
-fn query_loop(rx: Arc<Mutex<mpsc::Receiver<QueryMsg>>>, published: Published) {
-    loop {
-        // Hold the receiver lock only while waiting for the next
-        // message, never while answering it.
-        let msg = match rx.lock().expect("query queue lock").recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        let QueryMsg::Handle { req, reply } = msg;
-        let view = published.read().expect("published lock").clone();
-        let resp = match (req, view) {
-            (_, None) => Response::Error { reason: "session already drained".into() },
-            (Request::Quote { app, dataset_bytes, deadline_slack }, Some((snap, _))) => {
-                Response::Quoted { quote: snap.quote(&app, dataset_bytes, deadline_slack) }
-            }
-            (Request::Stats, Some((_, stats))) => Response::Stats { stats },
-            (other, Some(_)) => {
-                Response::Error { reason: format!("query pool cannot serve {other:?}") }
-            }
-        };
-        let _ = reply.send((resp, Vec::new()));
-    }
-}
-
-fn session_loop(
+/// One connection's server side, run on its own thread.
+struct Session {
     conn: WireConn,
     core_tx: mpsc::Sender<CoreMsg>,
-    query_tx: mpsc::Sender<QueryMsg>,
-    hub: Arc<MetricsHub>,
-) {
-    let mut dec = FrameDecoder::new();
-    let mut event_seq: u32 = 0;
-    // Epoch of the last metrics snapshot this session sent, once
-    // subscribed. The steady-state cost of a subscription is the one
-    // relaxed atomic load in `maybe_push_metrics` per response.
-    let mut sub: Option<u64> = None;
-    loop {
-        let Some(chunk) = conn.recv() else {
-            // Client closed. A clean close lands between frames; a
-            // mid-frame close is corruption the client should know
-            // about, but there is nobody left to tell.
-            return;
-        };
-        dec.push(&chunk);
-        loop {
-            let frame = match dec.next_frame() {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(e) => {
-                    // Corrupt stream: report the typed error once,
-                    // cut a flight-recorder incident, then hang up.
-                    // No resynchronisation guesses.
-                    let _ = core_tx.send(CoreMsg::Poisoned { error: e.to_string() });
-                    send_wire_error(&conn, &e);
-                    return;
-                }
-            };
-            let ord = dec.frames() - 1;
-            if frame.kind == FrameKind::SubscribeMetrics {
-                let wanted = match decode_subscribe(&frame, ord) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        let _ = core_tx.send(CoreMsg::Poisoned { error: e.to_string() });
-                        send_wire_error(&conn, &e);
-                        return;
-                    }
+    shared: Arc<Shared>,
+    event_seq: u32,
+    /// Epoch of the last metrics snapshot this session sent, once
+    /// subscribed. The steady-state cost of a subscription is the one
+    /// atomic load in `push_metrics` per response.
+    sub: Option<u64>,
+}
+
+impl Session {
+    /// Serve frames until the client closes. A clean close lands
+    /// between frames; a mid-frame close is corruption the client
+    /// should know about, but there is nobody left to tell.
+    fn run(mut self) {
+        let mut dec = FrameDecoder::new();
+        while let Some(chunk) = self.conn.recv() {
+            dec.push(&chunk);
+            loop {
+                let served = match dec.next_frame() {
+                    Ok(None) => break,
+                    Ok(Some(frame)) => self.serve(&frame, dec.frames() - 1),
+                    Err(e) => Err(e),
                 };
-                // Ack with the current snapshot (served straight from
-                // the hub — the core thread is never involved), then
-                // stream changes as they are published.
-                let view = hub.latest.read().expect("metrics hub lock").clone();
-                match view {
-                    Some(m) => {
-                        sub = Some(m.epoch.max(wanted.min_epoch));
-                        let payload = encode_metrics(&m);
-                        conn.send(&encode_frame(FrameKind::MetricsSnapshot, frame.seq, &payload));
-                    }
-                    None => {
-                        let resp = Response::Error { reason: "telemetry not yet published".into() };
-                        conn.send(&encode_frame(
-                            FrameKind::Response,
-                            frame.seq,
-                            &encode_response(&resp),
-                        ));
-                    }
-                }
-                continue;
-            }
-            let req = match decode_request(&frame, ord) {
-                Ok(r) => r,
-                Err(e) => {
-                    let _ = core_tx.send(CoreMsg::Poisoned { error: e.to_string() });
-                    send_wire_error(&conn, &e);
+                if let Err(e) = served {
+                    // Corrupt stream (or a dead core): cut a
+                    // flight-recorder incident, report the typed error
+                    // once, then hang up. No resynchronisation guesses.
+                    let _ = self.core_tx.send(CoreMsg::Poisoned { error: e.to_string() });
+                    // The sentinel sequence number lets the client see
+                    // *why* before end-of-stream.
+                    self.respond(u32::MAX, &Response::Error { reason: e.to_string() });
                     return;
                 }
-            };
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let routed = match &req {
-                // Reads go to the snapshot pool; state changes to the
-                // core thread.
-                Request::Quote { .. } | Request::Stats => {
-                    query_tx.send(QueryMsg::Handle { req, reply: reply_tx }).is_ok()
-                }
-                Request::Submit { .. } | Request::Drain => {
-                    core_tx.send(CoreMsg::Handle { req, reply: reply_tx }).is_ok()
-                }
-            };
-            let Ok((resp, events)) = (if routed { reply_rx.recv() } else { Err(mpsc::RecvError) })
-            else {
-                send_wire_error(&conn, &WireError::Poisoned);
-                return;
-            };
-            if !events.is_empty() {
-                let batch = EventBatch { events };
-                conn.send(&encode_frame(FrameKind::Event, event_seq, &encode_events(&batch)));
-                event_seq += 1;
             }
-            conn.send(&encode_frame(FrameKind::Response, frame.seq, &encode_response(&resp)));
-            maybe_push_metrics(&conn, &hub, &mut sub, &mut event_seq);
+        }
+    }
+
+    /// Serve one frame: the `ord`-th of the stream. An error ends the
+    /// session.
+    fn serve(&mut self, frame: &Frame, ord: u64) -> Result<(), WireError> {
+        if frame.kind == FrameKind::SubscribeMetrics {
+            let wanted = decode_subscribe(frame, ord)?;
+            // Ack with the current snapshot (served straight from what
+            // the core published — the core thread is never involved),
+            // then stream changes as they are published.
+            let latest = self.shared.metrics.read().expect("metrics lock").clone();
+            match latest {
+                Some(m) => {
+                    self.sub = Some(m.epoch.max(wanted.min_epoch));
+                    let payload = encode_metrics(&m);
+                    self.conn.send(&encode_frame(FrameKind::MetricsSnapshot, frame.seq, &payload));
+                }
+                None => self.respond(
+                    frame.seq,
+                    &Response::Error { reason: "telemetry not yet published".into() },
+                ),
+            }
+            return Ok(());
+        }
+        let req = decode_request(frame, ord)?;
+        let (resp, events) = match req {
+            // Reads are answered here, from what the core last
+            // published; state changes go to the core thread.
+            Request::Quote { .. } | Request::Stats => (self.shared.read(&req), Vec::new()),
+            Request::Submit { .. } | Request::Drain => {
+                // A fresh reply channel per write: its sender dropped
+                // unanswered is how a session learns the core died —
+                // mid-request, or earlier (a failed send drops `reply`
+                // along with the message).
+                let (reply, answer) = mpsc::channel();
+                let _ = self.core_tx.send(CoreMsg::Handle { req, reply });
+                answer.recv().map_err(|_| WireError::Poisoned)?
+            }
+        };
+        if !events.is_empty() {
+            let payload = encode_events(&EventBatch { events });
+            self.conn.send(&encode_frame(FrameKind::Event, self.event_seq, &payload));
+            self.event_seq += 1;
+        }
+        self.respond(frame.seq, &resp);
+        self.push_metrics();
+        Ok(())
+    }
+
+    fn respond(&self, seq: u32, resp: &Response) {
+        self.conn.send(&encode_frame(FrameKind::Response, seq, &encode_response(resp)));
+    }
+
+    /// If this session is subscribed and the published epoch has moved
+    /// past what it last saw, push the latest snapshot. The no-change
+    /// path is one atomic load — no locks, no allocation.
+    fn push_metrics(&mut self) {
+        let Some(last) = self.sub else { return };
+        if self.shared.metrics_epoch.load(Ordering::Acquire) <= last {
+            return;
+        }
+        let latest = self.shared.metrics.read().expect("metrics lock").clone();
+        if let Some(m) = latest.filter(|m| m.epoch > last) {
+            self.sub = Some(m.epoch);
+            let payload = encode_metrics(&m);
+            self.conn.send(&encode_frame(FrameKind::MetricsSnapshot, self.event_seq, &payload));
+            self.event_seq += 1;
         }
     }
 }
 
-/// If this session is subscribed and the hub's epoch has moved past
-/// what it last saw, push the latest snapshot. The no-change path is
-/// one atomic load — no locks, no allocation.
-fn maybe_push_metrics(
-    conn: &WireConn,
-    hub: &MetricsHub,
-    sub: &mut Option<u64>,
-    event_seq: &mut u32,
-) {
-    let Some(last) = *sub else { return };
-    let epoch = hub.epoch.load(Ordering::Acquire);
-    if epoch == EPOCH_NONE || epoch <= last {
-        return;
-    }
-    let view = hub.latest.read().expect("metrics hub lock").clone();
-    if let Some(m) = view {
-        if m.epoch > last {
-            *sub = Some(m.epoch);
-            conn.send(&encode_frame(FrameKind::MetricsSnapshot, *event_seq, &encode_metrics(&m)));
-            *event_seq += 1;
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+    use fg_bench::figures::sched_models;
+    use fg_sched::{GridSpec, Policy};
 
-/// Best-effort final word on a broken session: a response frame with
-/// the sentinel sequence number carrying the typed error, so the
-/// client sees *why* before end-of-stream.
-fn send_wire_error(conn: &WireConn, err: &WireError) {
-    let resp = Response::Error { reason: err.to_string() };
-    conn.send(&encode_frame(FrameKind::Response, u32::MAX, &encode_response(&resp)));
+    #[test]
+    fn connect_forgets_sessions_that_have_ended() {
+        let server = Server::start(Scheduler::new(GridSpec::demo(sched_models()), Policy::Fcfs));
+        for _ in 0..256 {
+            let mut client = ServeClient::connect(&server);
+            client.stats().expect("stats round trip");
+        }
+        // Every client is gone; wait for the last session thread to
+        // notice and exit.
+        while server.sessions.lock().unwrap().iter().any(|h| !h.is_finished()) {
+            thread::yield_now();
+        }
+        let live = server.connect();
+        assert_eq!(server.sessions.lock().unwrap().len(), 1, "one connection is open");
+        drop(live);
+        server.shutdown();
+    }
 }

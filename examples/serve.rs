@@ -21,12 +21,13 @@ fn main() {
     let jobs =
         WorkloadSpec::shaped(WorkloadShape::HeavyTail, LoadLevel::Medium, &apps, 42).generate();
     let server = Server::start(Scheduler::new(grid, Policy::EdfAdmit));
-    println!("server up: {} query workers\n", server.workers());
+    println!("server up: one core thread, one session thread per connection\n");
 
     let mut client = ServeClient::connect(&server);
 
-    // A quote is a read: answered from the published snapshot by the
-    // query pool, it never perturbs the schedule.
+    // A quote is a read: the session thread answers it from the
+    // snapshot the core last published, so it never perturbs the
+    // schedule.
     let probe = &jobs[0];
     let quote = client
         .quote(&probe.app, probe.dataset_bytes, probe.deadline_slack)

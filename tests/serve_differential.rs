@@ -1,8 +1,8 @@
 //! The service determinism contract, checked from outside every
 //! crate: replaying a workload through fg-serve's wire protocol —
-//! frames, session threads, the core thread, the snapshot-backed
-//! query pool — produces a schedule **bit-identical** to calling
-//! `Scheduler::run` directly on the same jobs. Outcomes, makespan
+//! frames, the core thread, session threads answering reads from the
+//! snapshot it publishes — produces a schedule **bit-identical** to
+//! calling `Scheduler::run` directly on the same jobs. Outcomes, makespan
 //! bits, violations, and the full trace JSONL must all match, across
 //! every workload shape, with prediction queries deliberately
 //! interleaved to prove reads never perturb the schedule.
@@ -31,7 +31,7 @@ fn served_schedules_are_bit_identical_across_every_shape() {
 
         let server = Server::start(demo_sched(Policy::EdfAdmit));
         // quote_every interleaves reads with submissions: answered
-        // from snapshots by the query pool, they must not move a
+        // from snapshots by the session thread, they must not move a
         // single bit of the schedule.
         let served = replay(&server, &jobs, Some(7)).expect("replay succeeds");
         server.shutdown();
