@@ -3,8 +3,7 @@
 //! Regenerates every experiment figure of the paper's evaluation (§5)
 //! plus ablations, printing the same series the paper plots (relative
 //! prediction error per configuration) and persisting machine-readable
-//! results. See `src/bin/figures.rs` for the CLI and `benches/` for the
-//! Criterion microbenchmarks.
+//! results. See `src/bin/figures.rs` for the CLI.
 
 #![warn(missing_docs)]
 

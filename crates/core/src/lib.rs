@@ -52,9 +52,7 @@ pub use cache::{predict_plan_components, predict_with_plan, CachePlan};
 pub use classes::{AppClasses, GlobalReduceClass, RObjSizeClass};
 pub use error::relative_error;
 pub use hetero::ScalingFactors;
-pub use migrate::{
-    decide_migration, migration_cost, MigrationCost, MigrationDecision, MigrationPolicy,
-};
+pub use migrate::{decide_migration, migration_cost, MigrationCost, MigrationDecision};
 pub use model::{ComputeModel, ExecTimePredictor, InterconnectParams, Prediction, Target};
 pub use predictor::{AnalyticalPredictor, Observation, Predictor};
 pub use profile::Profile;

@@ -13,24 +13,13 @@
 //! T̂_migrate = checkpoint_bytes · ŵ + l + f_rem · (T̂_disk + T̂_network)
 //! ```
 //!
-//! [`MigrationPolicy`] stacks this gate on top of a
-//! [`ReselectionController`](crate::ReselectionController): the
-//! controller's deviation threshold and improvement margin provide the
-//! hysteresis (no flapping between near-equal replicas), and a migration
-//! verdict only survives if the predicted time on the candidate *plus*
-//! `T̂_migrate` still beats staying put on the degraded path.
+//! [`decide_migration`] puts the two sides on one scale: a move only
+//! pays if the predicted remaining time on the candidate *plus*
+//! `T̂_migrate` still beats staying put on the degraded path. The
+//! scheduler (`fg-sched`) calls it directly for every mid-run
+//! migration it considers.
 
-use crate::bandwidth::BandwidthEstimator;
-use crate::classes::AppClasses;
-use crate::hetero::ScalingFactors;
 use crate::model::{InterconnectParams, Prediction};
-use crate::predictor::{AnalyticalPredictor, Predictor};
-use crate::profile::Profile;
-use crate::reselect::ReselectionController;
-use fg_cluster::Deployment;
-use fg_middleware::{PassAction, PassController, PassObservation};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The components of `T̂_migrate` (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,159 +99,9 @@ pub fn decide_migration(
     }
 }
 
-/// A [`PassController`] that gates a [`ReselectionController`]'s
-/// migration verdicts with the cost/benefit model.
-///
-/// The inner controller supplies the trigger (bandwidth-deviation
-/// threshold) and the hysteresis (improvement margin); this policy adds
-/// `T̂_migrate` — sized from the run's checkpoint — to the challenger's
-/// side of the scale, so a replica that merely predicts faster does not
-/// win unless it also amortizes the move.
-pub struct MigrationPolicy {
-    inner: ReselectionController,
-    profile: Profile,
-    classes: AppClasses,
-    dataset_bytes: u64,
-    factors: HashMap<String, ScalingFactors>,
-    link: InterconnectParams,
-    checkpoint_bytes: u64,
-    predictor: Arc<dyn Predictor>,
-    migrations: usize,
-    last_decision: Option<MigrationDecision>,
-}
-
-impl MigrationPolicy {
-    /// A policy choosing among `replicas`, with the checkpoint payload
-    /// (`checkpoint_bytes`) crossing `link` on every move. Thresholds
-    /// are the [`ReselectionController`] defaults; tune with
-    /// [`MigrationPolicy::with_thresholds`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        profile: Profile,
-        classes: AppClasses,
-        replicas: Vec<Deployment>,
-        dataset_bytes: u64,
-        factors: HashMap<String, ScalingFactors>,
-        estimator: Box<dyn BandwidthEstimator>,
-        link: InterconnectParams,
-        checkpoint_bytes: u64,
-    ) -> MigrationPolicy {
-        let inner = ReselectionController::new(
-            profile.clone(),
-            classes,
-            replicas,
-            dataset_bytes,
-            factors.clone(),
-            estimator,
-        );
-        MigrationPolicy {
-            inner,
-            profile,
-            classes,
-            dataset_bytes,
-            factors,
-            link,
-            checkpoint_bytes,
-            predictor: Arc::new(AnalyticalPredictor),
-            migrations: 0,
-            last_decision: None,
-        }
-    }
-
-    /// Override the inner controller's deviation trigger and hysteresis
-    /// margin.
-    pub fn with_thresholds(mut self, deviation: f64, margin: f64) -> MigrationPolicy {
-        self.inner = self.inner.with_thresholds(deviation, margin);
-        self
-    }
-
-    /// Price both sides of the stay-vs-move scale (and the inner
-    /// controller's re-ranking) through `pred` instead of the default
-    /// [`AnalyticalPredictor`].
-    pub fn with_predictor(mut self, pred: Arc<dyn Predictor>) -> MigrationPolicy {
-        self.inner = self.inner.with_predictor(Arc::clone(&pred));
-        self.predictor = pred;
-        self
-    }
-
-    /// Remove a failed replica from the candidate set.
-    pub fn mark_dead(&mut self, repository_name: &str) {
-        self.inner.mark_dead(repository_name);
-    }
-
-    /// Migrations this policy has approved (the inner controller may
-    /// have proposed more; the cost gate vetoed the difference).
-    pub fn migrations(&self) -> usize {
-        self.migrations
-    }
-
-    /// The stay-vs-move comparison behind the most recent proposal the
-    /// inner controller made, approved or vetoed.
-    pub fn last_decision(&self) -> Option<&MigrationDecision> {
-        self.last_decision.as_ref()
-    }
-
-    /// Fraction of the run still ahead after `pass_idx` completes.
-    fn remaining_fraction(&self, pass_idx: usize) -> f64 {
-        let total = self.profile.passes.max(1) as f64;
-        ((total - (pass_idx + 1) as f64) / total).clamp(0.0, 1.0)
-    }
-
-    /// Full-run prediction for one deployment, or `None` if it is
-    /// degenerate (a policy must skip an unpredictable candidate, not
-    /// crash on it).
-    fn predict_one(&self, d: &Deployment) -> Option<Prediction> {
-        self.predictor
-            .predict_deployment(
-                &self.profile,
-                self.classes,
-                d.as_ref(),
-                self.dataset_bytes,
-                &self.factors,
-            )
-            .ok()
-    }
-}
-
-impl PassController for MigrationPolicy {
-    fn after_pass(&mut self, obs: &PassObservation, current: &Deployment) -> PassAction {
-        let PassAction::Migrate(candidate) = self.inner.after_pass(obs, current) else {
-            return PassAction::Continue;
-        };
-        // The controller wants to move; price the move before agreeing.
-        let f = self.remaining_fraction(obs.pass_idx);
-        let mut degraded = current.clone();
-        if let Some(bw) = obs.observed_wan_bw {
-            degraded.wan.stream_bw = bw;
-        }
-        let (Some(stay_pred), Some(move_pred)) =
-            (self.predict_one(&degraded), self.predict_one(&candidate))
-        else {
-            return PassAction::Continue;
-        };
-        let decision = decide_migration(
-            f * stay_pred.total(),
-            &move_pred,
-            f,
-            self.checkpoint_bytes,
-            &self.link,
-        );
-        self.last_decision = Some(decision);
-        if decision.worthwhile(0.0) {
-            self.migrations += 1;
-            PassAction::Migrate(candidate)
-        } else {
-            PassAction::Continue
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::LastValue;
-    use fg_cluster::{ComputeSite, Configuration, RepositorySite, Wan};
-    use fg_sim::SimTime;
 
     fn link() -> InterconnectParams {
         InterconnectParams { bandwidth: 1e6, latency: 0.5 }
@@ -302,104 +141,5 @@ mod tests {
         // A nearly-done run has nothing left to win.
         let d = decide_migration(2.0, &prediction(), 0.01, 2_000_000, &link());
         assert!(!d.worthwhile(0.0));
-    }
-
-    fn profile(passes: usize) -> Profile {
-        Profile {
-            app: "kmeans".into(),
-            data_nodes: 1,
-            compute_nodes: 1,
-            wan_bw: 1e6,
-            dataset_bytes: 1_000_000,
-            t_disk: 40.0,
-            t_network: 20.0,
-            t_compute: 100.0,
-            t_ro: 0.0,
-            t_g: 0.5,
-            max_obj_bytes: 512,
-            passes,
-            repo_machine: "pentium-700".into(),
-            compute_machine: "pentium-700".into(),
-        }
-    }
-
-    fn replica(repo_name: &str, wan_bw: f64) -> Deployment {
-        Deployment::new(
-            RepositorySite::pentium_repository(repo_name, 8),
-            ComputeSite::pentium_myrinet("cs", 16),
-            Wan::per_stream(wan_bw),
-            Configuration::new(2, 4),
-        )
-    }
-
-    fn policy(passes: usize, checkpoint_bytes: u64) -> MigrationPolicy {
-        MigrationPolicy::new(
-            profile(passes),
-            AppClasses::CONSTANT_LINEAR_CONSTANT,
-            vec![replica("primary", 1e6), replica("backup", 8e5)],
-            1_000_000,
-            HashMap::new(),
-            Box::new(LastValue::default()),
-            link(),
-            checkpoint_bytes,
-        )
-    }
-
-    fn obs(pass_idx: usize, bw: Option<f64>) -> PassObservation {
-        PassObservation {
-            pass_idx,
-            elapsed: SimTime::ZERO,
-            remote: bw.is_some(),
-            observed_wan_bw: bw,
-            finished: false,
-        }
-    }
-
-    #[test]
-    fn stable_bandwidth_never_migrates() {
-        let mut p = policy(4, 1_000);
-        let cur = replica("primary", 1e6);
-        for i in 0..4 {
-            assert!(matches!(p.after_pass(&obs(i, Some(1e6)), &cur), PassAction::Continue));
-        }
-        assert_eq!(p.migrations(), 0);
-        assert!(p.last_decision().is_none(), "the gate never even ran");
-    }
-
-    #[test]
-    fn collapsed_bandwidth_with_a_cheap_checkpoint_migrates() {
-        let mut p = policy(4, 1_000);
-        let cur = replica("primary", 1e6);
-        match p.after_pass(&obs(0, Some(1e5)), &cur) {
-            PassAction::Migrate(d) => assert_eq!(d.repository.name, "backup"),
-            PassAction::Continue => panic!("expected migration"),
-        }
-        assert_eq!(p.migrations(), 1);
-        let d = p.last_decision().expect("gate ran");
-        assert!(d.worthwhile(0.0));
-        assert!(d.cost.restart > 0.0, "restart I/O is priced in");
-    }
-
-    #[test]
-    fn enormous_checkpoint_vetoes_the_controllers_migration() {
-        // Same degraded path as above, but the checkpoint would take
-        // longer to ship than the run has left: the inner controller
-        // says move, the cost gate says stay.
-        let mut p = policy(4, 500_000_000_000);
-        let cur = replica("primary", 1e6);
-        assert!(matches!(p.after_pass(&obs(0, Some(1e5)), &cur), PassAction::Continue));
-        assert_eq!(p.migrations(), 0);
-        let d = p.last_decision().expect("the gate ran and vetoed");
-        assert!(!d.worthwhile(0.0));
-    }
-
-    #[test]
-    fn nearly_finished_runs_stay_put() {
-        // Last pass ahead: the remaining fraction is zero, so there is
-        // nothing left to win by moving.
-        let mut p = policy(4, 1_000);
-        let cur = replica("primary", 1e6);
-        assert!(matches!(p.after_pass(&obs(3, Some(1e5)), &cur), PassAction::Continue));
-        assert_eq!(p.migrations(), 0);
     }
 }

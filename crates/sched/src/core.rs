@@ -17,13 +17,15 @@
 //!   and the test suites all drive *this* code — and a submission
 //!   stream replayed through the incremental API is bit-identical to
 //!   the batch run, because arrivals are integration horizons in both.
-//! * [`SchedSnapshot`] — an immutable, cheaply-cloned view of the
-//!   decision state (bandwidth estimates, free slices, backlog).
-//!   Every query method takes `&self`: ranking placements and quoting
-//!   admission estimates against a snapshot needs no mutable access
-//!   and therefore no lock on the live core, which is what lets
-//!   `fg-serve`'s session threads answer prediction queries while the
-//!   core thread owns the clock.
+//! * [`SchedSnapshot`] — an immutable, cheaply-cloned copy of what an
+//!   admission is priced from (bandwidth estimates, fluid backlog, the
+//!   clock; grid, predictor and idle grid shared by `Arc`).
+//!   [`SchedSnapshot::quote`] and the arrival block are the same call —
+//!   one private function over one borrowed view, which the live core
+//!   lends from its own state and a snapshot from its copy — so a quote
+//!   needs no mutable access and therefore no lock on the live core,
+//!   which is what lets `fg-serve`'s session threads answer quotes
+//!   while the core thread owns the clock.
 //!
 //! The incremental/batch equivalence is structural, not approximate:
 //! the batch loop never integrates the fluid network model past the
@@ -36,16 +38,14 @@
 
 use crate::grid::GridSpec;
 use crate::ledger::AccuracySample;
-use crate::placement::{
-    uncached_best_placement, uncached_standalone_placement, FreeSlices, Placement, PlacementEngine,
-};
+use crate::placement::{naive_best_placement_with, FreeSlices, Placement, PlacementEngine};
 use crate::policy::Policy;
 use crate::sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
     Scheduler, TenantQuota,
 };
 use crate::telemetry::{TelemetryReport, TelemetrySnapshot, TelemetryState};
-use crate::workload::JobSpec;
+use crate::workload::{check_job_fields, JobSpec};
 use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::bandwidth::{BandwidthEstimator, Ewma};
 use fg_predict::{decide_migration, InterconnectParams, Observation, Prediction, Predictor};
@@ -294,6 +294,14 @@ pub enum SubmitError {
         /// The unusable arrival value.
         arrival: f64,
     },
+    /// A field fails [`JobSpec::validate`] — the rules a replayed trace
+    /// is held to.
+    BadJob {
+        /// The offending submission id.
+        id: usize,
+        /// Which rule, naming the field.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -308,6 +316,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::BadArrival { id, arrival } => {
                 write!(f, "job {id} has unusable arrival {arrival}")
             }
+            SubmitError::BadJob { id, reason } => write!(f, "job {id} rejected: {reason}"),
         }
     }
 }
@@ -472,7 +481,7 @@ pub struct SchedCore {
     min_slots: usize,
     net: FairShareSim,
     free: FreeSlices,
-    full: FreeSlices,
+    idle: Arc<IdleGrid>,
     bw: Vec<f64>,
     engine: PlacementEngine,
     estimators: Vec<Ewma>,
@@ -523,14 +532,13 @@ impl SchedCore {
             .chain(grid.sites.iter().map(|s| s.ingress_capacity))
             .collect();
         let net = FairShareSim::new(capacities);
-        let max_data: Vec<usize> = grid.repos.iter().map(|r| r.site.max_nodes).collect();
-        let max_cmp: Vec<usize> = grid.sites.iter().map(|s| s.site.max_nodes).collect();
-        let free = FreeSlices::new(max_data.clone(), max_cmp.clone());
-        // The whole-grid slices admission estimates are computed
-        // against (a job's corrected prediction assumes it eventually
-        // gets its best placement, not the currently free one).
-        let full = FreeSlices::new(max_data, max_cmp);
-        let bw: Vec<f64> = grid.repos.iter().map(|r| r.wan.stream_bw).collect();
+        let idle = IdleGrid {
+            data: grid.repos.iter().map(|r| r.site.max_nodes).collect(),
+            cmp: grid.sites.iter().map(|s| s.site.max_nodes).collect(),
+            bw: grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
+        };
+        let free = FreeSlices::new(idle.data.clone(), idle.cmp.clone());
+        let bw = idle.bw.clone();
         let mut engine = PlacementEngine::new(grid);
         if scheduler.naive_placement {
             engine = engine.with_naive();
@@ -589,7 +597,7 @@ impl SchedCore {
             min_slots,
             net,
             free,
-            full,
+            idle: Arc::new(idle),
             bw,
             engine,
             estimators,
@@ -678,12 +686,14 @@ impl SchedCore {
     ///
     /// The incremental path requires nondecreasing `(arrival, id)`
     /// submission order — the clock cannot run backwards — and rejects
-    /// duplicates and unusable arrivals with typed errors instead of
-    /// the batch path's panics.
+    /// duplicates, unusable arrivals and fields that fail
+    /// [`JobSpec::validate`] with typed errors instead of the batch
+    /// path's panics; a refused job leaves no trace in the core.
     pub fn submit(&mut self, job: JobSpec) -> Result<SubmitOutcome, SubmitError> {
         if !job.arrival.is_finite() || job.arrival < 0.0 {
             return Err(SubmitError::BadArrival { id: job.id, arrival: job.arrival });
         }
+        job.validate().map_err(|reason| SubmitError::BadJob { id: job.id, reason })?;
         if self.slot_map.contains_key(&job.id) {
             return Err(SubmitError::Duplicate { id: job.id });
         }
@@ -753,38 +763,34 @@ impl SchedCore {
         }
     }
 
-    /// An immutable view of the decision state at this instant, for
-    /// `&self` prediction queries that never touch the live core.
-    /// Building one copies three small vectors (the grid and the
-    /// predictor are [`Arc`]s), so a server can publish one per state
-    /// change — behind an `Arc`, so readers share it instead of
-    /// copying it again — and answer queries on any number of threads.
+    /// An immutable copy of what an admission is priced from at this
+    /// instant, for `&self` quotes that never touch the live core.
+    /// Building one copies the bandwidth estimates (the grid, the
+    /// predictor and the idle grid are [`Arc`]s), so a server can
+    /// publish one per state change — behind an `Arc`, so readers share
+    /// it instead of copying it again — and answer quotes on any number
+    /// of threads.
     pub fn snapshot(&self) -> SchedSnapshot {
-        // The same backlog arithmetic the arrival block uses for
-        // admission estimates: remaining predicted slot-seconds of the
-        // running set, in running order, plus the queue's running sum.
-        let backlog: f64 = self
-            .running
-            .iter()
-            .map(|r| {
-                (r.placed_at + r.predicted.total() - self.now).max(0.0)
-                    * r.config.compute_nodes as f64
-            })
-            .sum::<f64>()
-            + self.queue.backlog_slot_secs;
         SchedSnapshot {
             grid: Arc::clone(&self.grid),
             policy: self.cfg.policy,
             predictor: Arc::clone(&self.cfg.predictor),
+            idle: Arc::clone(&self.idle),
             now: self.now,
             bw: self.bw.clone(),
-            free_data: self.free.data().to_vec(),
-            free_cmp: self.free.cmp().to_vec(),
-            backlog_slot_secs: backlog,
+            backlog_slot_secs: self.backlog_slot_secs(),
             total_slots: self.total_slots,
-            queue_depth: self.queue.len(),
-            running: self.running.len(),
         }
+    }
+
+    /// The fluid backlog an admission waits behind: remaining predicted
+    /// slot-seconds of the running set, in running order, plus the
+    /// queue's running sum.
+    fn backlog_slot_secs(&self) -> f64 {
+        let running = self.running.iter().map(|r| {
+            (r.placed_at + r.predicted.total() - self.now).max(0.0) * r.config.compute_nodes as f64
+        });
+        running.sum::<f64>() + self.queue.backlog_slot_secs
     }
 
     /// Drain the grid — run the event loop until nothing is queued,
@@ -800,6 +806,9 @@ impl SchedCore {
     pub fn finish_with_events(mut self) -> (SchedResult, Vec<CoreEvent>) {
         self.pump(true);
         let events = self.take_events();
+        // Nothing prices a placement after the drain: release the
+        // rankings before the trace below sets the high-water mark.
+        drop(self.engine);
         let tracer = self.tracer.take().expect("finish consumes the tracer");
         if self.cfg.workload_metrics {
             // Shape-of-traffic instruments over the submitted stream,
@@ -1011,15 +1020,17 @@ impl SchedCore {
                 // water-filled allocation.
                 self.used_slots.resize(spec.tenant + 1, 0);
             }
-            let standalone = self
-                .engine
-                .standalone_placement(
-                    self.cfg.predictor.as_ref(),
-                    &self.cfg.grid,
-                    &spec.app,
-                    spec.dataset_bytes,
-                )
-                .map(|p| p.predicted.total());
+            let price = AdmissionView {
+                grid: &self.cfg.grid,
+                predictor: self.cfg.predictor.as_ref(),
+                policy: self.cfg.policy,
+                idle: &self.idle,
+                now: self.now,
+                bw: &self.bw,
+                backlog_slot_secs: self.backlog_slot_secs(),
+                total_slots: self.total_slots,
+            }
+            .price(&spec.app, spec.dataset_bytes, spec.deadline_slack, spec.arrival);
             let mut outcome = JobOutcome {
                 id: spec.id,
                 tenant: spec.tenant,
@@ -1028,8 +1039,8 @@ impl SchedCore {
                 dataset_bytes: spec.dataset_bytes,
                 admitted: false,
                 reject_reason: None,
-                standalone,
-                deadline: standalone.map(|s| spec.arrival + spec.deadline_slack * s),
+                standalone: price.as_ref().map(|(q, _)| q.standalone),
+                deadline: price.as_ref().map(|&(_, deadline)| deadline),
                 admission_estimate: None,
                 placement: None,
                 placed_at: None,
@@ -1066,7 +1077,7 @@ impl SchedCore {
                     }
                 }
             }
-            let Some(standalone) = standalone else {
+            let Some((quote, deadline)) = price else {
                 outcome.reject_reason = Some(if self.cfg.grid.app(&spec.app).is_none() {
                     format!("unknown app {:?}", spec.app)
                 } else {
@@ -1076,49 +1087,24 @@ impl SchedCore {
                 self.finish_arrival(slot, outcome);
                 continue;
             };
-            // Submission-time completion estimate: fluid backlog of
-            // predicted slot-seconds over the total slots, plus the
-            // load-corrected execution prediction.
-            let backlog: f64 = self
-                .running
-                .iter()
-                .map(|r| {
-                    (r.placed_at + r.predicted.total() - self.now).max(0.0)
-                        * r.config.compute_nodes as f64
-                })
-                .sum::<f64>()
-                + self.queue.backlog_slot_secs;
-            let corrected = self
-                .engine
-                .best_placement(
-                    self.cfg.predictor.as_ref(),
-                    &self.cfg.grid,
-                    &spec.app,
-                    spec.dataset_bytes,
-                    &self.full,
-                    &self.bw,
-                    None,
-                )
-                .map(|p| p.predicted.total())
-                .unwrap_or(standalone);
-            let estimate = self.now + backlog / self.total_slots as f64 + corrected;
+            let estimate = quote.estimate;
             outcome.admission_estimate = Some(estimate);
-            if self.cfg.policy.admits() {
-                let deadline = outcome.deadline.expect("deadline follows standalone");
-                if estimate > deadline + TIME_EPS {
-                    outcome.reject_reason = Some(format!(
-                        "admission: predicted completion {estimate:.1}s past deadline {deadline:.1}s"
-                    ));
-                    self.inst.rejected.inc();
-                    self.finish_arrival(slot, outcome);
-                    continue;
-                }
+            if quote.would_admit == Some(false) {
+                outcome.reject_reason = Some(format!(
+                    "admission: predicted completion {estimate:.1}s past deadline {deadline:.1}s"
+                ));
+                self.inst.rejected.inc();
+                self.finish_arrival(slot, outcome);
+                continue;
             }
             outcome.admitted = true;
             self.inst.admitted.inc();
-            let deadline = outcome.deadline;
             self.finish_arrival(slot, outcome);
-            self.queue.push(QueuedJob { spec, standalone, deadline });
+            self.queue.push(QueuedJob {
+                spec,
+                standalone: quote.standalone,
+                deadline: Some(deadline),
+            });
             self.depth_max = self.depth_max.max(self.queue.len());
             self.inst.depth.set(self.queue.len() as f64);
         }
@@ -1733,11 +1719,12 @@ impl SchedCore {
     }
 }
 
-/// An admission estimate quoted against a [`SchedSnapshot`] — the
-/// answer to "if a job with this app and dataset arrived right now,
-/// what would the scheduler predict?". For a job actually submitted at
-/// the snapshot's instant, the quote reproduces the admission
-/// estimate bit-for-bit (`tests/serve_differential.rs` pins this).
+/// A job's admission price — the answer to "if a job with this app and
+/// dataset arrived right now, what would the scheduler predict?". The
+/// arrival block and [`SchedSnapshot::quote`] get it from the same
+/// call, so for a job actually submitted at the snapshot's instant the
+/// quote *is* the admission estimate (`tests/quote_admission.rs` and
+/// `tests/serve_differential.rs` pin this bit for bit).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PredictionQuote {
     /// Standalone predicted execution time (empty grid, nominal
@@ -1754,23 +1741,84 @@ pub struct PredictionQuote {
     pub would_admit: Option<bool>,
 }
 
-/// An immutable view of the scheduler's decision state, detached from
-/// the event loop. All query methods take `&self`: a server can share
-/// one among its connection threads and answer prediction queries
-/// concurrently, without locking the live core.
+/// An idle grid as a placement query sees it: every data and compute
+/// node free, every repository at its nominal bandwidth. Built once
+/// per core and shared with its snapshots.
+#[derive(Debug)]
+struct IdleGrid {
+    data: Vec<usize>,
+    cmp: Vec<usize>,
+    bw: Vec<f64>,
+}
+
+/// Everything an admission is priced from, borrowed: the live core
+/// lends its own state at each arrival, a [`SchedSnapshot`] its
+/// published copy.
+struct AdmissionView<'a> {
+    grid: &'a GridSpec,
+    predictor: &'a dyn Predictor,
+    policy: Policy,
+    idle: &'a IdleGrid,
+    now: f64,
+    bw: &'a [f64],
+    backlog_slot_secs: f64,
+    total_slots: usize,
+}
+
+impl AdmissionView<'_> {
+    /// Price one admission, with the deadline instant (`anchor` plus
+    /// slack × standalone) its verdict was judged against. Both
+    /// predictions are the paper's enumeration over the *whole* grid —
+    /// a job is assumed to eventually get its best placement, not the
+    /// currently free one: standalone at nominal bandwidth, corrected
+    /// at the current estimates. The wait term is the fluid backlog
+    /// spread over every slot. `None` when the app is unknown or
+    /// nothing places even on an idle grid.
+    fn price(
+        &self,
+        app: &str,
+        dataset_bytes: u64,
+        deadline_slack: f64,
+        anchor: f64,
+    ) -> Option<(PredictionQuote, f64)> {
+        let model = self.grid.app(app)?;
+        let IdleGrid { data, cmp, bw: nominal } = self.idle;
+        let scan = |bw| {
+            naive_best_placement_with(
+                self.predictor,
+                self.grid,
+                model,
+                dataset_bytes,
+                data,
+                cmp,
+                bw,
+                None,
+            )
+            .map(|p| p.predicted.total())
+        };
+        let standalone = scan(nominal)?;
+        let corrected = scan(self.bw).unwrap_or(standalone);
+        let estimate = self.now + self.backlog_slot_secs / self.total_slots as f64 + corrected;
+        let deadline = anchor + deadline_slack * standalone;
+        let would_admit = self.policy.admits().then_some(estimate <= deadline + TIME_EPS);
+        Some((PredictionQuote { standalone, corrected, estimate, would_admit }, deadline))
+    }
+}
+
+/// An immutable copy of what the core prices admissions from, detached
+/// from the event loop. Every method takes `&self`: a server can share
+/// one among its connection threads and answer quotes concurrently,
+/// without locking the live core.
 #[derive(Debug, Clone)]
 pub struct SchedSnapshot {
     grid: Arc<GridSpec>,
     policy: Policy,
     predictor: Arc<dyn Predictor>,
+    idle: Arc<IdleGrid>,
     now: f64,
     bw: Vec<f64>,
-    free_data: Vec<usize>,
-    free_cmp: Vec<usize>,
     backlog_slot_secs: f64,
     total_slots: usize,
-    queue_depth: usize,
-    running: usize,
 }
 
 impl SchedSnapshot {
@@ -1784,88 +1832,31 @@ impl SchedSnapshot {
         self.policy
     }
 
-    /// Current per-repository bandwidth estimates (EWMA-corrected).
-    pub fn bandwidth(&self) -> &[f64] {
-        &self.bw
-    }
-
-    /// Free data-node slices per repository.
-    pub fn free_data(&self) -> &[usize] {
-        &self.free_data
-    }
-
-    /// Free compute-node slices per site.
-    pub fn free_cmp(&self) -> &[usize] {
-        &self.free_cmp
-    }
-
-    /// Jobs waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
-    }
-
-    /// Jobs occupying grid nodes.
-    pub fn running(&self) -> usize {
-        self.running
-    }
-
-    /// Best placement for `app` on an *empty* grid at nominal
-    /// bandwidth — the standalone baseline. Pure: prices every
-    /// candidate fresh, bit-identical to the engine's cached path.
-    pub fn standalone(&self, app: &str, dataset_bytes: u64) -> Option<Placement> {
-        uncached_standalone_placement(self.predictor.as_ref(), &self.grid, app, dataset_bytes)
-    }
-
-    /// Cheapest placement that fits the snapshot's *free* slices at
-    /// current bandwidth estimates.
-    pub fn best_placement(&self, app: &str, dataset_bytes: u64) -> Option<Placement> {
-        uncached_best_placement(
-            self.predictor.as_ref(),
-            &self.grid,
-            app,
-            dataset_bytes,
-            &self.free_data,
-            &self.free_cmp,
-            &self.bw,
-            None,
-        )
-    }
-
-    /// Quote the admission estimate a job with this app and dataset
-    /// would receive if it arrived at the snapshot instant, with an
+    /// Quote the admission price a job with this app and dataset would
+    /// receive if it arrived at the snapshot instant, with an
     /// admit/reject verdict at `deadline_slack` when the policy
-    /// rejects. `None` when the app is unknown or nothing places even
-    /// on an empty grid (the scheduler would reject such a job).
+    /// rejects. `None` when [`SchedCore::submit`] would refuse or
+    /// reject the job outright: a dataset size or slack that fails
+    /// [`JobSpec::validate`], an unknown app, or nothing placing even
+    /// on an idle grid.
     pub fn quote(
         &self,
         app: &str,
         dataset_bytes: u64,
         deadline_slack: f64,
     ) -> Option<PredictionQuote> {
-        let standalone = self.standalone(app, dataset_bytes)?.predicted.total();
-        // Mirror the arrival block's arithmetic exactly: corrected
-        // prediction against the whole grid, fluid backlog over total
-        // slots, estimate from the snapshot instant.
-        let full_data: Vec<usize> = self.grid.repos.iter().map(|r| r.site.max_nodes).collect();
-        let full_cmp: Vec<usize> = self.grid.sites.iter().map(|s| s.site.max_nodes).collect();
-        let corrected = uncached_best_placement(
-            self.predictor.as_ref(),
-            &self.grid,
-            app,
-            dataset_bytes,
-            &full_data,
-            &full_cmp,
-            &self.bw,
-            None,
-        )
-        .map(|p| p.predicted.total())
-        .unwrap_or(standalone);
-        let estimate = self.now + self.backlog_slot_secs / self.total_slots as f64 + corrected;
-        let would_admit = self.policy.admits().then(|| {
-            let deadline = self.now + deadline_slack * standalone;
-            estimate <= deadline + TIME_EPS
-        });
-        Some(PredictionQuote { standalone, corrected, estimate, would_admit })
+        check_job_fields(self.now, dataset_bytes, deadline_slack).ok()?;
+        let view = AdmissionView {
+            grid: &self.grid,
+            predictor: self.predictor.as_ref(),
+            policy: self.policy,
+            idle: &self.idle,
+            now: self.now,
+            bw: &self.bw,
+            backlog_slot_secs: self.backlog_slot_secs,
+            total_slots: self.total_slots,
+        };
+        view.price(app, dataset_bytes, deadline_slack, self.now).map(|(quote, _)| quote)
     }
 }
 

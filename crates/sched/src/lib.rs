@@ -65,8 +65,7 @@ pub use ledger::{
     ResidualStat, LEDGER_VERSION,
 };
 pub use placement::{
-    naive_best_placement, naive_best_placement_with, FreeSlices, Placement, PlacementEngine,
-    PlacementStats,
+    naive_best_placement_with, FreeSlices, Placement, PlacementEngine, PlacementStats,
 };
 pub use policy::Policy;
 pub use replay::{ReplayError, Workload, WorkloadStats};

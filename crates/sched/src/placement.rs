@@ -1,31 +1,38 @@
-//! The placement hot path: cached incremental ranking with dominance
-//! pruning over a free-slice index.
+//! Placement queries: the paper's exhaustive enumeration, and a cached
+//! incremental ranking over a free-slice index for the scheduling pass.
 //!
-//! A scheduling pass asks "cheapest feasible (repository, site,
-//! configuration) triple" once per queued job, every pass. The naive
-//! scan re-predicts every triple each time — `O(repos × sites ×
-//! configs)` full model evaluations — although the predictions only
-//! change when a repository's EWMA bandwidth estimate moves, which
+//! [`naive_best_placement_with`] is the paper's resource selection as
+//! written — enumerate every (repository, site, configuration) triple,
+//! predict each, keep the first strictly-cheapest feasible one. It
+//! serves every *one-shot* query (an admission's standalone and
+//! load-corrected predictions, priced once per arrival or quote; see
+//! `core.rs`) and is the oracle the cache below is differentially
+//! tested against.
+//!
+//! A scheduling pass asks the same question once per queued job, every
+//! pass. The scan re-predicts every triple each time — `O(repos ×
+//! sites × configs)` full model evaluations — although the predictions
+//! only change when a repository's EWMA bandwidth estimate moves, which
 //! happens once per completed transfer, not once per query.
+//! [`PlacementEngine`] serves that traffic: it memoizes per-repository
+//! candidate rankings keyed by `(application, dataset size)` and
+//! invalidates each repository's ranking only when the bandwidth it
+//! was priced at changes (bit-compared, so EWMA noise below the
+//! representable threshold never forces work). Queries then walk the
+//! cost-sorted rankings with dominance pruning — a repository whose
+//! cheapest candidate cannot beat the incumbent is skipped outright,
+//! and a walk stops at the first candidate that cannot improve —
+//! against a [`FreeSlices`] index whose maintained maxima give an O(1)
+//! "nothing can fit" early-out.
 //!
-//! [`PlacementEngine`] memoizes per-repository candidate rankings keyed
-//! by `(application, dataset size)` and invalidates each repository's
-//! ranking only when the bandwidth it was priced at changes
-//! (bit-compared, so EWMA noise below the representable threshold never
-//! forces work). Queries then walk the cost-sorted rankings with
-//! dominance pruning — a repository whose cheapest candidate cannot
-//! beat the incumbent is skipped outright, and a walk stops at the
-//! first candidate that cannot improve — against a [`FreeSlices`] index
-//! whose maintained maxima give an O(1) "nothing can fit" early-out.
-//!
-//! The fast path is bit-identical to [`naive_best_placement`] by
-//! construction: both price candidates through the same
-//! [`fg_predict::Predictor`] (the analytical impl delegates to
+//! The cached path is bit-identical to the scan by construction: both
+//! price candidates through the same [`fg_predict::Predictor`] (the
+//! analytical impl delegates to
 //! [`fg_predict::try_predict_deployment`]), and the ranking order
-//! (total, then site, then configuration index) reproduces the naive
-//! scan's first-strictly-better tie-break exactly. The differential
-//! property suite (`tests/placement_differential.rs`) pins the
-//! equivalence under random grids, quota caps, and bandwidth drift.
+//! (total, then site, then configuration index) reproduces the scan's
+//! first-strictly-better tie-break exactly. The differential property
+//! suite (`tests/placement_differential.rs`) pins the equivalence
+//! under random grids, quota caps, and bandwidth drift.
 //!
 //! Every query is generic over the [`Predictor`] pricing it. Stateful
 //! predictors (fg-learn) invalidate cached rankings through their
@@ -189,7 +196,7 @@ struct Entry {
 /// reports both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementStats {
-    /// Placement queries answered (standalone queries excluded).
+    /// Placement queries answered.
     pub queries: u64,
     /// Per-repository ranking rebuilds (cache misses or bandwidth
     /// invalidations).
@@ -226,7 +233,8 @@ impl PlacementEngine {
     }
 
     /// Bypass the cache entirely and answer every query with
-    /// [`naive_best_placement`] — the differential-testing reference.
+    /// [`naive_best_placement_with`] — the differential-testing
+    /// reference.
     #[doc(hidden)]
     pub fn with_naive(mut self) -> PlacementEngine {
         self.naive = true;
@@ -293,143 +301,24 @@ impl PlacementEngine {
             .entries
             .entry(key)
             .or_insert_with(|| Entry { repos: vec![RepoRanking::stale(); grid.repos.len()] });
-        let (rebuilds, best) = refresh_and_walk(
-            pred,
-            grid,
-            model,
-            dataset_bytes,
-            &mut entry.repos,
-            bw,
-            free.data(),
-            free.cmp(),
-            quota_cap,
-        );
-        self.stats.rebuilds += rebuilds;
-        best
-    }
-
-    /// Best placement on an *empty* grid at each repository's nominal
-    /// bandwidth — the standalone prediction behind deadlines and
-    /// slowdowns. Priced fresh each call: the nominal bandwidths never
-    /// change, but dataset sizes are effectively unique per job, so a
-    /// memo here would only grow, and routing the query through the
-    /// live-bandwidth cache would thrash it (arrival computes both a
-    /// nominal and a corrected estimate for the same key). Takes
-    /// `&self` — the query touches no cache state, so concurrent
-    /// readers (threads serving one shared snapshot) need no lock.
-    pub fn standalone_placement<P: Predictor + ?Sized>(
-        &self,
-        pred: &P,
-        grid: &GridSpec,
-        app: &str,
-        dataset_bytes: u64,
-    ) -> Option<Placement> {
-        if self.naive {
-            let (_, model) = grid.apps.iter().find(|(n, _)| n == app)?;
-            let (max_data, max_cmp, nominal) = empty_grid(grid);
-            return naive_best_placement_with(
-                pred,
-                grid,
-                model,
-                dataset_bytes,
-                &max_data,
-                &max_cmp,
-                &nominal,
-                None,
-            );
+        // Re-price every ranking that is stale for its repository's
+        // bandwidth or the predictor's epoch, then walk them against
+        // the free slices.
+        let epoch = pred.epoch();
+        for (ri, ranking) in entry.repos.iter_mut().enumerate() {
+            if ranking.bw_bits != bw[ri].to_bits() || ranking.epoch != epoch {
+                *ranking =
+                    build_ranking(pred, epoch, grid, model, &grid.repos[ri], dataset_bytes, bw[ri]);
+                self.stats.rebuilds += 1;
+            }
         }
-        uncached_standalone_placement(pred, grid, app, dataset_bytes)
+        walk(&entry.repos, free.data(), free.cmp(), quota_cap).map(|(ri, c)| Placement {
+            repo: ri,
+            site: c.site,
+            cfg: grid.configs[c.cfg],
+            predicted: c.predicted,
+        })
     }
-}
-
-/// An idle grid as a placement query sees it: every data and compute
-/// node free, every repository at its nominal bandwidth.
-fn empty_grid(grid: &GridSpec) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-    (
-        grid.repos.iter().map(|r| r.site.max_nodes).collect(),
-        grid.sites.iter().map(|s| s.site.max_nodes).collect(),
-        grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
-    )
-}
-
-/// Re-price every ranking in `repos` that is stale for its repository's
-/// bandwidth or the predictor's epoch, then walk them against the free
-/// slices. Returns how many rankings were rebuilt, and the winner. The
-/// one place a query turns prices into a placement: the engine passes
-/// its cached rankings, the uncached queries an all-stale set.
-#[allow(clippy::too_many_arguments)]
-fn refresh_and_walk<P: Predictor + ?Sized>(
-    pred: &P,
-    grid: &GridSpec,
-    model: &AppModel,
-    dataset_bytes: u64,
-    repos: &mut [RepoRanking],
-    bw: &[f64],
-    free_data: &[usize],
-    free_cmp: &[usize],
-    quota_cap: Option<usize>,
-) -> (u64, Option<Placement>) {
-    let epoch = pred.epoch();
-    let mut rebuilds = 0;
-    for (ri, ranking) in repos.iter_mut().enumerate() {
-        if ranking.bw_bits != bw[ri].to_bits() || ranking.epoch != epoch {
-            *ranking =
-                build_ranking(pred, epoch, grid, model, &grid.repos[ri], dataset_bytes, bw[ri]);
-            rebuilds += 1;
-        }
-    }
-    let best = walk(repos, free_data, free_cmp, quota_cap).map(|(ri, c)| Placement {
-        repo: ri,
-        site: c.site,
-        cfg: grid.configs[c.cfg],
-        predicted: c.predicted,
-    });
-    (rebuilds, best)
-}
-
-/// The cached engine's query, priced fresh with no cache: build every
-/// repository's ranking at the given bandwidths and walk it against
-/// the free slices. Bit-identical to [`PlacementEngine::best_placement`]
-/// over the same inputs (same [`refresh_and_walk`], from an empty
-/// cache), which is what lets an immutable snapshot answer placement
-/// queries from `&self` without sharing the engine's mutable cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn uncached_best_placement<P: Predictor + ?Sized>(
-    pred: &P,
-    grid: &GridSpec,
-    app: &str,
-    dataset_bytes: u64,
-    free_data: &[usize],
-    free_cmp: &[usize],
-    bw: &[f64],
-    quota_cap: Option<usize>,
-) -> Option<Placement> {
-    let (_, model) = grid.apps.iter().find(|(n, _)| n == app)?;
-    let mut fresh = vec![RepoRanking::stale(); grid.repos.len()];
-    refresh_and_walk(
-        pred,
-        grid,
-        model,
-        dataset_bytes,
-        &mut fresh,
-        bw,
-        free_data,
-        free_cmp,
-        quota_cap,
-    )
-    .1
-}
-
-/// The standalone query without an engine: best placement on an empty
-/// grid at nominal bandwidths.
-pub(crate) fn uncached_standalone_placement<P: Predictor + ?Sized>(
-    pred: &P,
-    grid: &GridSpec,
-    app: &str,
-    dataset_bytes: u64,
-) -> Option<Placement> {
-    let (max_data, max_cmp, nominal) = empty_grid(grid);
-    uncached_best_placement(pred, grid, app, dataset_bytes, &max_data, &max_cmp, &nominal, None)
 }
 
 /// Price every (site, configuration) candidate of one repository at
@@ -520,41 +409,15 @@ fn walk(
     best
 }
 
-/// The reference implementation: exhaustively re-predict every
-/// (repository, site, configuration) triple and keep the first
-/// strictly-cheapest feasible one. This is the scan the cached engine
-/// replaces; it is kept as the oracle for the differential property
-/// suite and reachable in production via
-/// `Scheduler::with_naive_placement`. Prices through the analytical
-/// model; [`naive_best_placement_with`] is the same scan generalized
-/// over the predictor.
-pub fn naive_best_placement(
-    grid: &GridSpec,
-    model: &AppModel,
-    dataset_bytes: u64,
-    free_data: &[usize],
-    free_cmp: &[usize],
-    bw: &[f64],
-    quota_cap: Option<usize>,
-) -> Option<Placement> {
-    naive_best_placement_with(
-        &fg_predict::AnalyticalPredictor,
-        grid,
-        model,
-        dataset_bytes,
-        free_data,
-        free_cmp,
-        bw,
-        quota_cap,
-    )
-}
-
-/// [`naive_best_placement`] generalized over the pricing model: the
-/// same exhaustive first-strictly-better scan, with every triple
-/// priced through `pred`. This is the oracle the cached engine is
-/// differentially tested against under *stateful* predictors, where
-/// the engine's correctness additionally depends on epoch-based cache
-/// invalidation.
+/// The paper's enumeration: exhaustively predict every (repository,
+/// site, configuration) triple through `pred` and keep the first
+/// strictly-cheapest feasible one. One-shot queries (an admission's
+/// standalone and corrected predictions) call it directly; the cached
+/// engine replaces it for the scheduling pass, is differentially
+/// tested against it — under *stateful* predictors too, where the
+/// engine's correctness additionally depends on epoch-based cache
+/// invalidation — and falls back to it under
+/// `Scheduler::with_naive_placement`.
 #[allow(clippy::too_many_arguments)]
 pub fn naive_best_placement_with<P: Predictor + ?Sized>(
     pred: &P,

@@ -295,19 +295,11 @@ impl Workload {
                 return Err(ReplayError::BadId { line: lineno, expected: jobs.len(), got: job.id });
             }
             let bad = |reason: &'static str| ReplayError::BadJob { line: lineno, reason };
-            if !job.arrival.is_finite() || job.arrival < 0.0 {
-                return Err(bad("arrival must be finite and >= 0"));
-            }
+            job.validate().map_err(bad)?;
             if let Some(prev) = jobs.last() {
                 if job.arrival < prev.arrival {
                     return Err(ReplayError::OutOfOrder { line: lineno });
                 }
-            }
-            if job.dataset_bytes == 0 {
-                return Err(bad("dataset must be non-empty"));
-            }
-            if !job.deadline_slack.is_finite() || job.deadline_slack < 1.0 {
-                return Err(bad("deadline slack must be finite and >= 1"));
             }
             if job.tenant >= header.tenants.len() {
                 return Err(bad("tenant index out of range"));

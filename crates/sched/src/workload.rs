@@ -624,6 +624,34 @@ pub struct JobSpec {
     pub deadline_slack: f64,
 }
 
+impl JobSpec {
+    /// The field rules every job is held to wherever it enters — a
+    /// replayed trace, [`SchedCore::submit`](crate::SchedCore::submit),
+    /// a quote. `Err` names the field.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        check_job_fields(self.arrival, self.dataset_bytes, self.deadline_slack)
+    }
+}
+
+/// [`JobSpec::validate`] over bare fields, for a quote that has no
+/// `JobSpec` to borrow.
+pub(crate) fn check_job_fields(
+    arrival: f64,
+    dataset_bytes: u64,
+    deadline_slack: f64,
+) -> Result<(), &'static str> {
+    if !arrival.is_finite() || arrival < 0.0 {
+        return Err("arrival must be finite and >= 0");
+    }
+    if dataset_bytes == 0 {
+        return Err("dataset must be non-empty");
+    }
+    if !deadline_slack.is_finite() || deadline_slack < 1.0 {
+        return Err("deadline slack must be finite and >= 1");
+    }
+    Ok(())
+}
+
 impl WorkloadSpec {
     /// The canonical three-tenant preset at a given load level: one
     /// high-rate small-job tenant, one medium tenant, and one tenant

@@ -55,8 +55,9 @@ impl ServerEngine {
         }
     }
 
-    /// A detached snapshot of the decision state — what the server's
-    /// core thread publishes for its sessions — or `None` after drain.
+    /// A detached copy of what the core prices admissions from — what
+    /// the server's core thread publishes for its sessions — or `None`
+    /// after drain.
     pub fn snapshot(&self) -> Option<SchedSnapshot> {
         self.core.as_ref().map(SchedCore::snapshot)
     }
@@ -175,10 +176,12 @@ pub(crate) fn drained() -> Response {
 }
 
 /// The one place a read becomes a [`Response`]: a `Quote` is priced
-/// against `snapshot`, `Stats` returns `stats`. Both sources are lazy,
-/// so neither caller builds the half a request does not use — the
-/// engine reads its live core, a server session the pair the core
-/// thread last published.
+/// against `snapshot` — by the function that prices a submission's
+/// arrival on the live core, so a quote is the admission estimate, not
+/// a reproduction of it — and `Stats` returns `stats`. Both sources
+/// are lazy, so neither caller builds the half a request does not use
+/// — the engine reads its live core, a server session the pair the
+/// core thread last published.
 pub(crate) fn answer_read<S: Borrow<SchedSnapshot>>(
     req: &Request,
     snapshot: impl FnOnce() -> S,

@@ -15,10 +15,11 @@
 //!   session decodes frames, sends writes (`Submit`, `Drain`) to the
 //!   core and blocks on the reply, and answers reads (`Quote`,
 //!   `Stats`) itself from what the core last published: it takes the
-//!   read guard for exactly one `Arc` clone, drops it, then prices
-//!   (every [`SchedSnapshot`] method takes `&self`), so a slow quote
-//!   never delays a publish and quotes on different sessions run
-//!   concurrently.
+//!   read guard for exactly one `Arc` clone, drops it, then prices —
+//!   [`SchedSnapshot::quote`] takes `&self` and is the same call the
+//!   core makes at a submission's arrival, over the published copy of
+//!   the same inputs — so a slow quote never delays a publish and
+//!   quotes on different sessions run concurrently.
 //!
 //! There is no query pool between the two. A session is closed-loop —
 //! it decodes a request, answers it, then decodes the next — so the

@@ -1,7 +1,7 @@
 //! Differential property suite for the placement hot path.
 //!
 //! The cached [`PlacementEngine`] claims bit-identical answers to the
-//! exhaustive [`naive_best_placement`] scan it replaced — same winning
+//! exhaustive [`naive_best_placement_with`] scan it replaced — same winning
 //! (repository, site, configuration) triple, same predicted components,
 //! same `None`s — across cache reuse, EWMA bandwidth invalidation,
 //! dominance pruning, and the free-slice early-outs. These properties drive randomized grids (topology,
@@ -12,8 +12,9 @@
 
 use fg_bench::figures::sched_models;
 use freeride_g::cluster::{ComputeSite, Configuration, RepositorySite, Wan};
+use freeride_g::predict::AnalyticalPredictor;
 use freeride_g::sched::{
-    naive_best_placement, FreeSlices, GridSpec, PlacementEngine, RepoSpec, SiteSpec,
+    naive_best_placement_with, FreeSlices, GridSpec, PlacementEngine, RepoSpec, SiteSpec,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -121,7 +122,7 @@ fn check_engine(mut engine: PlacementEngine, grid: &GridSpec, queries: &[Query])
                 .collect(),
         );
         let fast = engine.best_placement(
-            &freeride_g::predict::AnalyticalPredictor,
+            &AnalyticalPredictor,
             grid,
             app_name,
             bytes,
@@ -129,8 +130,16 @@ fn check_engine(mut engine: PlacementEngine, grid: &GridSpec, queries: &[Query])
             &bw,
             quota_cap,
         );
-        let naive =
-            naive_best_placement(grid, model, bytes, free.data(), free.cmp(), &bw, quota_cap);
+        let naive = naive_best_placement_with(
+            &AnalyticalPredictor,
+            grid,
+            model,
+            bytes,
+            free.data(),
+            free.cmp(),
+            &bw,
+            quota_cap,
+        );
         assert_eq!(
             fast, naive,
             "query {qi} ({app_name}, {bytes} bytes, cap {quota_cap:?}) diverged \
@@ -166,16 +175,18 @@ fn saturated_grid_answers_none_like_the_scan() {
     let free = FreeSlices::new(vec![8, 8], vec![0, 0]);
     let bw: Vec<f64> = grid.repos.iter().map(|r| r.wan.stream_bw).collect();
     let (name, model) = &grid.apps[0];
-    let fast = engine.best_placement(
-        &freeride_g::predict::AnalyticalPredictor,
+    let fast =
+        engine.best_placement(&AnalyticalPredictor, &grid, name, 200 << 20, &free, &bw, None);
+    let naive = naive_best_placement_with(
+        &AnalyticalPredictor,
         &grid,
-        name,
+        model,
         200 << 20,
-        &free,
+        free.data(),
+        free.cmp(),
         &bw,
         None,
     );
-    let naive = naive_best_placement(&grid, model, 200 << 20, free.data(), free.cmp(), &bw, None);
     assert_eq!(fast, naive);
     assert_eq!(fast, None);
 }
@@ -189,17 +200,18 @@ fn impossible_quota_cap_answers_none_like_the_scan() {
     let free = FreeSlices::new(vec![8, 8], vec![16, 8]);
     let bw: Vec<f64> = grid.repos.iter().map(|r| r.wan.stream_bw).collect();
     let (name, model) = &grid.apps[0];
-    let fast = engine.best_placement(
-        &freeride_g::predict::AnalyticalPredictor,
+    let fast =
+        engine.best_placement(&AnalyticalPredictor, &grid, name, 200 << 20, &free, &bw, Some(0));
+    let naive = naive_best_placement_with(
+        &AnalyticalPredictor,
         &grid,
-        name,
+        model,
         200 << 20,
-        &free,
+        free.data(),
+        free.cmp(),
         &bw,
         Some(0),
     );
-    let naive =
-        naive_best_placement(&grid, model, 200 << 20, free.data(), free.cmp(), &bw, Some(0));
     assert_eq!(fast, naive);
     assert_eq!(fast, None);
 }

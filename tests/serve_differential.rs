@@ -8,7 +8,7 @@
 //! interleaved to prove reads never perturb the schedule.
 
 use fg_bench::figures::sched_models;
-use fg_serve::{replay, ServeClient, Server};
+use fg_serve::{replay, ClientError, ServeClient, Server};
 use freeride_g::sched::{
     GridSpec, JobSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec,
 };
@@ -182,6 +182,46 @@ fn out_of_order_submissions_fail_loudly_without_killing_the_session() {
     }
     let drained = client.drain().expect("drain");
     assert_eq!(drained.outcomes.len(), jobs.len() - 5);
+    drop(client);
+    server.shutdown();
+}
+
+/// A job `Workload::replay` would refuse is refused at the wire too —
+/// the JSON codec round-trips `nan`, and a NaN slack used to defeat
+/// EDF admission (`estimate > NaN` is false) while the quote for the
+/// same job said the opposite. Each refusal names the field, counts
+/// nothing, and leaves the session usable.
+#[test]
+fn malformed_jobs_are_refused_at_submit_and_quoted_as_none() {
+    let jobs = shaped_jobs(WorkloadShape::Uniform, LoadLevel::Light, 5);
+    let server = Server::start(demo_sched(Policy::EdfAdmit));
+    let mut client = ServeClient::connect(&server);
+    client.submit(jobs[0].clone()).expect("a well-formed job");
+    let submitted = client.stats().expect("stats").submitted;
+
+    for slack in [f64::NAN, 0.5, f64::NEG_INFINITY] {
+        let bad = JobSpec { deadline_slack: slack, ..jobs[1].clone() };
+        match client.submit(bad) {
+            Err(ClientError::Server(reason)) => {
+                assert!(reason.contains("deadline slack"), "slack {slack}: {reason}")
+            }
+            other => panic!("slack {slack} must be refused, got {other:?}"),
+        }
+    }
+    match client.submit(JobSpec { dataset_bytes: 0, ..jobs[1].clone() }) {
+        Err(ClientError::Server(reason)) => assert!(reason.contains("dataset"), "{reason}"),
+        other => panic!("an empty dataset must be refused, got {other:?}"),
+    }
+    assert_eq!(client.stats().expect("stats").submitted, submitted, "refusals count nothing");
+
+    let (app, bytes) = (&jobs[1].app, jobs[1].dataset_bytes);
+    assert_eq!(client.quote(app, bytes, f64::NAN).expect("quote call"), None);
+    assert!(client.quote(app, bytes, 2.0).expect("quote call").is_some());
+
+    // The refused id is still free: the well-formed job goes through.
+    client.submit(jobs[1].clone()).expect("the session is still usable");
+    assert_eq!(client.stats().expect("stats").submitted, submitted + 1);
+    client.drain().expect("drain");
     drop(client);
     server.shutdown();
 }
