@@ -35,10 +35,22 @@
 //! arrival batch mid-iteration, exactly as the batch arrival loop
 //! consumed them. `tests/serve_differential.rs` pins the equivalence
 //! bit-for-bit across workload shapes.
+//!
+//! An iteration of the loop costs what changed since the last one. The
+//! fair-share rates are a pure function of the ordered list of
+//! network-phase transfers and their rate caps, so they are re-solved
+//! only when that list differs from the one they were solved for
+//! (`RateMemo`, keyed on the inputs themselves; the buffers are the
+//! core's, so a steady-state iteration allocates nothing). Every
+//! placement — an admission's two prices, each start of the scheduling
+//! pass — is the paper's scan, [`naive_best_placement_with`]; the pass
+//! keeps no placement cache because its saturation early-out is exact,
+//! so a queued job is priced to success once, when it starts (see
+//! `placement.rs`). [`PumpStats`] counts both.
 
 use crate::grid::GridSpec;
 use crate::ledger::AccuracySample;
-use crate::placement::{naive_best_placement_with, FreeSlices, Placement, PlacementEngine};
+use crate::placement::{naive_best_placement_with, FreeSlices, Placement};
 use crate::policy::Policy;
 use crate::sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
@@ -49,7 +61,7 @@ use crate::workload::{check_job_fields, JobSpec};
 use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::bandwidth::{BandwidthEstimator, Ewma};
 use fg_predict::{decide_migration, InterconnectParams, Observation, Prediction, Predictor};
-use fg_sim::{FairShareSim, Flow, ResourceId, SimTime};
+use fg_sim::{FairShareSim, RateScratch, ResourceId, SimTime};
 use fg_trace::{Counter, Gauge, Histogram, SpanKind, Trace, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -264,6 +276,105 @@ fn degrade_factor(degradations: &[Degradation], repo: usize, now: f64) -> f64 {
         .filter(|d| d.repo == repo && now >= d.start - TIME_EPS)
         .map(|d| d.factor)
         .fold(1.0, f64::min)
+}
+
+/// A network-phase transfer as the fair-share solver sees it: the
+/// repository uplink and site ingress it crosses and its rate cap (as
+/// bits, so equality is exact). The allocation is a pure function of the
+/// ordered list of these — it never reads how many bytes a transfer has
+/// left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NetFlow {
+    repo: usize,
+    site: usize,
+    cap_bits: u64,
+}
+
+/// Max-min rates remembered with the flow list they were solved for.
+///
+/// Keyed on the solver's *inputs*, not on a dirty flag: the transfer set
+/// is mutated from seven places (three arms of `phase_transitions`,
+/// `migration_check`, resume, preemption, and a degradation onset that
+/// is a function of the clock alone), and a flag one of them forgot
+/// would be a silently wrong rate, where comparing at most `slots`
+/// entries per iteration cannot be wrong.
+#[derive(Debug, Default)]
+struct RateMemo {
+    solved_for: Vec<NetFlow>,
+    /// The list being asked about; swapped with `solved_for` on a solve,
+    /// so neither is reallocated in steady state.
+    asked: Vec<NetFlow>,
+    scratch: RateScratch,
+}
+
+impl RateMemo {
+    /// Make [`rates`](RateMemo::rates) answer `flows`, solving only when
+    /// they differ from the list the held rates answer. Returns whether
+    /// it solved.
+    fn refresh(
+        &mut self,
+        net: &FairShareSim,
+        nrepo: usize,
+        flows: impl Iterator<Item = NetFlow>,
+    ) -> bool {
+        self.asked.clear();
+        self.asked.extend(flows);
+        let stale = self.solved_for != self.asked;
+        if stale {
+            solve_rates(net, nrepo, &self.asked, &mut self.scratch);
+            std::mem::swap(&mut self.solved_for, &mut self.asked);
+        }
+        // Redundant guard, debug builds only (where the test suites
+        // run): the memo must be indistinguishable from solving every
+        // iteration afresh.
+        if cfg!(debug_assertions) {
+            let mut fresh = RateScratch::default();
+            let fresh = solve_rates(net, nrepo, &self.solved_for, &mut fresh);
+            assert!(
+                fresh.iter().map(|r| r.to_bits()).eq(self.rates().iter().map(|r| r.to_bits())),
+                "memoised fair-share rates diverged from a fresh solve of {:?}",
+                self.solved_for
+            );
+        }
+        stale
+    }
+
+    /// The rates of the list last passed to `refresh`, indexed like it.
+    fn rates(&self) -> &[f64] {
+        self.scratch.rates()
+    }
+}
+
+/// Progressive filling over `flows` on the grid's links: resource `r`
+/// is repository `r`'s uplink, resource `nrepo + s` site `s`'s ingress.
+fn solve_rates<'s>(
+    net: &FairShareSim,
+    nrepo: usize,
+    flows: &[NetFlow],
+    scratch: &'s mut RateScratch,
+) -> &'s [f64] {
+    let flow = |k: usize| {
+        let f = flows[k];
+        (f64::from_bits(f.cap_bits), [ResourceId(f.repo), ResourceId(nrepo + f.site)])
+    };
+    net.fair_rates(flows.len(), flow, scratch)
+}
+
+/// How much work the event loop has done, in counts that repeat exactly
+/// from run to run (unlike wall time, so a test on a shared machine can
+/// bound them). Read with [`SchedCore::pump_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PumpStats {
+    /// Event-loop iterations.
+    pub iterations: u64,
+    /// Progressive-filling solves: an iteration whose transfer set (and
+    /// rate caps) equal the last solved one reuses its rates.
+    pub rate_solves: u64,
+    /// Placement scans the scheduling pass ran (the saturation
+    /// early-out skips a pass before it scans).
+    pub placement_scans: u64,
+    /// Queued jobs started.
+    pub starts: u64,
 }
 
 /// Why [`SchedCore::submit`] refused a job. The incremental API is a
@@ -483,7 +594,6 @@ pub struct SchedCore {
     free: FreeSlices,
     idle: Arc<IdleGrid>,
     bw: Vec<f64>,
-    engine: PlacementEngine,
     estimators: Vec<Ewma>,
     used_slots: Vec<usize>,
     buckets: Vec<(TenantQuota, f64, f64)>,
@@ -503,7 +613,16 @@ pub struct SchedCore {
     now: f64,
     makespan: f64,
     depth_max: usize,
-    iterations: usize,
+    /// Iterations since the clock last advanced — the progress guard.
+    stalled: usize,
+    pump_stats: PumpStats,
+    /// Indices into `running` of the network-phase transfers and the
+    /// two memoised allocations (achieved rates under degraded caps;
+    /// the migration baseline under nominal caps). Core-owned so a
+    /// steady-state iteration allocates nothing.
+    netidx: Vec<usize>,
+    rates: RateMemo,
+    expected_rates: RateMemo,
     /// True between an iteration's arrival batch and its tail
     /// (transitions, pass, integration): the machine parks here
     /// between incremental submissions so equal-arrival jobs join the
@@ -539,10 +658,6 @@ impl SchedCore {
         };
         let free = FreeSlices::new(idle.data.clone(), idle.cmp.clone());
         let bw = idle.bw.clone();
-        let mut engine = PlacementEngine::new(grid);
-        if scheduler.naive_placement {
-            engine = engine.with_naive();
-        }
         let estimators: Vec<Ewma> = (0..nrepo).map(|_| Ewma::new(scheduler.ewma_alpha)).collect();
         // Token buckets start full; refill lazily at each arrival.
         let buckets: Vec<(TenantQuota, f64, f64)> = scheduler
@@ -599,7 +714,6 @@ impl SchedCore {
             free,
             idle: Arc::new(idle),
             bw,
-            engine,
             estimators,
             used_slots: Vec::new(),
             buckets,
@@ -617,7 +731,11 @@ impl SchedCore {
             now: 0.0,
             makespan: 0.0,
             depth_max: 0,
-            iterations: 0,
+            stalled: 0,
+            pump_stats: PumpStats::default(),
+            netidx: Vec::new(),
+            rates: RateMemo::default(),
+            expected_rates: RateMemo::default(),
             tail_pending: false,
             events: None,
             telemetry,
@@ -763,6 +881,12 @@ impl SchedCore {
         }
     }
 
+    /// What the event loop has done so far, in exactly repeatable
+    /// counts.
+    pub fn pump_stats(&self) -> PumpStats {
+        self.pump_stats
+    }
+
     /// An immutable copy of what an admission is priced from at this
     /// instant, for `&self` quotes that never touch the live core.
     /// Building one copies the bandwidth estimates (the grid, the
@@ -806,9 +930,6 @@ impl SchedCore {
     pub fn finish_with_events(mut self) -> (SchedResult, Vec<CoreEvent>) {
         self.pump(true);
         let events = self.take_events();
-        // Nothing prices a placement after the drain: release the
-        // rankings before the trace below sets the high-water mark.
-        drop(self.engine);
         let tracer = self.tracer.take().expect("finish consumes the tracer");
         if self.cfg.workload_metrics {
             // Shape-of-traffic instruments over the submitted stream,
@@ -832,6 +953,9 @@ impl SchedCore {
         }
         self.inst.depth_max.set(self.depth_max as f64);
         self.inst.depth.set(self.queue.len() as f64);
+        // Nothing reads the submitted stream or its indices again:
+        // release them before the trace below sets the high-water mark.
+        drop((self.jobs, self.slot_map, self.order));
         let outcomes: Vec<JobOutcome> = self
             .outcomes
             .into_iter()
@@ -861,12 +985,23 @@ impl SchedCore {
     /// consumed all due arrivals before the pass ran). With `drain`
     /// true it runs to quiescence, recording stuck-forever violations
     /// exactly as the batch loop did.
+    ///
+    /// The fair-share rates are re-solved only when the transfer list
+    /// changed (`RateMemo`) — for a job, in two of its four iterations,
+    /// entering and leaving its transfer — and the index, flow and rate
+    /// buffers are the core's own: a steady-state iteration allocates
+    /// nothing.
     fn pump(&mut self, drain: bool) {
         loop {
             if !self.tail_pending {
-                self.iterations += 1;
+                self.pump_stats.iterations += 1;
+                // An iteration that advances the clock is progress, and
+                // with migration on their number scales with simulated
+                // seconds, not jobs — so the budget covers only the
+                // iterations since the clock last moved.
+                self.stalled += 1;
                 let budget = 10_000 + 200 * self.jobs.len();
-                assert!(self.iterations <= budget, "scheduler event loop failed to make progress");
+                assert!(self.stalled <= budget, "scheduler event loop failed to make progress");
                 self.tail_pending = true;
             }
             // --- arrivals due at `now` ---
@@ -918,39 +1053,29 @@ impl SchedCore {
                     horizon = horizon.min(self.now + mc.min_elapsed_secs.max(TIME_EPS));
                 }
             }
-            let netidx: Vec<usize> = self
-                .running
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.phase == Phase::Network)
-                .map(|(i, _)| i)
-                .collect();
-            let rates: Vec<f64> = if netidx.is_empty() {
-                Vec::new()
-            } else {
-                let flows: Vec<Flow> = netidx
+            self.netidx.clear();
+            self.netidx.extend(
+                self.running
                     .iter()
-                    .map(|&i| Flow {
-                        arrival: SimTime::ZERO,
-                        demand: self.running[i].net_remaining.max(1e-9),
-                        rate_cap: self.running[i].net_cap
-                            * degrade_factor(
-                                &self.cfg.degradations,
-                                self.running[i].repo,
-                                self.now,
-                            ),
-                        resources: vec![
-                            ResourceId(self.running[i].repo),
-                            ResourceId(self.nrepo + self.running[i].site),
-                        ],
-                    })
-                    .collect();
-                let active: Vec<usize> = (0..flows.len()).collect();
-                self.net.instantaneous_rates(&flows, &active)
+                    .enumerate()
+                    .filter(|(_, r)| r.phase == Phase::Network)
+                    .map(|(i, _)| i),
+            );
+            let rates: &[f64] = if self.netidx.is_empty() {
+                &[]
+            } else {
+                let flows = self.netidx.iter().map(|&i| {
+                    let r = &self.running[i];
+                    let factor = degrade_factor(&self.cfg.degradations, r.repo, self.now);
+                    NetFlow { repo: r.repo, site: r.site, cap_bits: (r.net_cap * factor).to_bits() }
+                });
+                let solved = self.rates.refresh(&self.net, self.nrepo, flows);
+                self.pump_stats.rate_solves += u64::from(solved);
+                self.rates.rates()
             };
-            for (k, &i) in netidx.iter().enumerate() {
-                assert!(rates[k] > 0.0, "max-min allocation starved an active transfer");
-                horizon = horizon.min(self.now + self.running[i].net_remaining / rates[k]);
+            for (&i, &rate) in self.netidx.iter().zip(rates) {
+                assert!(rate > 0.0, "max-min allocation starved an active transfer");
+                horizon = horizon.min(self.now + self.running[i].net_remaining / rate);
             }
             if horizon.is_infinite() {
                 // Nothing running and nothing arriving. Draining, any
@@ -977,27 +1102,22 @@ impl SchedCore {
             // The migration trigger's baseline: what each transfer
             // would have moved this step under the same fair-share
             // contention with undegraded rate caps.
-            if self.cfg.migration.is_some() && !netidx.is_empty() && dt > 0.0 {
-                let exp_flows: Vec<Flow> = netidx
-                    .iter()
-                    .map(|&i| Flow {
-                        arrival: SimTime::ZERO,
-                        demand: self.running[i].net_remaining.max(1e-9),
-                        rate_cap: self.running[i].net_cap,
-                        resources: vec![
-                            ResourceId(self.running[i].repo),
-                            ResourceId(self.nrepo + self.running[i].site),
-                        ],
-                    })
-                    .collect();
-                let active: Vec<usize> = (0..exp_flows.len()).collect();
-                let exp_rates = self.net.instantaneous_rates(&exp_flows, &active);
-                for (k, &i) in netidx.iter().enumerate() {
-                    self.running[i].net_expected += exp_rates[k] * dt;
+            if self.cfg.migration.is_some() && !self.netidx.is_empty() && dt > 0.0 {
+                let flows = self.netidx.iter().map(|&i| {
+                    let r = &self.running[i];
+                    NetFlow { repo: r.repo, site: r.site, cap_bits: r.net_cap.to_bits() }
+                });
+                let solved = self.expected_rates.refresh(&self.net, self.nrepo, flows);
+                self.pump_stats.rate_solves += u64::from(solved);
+                for (&i, &rate) in self.netidx.iter().zip(self.expected_rates.rates()) {
+                    self.running[i].net_expected += rate * dt;
                 }
             }
-            for (k, &i) in netidx.iter().enumerate() {
-                self.running[i].net_remaining -= rates[k] * dt;
+            for (&i, &rate) in self.netidx.iter().zip(rates) {
+                self.running[i].net_remaining -= rate * dt;
+            }
+            if horizon > self.now {
+                self.stalled = 0;
             }
             self.now = horizon;
         }
@@ -1196,9 +1316,8 @@ impl SchedCore {
             if self.cfg.predictor.wants_observations() {
                 // Feed the active predictor the same clean completions
                 // the accuracy ledger samples, independent of whether
-                // telemetry is armed. The predictor may retrain and
-                // bump its epoch here; the placement cache notices on
-                // the next query.
+                // telemetry is armed. The predictor may retrain here;
+                // every later scan prices through it as it then is.
                 let o = self.outcomes[r.slot].as_ref().expect("placed job has an outcome");
                 let clean = o.preemptions.is_empty() && o.migration.is_none() && !r.no_feedback;
                 if let (Some(p), Some(de), Some(ne)) = (&o.placement, r.disk_end, r.network_end) {
@@ -1433,6 +1552,15 @@ impl SchedCore {
             {
                 return;
             }
+            // Every placement query of the pass is the paper's scan over
+            // the slices free right now (or, for preemption, free once a
+            // victim leaves).
+            let scans = &mut self.pump_stats.placement_scans;
+            let (predictor, bw) = (self.cfg.predictor.as_ref(), &self.bw);
+            let mut scan = |q: &QueuedJob, free: &FreeSlices, quota_cap: Option<usize>| {
+                *scans += 1;
+                scan_placement(predictor, grid, q, free, bw, quota_cap)
+            };
             // Max-min fair slot quotas over the tenants that want
             // slots. A queued job demands what it could use when placed
             // unconstrained — the largest configuration — so a tenant
@@ -1469,16 +1597,7 @@ impl SchedCore {
                 let &(_, id, tenant) = self.queue.order.iter().next().expect("queue is non-empty");
                 let headroom = quota[tenant].saturating_sub(self.used_slots[tenant]);
                 if headroom >= self.min_slots {
-                    let q = &self.queue.jobs[&id];
-                    if let Some(p) = self.engine.best_placement(
-                        self.cfg.predictor.as_ref(),
-                        grid,
-                        &q.spec.app,
-                        q.spec.dataset_bytes,
-                        &self.free,
-                        &self.bw,
-                        Some(headroom),
-                    ) {
+                    if let Some(p) = scan(&self.queue.jobs[&id], &self.free, Some(headroom)) {
                         start = Some((id, p, StartKind::UnderQuota));
                     }
                 }
@@ -1500,16 +1619,8 @@ impl SchedCore {
                         }
                     }
                     let Some((ci, (_, id))) = head else { break };
-                    let q = &self.queue.jobs[&id];
-                    if let Some(p) = self.engine.best_placement(
-                        self.cfg.predictor.as_ref(),
-                        grid,
-                        &q.spec.app,
-                        q.spec.dataset_bytes,
-                        &self.free,
-                        &self.bw,
-                        Some(cursors[ci].0),
-                    ) {
+                    let cap = Some(cursors[ci].0);
+                    if let Some(p) = scan(&self.queue.jobs[&id], &self.free, cap) {
                         start = Some((id, p, StartKind::UnderQuota));
                         break;
                     }
@@ -1521,16 +1632,7 @@ impl SchedCore {
             // fairness must not cost work conservation.
             if start.is_none() && !self.cfg.policy.head_blocking() {
                 for &(_, id, _) in self.queue.order.iter() {
-                    let q = &self.queue.jobs[&id];
-                    if let Some(p) = self.engine.best_placement(
-                        self.cfg.predictor.as_ref(),
-                        grid,
-                        &q.spec.app,
-                        q.spec.dataset_bytes,
-                        &self.free,
-                        &self.bw,
-                        None,
-                    ) {
+                    if let Some(p) = scan(&self.queue.jobs[&id], &self.free, None) {
                         start = Some((id, p, StartKind::Backfill));
                         break;
                     }
@@ -1561,17 +1663,7 @@ impl SchedCore {
                         // returned, nothing committed yet.
                         let mut hyp = self.free.clone();
                         hyp.release(v.repo, v.site, &v.config);
-                        let Some(p) = self.engine.best_placement(
-                            self.cfg.predictor.as_ref(),
-                            grid,
-                            &hq.spec.app,
-                            hq.spec.dataset_bytes,
-                            &hyp,
-                            &self.bw,
-                            None,
-                        ) else {
-                            continue;
-                        };
+                        let Some(p) = scan(hq, &hyp, None) else { continue };
                         let v = self.running.remove(vi);
                         self.free.release(v.repo, v.site, &v.config);
                         self.used_slots[v.tenant] -= v.config.compute_nodes;
@@ -1616,19 +1708,7 @@ impl SchedCore {
                 if cfg!(debug_assertions) && !self.cfg.policy.head_blocking() {
                     let mut caught: Vec<String> = Vec::new();
                     for q in self.queue.iter() {
-                        if self
-                            .engine
-                            .best_placement(
-                                self.cfg.predictor.as_ref(),
-                                grid,
-                                &q.spec.app,
-                                q.spec.dataset_bytes,
-                                &self.free,
-                                &self.bw,
-                                None,
-                            )
-                            .is_some()
-                        {
+                        if scan_placement(predictor, grid, q, &self.free, bw, None).is_some() {
                             caught.push(format!(
                                 "work conservation: job {} fits free nodes but was not started at t={:.3}",
                                 q.spec.id, self.now
@@ -1665,8 +1745,19 @@ impl SchedCore {
             self.free.alloc(placement.repo, placement.site, &placement.cfg);
             self.used_slots[tenant] += placement.cfg.compute_nodes;
             let slot = *self.slot_map.get(&q.spec.id).expect("job id present");
-            let repo_name = self.cfg.grid.repos[placement.repo].site.name.clone();
-            let site_name = self.cfg.grid.sites[placement.site].site.name.clone();
+            let repo_name = &self.cfg.grid.repos[placement.repo].site.name;
+            let site_name = &self.cfg.grid.sites[placement.site].site.name;
+            let config = placement.cfg.label();
+            if let Some(log) = self.events.as_mut() {
+                log.push(CoreEvent::Placed {
+                    id: q.spec.id,
+                    at: self.now,
+                    repo: repo_name.clone(),
+                    site: site_name.clone(),
+                    config: config.clone(),
+                    predicted: placement.predicted.total(),
+                });
+            }
             let o = self.outcomes[slot].as_mut().expect("queued job has an outcome");
             o.placed_at = Some(self.now);
             o.predicted = Some(placement.predicted.total());
@@ -1675,20 +1766,11 @@ impl SchedCore {
                 site: placement.site,
                 repo_name: repo_name.clone(),
                 site_name: site_name.clone(),
-                config: placement.cfg.label(),
+                config,
                 data_nodes: placement.cfg.data_nodes,
                 compute_nodes: placement.cfg.compute_nodes,
             });
-            if self.events.is_some() {
-                self.emit(CoreEvent::Placed {
-                    id: q.spec.id,
-                    at: self.now,
-                    repo: repo_name,
-                    site: site_name,
-                    config: placement.cfg.label(),
-                    predicted: placement.predicted.total(),
-                });
-            }
+            self.pump_stats.starts += 1;
             self.running.push(Running {
                 slot,
                 tenant,
@@ -1717,6 +1799,31 @@ impl SchedCore {
             });
         }
     }
+}
+
+/// The scheduling pass's placement query: the paper's enumeration over
+/// `free` at the current bandwidth estimates, the same scan an admission
+/// is priced with. The scan tests a candidate's feasibility before it
+/// predicts it, so a query nothing fits costs `repos × sites × configs`
+/// integer compares. An app the grid has no model for places nowhere.
+fn scan_placement(
+    predictor: &dyn Predictor,
+    grid: &GridSpec,
+    q: &QueuedJob,
+    free: &FreeSlices,
+    bw: &[f64],
+    quota_cap: Option<usize>,
+) -> Option<Placement> {
+    naive_best_placement_with(
+        predictor,
+        grid,
+        grid.app(&q.spec.app)?,
+        q.spec.dataset_bytes,
+        free.data(),
+        free.cmp(),
+        bw,
+        quota_cap,
+    )
 }
 
 /// A job's admission price — the answer to "if a job with this app and

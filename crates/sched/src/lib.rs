@@ -57,7 +57,8 @@ pub mod telemetry;
 pub mod workload;
 
 pub use crate::core::{
-    CoreEvent, CoreStats, PredictionQuote, SchedCore, SchedSnapshot, SubmitError, SubmitOutcome,
+    CoreEvent, CoreStats, PredictionQuote, PumpStats, SchedCore, SchedSnapshot, SubmitError,
+    SubmitOutcome,
 };
 pub use grid::{AppModel, GridSpec, RepoSpec, SiteSpec};
 pub use ledger::{

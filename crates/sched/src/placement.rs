@@ -1,45 +1,43 @@
-//! Placement queries: the paper's exhaustive enumeration, and a cached
-//! incremental ranking over a free-slice index for the scheduling pass.
+//! Placement queries: the paper's exhaustive enumeration over a
+//! free-slice index — and a cached ranking nothing in the scheduler
+//! calls any more.
 //!
 //! [`naive_best_placement_with`] is the paper's resource selection as
 //! written — enumerate every (repository, site, configuration) triple,
-//! predict each, keep the first strictly-cheapest feasible one. It
-//! serves every *one-shot* query (an admission's standalone and
-//! load-corrected predictions, priced once per arrival or quote; see
-//! `core.rs`) and is the oracle the cache below is differentially
-//! tested against.
-//!
-//! A scheduling pass asks the same question once per queued job, every
-//! pass. The scan re-predicts every triple each time — `O(repos ×
-//! sites × configs)` full model evaluations — although the predictions
-//! only change when a repository's EWMA bandwidth estimate moves, which
-//! happens once per completed transfer, not once per query.
-//! [`PlacementEngine`] serves that traffic: it memoizes per-repository
-//! candidate rankings keyed by `(application, dataset size)` and
-//! invalidates each repository's ranking only when the bandwidth it
-//! was priced at changes (bit-compared, so EWMA noise below the
-//! representable threshold never forces work). Queries then walk the
-//! cost-sorted rankings with dominance pruning — a repository whose
-//! cheapest candidate cannot beat the incumbent is skipped outright,
-//! and a walk stops at the first candidate that cannot improve —
-//! against a [`FreeSlices`] index whose maintained maxima give an O(1)
+//! predict each feasible one, keep the first strictly-cheapest. It is
+//! **every** placement query the scheduler makes: an admission's
+//! standalone and load-corrected predictions, and each start the
+//! scheduling pass prices (see `core.rs`). [`FreeSlices`] keeps the free
+//! node counts with maintained maxima, which give the pass its O(1)
 //! "nothing can fit" early-out.
 //!
-//! The cached path is bit-identical to the scan by construction: both
-//! price candidates through the same [`fg_predict::Predictor`] (the
-//! analytical impl delegates to
-//! [`fg_predict::try_predict_deployment`]), and the ranking order
-//! (total, then site, then configuration index) reproduces the scan's
-//! first-strictly-better tie-break exactly. The differential property
-//! suite (`tests/placement_differential.rs`) pins the equivalence
-//! under random grids, quota caps, and bandwidth drift.
+//! The pass needs no cache, and the reason is the early-out's
+//! exactness: any site pairs with any repository and the maxima bound
+//! every slice, so a query that gets past the early-out has a feasible
+//! candidate and places. A queued job is therefore priced to success
+//! once, when it starts; a memo keyed by `(application, dataset size)`
+//! is read again only by another job with the identical key, and
+//! measured on the benchmark's three scheduler workloads that is 0 % of
+//! queries, while a miss (two rankings allocated, priced and sorted, a
+//! map insert) costs several scans. `tests/placement_differential.rs`
+//! pins the exactness: if a future grid model restricts which site may
+//! pair with which repository, it fails and the question reopens.
 //!
-//! Every query is generic over the [`Predictor`] pricing it. Stateful
-//! predictors (fg-learn) invalidate cached rankings through their
-//! [`Predictor::epoch`]: a ranking is stale when *either* the
-//! bandwidth it was priced at or the predictor epoch it was priced
-//! under has changed. The analytical predictor's epoch is constant, so
-//! the default path's cache behavior (and hit rate) is untouched.
+//! [`PlacementEngine`] is that memo: per-repository candidate rankings
+//! keyed by `(application, dataset size)`, re-priced when the
+//! repository's bandwidth estimate (bit-compared) or the predictor's
+//! [`Predictor::epoch`] moves, walked cheapest-first with dominance
+//! pruning. It is bit-identical to the scan — the ranking order (total,
+//! then site, then configuration index) reproduces the scan's
+//! first-strictly-better tie-break, and the differential suite pins it
+//! under random grids, quota caps and bandwidth drift — but it is a
+//! library type **pending deletion**: it survives only because
+//! `benchmark/src/layers.rs` constructs one for the
+//! `sched.placement.best_cached_ns` / `rebuild_ratio` probe, and the
+//! change that removed it from the scheduler claimed a gain and so could
+//! not edit `benchmark/`. Once a benchmark change drops that probe,
+//! `PlacementEngine`, `RepoRanking`, `build_ranking`, `walk` and
+//! [`PlacementStats`] go (ROADMAP).
 
 use crate::grid::{AppModel, GridSpec};
 use fg_cluster::{Configuration, DeploymentRef};
@@ -203,13 +201,13 @@ pub struct PlacementStats {
     pub rebuilds: u64,
 }
 
-/// The cached placement engine. One per scheduler run; queries borrow
-/// the grid so the engine itself owns nothing but its cache.
+/// The cached placement engine (pending deletion — see the module
+/// docs; the scheduler does not use it). Queries borrow the grid so the
+/// engine itself owns nothing but its cache.
 #[derive(Debug)]
 pub struct PlacementEngine {
     entries: HashMap<(usize, u64), Entry>,
     capacity: usize,
-    naive: bool,
     stats: PlacementStats,
 }
 
@@ -227,18 +225,8 @@ impl PlacementEngine {
         PlacementEngine {
             entries: HashMap::new(),
             capacity: DEFAULT_CAPACITY,
-            naive: false,
             stats: PlacementStats::default(),
         }
-    }
-
-    /// Bypass the cache entirely and answer every query with
-    /// [`naive_best_placement_with`] — the differential-testing
-    /// reference.
-    #[doc(hidden)]
-    pub fn with_naive(mut self) -> PlacementEngine {
-        self.naive = true;
-        self
     }
 
     /// What the engine has done so far.
@@ -265,18 +253,6 @@ impl PlacementEngine {
     ) -> Option<Placement> {
         let app_idx = grid.apps.iter().position(|(n, _)| n == app)?;
         let model = &grid.apps[app_idx].1;
-        if self.naive {
-            return naive_best_placement_with(
-                pred,
-                grid,
-                model,
-                dataset_bytes,
-                free.data(),
-                free.cmp(),
-                bw,
-                quota_cap,
-            );
-        }
         self.stats.queries += 1;
         // Infeasibility early-out off the slice index: a candidate is
         // feasible only when its configuration fits the *largest* free
@@ -409,15 +385,13 @@ fn walk(
     best
 }
 
-/// The paper's enumeration: exhaustively predict every (repository,
-/// site, configuration) triple through `pred` and keep the first
-/// strictly-cheapest feasible one. One-shot queries (an admission's
-/// standalone and corrected predictions) call it directly; the cached
-/// engine replaces it for the scheduling pass, is differentially
-/// tested against it — under *stateful* predictors too, where the
-/// engine's correctness additionally depends on epoch-based cache
-/// invalidation — and falls back to it under
-/// `Scheduler::with_naive_placement`.
+/// The paper's enumeration: predict every feasible (repository, site,
+/// configuration) triple through `pred` and keep the first
+/// strictly-cheapest one. Admissions and the scheduling pass both call
+/// it directly. Feasibility — the configuration fits the repository's
+/// free data nodes, the site's free compute nodes and the quota cap —
+/// is tested before the prediction, so an infeasible candidate costs
+/// three integer compares.
 #[allow(clippy::too_many_arguments)]
 pub fn naive_best_placement_with<P: Predictor + ?Sized>(
     pred: &P,

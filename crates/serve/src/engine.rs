@@ -164,7 +164,7 @@ impl ServerEngine {
                 // one final snapshot even though the core is gone.
                 self.final_metrics =
                     plane.map(|p| ServeMetrics { epoch: p.epoch, stats, telemetry: p.clone() });
-                (Response::Drained { result: DrainedRun::from_result(&result) }, events)
+                (Response::Drained { result: DrainedRun::from_result(result) }, events)
             }
         }
     }

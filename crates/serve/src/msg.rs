@@ -134,13 +134,15 @@ pub struct DrainedRun {
 }
 
 impl DrainedRun {
-    /// Flatten a [`SchedResult`] for the wire.
-    pub fn from_result(r: &SchedResult) -> DrainedRun {
+    /// Flatten a [`SchedResult`] for the wire, consuming it: the
+    /// outcomes move instead of being copied, and only the span tree's
+    /// JSONL outlives the call.
+    pub fn from_result(r: SchedResult) -> DrainedRun {
         DrainedRun {
-            outcomes: r.outcomes.clone(),
+            outcomes: r.outcomes,
             trace_jsonl: fg_trace::to_jsonl(&r.trace),
             makespan: r.makespan,
-            violations: r.violations.clone(),
+            violations: r.violations,
         }
     }
 

@@ -13,6 +13,17 @@
 //! The simulation is event-driven in the fluid sense: rates only change at
 //! flow arrivals and completions, so the schedule advances from event to
 //! event, draining demand at the current rates.
+//!
+//! Progressive filling is written once, in [`FairShareSim::fair_rates`]:
+//! it reads each flow's `(rate cap, resources)` through a borrowing
+//! closure and works in a caller-owned [`RateScratch`], so a caller that
+//! solves repeatedly — [`FairShareSim::run`]'s event loop, the job
+//! scheduler's — allocates nothing once the scratch has grown to its
+//! flow count. The allocation never reads a flow's demand: it is a pure
+//! function of the capacities and the ordered `(rate cap, resources)`
+//! list, which is what lets the scheduler reuse a solution until that
+//! list changes. [`FairShareSim::instantaneous_rates`] is the same
+//! function over a `&[Flow]`, returning an owned vector.
 
 use crate::time::SimTime;
 
@@ -41,6 +52,36 @@ pub struct FlowOutcome {
     pub start: SimTime,
     /// When the last byte drained.
     pub finish: SimTime,
+}
+
+/// Working memory of [`FairShareSim::fair_rates`], owned by the caller
+/// so that repeated solves reuse its buffers. Every solve overwrites all
+/// of it; between solves it holds the last solve's rates.
+#[derive(Debug, Default)]
+pub struct RateScratch {
+    rates: Vec<f64>,
+    frozen: Vec<bool>,
+    remaining_cap: Vec<f64>,
+    users: Vec<usize>,
+}
+
+impl RateScratch {
+    /// The rates the last solve through this scratch produced, indexed
+    /// like its flows (empty before the first).
+    pub fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+}
+
+/// The solver's view of the `active` subset of a [`Flow`] list.
+fn flow_inputs<'a>(
+    flows: &'a [Flow],
+    active: &'a [usize],
+) -> impl Fn(usize) -> (f64, &'a [ResourceId]) {
+    move |ai| {
+        let f = &flows[active[ai]];
+        (f.rate_cap, f.resources.as_slice())
+    }
 }
 
 /// A one-shot max-min fair-share scheduling problem.
@@ -81,45 +122,63 @@ impl FairShareSim {
     }
 
     /// Compute the instantaneous max-min fair rates for the given active
-    /// flows (identified by index into `flows`). Progressive filling:
-    /// all rates rise uniformly; a flow freezes when it hits its own cap or
-    /// when one of its resources saturates.
+    /// flows (identified by index into `flows`).
     ///
     /// This is the allocation [`run`](Self::run) applies between events;
     /// it is public so that callers embedding the fluid model in their
-    /// own event loop (e.g. a job scheduler stretching transfer phases
-    /// under contention) can ask "at what rate does each of these
+    /// own event loop can ask "at what rate does each of these
     /// currently-active flows drain right now?" without committing to
     /// this simulator's arrival/completion bookkeeping. Returned rates
-    /// are indexed like `active`.
+    /// are indexed like `active`. A convenience over
+    /// [`fair_rates`](Self::fair_rates), which a caller solving in a
+    /// loop should use directly to keep its scratch.
     pub fn instantaneous_rates(&self, flows: &[Flow], active: &[usize]) -> Vec<f64> {
-        self.fair_rates(flows, active)
+        let mut scratch = RateScratch::default();
+        self.fair_rates(active.len(), flow_inputs(flows, active), &mut scratch);
+        scratch.rates
     }
 
-    fn fair_rates(&self, flows: &[Flow], active: &[usize]) -> Vec<f64> {
-        let mut rates = vec![0.0f64; active.len()];
-        let mut frozen = vec![false; active.len()];
-        let mut remaining_cap = self.capacities.clone();
+    /// Max-min fair rates by progressive filling: all rates rise
+    /// uniformly; a flow freezes when it hits its own cap or when one of
+    /// its resources saturates. Flow `i` of `n` is described by
+    /// `flow(i)` — its rate cap (`f64::INFINITY` for none) and the
+    /// resources it crosses, borrowed or by value. The rates, indexed
+    /// like the flows, are left in `scratch` and returned borrowed from
+    /// it; nothing else of `scratch` outlives the call, so one scratch
+    /// serves any sequence of problems.
+    pub fn fair_rates<'s, R: AsRef<[ResourceId]>>(
+        &self,
+        n: usize,
+        flow: impl Fn(usize) -> (f64, R),
+        scratch: &'s mut RateScratch,
+    ) -> &'s [f64] {
+        let RateScratch { rates, frozen, remaining_cap, users } = scratch;
+        rates.clear();
+        rates.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        remaining_cap.clear();
+        remaining_cap.extend_from_slice(&self.capacities);
         // Count of unfrozen flows using each resource.
-        let mut users = vec![0usize; self.capacities.len()];
-        for (&fi, _) in active.iter().zip(rates.iter()) {
-            for r in &flows[fi].resources {
+        users.clear();
+        users.resize(self.capacities.len(), 0);
+        for ai in 0..n {
+            for r in flow(ai).1.as_ref() {
                 users[r.0] += 1;
             }
         }
-        let mut unfrozen = active.len();
+        let mut unfrozen = n;
         while unfrozen > 0 {
             // Largest uniform rate increment before a constraint binds.
             let mut delta = f64::INFINITY;
-            for (r, (&cap, &n)) in remaining_cap.iter().zip(users.iter()).enumerate() {
-                let _ = r;
-                if n > 0 {
-                    delta = delta.min(cap / n as f64);
+            for (&cap, &sharing) in remaining_cap.iter().zip(users.iter()) {
+                if sharing > 0 {
+                    delta = delta.min(cap / sharing as f64);
                 }
             }
-            for (ai, &fi) in active.iter().enumerate() {
+            for ai in 0..n {
                 if !frozen[ai] {
-                    delta = delta.min(flows[fi].rate_cap - rates[ai]);
+                    delta = delta.min(flow(ai).0 - rates[ai]);
                 }
             }
             assert!(
@@ -127,29 +186,30 @@ impl FairShareSim {
                 "progressive filling produced a bad increment: {delta}"
             );
             // Apply the increment and charge the resources.
-            for (ai, &fi) in active.iter().enumerate() {
+            for ai in 0..n {
                 if !frozen[ai] {
                     rates[ai] += delta;
-                    for r in &flows[fi].resources {
+                    for r in flow(ai).1.as_ref() {
                         remaining_cap[r.0] -= delta;
                     }
                 }
             }
             // Freeze flows that hit their cap or sit on a saturated resource.
             let eps = 1e-9;
-            for (ai, &fi) in active.iter().enumerate() {
+            for ai in 0..n {
                 if frozen[ai] {
                     continue;
                 }
-                let capped = rates[ai] >= flows[fi].rate_cap - eps * flows[fi].rate_cap.max(1.0);
-                let saturated = flows[fi]
-                    .resources
+                let (rate_cap, resources) = flow(ai);
+                let capped = rates[ai] >= rate_cap - eps * rate_cap.max(1.0);
+                let saturated = resources
+                    .as_ref()
                     .iter()
                     .any(|r| remaining_cap[r.0] <= eps * self.capacities[r.0]);
                 if capped || saturated {
                     frozen[ai] = true;
                     unfrozen -= 1;
-                    for r in &flows[fi].resources {
+                    for r in resources.as_ref() {
                         users[r.0] -= 1;
                     }
                 }
@@ -181,6 +241,7 @@ impl FairShareSim {
         arrivals.sort_by_key(|&i| (flows[i].arrival, i));
         let mut next_arrival = 0usize;
         let mut active: Vec<usize> = Vec::new();
+        let mut scratch = RateScratch::default();
         let mut now = 0.0f64; // seconds, fluid clock
 
         while next_arrival < n || !active.is_empty() {
@@ -196,7 +257,7 @@ impl FairShareSim {
                 now = flows[arrivals[next_arrival]].arrival.as_secs_f64();
                 continue;
             }
-            let rates = self.fair_rates(flows, &active);
+            let rates = self.fair_rates(active.len(), flow_inputs(flows, &active), &mut scratch);
             // Horizon: the earliest of (next arrival, earliest completion).
             let mut horizon = f64::INFINITY;
             if next_arrival < n {
@@ -372,7 +433,7 @@ mod tests {
                 now += dt;
                 continue;
             }
-            let rates = sim.fair_rates(flows, &active);
+            let rates = sim.instantaneous_rates(flows, &active);
             for (ai, &fi) in active.iter().enumerate() {
                 remaining[fi] -= rates[ai] * dt;
                 if remaining[fi] <= 0.0 {
@@ -382,6 +443,159 @@ mod tests {
             now += dt;
         }
         finish
+    }
+
+    impl FairShareSim {
+        /// Progressive filling as it was written before
+        /// [`FairShareSim::fair_rates`] took borrowed inputs and a
+        /// caller-owned scratch, kept verbatim: `instantaneous_rates` is
+        /// a wrapper over the new function, so this is the only
+        /// independent statement of the arithmetic and its order.
+        fn fair_rates_reference(&self, flows: &[Flow], active: &[usize]) -> Vec<f64> {
+            let mut rates = vec![0.0f64; active.len()];
+            let mut frozen = vec![false; active.len()];
+            let mut remaining_cap = self.capacities.clone();
+            // Count of unfrozen flows using each resource.
+            let mut users = vec![0usize; self.capacities.len()];
+            for (&fi, _) in active.iter().zip(rates.iter()) {
+                for r in &flows[fi].resources {
+                    users[r.0] += 1;
+                }
+            }
+            let mut unfrozen = active.len();
+            while unfrozen > 0 {
+                // Largest uniform rate increment before a constraint binds.
+                let mut delta = f64::INFINITY;
+                for (r, (&cap, &n)) in remaining_cap.iter().zip(users.iter()).enumerate() {
+                    let _ = r;
+                    if n > 0 {
+                        delta = delta.min(cap / n as f64);
+                    }
+                }
+                for (ai, &fi) in active.iter().enumerate() {
+                    if !frozen[ai] {
+                        delta = delta.min(flows[fi].rate_cap - rates[ai]);
+                    }
+                }
+                assert!(
+                    delta.is_finite() && delta >= 0.0,
+                    "progressive filling produced a bad increment: {delta}"
+                );
+                // Apply the increment and charge the resources.
+                for (ai, &fi) in active.iter().enumerate() {
+                    if !frozen[ai] {
+                        rates[ai] += delta;
+                        for r in &flows[fi].resources {
+                            remaining_cap[r.0] -= delta;
+                        }
+                    }
+                }
+                // Freeze flows that hit their cap or sit on a saturated resource.
+                let eps = 1e-9;
+                for (ai, &fi) in active.iter().enumerate() {
+                    if frozen[ai] {
+                        continue;
+                    }
+                    let capped =
+                        rates[ai] >= flows[fi].rate_cap - eps * flows[fi].rate_cap.max(1.0);
+                    let saturated = flows[fi]
+                        .resources
+                        .iter()
+                        .any(|r| remaining_cap[r.0] <= eps * self.capacities[r.0]);
+                    if capped || saturated {
+                        frozen[ai] = true;
+                        unfrozen -= 1;
+                        for r in &flows[fi].resources {
+                            users[r.0] -= 1;
+                        }
+                    }
+                }
+            }
+            rates
+        }
+    }
+
+    /// One generated flow of the solver differential: cap selector and
+    /// value (selector 0 means uncapped), three resource selectors and
+    /// how many of them the flow crosses (one to three).
+    type FlowCase = (usize, f64, usize, usize, usize, usize);
+
+    /// The tuple-of-strategies that generates one [`FlowCase`].
+    type FlowCaseStrategy = (
+        std::ops::Range<usize>,
+        std::ops::Range<f64>,
+        std::ops::Range<usize>,
+        std::ops::Range<usize>,
+        std::ops::Range<usize>,
+        std::ops::Range<usize>,
+    );
+
+    fn flow_cases(max: usize) -> proptest::collection::VecStrategy<FlowCaseStrategy> {
+        proptest::collection::vec(
+            (0usize..4, 1.0f64..500.0, 0usize..8, 0usize..8, 0usize..8, 1usize..4),
+            0..max,
+        )
+    }
+
+    fn flows_of(cases: &[FlowCase], nres: usize) -> Vec<Flow> {
+        cases
+            .iter()
+            .map(|&(cap_sel, cap, a, b, c, crossing)| {
+                let rate_cap = if cap_sel == 0 { INF } else { cap };
+                flow(0.0, 1.0, rate_cap, &[a % nres, b % nres, c % nres][..crossing])
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The borrowed-input solver reproduces the reference bit for
+        /// bit — through the `instantaneous_rates` wrapper, and through
+        /// one scratch reused across problems of different sizes, which
+        /// must carry nothing from one solve into the next.
+        #[test]
+        fn solver_is_bit_identical_to_the_reference(
+            caps in proptest::collection::vec(10.0f64..200.0, 1..6),
+            first in flow_cases(33),
+            second in flow_cases(33),
+        ) {
+            let sim = FairShareSim::new(caps.clone());
+            let mut scratch = RateScratch::default();
+            for cases in [&first, &second, &first] {
+                let flows = flows_of(cases, caps.len());
+                let active: Vec<usize> = (0..flows.len()).collect();
+                let want: Vec<u64> =
+                    sim.fair_rates_reference(&flows, &active).iter().map(|r| r.to_bits()).collect();
+                let reused: Vec<u64> = sim
+                    .fair_rates(flows.len(), flow_inputs(&flows, &active), &mut scratch)
+                    .iter()
+                    .map(|r| r.to_bits())
+                    .collect();
+                prop_assert_eq!(&reused, &want);
+                prop_assert_eq!(scratch.rates(), sim.instantaneous_rates(&flows, &active));
+            }
+        }
+
+        /// Any selection from a flow list, in any order, solves like the
+        /// reference does over the same `active` indices.
+        #[test]
+        fn active_subsets_match_the_reference(
+            caps in proptest::collection::vec(10.0f64..200.0, 1..6),
+            cases in flow_cases(33),
+            picks in proptest::collection::vec(0usize..32, 0..16),
+        ) {
+            let flows = flows_of(&cases, caps.len());
+            prop_assume!(!flows.is_empty());
+            let active: Vec<usize> = picks.iter().map(|p| p % flows.len()).collect();
+            let sim = FairShareSim::new(caps.clone());
+            let want = sim.fair_rates_reference(&flows, &active);
+            let got = sim.instantaneous_rates(&flows, &active);
+            prop_assert_eq!(
+                got.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     proptest! {

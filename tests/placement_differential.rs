@@ -1,20 +1,27 @@
-//! Differential property suite for the placement hot path.
+//! Differential property suite for placement queries.
 //!
-//! The cached [`PlacementEngine`] claims bit-identical answers to the
-//! exhaustive [`naive_best_placement_with`] scan it replaced — same winning
-//! (repository, site, configuration) triple, same predicted components,
-//! same `None`s — across cache reuse, EWMA bandwidth invalidation,
-//! dominance pruning, and the free-slice early-outs. These properties drive randomized grids (topology,
-//! node counts, configuration menus, bandwidths), randomized free
-//! slices including fully-saturated ones, random quota caps, and long
-//! query sequences with per-repository bandwidth drift through one
-//! engine, comparing every answer against the oracle.
+//! The scheduler prices every placement with the exhaustive
+//! [`naive_best_placement_with`] scan. Two properties are pinned over
+//! randomized grids (topology, node counts, configuration menus,
+//! bandwidths), randomized free slices including fully-saturated ones,
+//! and random quota caps:
+//!
+//! * the scan places **iff** some configuration fits the largest free
+//!   data slice, the largest free compute slice and the cap — the
+//!   exactness of the pass's saturation early-out, which is why a
+//!   queued job is priced to success once and the pass needs no cache;
+//! * the cached [`PlacementEngine`] (a library type pending deletion,
+//!   kept for a benchmark probe) still answers bit-identically to the
+//!   scan — same winning (repository, site, configuration) triple, same
+//!   predicted components, same `None`s — across cache reuse, EWMA
+//!   bandwidth invalidation, dominance pruning and its early-out, over
+//!   long query sequences with per-repository bandwidth drift.
 
 use fg_bench::figures::sched_models;
 use freeride_g::cluster::{ComputeSite, Configuration, RepositorySite, Wan};
 use freeride_g::predict::AnalyticalPredictor;
 use freeride_g::sched::{
-    naive_best_placement_with, FreeSlices, GridSpec, PlacementEngine, RepoSpec, SiteSpec,
+    naive_best_placement_with, AppModel, FreeSlices, GridSpec, PlacementEngine, RepoSpec, SiteSpec,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -91,36 +98,43 @@ fn grid_case(repos: &[(usize, f64)], sites: &[usize], menu_mask: &[bool]) -> Gri
     }
 }
 
+/// What one [`Query`] asks of `grid`: application, dataset size, quota
+/// cap, per-repository bandwidths and free slices.
+fn query_inputs<'g>(
+    grid: &'g GridSpec,
+    (app_sel, size_sel, bw_factor, free_data_sel, free_cmp_sel, cap_sel): &Query,
+) -> (&'g str, &'g AppModel, u64, Option<usize>, Vec<f64>, FreeSlices) {
+    let (app_name, model) = &grid.apps[app_sel % grid.apps.len()];
+    let quota_cap = if *cap_sel <= 16 { Some(*cap_sel) } else { None };
+    let bw: Vec<f64> = grid
+        .repos
+        .iter()
+        .enumerate()
+        .map(|(ri, r)| r.wan.stream_bw * bw_factor[ri % bw_factor.len()])
+        .collect();
+    // Free slices clamped to each repository's/site's node count;
+    // selectors at or above the count saturate to "all free" so both
+    // empty and full grids occur.
+    let free = FreeSlices::new(
+        grid.repos
+            .iter()
+            .enumerate()
+            .map(|(ri, r)| free_data_sel[ri % free_data_sel.len()].min(r.site.max_nodes))
+            .collect(),
+        grid.sites
+            .iter()
+            .enumerate()
+            .map(|(si, s)| free_cmp_sel[si % free_cmp_sel.len()].min(s.site.max_nodes))
+            .collect(),
+    );
+    (app_name, model, SIZES[*size_sel], quota_cap, bw, free)
+}
+
 /// Drive one engine through the whole query sequence and compare every
 /// answer to the naive oracle over identical inputs.
 fn check_engine(mut engine: PlacementEngine, grid: &GridSpec, queries: &[Query]) {
-    for (qi, (app_sel, size_sel, bw_factor, free_data_sel, free_cmp_sel, cap_sel)) in
-        queries.iter().enumerate()
-    {
-        let (app_name, model) = &grid.apps[app_sel % grid.apps.len()];
-        let bytes = SIZES[*size_sel];
-        let quota_cap = if *cap_sel <= 16 { Some(*cap_sel) } else { None };
-        let bw: Vec<f64> = grid
-            .repos
-            .iter()
-            .enumerate()
-            .map(|(ri, r)| r.wan.stream_bw * bw_factor[ri % bw_factor.len()])
-            .collect();
-        // Free slices clamped to each repository's/site's node count;
-        // selectors at or above the count saturate to "all free" so
-        // both empty and full grids occur.
-        let free = FreeSlices::new(
-            grid.repos
-                .iter()
-                .enumerate()
-                .map(|(ri, r)| free_data_sel[ri % free_data_sel.len()].min(r.site.max_nodes))
-                .collect(),
-            grid.sites
-                .iter()
-                .enumerate()
-                .map(|(si, s)| free_cmp_sel[si % free_cmp_sel.len()].min(s.site.max_nodes))
-                .collect(),
-        );
+    for (qi, query) in queries.iter().enumerate() {
+        let (app_name, model, bytes, quota_cap, bw, free) = query_inputs(grid, query);
         let fast = engine.best_placement(
             &AnalyticalPredictor,
             grid,
@@ -163,6 +177,47 @@ proptest! {
     ) {
         let grid = grid_case(&repos, &sites, &menu_mask);
         check_engine(PlacementEngine::new(&grid), &grid, &queries);
+    }
+
+    /// Why the scheduling pass needs no placement cache: the scan
+    /// places exactly when some configuration fits the largest free
+    /// data slice, the largest free compute slice and the quota cap —
+    /// any site pairs with any repository, so the maxima are reached
+    /// together. A query that survives the pass's saturation early-out
+    /// therefore succeeds, and a queued job is priced once, when it
+    /// starts. A grid model that restricts which site may pair with
+    /// which repository breaks this, and reopens the cache question.
+    #[test]
+    fn the_scan_places_iff_a_configuration_fits_the_largest_free_slices(
+        repos in proptest::collection::vec((1usize..9, 2e5f64..2e6), 1..4),
+        sites in proptest::collection::vec(1usize..17, 1..4),
+        menu_mask in proptest::collection::vec(any::<bool>(), 6..7),
+        queries in queries_strategy(49),
+    ) {
+        let grid = grid_case(&repos, &sites, &menu_mask);
+        for query in &queries {
+            let (app_name, model, bytes, quota_cap, bw, free) = query_inputs(&grid, query);
+            let placed = naive_best_placement_with(
+                &AnalyticalPredictor,
+                &grid,
+                model,
+                bytes,
+                free.data(),
+                free.cmp(),
+                &bw,
+                quota_cap,
+            );
+            let fits = grid.configs.iter().any(|c| {
+                c.data_nodes <= free.max_data()
+                    && c.compute_nodes <= free.max_cmp()
+                    && quota_cap.is_none_or(|cap| c.compute_nodes <= cap)
+            });
+            prop_assert!(
+                placed.is_some() == fits,
+                "{app_name} moving {bytes} bytes under cap {quota_cap:?} over {free:?}: \
+                 placed {placed:?}, a configuration fits the maxima: {fits}"
+            );
+        }
     }
 }
 

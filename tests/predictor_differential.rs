@@ -5,10 +5,8 @@
 //! outcomes, makespan, violations, and the rendered trace — to one
 //! explicitly wired with the analytical predictor, across all seven
 //! paper applications and all three workload shapes; and a *stateful*
-//! predictor (whose epoch bumps invalidate the placement engine's
-//! memoized rankings) must keep the cached engine bit-identical to the
-//! exhaustive naive scan, mirroring `placement_differential.rs` one
-//! level up the stack.
+//! predictor must ride the same seam across the wire and be trained
+//! only when it asks to be.
 
 use fg_bench::figures::{sched_models, workload_jobs};
 use fg_learn::HybridPredictor;
@@ -83,48 +81,6 @@ fn feature_stack_is_unperturbed_by_the_explicit_predictor() {
         let explicit = build().with_predictor(Arc::new(AnalyticalPredictor)).run(&jobs);
         assert_runs_identical(&implicit, &explicit, &format!("{}/stack", shape.name()));
     }
-}
-
-/// A *stateful* predictor exercises the cache-invalidation contract:
-/// every observation can bump the epoch, and a stale epoch in the
-/// placement engine's memoized rankings would silently serve outdated
-/// placements. Running the cached engine against the exhaustive naive
-/// scan under a learning hybrid predictor — with a mid-run degradation
-/// feeding it drifting observations — pins the epoch plumbing
-/// end-to-end.
-#[test]
-fn cached_engine_tracks_an_epoch_bumping_predictor() {
-    for shape in WorkloadShape::ALL {
-        let jobs = workload_jobs(shape);
-        let build = |pred: Arc<dyn Predictor>| {
-            Scheduler::new(grid(), Policy::FcfsBackfill)
-                .with_predictor(pred)
-                .with_degradation(Degradation { repo: 0, start: 0.0, factor: 0.2 })
-        };
-        // Each arm needs its own predictor instance: the two runs feed
-        // their predictors independently, and sharing one would let
-        // the first run's training leak into the second.
-        let cached = build(Arc::new(HybridPredictor::default())).run(&jobs);
-        let naive = build(Arc::new(HybridPredictor::default())).with_naive_placement().run(&jobs);
-        assert_runs_identical(&cached, &naive, &format!("{}/hybrid", shape.name()));
-    }
-}
-
-/// Same pin for the learned ridge predictor, whose epoch bumps on
-/// every refit rather than every observation.
-#[test]
-fn cached_engine_tracks_a_refitting_learned_predictor() {
-    let shape = WorkloadShape::HeavyTail;
-    let jobs = workload_jobs(shape);
-    let build = |pred: Arc<dyn Predictor>| {
-        Scheduler::new(grid(), Policy::FcfsBackfill)
-            .with_predictor(pred)
-            .with_degradation(Degradation { repo: 0, start: 0.0, factor: 0.3 })
-    };
-    let cached = build(Arc::new(fg_learn::LearnedPredictor::default())).run(&jobs);
-    let naive =
-        build(Arc::new(fg_learn::LearnedPredictor::default())).with_naive_placement().run(&jobs);
-    assert_runs_identical(&cached, &naive, "heavy-tail/learned");
 }
 
 /// The predictor seam survives the wire: fg-serve's config object is

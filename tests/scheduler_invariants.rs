@@ -5,7 +5,9 @@
 //! bursty) presets alike.
 
 use fg_bench::figures::sched_models;
-use freeride_g::sched::{GridSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec};
+use freeride_g::sched::{
+    GridSpec, JobSpec, LoadLevel, Policy, SchedCore, Scheduler, WorkloadShape, WorkloadSpec,
+};
 
 fn grid() -> GridSpec {
     GridSpec::demo(sched_models())
@@ -33,20 +35,6 @@ fn same_seed_gives_bit_identical_schedules_and_traces() {
             policy.name()
         );
         assert_eq!(a.makespan, b.makespan);
-
-        // The placement engine's cache and the naive reference scan
-        // are interchangeable: the scan must reproduce the cached run
-        // bit for bit, on the full app mix, not just a single-model
-        // workload.
-        let naive = Scheduler::new(grid(), policy).with_naive_placement().run(&jobs);
-        let nj = serde_json::to_string(&naive.outcomes).expect("serialize outcomes");
-        assert_eq!(aj, nj, "cached placement diverged from naive ({})", policy.name());
-        assert_eq!(
-            freeride_g::trace::to_jsonl(&a.trace),
-            freeride_g::trace::to_jsonl(&naive.trace),
-            "cached placement trace diverged from naive ({})",
-            policy.name()
-        );
     }
 }
 
@@ -158,28 +146,34 @@ fn trace_shaped_streams_uphold_every_invariant() {
     }
 }
 
+/// The event loop pays for what changed, in counts that repeat exactly
+/// (so a shared CI runner can enforce them where it cannot enforce a
+/// time): the pass scans once per start — a query that survives the
+/// saturation early-out places, so no job is priced twice — and the
+/// fair-share rates are solved when a transfer enters or leaves the
+/// network phase, two of a job's four iterations, not every iteration.
 #[test]
-fn trace_shaped_streams_keep_placement_variants_bit_identical() {
-    // Cache coherence under adversarial traffic: a bursty heavy stream
-    // hammers the placement cache with clustered arrivals and wild
-    // dataset spreads, and the cached and naive engines must still
-    // agree bit for bit.
+fn the_loop_scans_once_per_start_and_solves_rates_only_when_transfers_change() {
     let apps = apps();
     let names: Vec<&str> = apps.iter().map(|s| s.as_str()).collect();
-    let jobs = WorkloadSpec::shaped(WorkloadShape::Bursty, LoadLevel::Heavy, &names, 42).generate();
-    for policy in Policy::ALL {
-        let cached = Scheduler::new(grid(), policy).run(&jobs);
-        let cj = serde_json::to_string(&cached.outcomes).expect("serialize outcomes");
-        let naive = Scheduler::new(grid(), policy).with_naive_placement().run(&jobs);
-        let nj = serde_json::to_string(&naive.outcomes).expect("serialize outcomes");
-        assert_eq!(cj, nj, "naive placement diverged on bursty stream ({})", policy.name());
-        assert_eq!(
-            freeride_g::trace::to_jsonl(&cached.trace),
-            freeride_g::trace::to_jsonl(&naive.trace),
-            "naive placement trace diverged on bursty stream ({})",
-            policy.name()
-        );
+    let jobs =
+        WorkloadSpec::shaped(WorkloadShape::HeavyTail, LoadLevel::Heavy, &names, 42).generate();
+    let mut core = SchedCore::new(Scheduler::new(grid(), Policy::FcfsBackfill));
+    for j in &jobs {
+        assert!(core.submit(j.clone()).expect("generated streams arrive in order").admitted);
     }
+    // One more arrival, long after the backlog has drained, runs the
+    // loop through every completion while the core can still be read
+    // (`finish` consumes it).
+    let last = jobs.last().expect("non-empty stream");
+    core.submit(JobSpec { id: jobs.len(), arrival: last.arrival + 1e9, ..last.clone() })
+        .expect("a later arrival");
+    let stats = core.pump_stats();
+    assert_eq!(stats.starts, jobs.len() as u64, "{stats:?}");
+    assert_eq!(stats.placement_scans, stats.starts, "{stats:?}");
+    assert!(stats.rate_solves <= 2 * stats.starts + 1, "{stats:?}");
+    assert!(stats.rate_solves * 3 <= stats.iterations * 2, "{stats:?}");
+    assert!(core.finish().violations.is_empty());
 }
 
 #[test]
