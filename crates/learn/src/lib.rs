@@ -12,15 +12,18 @@
 //! - [`LearnedPredictor`] fits a per-`(app, repository)` ridge
 //!   regression ([`ridge`]) over physically-motivated features of the
 //!   placement tuple, refit online as observations arrive, with a
-//!   trust-region clamp around the analytical anchor.
+//!   trust-region clamp around the analytical anchor. Each key's
+//!   retained samples are kept — once — in a canonical order, and one
+//!   pass over them fits all three components.
 //! - [`HybridPredictor`] keeps the analytical model's *shape* and
 //!   learns only a per-component multiplicative correction, tracked as
 //!   an EWMA of observed/predicted ratios — the cheap, robust choice
 //!   when drift is a stable scale factor.
 //!
 //! Both are deterministic (fixed-order arithmetic, no clocks, no
-//! randomness; the learned fit is canonicalized so it depends only on
-//! the retained sample multiset) and both serialize to versioned JSONL
+//! randomness; the learned fit always sums the retained samples in
+//! their canonical order, so it depends only on the retained multiset,
+//! never on arrival order) and both serialize to versioned JSONL
 //! via `dump_jsonl`/`replay_jsonl`, with `dump → replay → dump` a byte
 //! fixpoint.
 
@@ -30,4 +33,4 @@ pub mod predictor;
 pub mod ridge;
 
 pub use predictor::{HybridConfig, HybridPredictor, LearnConfig, LearnedPredictor, MODEL_VERSION};
-pub use ridge::{fit_ridge, FitError};
+pub use ridge::{fit_ridge, solve_ridge, FitError};

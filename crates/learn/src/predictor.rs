@@ -8,8 +8,8 @@
 //! state changes only in [`Predictor::observe`], every change that can
 //! alter a prediction bumps the epoch, and a fixed sample multiset
 //! produces bit-identical models regardless of arrival order (the
-//! learned predictor refits from a canonically sorted copy of its
-//! retained buffer).
+//! learned predictor keeps each key's retained samples in one canonical
+//! order and always sums them in that order).
 //!
 //! # Trust region
 //!
@@ -21,7 +21,7 @@
 //! never admit a job the analytical model would reject by more than 2×,
 //! and never rank a candidate more than 2× cheaper than physics says.
 
-use crate::ridge::fit_ridge;
+use crate::ridge::solve_ridge;
 use fg_cluster::DeploymentRef;
 use fg_predict::{
     try_predict_deployment, AppClasses, Observation, Prediction, Predictor, Profile,
@@ -63,7 +63,7 @@ fn features(
     [1.0, s / n, s / (n * b), s / c, c]
 }
 
-fn dot(w: &[f64], phi: &[f64; DIMS]) -> f64 {
+fn dot(w: &[f64; DIMS], phi: &[f64; DIMS]) -> f64 {
     w.iter().zip(phi).map(|(a, b)| a * b).sum()
 }
 
@@ -116,20 +116,25 @@ impl LearnConfig {
 /// One retained training sample: the placement tuple and the observed
 /// component times. The prediction that accompanied it is not stored —
 /// fits regress *observed* times on the tuple alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct SampleRow {
     data_nodes: usize,
     compute_nodes: usize,
     wan_bw: f64,
     dataset_bytes: u64,
     observed: [f64; COMPONENTS],
+    /// Ingestion sequence number within the key: the smallest is the
+    /// one evicted, and a dump lists samples by it. Not part of the
+    /// dump — a replay numbers the samples as it reads them.
+    #[serde(skip)]
+    seq: u64,
 }
 
 impl SampleRow {
-    /// Total order used to canonicalize the buffer before every refit,
-    /// making the fit a function of the retained *multiset*. Floats
-    /// compare by sign-aware bit patterns (all values here are
-    /// non-negative in practice; ties are broken by later fields).
+    /// The canonical total order a key's samples are kept in, making
+    /// the fit a function of the retained *multiset*. Floats compare by
+    /// sign-aware bit patterns (all values here are non-negative in
+    /// practice; ties are broken by later fields).
     fn sort_key(&self) -> (u64, usize, usize, u64, [u64; COMPONENTS]) {
         (
             self.dataset_bytes,
@@ -139,34 +144,66 @@ impl SampleRow {
             [self.observed[0].to_bits(), self.observed[1].to_bits(), self.observed[2].to_bits()],
         )
     }
+
+    fn features(&self) -> [f64; DIMS] {
+        features(self.data_nodes, self.compute_nodes, self.wan_bw, self.dataset_bytes)
+    }
+
+    /// Whether a fit can use this sample. A zero node count or a zero
+    /// bandwidth gives a non-finite feature row, which the solver
+    /// refuses along with every other row of its key — so such a
+    /// sample is never retained. (An infinite bandwidth is named
+    /// separately: its feature is a finite zero.)
+    fn fittable(&self) -> bool {
+        self.wan_bw.is_finite()
+            && self.features().iter().chain(&self.observed).all(|v| v.is_finite())
+    }
 }
 
-/// Per-`(app, repository)` model state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct KeyState {
+/// Fitted coefficients per component.
+type Coefs = [[f64; DIMS]; COMPONENTS];
+
+/// One line of a model dump: a key, its retained samples in ingestion
+/// order, and its fitted coefficients (`null` until a fit succeeded).
+#[derive(Serialize, Deserialize)]
+struct KeyLine {
     app: String,
     repo: String,
-    /// Retained samples in ingestion order (the ring's eviction order).
     samples: Vec<SampleRow>,
-    /// Fitted coefficients per component, once `min_samples` cleared
-    /// and the fit succeeded. `None` keys answer analytically.
-    coefs: Option<[Vec<f64>; COMPONENTS]>,
+    coefs: Option<Coefs>,
+}
+
+/// Per-`(app, repository)` state: the retained samples and the model
+/// fitted from them.
+#[derive(Debug)]
+struct Ring {
+    app: String,
+    repo: String,
+    /// The retained samples — the only copy — in [`SampleRow::sort_key`]
+    /// order, equal keys in ingestion order (what a stable sort of the
+    /// ingestion-ordered ring gives).
+    samples: Vec<SampleRow>,
+    /// Sequence number the next retained sample gets.
+    next_seq: u64,
+    /// `None` until the first successful fit.
+    coefs: Option<Coefs>,
 }
 
 /// Online per-`(app, repository)` ridge regression behind the
 /// [`Predictor`] seam.
 ///
-/// Every clean completion appends a sample to its key's bounded buffer;
-/// once `min_samples` have accumulated the key refits from a
-/// canonically sorted copy of the buffer, so the model depends only on
-/// *which* samples are retained, never on their arrival order. Keys
-/// without a model — and any fit the ridge core rejects — fall back to
-/// the analytical prediction, and fitted predictions are clamped into
-/// the trust region around it.
+/// Every clean completion joins its key's bounded sample set (the
+/// oldest leaves once `capacity` is reached); once `min_samples` have
+/// accumulated the key refits all three components from one pass over
+/// the set in its canonical order, so the model depends only on *which*
+/// samples are retained, never on their arrival order. Keys without a
+/// model — and any fit the ridge core rejects — fall back to the
+/// analytical prediction, and fitted predictions are clamped into the
+/// trust region around it.
 #[derive(Debug)]
 pub struct LearnedPredictor {
     cfg: LearnConfig,
-    state: Mutex<Vec<KeyState>>,
+    state: Mutex<Vec<Ring>>,
     epoch: AtomicU64,
 }
 
@@ -192,7 +229,7 @@ impl LearnedPredictor {
 
     /// Keys that currently hold a fitted model.
     pub fn trained_keys(&self) -> usize {
-        self.state.lock().unwrap().iter().filter(|k| k.coefs.is_some()).count()
+        self.state.lock().unwrap().iter().filter(|r| r.coefs.is_some()).count()
     }
 
     /// Serialize the model as versioned JSONL: a header line carrying
@@ -211,8 +248,16 @@ impl LearnedPredictor {
         let header = Header { kind: "fg-learn-model", version: MODEL_VERSION, config: self.cfg };
         out.push_str(&serde_json::to_string(&header).expect("header serializes"));
         out.push('\n');
-        for key in self.state.lock().unwrap().iter() {
-            out.push_str(&serde_json::to_string(key).expect("key serializes"));
+        for ring in self.state.lock().unwrap().iter() {
+            let mut samples = ring.samples.clone();
+            samples.sort_by_key(|s| s.seq);
+            let line = KeyLine {
+                app: ring.app.clone(),
+                repo: ring.repo.clone(),
+                samples,
+                coefs: ring.coefs,
+            };
+            out.push_str(&serde_json::to_string(&line).expect("key serializes"));
             out.push('\n');
         }
         out
@@ -220,7 +265,14 @@ impl LearnedPredictor {
 
     /// Rebuild a predictor from a [`Self::dump_jsonl`] corpus. The dump
     /// is authoritative: samples and coefficients are installed
-    /// verbatim, so `dump → replay → dump` is a byte fixpoint. The
+    /// verbatim, so `dump → replay → dump` is a byte fixpoint. A line
+    /// no live predictor could have written — a second line for an
+    /// `(app, repository)` already seen, which no lookup would reach, a
+    /// sample `observe` would have dropped, more samples than the
+    /// dump's own capacity — is an error naming the line. That includes
+    /// a version-1 dump written before `observe` dropped unfittable
+    /// samples (zero bandwidth or node count): the poisoned row that
+    /// had frozen its key is refused here rather than replayed. The
     /// epoch restarts at the number of trained keys (any positive value
     /// distinguishes a trained replay from a fresh instance).
     pub fn replay_jsonl(text: &str) -> Result<LearnedPredictor, String> {
@@ -244,33 +296,40 @@ impl LearnedPredictor {
             ));
         }
         header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
-        let pred = LearnedPredictor::new(header.config);
-        let mut keys: Vec<KeyState> = Vec::new();
+        let mut rings: Vec<Ring> = Vec::new();
         for (i, line) in lines {
             if line.trim().is_empty() {
                 continue;
             }
-            let key: KeyState =
+            let KeyLine { app, repo, mut samples, coefs } =
                 serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            if key.samples.len() > header.config.capacity {
+            if rings.iter().any(|r| r.app == app && r.repo == repo) {
+                return Err(format!("line {}: a second line for ({app:?}, {repo:?})", i + 1));
+            }
+            if samples.len() > header.config.capacity {
                 return Err(format!(
                     "line {}: {} samples exceed the dump's own capacity {}",
                     i + 1,
-                    key.samples.len(),
+                    samples.len(),
                     header.config.capacity
                 ));
             }
-            if let Some(coefs) = &key.coefs {
-                if coefs.iter().any(|w| w.len() != DIMS) {
-                    return Err(format!("line {}: coefficient vector is not {DIMS}-dim", i + 1));
-                }
+            if let Some(at) = samples.iter().position(|s| !s.fittable()) {
+                return Err(format!("line {}: sample {at} can never be fitted", i + 1));
             }
-            keys.push(key);
+            for (seq, s) in samples.iter_mut().enumerate() {
+                s.seq = seq as u64;
+            }
+            let next_seq = samples.len() as u64;
+            samples.sort_by_key(SampleRow::sort_key);
+            rings.push(Ring { app, repo, samples, next_seq, coefs });
         }
-        let trained = keys.iter().filter(|k| k.coefs.is_some()).count() as u64;
-        *pred.state.lock().unwrap() = keys;
-        pred.epoch.store(trained, Ordering::SeqCst);
-        Ok(pred)
+        let trained = rings.iter().filter(|r| r.coefs.is_some()).count() as u64;
+        Ok(LearnedPredictor {
+            cfg: header.config,
+            state: Mutex::new(rings),
+            epoch: AtomicU64::new(trained),
+        })
     }
 }
 
@@ -293,13 +352,13 @@ impl Predictor for LearnedPredictor {
         let state = self.state.lock().unwrap();
         let Some(coefs) = state
             .iter()
-            .find(|k| k.app == profile.app && k.repo == d.repository.name)
-            .and_then(|k| k.coefs.as_ref())
+            .find(|r| r.app == profile.app && r.repo == d.repository.name)
+            .and_then(|r| r.coefs.as_ref())
         else {
             return Ok(a);
         };
         let phi = features(d.config.data_nodes, d.config.compute_nodes, d.stream_bw, dataset_bytes);
-        let clamp = |w: &[f64], anchor: f64| -> f64 {
+        let clamp = |w: &[f64; DIMS], anchor: f64| -> f64 {
             let raw = dot(w, &phi);
             if raw.is_finite() {
                 raw.clamp(anchor / self.cfg.trust, anchor * self.cfg.trust)
@@ -323,59 +382,60 @@ impl Predictor for LearnedPredictor {
     }
 
     fn observe(&self, obs: &Observation) {
-        if obs.observed.iter().any(|v| !v.is_finite()) || !obs.wan_bw.is_finite() {
-            return;
-        }
-        let mut state = self.state.lock().unwrap();
-        let ki = match state.iter().position(|k| k.app == obs.app && k.repo == obs.repo) {
-            Some(i) => i,
-            None => {
-                state.push(KeyState {
-                    app: obs.app.clone(),
-                    repo: obs.repo.clone(),
-                    samples: Vec::new(),
-                    coefs: None,
-                });
-                state.len() - 1
-            }
-        };
-        let key = &mut state[ki];
-        key.samples.push(SampleRow {
+        let mut sample = SampleRow {
             data_nodes: obs.data_nodes,
             compute_nodes: obs.compute_nodes,
             wan_bw: obs.wan_bw,
             dataset_bytes: obs.dataset_bytes,
             observed: obs.observed,
-        });
-        while key.samples.len() > self.cfg.capacity {
-            key.samples.remove(0);
-        }
-        if key.samples.len() < self.cfg.min_samples {
+            seq: 0,
+        };
+        if !sample.fittable() {
             return;
         }
-        // Refit from a canonically sorted copy: the model is a function
-        // of the retained multiset, independent of arrival order.
-        let mut canon = key.samples.clone();
-        canon.sort_by_key(|x| x.sort_key());
-        let xs: Vec<Vec<f64>> = canon
-            .iter()
-            .map(|s| features(s.data_nodes, s.compute_nodes, s.wan_bw, s.dataset_bytes).to_vec())
-            .collect();
-        let mut fitted: Vec<Vec<f64>> = Vec::with_capacity(COMPONENTS);
-        for comp in 0..COMPONENTS {
-            let ys: Vec<f64> = canon.iter().map(|s| s.observed[comp]).collect();
-            match fit_ridge(&xs, &ys, self.cfg.lambda) {
-                Ok(w) => fitted.push(w),
-                // A rejected fit keeps the previous model (or the
-                // analytical fallback): predictions are unchanged, so
-                // the epoch stays put.
-                Err(_) => return,
+        let mut state = self.state.lock().unwrap();
+        let ri = match state.iter().position(|r| r.app == obs.app && r.repo == obs.repo) {
+            Some(i) => i,
+            None => {
+                state.push(Ring {
+                    app: obs.app.clone(),
+                    repo: obs.repo.clone(),
+                    samples: Vec::new(),
+                    next_seq: 0,
+                    coefs: None,
+                });
+                state.len() - 1
             }
+        };
+        let ring = &mut state[ri];
+        if ring.samples.len() == self.cfg.capacity {
+            let oldest = ring.next_seq - self.cfg.capacity as u64;
+            let at = ring.samples.iter().position(|s| s.seq == oldest);
+            ring.samples.remove(at.expect("retained sequence numbers are consecutive"));
         }
-        let coefs: [Vec<f64>; COMPONENTS] =
-            fitted.try_into().expect("one coefficient vector per component");
-        if key.coefs.as_ref() != Some(&coefs) {
-            key.coefs = Some(coefs);
+        sample.seq = ring.next_seq;
+        ring.next_seq += 1;
+        // After every equal key: where a stable sort would put the
+        // newest of them.
+        let key = sample.sort_key();
+        let at = ring.samples.partition_point(|s| s.sort_key() <= key);
+        ring.samples.insert(at, sample);
+        if ring.samples.len() < self.cfg.min_samples {
+            return;
+        }
+        // One pass over the retained multiset in its canonical order
+        // fits all three components: the model is independent of
+        // arrival order. A rejected fit keeps the previous model (or
+        // the analytical fallback): predictions are unchanged, so the
+        // epoch stays put.
+        let mut a = [0.0; DIMS * DIMS];
+        let mut coefs: Coefs = [[0.0; DIMS]; COMPONENTS];
+        let rows = ring.samples.iter().map(|s| (s.features(), s.observed));
+        if solve_ridge(DIMS, rows, self.cfg.lambda, &mut a, coefs.as_flattened_mut()).is_err() {
+            return;
+        }
+        if ring.coefs != Some(coefs) {
+            ring.coefs = Some(coefs);
             self.epoch.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -606,6 +666,137 @@ impl Predictor for HybridPredictor {
 mod tests {
     use super::*;
     use fg_cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    /// `LearnedPredictor`'s training side as it stood before the
+    /// retained samples were kept in canonical order: an
+    /// ingestion-order ring per key, cloned and sorted for every refit,
+    /// one call per component to the `fit_ridge` of the time
+    /// (`ridge::reference`). `observe` and `dump_jsonl` are that code
+    /// verbatim (plus `seq: 0` in the row literal and the `refused`
+    /// counter); the differential below holds the shipped predictor to
+    /// it byte for byte.
+    mod reference {
+        use super::super::*;
+        use crate::ridge::reference::fit_ridge;
+
+        #[derive(Serialize)]
+        struct KeyState {
+            app: String,
+            repo: String,
+            samples: Vec<SampleRow>,
+            coefs: Option<[Vec<f64>; COMPONENTS]>,
+        }
+
+        pub struct Reference {
+            cfg: LearnConfig,
+            state: Mutex<Vec<KeyState>>,
+            epoch: AtomicU64,
+            /// Refits the ridge core refused.
+            pub refused: AtomicU64,
+        }
+
+        impl Reference {
+            pub fn new(cfg: LearnConfig) -> Reference {
+                Reference {
+                    cfg,
+                    state: Mutex::new(Vec::new()),
+                    epoch: AtomicU64::new(0),
+                    refused: AtomicU64::new(0),
+                }
+            }
+
+            pub fn epoch(&self) -> u64 {
+                self.epoch.load(Ordering::SeqCst)
+            }
+
+            pub fn dump_jsonl(&self) -> String {
+                #[derive(Serialize)]
+                struct Header {
+                    kind: &'static str,
+                    version: u32,
+                    config: LearnConfig,
+                }
+                let mut out = String::new();
+                let header =
+                    Header { kind: "fg-learn-model", version: MODEL_VERSION, config: self.cfg };
+                out.push_str(&serde_json::to_string(&header).expect("header serializes"));
+                out.push('\n');
+                for key in self.state.lock().unwrap().iter() {
+                    out.push_str(&serde_json::to_string(key).expect("key serializes"));
+                    out.push('\n');
+                }
+                out
+            }
+
+            pub fn observe(&self, obs: &Observation) {
+                if obs.observed.iter().any(|v| !v.is_finite()) || !obs.wan_bw.is_finite() {
+                    return;
+                }
+                let mut state = self.state.lock().unwrap();
+                let ki = match state.iter().position(|k| k.app == obs.app && k.repo == obs.repo) {
+                    Some(i) => i,
+                    None => {
+                        state.push(KeyState {
+                            app: obs.app.clone(),
+                            repo: obs.repo.clone(),
+                            samples: Vec::new(),
+                            coefs: None,
+                        });
+                        state.len() - 1
+                    }
+                };
+                let key = &mut state[ki];
+                key.samples.push(SampleRow {
+                    data_nodes: obs.data_nodes,
+                    compute_nodes: obs.compute_nodes,
+                    wan_bw: obs.wan_bw,
+                    dataset_bytes: obs.dataset_bytes,
+                    observed: obs.observed,
+                    seq: 0,
+                });
+                while key.samples.len() > self.cfg.capacity {
+                    key.samples.remove(0);
+                }
+                if key.samples.len() < self.cfg.min_samples {
+                    return;
+                }
+                // Refit from a canonically sorted copy: the model is a function
+                // of the retained multiset, independent of arrival order.
+                let mut canon = key.samples.clone();
+                canon.sort_by_key(|x| x.sort_key());
+                let xs: Vec<Vec<f64>> = canon
+                    .iter()
+                    .map(|s| {
+                        features(s.data_nodes, s.compute_nodes, s.wan_bw, s.dataset_bytes).to_vec()
+                    })
+                    .collect();
+                let mut fitted: Vec<Vec<f64>> = Vec::with_capacity(COMPONENTS);
+                for comp in 0..COMPONENTS {
+                    let ys: Vec<f64> = canon.iter().map(|s| s.observed[comp]).collect();
+                    match fit_ridge(&xs, &ys, self.cfg.lambda) {
+                        Ok(w) => fitted.push(w),
+                        // A rejected fit keeps the previous model (or the
+                        // analytical fallback): predictions are unchanged, so
+                        // the epoch stays put.
+                        Err(_) => {
+                            self.refused.fetch_add(1, Ordering::SeqCst);
+                            return;
+                        }
+                    }
+                }
+                let coefs: [Vec<f64>; COMPONENTS] =
+                    fitted.try_into().expect("one coefficient vector per component");
+                if key.coefs.as_ref() != Some(&coefs) {
+                    key.coefs = Some(coefs);
+                    self.epoch.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+    }
 
     fn profile() -> Profile {
         Profile {
@@ -821,6 +1012,235 @@ mod tests {
             )
             .unwrap();
         assert_eq!(p1.total().to_bits(), p2.total().to_bits());
+    }
+
+    /// An observation on a small grid of placement tuples: `key` picks
+    /// the `(app, repository)`, `tuple` the placement, `jitter` one of
+    /// four stretches of the analytical truth — so streams drawn from
+    /// it repeat rows exactly, and a stretch that holds `tuple` fixed is
+    /// collinear.
+    fn grid_obs(key: usize, tuple: usize, jitter: usize) -> Observation {
+        let (app, repo) = [("kmeans", "osu"), ("kmeans", "mit"), ("em", "osu")][key];
+        let n = [1usize, 2, 4][tuple % 3];
+        let c = n * [1usize, 2, 4][tuple / 3 % 3];
+        let bw = [5e5, 1e6][tuple / 9 % 2];
+        let bytes = [64u64 << 20, 200 << 20, 800 << 20][tuple / 18 % 3];
+        let stretch = [1.0, 1.05, 0.9, 1.3][jitter];
+        Observation {
+            app: app.into(),
+            repo: repo.into(),
+            ..stretched_obs(n, c, bw, bytes, [stretch; 3])
+        }
+    }
+
+    /// The bit-identity claim: keeping the samples sorted and solving
+    /// all three components in one elimination changes nothing a caller
+    /// can see. 256 generated streams over 1–3 keys, rings small enough
+    /// that eviction and the sorted removal run thousands of times,
+    /// exact duplicate rows, and a collinear stretch per stream where
+    /// the fit is refused; after **every** observation the dump bytes
+    /// and the epoch equal the reference's.
+    #[test]
+    fn observe_matches_the_reference_after_every_observation() {
+        let stream = (
+            8usize..25,
+            5usize..9,
+            1usize..4,
+            0usize..3,
+            0usize..120,
+            collection::vec((0usize..3, 0usize..54, 0usize..4), 60..180),
+        );
+        let (mut evictions, mut refused, mut duplicates, mut bumps) = (0u64, 0u64, 0u64, 0u64);
+        for case in 0..256 {
+            let mut rng = TestRng::for_case(case);
+            let (capacity, min_samples, keys, lambda, freeze_at, steps) = stream.generate(&mut rng);
+            let cfg = LearnConfig {
+                min_samples,
+                capacity,
+                lambda: [0.0, 1e-6, 1e-3][lambda],
+                trust: 2.0,
+            };
+            let (new, old) = (LearnedPredictor::new(cfg), reference::Reference::new(cfg));
+            let mut retained = vec![0usize; keys];
+            let mut seen = HashSet::new();
+            let frozen = freeze_at..freeze_at + 2 * capacity;
+            for (i, &(key, tuple, jitter)) in steps.iter().enumerate() {
+                // The collinear stretch: one key, one tuple, long
+                // enough to fill the ring with it.
+                let (key, tuple) =
+                    if frozen.contains(&i) { (0, steps[freeze_at].1) } else { (key % keys, tuple) };
+                let obs = grid_obs(key, tuple, jitter);
+                new.observe(&obs);
+                old.observe(&obs);
+                assert_eq!(new.dump_jsonl(), old.dump_jsonl(), "case {case}, step {i}");
+                assert_eq!(new.epoch(), old.epoch(), "case {case}, step {i}");
+                evictions += u64::from(retained[key] == capacity);
+                retained[key] = (retained[key] + 1).min(capacity);
+                duplicates += u64::from(!seen.insert((key, tuple, jitter)));
+            }
+            refused += old.refused.load(Ordering::SeqCst);
+            bumps += old.epoch();
+        }
+        // The generator reaches what the claim is about.
+        assert!(evictions > 5_000, "{evictions} evictions");
+        assert!(refused > 1_000, "{refused} refused fits");
+        assert!(duplicates > 5_000, "{duplicates} duplicate rows");
+        assert!(bumps > 5_000, "{bumps} epoch bumps");
+    }
+
+    /// Readers never see half a model: while one thread observes, every
+    /// concurrent prediction bit-equals the answer of a model that
+    /// existed between the two epochs the reader saw around it, and
+    /// those epochs never go backwards.
+    #[test]
+    fn concurrent_readers_see_whole_models_and_a_monotone_epoch() {
+        let cfg = LearnConfig { capacity: 16, ..LearnConfig::default() };
+        let stream: Vec<Observation> = (0..600)
+            .map(|i| {
+                let (n, c, bw, bytes) = training_grid()[i * 7 % 54];
+                let mut obs = stretched_obs(n, c, bw, bytes, [1.0 + (i % 9) as f64 / 10.0; 3]);
+                // A second key the probe never asks about moves the
+                // epoch without moving the answer.
+                if i % 5 == 0 {
+                    obs.repo = "mit".into();
+                }
+                obs
+            })
+            .collect();
+        let d = deployment(2, 8, 8e5);
+        let probe = |p: &LearnedPredictor| -> [u64; 3] {
+            let got = p
+                .predict_deployment(
+                    &profile(),
+                    AppClasses::CONSTANT_LINEAR_CONSTANT,
+                    d.as_ref(),
+                    400 << 20,
+                    &HashMap::new(),
+                )
+                .unwrap();
+            [got.t_disk.to_bits(), got.t_network.to_bits(), got.t_compute.to_bits()]
+        };
+        // Single-threaded oracle: the answer at every epoch.
+        let oracle = LearnedPredictor::new(cfg);
+        let mut by_epoch = vec![probe(&oracle)];
+        for obs in &stream {
+            oracle.observe(obs);
+            by_epoch.resize(oracle.epoch() as usize + 1, probe(&oracle));
+        }
+        assert!(by_epoch.len() > 300, "the stream must keep the model moving");
+
+        const READERS: usize = 3;
+        let shared = LearnedPredictor::new(cfg);
+        let start = Barrier::new(READERS + 1);
+        let done = AtomicBool::new(false);
+        let reads: Vec<AtomicU64> = (0..READERS).map(|_| AtomicU64::new(0)).collect();
+        // Set when a reader unwinds, so the writer stops waiting for its
+        // turn and the scope joins and reports the reader's panic.
+        let failed = AtomicBool::new(false);
+        struct SetOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for SetOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        std::thread::scope(|scope| {
+            for mine in &reads {
+                scope.spawn(|| {
+                    let _guard = SetOnUnwind(&failed);
+                    start.wait();
+                    let (mut last, mut distinct) = (0u64, 0usize);
+                    while !done.load(Ordering::SeqCst) {
+                        let before = shared.epoch();
+                        let got = probe(&shared);
+                        let after = shared.epoch();
+                        assert!(last <= before && before <= after, "{last} {before} {after}");
+                        assert!(
+                            by_epoch[before as usize..=after as usize].contains(&got),
+                            "an answer no model between epochs {before} and {after} gives"
+                        );
+                        distinct += usize::from(after > last);
+                        last = after;
+                        mine.fetch_add(1, Ordering::SeqCst);
+                    }
+                    assert!(distinct >= 10, "the reader overlapped {distinct} model changes");
+                });
+            }
+            start.wait();
+            // The writer hands every reader a turn between chunks, so
+            // reads and observations interleave on any machine.
+            for chunk in stream.chunks(20) {
+                let seen: Vec<u64> = reads.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+                for obs in chunk {
+                    shared.observe(obs);
+                }
+                for (r, &was) in reads.iter().zip(&seen) {
+                    while r.load(Ordering::SeqCst) == was && !failed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(shared.dump_jsonl(), oracle.dump_jsonl());
+        assert_eq!(shared.epoch(), oracle.epoch());
+    }
+
+    /// A zero bandwidth or a zero node count makes the feature row
+    /// non-finite, which no fit accepts. Retained, such a sample would
+    /// freeze its key until it fell off the ring; it is dropped at the
+    /// door instead, like a non-finite observed time.
+    #[test]
+    fn an_observation_that_can_never_be_fitted_is_dropped_at_the_door() {
+        let pred = LearnedPredictor::default();
+        for &(n, c, bw, bytes) in &training_grid() {
+            pred.observe(&stretched_obs(n, c, bw, bytes, [1.8, 1.5, 1.2]));
+        }
+        let trained = pred.dump_jsonl();
+        let good = stretched_obs(2, 4, 1e6, 200 << 20, [1.1, 1.1, 1.1]);
+        let unfittable = [
+            Observation { wan_bw: 0.0, ..good.clone() },
+            Observation { data_nodes: 0, ..good.clone() },
+            Observation { compute_nodes: 0, ..good.clone() },
+            Observation { wan_bw: f64::INFINITY, ..good.clone() },
+            Observation { observed: [1.0, f64::NAN, 1.0], ..good.clone() },
+        ];
+        for obs in &unfittable {
+            pred.observe(obs);
+            assert_eq!(pred.dump_jsonl(), trained, "{obs:?} was retained");
+        }
+        // The key is not frozen: the next clean completion refits it.
+        let epoch = pred.epoch();
+        pred.observe(&good);
+        assert_eq!(pred.epoch(), epoch + 1);
+    }
+
+    #[test]
+    fn replay_rejects_a_sample_that_can_never_be_fitted() {
+        let header = LearnedPredictor::default().dump_jsonl();
+        for bad in [
+            r#"{"data_nodes":2,"compute_nodes":4,"wan_bw":0.0,"dataset_bytes":1000,"observed":[1.0,2.0,3.0]}"#,
+            r#"{"data_nodes":0,"compute_nodes":4,"wan_bw":1e6,"dataset_bytes":1000,"observed":[1.0,2.0,3.0]}"#,
+            r#"{"data_nodes":2,"compute_nodes":4,"wan_bw":1e6,"dataset_bytes":1000,"observed":[1.0,"inf",3.0]}"#,
+        ] {
+            let good = r#"{"data_nodes":2,"compute_nodes":4,"wan_bw":1e6,"dataset_bytes":1000,"observed":[1.0,2.0,3.0]}"#;
+            let dump = format!(
+                "{header}{{\"app\":\"kmeans\",\"repo\":\"osu\",\"samples\":[{good},{bad}],\"coefs\":null}}\n"
+            );
+            let err = LearnedPredictor::replay_jsonl(&dump).unwrap_err();
+            assert_eq!(err, "line 2: sample 1 can never be fitted", "{bad}");
+        }
+    }
+
+    #[test]
+    fn replay_rejects_a_second_line_for_the_same_key() {
+        let pred = LearnedPredictor::default();
+        pred.observe(&stretched_obs(2, 4, 1e6, 200 << 20, [1.0; 3]));
+        let dump = pred.dump_jsonl();
+        let key_line = dump.lines().nth(1).unwrap();
+        let err = LearnedPredictor::replay_jsonl(&format!("{dump}\n{key_line}\n")).unwrap_err();
+        assert_eq!(err, r#"line 4: a second line for ("kmeans", "osu")"#);
     }
 
     #[test]

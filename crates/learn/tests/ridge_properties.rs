@@ -1,9 +1,10 @@
 //! Property tests for the regression core: coefficient recovery from
-//! noise-free samples, determinism under sample reordering, and typed
+//! noise-free samples, determinism under sample reordering, typed
 //! rejection of degenerate sets — never a panic, never a non-finite
-//! coefficient.
+//! coefficient — and the equivalence the learned predictor's refit
+//! rests on: one elimination carrying `k` right-hand sides is `k` fits.
 
-use fg_learn::{fit_ridge, FitError};
+use fg_learn::{fit_ridge, solve_ridge, FitError};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random feature value derived from integer
@@ -161,5 +162,67 @@ proptest! {
             Err(FitError::NotEnoughSamples { got: dims - 1, need: dims })
         );
         prop_assert_eq!(fit_ridge(&[], &[], 1e-6), Err(FitError::Empty));
+    }
+
+    /// `solve_ridge` with `k` target columns equals `k` `fit_ridge`
+    /// calls column by column, bit for bit, and refuses exactly when
+    /// one of them would: pivots and multipliers never depended on `y`.
+    /// Shapes: a clean design, a duplicated column, a poisoned feature
+    /// cell, a poisoned target in one column only, a target column
+    /// that overflows the right-hand side, and too few (or no) rows.
+    #[test]
+    fn k_columns_in_one_elimination_equal_k_fits(
+        seed in 0u64..1_000_000,
+        sizes in (0usize..30, 1usize..6, 1usize..5),
+        shape in 0usize..6,
+        at in (0usize..30, 0usize..6, 0usize..5),
+        lambda_sel in 0usize..3,
+    ) {
+        let (rows, dims, k) = sizes;
+        let rows = if shape == 5 { rows % dims } else { rows.max(dims) };
+        let lambda = [0.0, 1e-8, 1e-3][lambda_sel];
+        let mut xs = design(seed, rows, dims);
+        // Column `c` plants its own coefficients.
+        let planted = |c: usize| (0..dims).map(|i| (c * dims + i) as f64 - 2.5).collect::<Vec<_>>();
+        let mut ys: Vec<Vec<f64>> = (0..k).map(|c| targets(&xs, &planted(c))).collect();
+        if rows > 0 {
+            let (r, col, c) = (at.0 % rows, at.1 % dims, at.2 % k);
+            match shape {
+                1 if dims > 1 => xs.iter_mut().for_each(|x| x[dims - 1] = x[0]),
+                2 => xs[r][col] = f64::INFINITY,
+                3 => ys[c][r] = f64::NAN,
+                4 => ys[c].iter_mut().for_each(|y| *y = 1e308),
+                _ => {}
+            }
+        }
+        let columns: Vec<Result<Vec<f64>, FitError>> =
+            ys.iter().map(|y| fit_ridge(&xs, y, lambda)).collect();
+        // The core refuses the set when any column would; it scans for
+        // non-finite cells before eliminating, so that refusal wins.
+        let errors: Vec<FitError> =
+            columns.iter().filter_map(|r| r.as_ref().err().copied()).collect();
+        let refusal = if errors.contains(&FitError::NonFinite) {
+            Some(FitError::NonFinite)
+        } else {
+            errors.first().copied()
+        };
+
+        let mut a = vec![f64::NAN; dims * dims];
+        let mut w = vec![f64::NAN; k * dims];
+        let row_targets = |r: usize| ys.iter().map(|y| y[r]).collect::<Vec<f64>>();
+        let got = solve_ridge(
+            dims,
+            xs.iter().enumerate().map(|(r, x)| (x, row_targets(r))),
+            lambda,
+            &mut a,
+            &mut w,
+        );
+        prop_assert_eq!(got.err(), refusal);
+        if refusal.is_none() {
+            for (c, column) in columns.iter().enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&w[c * dims..][..dims]), bits(column.as_ref().unwrap()));
+            }
+        }
     }
 }

@@ -1050,7 +1050,7 @@ impl SchedCore {
                         && self.outcomes[r.slot].as_ref().is_some_and(|o| o.migration.is_none())
                 });
                 if eligible {
-                    horizon = horizon.min(self.now + mc.min_elapsed_secs.max(TIME_EPS));
+                    horizon = horizon.min(self.now + mc.min_elapsed_secs);
                 }
             }
             self.netidx.clear();

@@ -94,8 +94,18 @@ pub struct MigrationConfig {
     /// seconds.
     pub overhead_secs: f64,
     /// Ignore transfers younger than this: one fluid step is not a
-    /// bandwidth sample.
+    /// bandwidth sample. It is also how often the event loop wakes
+    /// while a transfer is eligible, so it must be finite and at least
+    /// [`MigrationConfig::MIN_ELAPSED_FLOOR_SECS`].
     pub min_elapsed_secs: f64,
+}
+
+impl MigrationConfig {
+    /// Smallest accepted `min_elapsed_secs`. The loop wakes once per
+    /// interval for as long as a transfer is eligible; a millisecond of
+    /// simulated time is far below any transfer worth sampling and
+    /// still bounds the iterations a transfer can cost.
+    pub const MIN_ELAPSED_FLOOR_SECS: f64 = 1e-3;
 }
 
 impl Default for MigrationConfig {
@@ -325,8 +335,13 @@ impl Scheduler {
     /// cost/benefit model favors the move.
     pub fn with_migration(mut self, config: MigrationConfig) -> Scheduler {
         assert!(
-            config.deviation >= 0.0 && config.margin >= 0.0 && config.overhead_secs >= 0.0,
-            "migration thresholds must be >= 0"
+            config.deviation >= 0.0
+                && config.margin >= 0.0
+                && config.overhead_secs >= 0.0
+                && config.min_elapsed_secs.is_finite()
+                && config.min_elapsed_secs >= MigrationConfig::MIN_ELAPSED_FLOOR_SECS,
+            "migration thresholds must be >= 0, min_elapsed_secs finite and >= {}",
+            MigrationConfig::MIN_ELAPSED_FLOOR_SECS
         );
         self.migration = Some(config);
         self
@@ -760,6 +775,62 @@ mod tests {
         let o = &r.outcomes[0];
         assert!(o.finish.is_some() && o.migration.is_none(), "{o:?}");
         assert!(o.network_end.unwrap() - o.disk_end.unwrap() > 10_000.0);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_elapsed_secs finite and >=")]
+    fn a_wake_interval_that_would_hang_the_loop_is_rejected() {
+        // 0.0 used to become a 1e-9 s wake interval: a billion
+        // iterations per simulated second of an eligible transfer.
+        let _ = Scheduler::new(grid(), Policy::Fcfs).with_migration(MigrationConfig {
+            min_elapsed_secs: 0.0,
+            ..MigrationConfig::default()
+        });
+    }
+
+    #[test]
+    fn negative_and_nan_wake_intervals_are_rejected_too() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY, MigrationConfig::MIN_ELAPSED_FLOOR_SECS / 2.0] {
+            let built = std::panic::catch_unwind(|| {
+                Scheduler::new(grid(), Policy::Fcfs).with_migration(MigrationConfig {
+                    min_elapsed_secs: bad,
+                    ..MigrationConfig::default()
+                })
+            });
+            assert!(built.is_err(), "min_elapsed_secs {bad} was accepted");
+        }
+    }
+
+    #[test]
+    fn a_short_transfer_at_the_wake_floor_drains_inside_the_progress_budget() {
+        // The smallest accepted interval wakes the loop a thousand
+        // times per simulated second of an eligible transfer, so this
+        // five-second transfer costs five thousand iterations — every
+        // one of them advances the clock, and the whole run fits the
+        // budget the progress guard allows between two clock advances.
+        let floor = MigrationConfig::MIN_ELAPSED_FLOOR_SECS;
+        let mut core =
+            SchedCore::new(Scheduler::new(grid(), Policy::Fcfs).with_migration(MigrationConfig {
+                min_elapsed_secs: floor,
+                ..MigrationConfig::default()
+            }));
+        core.submit(job(0, 0, 1_000_000, 0.0)).unwrap();
+        // A far-future arrival drives the loop through the first job
+        // while the core is still ours to read.
+        core.submit(job(1, 0, 1_000_000, 1e6)).unwrap();
+        let stats = core.pump_stats();
+        let r = core.finish();
+        let o = &r.outcomes[0];
+        let transfer = o.network_end.unwrap() - o.disk_end.unwrap();
+        assert!(transfer > 100.0 * floor, "the transfer must span many wake intervals: {transfer}");
+        let wakes = (transfer / floor).ceil() as u64;
+        assert!(
+            (wakes..wakes + 16).contains(&stats.iterations),
+            "{stats:?} for a {transfer} s transfer"
+        );
+        assert!(stats.iterations <= 10_000 + 200 * 2, "{stats:?}");
+        assert!(o.finish.is_some() && o.migration.is_none(), "{o:?}");
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 

@@ -41,9 +41,13 @@ enum DumpLine {
     Alarm(DriftAlarm),
 }
 
-/// Mirror of `fg_learn::predictor`'s private per-key ridge state.
+/// Mirror of `fg_learn::predictor`'s private dump line, `KeyLine`. Its
+/// `coefs` is `Option<[[f64; 5]; 3]>` there; a fixed array and a `Vec`
+/// encode as the same JSON sequence, and the pinned `ridge/fitted` line
+/// (written by the old encoder, see above) holds ragged vectors, so the
+/// inner arrays stay `Vec`s here.
 #[derive(Serialize, Deserialize)]
-struct KeyState {
+struct KeyLine {
     app: String,
     repo: String,
     samples: Vec<SampleRow>,
@@ -364,7 +368,7 @@ fn cases() -> Vec<Case> {
         case("ledger/alarm", &DumpLine::Alarm(alarm())),
         case(
             "ridge/fitted",
-            &KeyState {
+            &KeyLine {
                 app: "kmeans".into(),
                 repo: "repo-a".into(),
                 samples: vec![SampleRow {
@@ -379,7 +383,7 @@ fn cases() -> Vec<Case> {
         ),
         case(
             "ridge/unfitted",
-            &KeyState { app: "em".into(), repo: "repo-b".into(), samples: Vec::new(), coefs: None },
+            &KeyLine { app: "em".into(), repo: "repo-b".into(), samples: Vec::new(), coefs: None },
         ),
         case(
             "hybrid/key",
