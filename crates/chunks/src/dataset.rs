@@ -115,12 +115,6 @@ impl DatasetBuilder {
         self
     }
 
-    /// Logical size of the most recently pushed chunk (used by the
-    /// storage loader to cross-check container metadata).
-    pub fn peek_last_logical(&self) -> Option<u64> {
-        self.chunks.last().map(|c| c.logical_bytes)
-    }
-
     /// Finish the dataset. Panics if no chunks were added — an empty
     /// dataset cannot be partitioned across data nodes.
     pub fn build(self) -> Dataset {

@@ -19,8 +19,6 @@
 //! * [`distribution`] — chunk → compute-node destination assignment
 //!   (the data server's "data distribution" role).
 //! * [`replica`] — which repository sites hold a copy of which dataset.
-//! * [`storage`] — a length-prefixed binary container persisting whole
-//!   datasets (payloads included) across experiment runs.
 
 #![warn(missing_docs)]
 
@@ -30,7 +28,6 @@ pub mod dataset;
 pub mod distribution;
 pub mod partition;
 pub mod replica;
-pub mod storage;
 
 pub use chunk::{Chunk, Span};
 pub use dataset::{Dataset, DatasetBuilder};

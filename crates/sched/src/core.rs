@@ -1,22 +1,18 @@
-//! The extracted scheduling decision core.
+//! The scheduling decision core.
 //!
-//! [`crate::sched::Scheduler::run`] used to own the whole event loop as
-//! one batch function: locals for the queue, the running set, the
-//! bandwidth estimators, and the fluid clock, consumed in a single
-//! pass over a complete job list. A long-running service cannot drive
-//! that shape — jobs arrive one request at a time, prediction queries
+//! Jobs reach a scheduler one request at a time, prediction queries
 //! interleave with submissions, and concurrent readers need a coherent
-//! view of scheduler state without a lock on the hot path. This module
-//! splits the batch function into:
+//! view of scheduler state without a lock on the hot path. Two types
+//! serve that:
 //!
-//! * [`SchedCore`] — the same event loop as an incremental state
-//!   machine. [`SchedCore::submit`] feeds one job and advances the sim
-//!   clock exactly to its arrival; [`SchedCore::finish`] drains the
-//!   grid and produces the [`SchedResult`]. `Scheduler::run` is now a
-//!   thin wrapper (load everything, drain), so the sim loop, `fg-serve`,
-//!   and the test suites all drive *this* code — and a submission
-//!   stream replayed through the incremental API is bit-identical to
-//!   the batch run, because arrivals are integration horizons in both.
+//! * [`SchedCore`] — the event loop as an incremental state machine.
+//!   [`SchedCore::submit`] feeds one job and advances the sim clock
+//!   exactly to its arrival; [`SchedCore::finish`] drains the grid and
+//!   produces the [`SchedResult`]. `Scheduler::run` loads a whole job
+//!   list and drains, so the sim loop, `fg-serve` and the test suites
+//!   all drive *this* code — and a submission stream fed one arrival at
+//!   a time is bit-identical to the batch run, because arrivals are
+//!   integration horizons in both.
 //! * [`SchedSnapshot`] — an immutable, cheaply-cloned copy of what an
 //!   admission is priced from (bandwidth estimates, fluid backlog, the
 //!   clock; grid, predictor and idle grid shared by `Arc`).
@@ -27,13 +23,22 @@
 //!   which is what lets `fg-serve`'s session threads answer quotes
 //!   while the core thread owns the clock.
 //!
+//! **Where a job's facts live.** Once, in the job table: a submitted
+//! [`JobSpec`] is *moved* into a [`JobOutcome`] row of `SchedCore::jobs`
+//! and every later decision (admission, placement, phase ends,
+//! preemptions, a migration) is written into that row in place; `finish`
+//! hands the table out as [`SchedResult::outcomes`]. Everything else
+//! refers to a job by its row index: the pending-arrival list (with the
+//! one spec field a row has no use for, the deadline slack), the queue's
+//! entries, a running or suspended job. The grid is the scheduler
+//! configuration's `Arc`, shared with every snapshot.
+//!
 //! The incremental/batch equivalence is structural, not approximate:
-//! the batch loop never integrates the fluid network model past the
-//! next arrival (arrivals bound the horizon), so stopping the machine
-//! at each arrival instant splits no integration step that the batch
-//! run would have taken whole. Equal-arrival submissions join the same
-//! arrival batch mid-iteration, exactly as the batch arrival loop
-//! consumed them. `tests/serve_differential.rs` pins the equivalence
+//! the loop never integrates the fluid network model past the next
+//! arrival (arrivals bound the horizon), so stopping the machine at each
+//! arrival instant splits no integration step that a batch run takes
+//! whole. Equal-arrival submissions join the same arrival batch
+//! mid-iteration. `tests/serve_differential.rs` pins the equivalence
 //! bit-for-bit across workload shapes.
 //!
 //! An iteration of the loop costs what changed since the last one. The
@@ -52,6 +57,7 @@ use crate::grid::GridSpec;
 use crate::ledger::AccuracySample;
 use crate::placement::{naive_best_placement_with, FreeSlices, Placement};
 use crate::policy::Policy;
+use crate::queue::PolicyQueue;
 use crate::sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
     Scheduler, TenantQuota,
@@ -64,131 +70,11 @@ use fg_predict::{decide_migration, InterconnectParams, Observation, Prediction, 
 use fg_sim::{FairShareSim, RateScratch, ResourceId, SimTime};
 use fg_trace::{Counter, Gauge, Histogram, SpanKind, Trace, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Clock comparison slop, seconds.
 pub(crate) const TIME_EPS: f64 = 1e-9;
-
-/// A job waiting in the scheduler queue.
-#[derive(Debug, Clone)]
-pub(crate) struct QueuedJob {
-    /// The submitted job.
-    pub(crate) spec: JobSpec,
-    /// Standalone predicted execution time.
-    pub(crate) standalone: f64,
-    /// Deadline instant, when one applies.
-    pub(crate) deadline: Option<f64>,
-}
-
-/// An `f64` ordered by `total_cmp` so it can key a [`BTreeSet`]. The
-/// ordering matches the comparator the per-pass policy sort used, so
-/// the maintained index visits jobs in exactly the order the sort
-/// produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrderKey(f64);
-
-impl Eq for OrderKey {}
-
-impl PartialOrd for OrderKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrderKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// The scheduler queue, indexed for the hot loop.
-///
-/// The original `Vec<QueuedJob>` forced three O(queue) rescans per
-/// scheduling pass — the policy sort, the fair-share demand tally, and
-/// the admission backlog sum — which goes quadratic on long traces
-/// once the grid saturates and a backlog accumulates. Every policy's
-/// ordering key is fixed at enqueue time (arrival, standalone
-/// prediction, or deadline), so all three can be maintained
-/// incrementally instead:
-///
-/// * `jobs` — by submission id. Arrivals enqueue in id order, so
-///   iteration yields the same sequence the old `Vec` did (pushes at
-///   the tail, order-preserving removals).
-/// * `order` — `(policy key, id, tenant)` triples; iteration is the
-///   policy order the per-pass sort produced, bit-identically (ids
-///   are unique, so the trailing tenant never influences the order —
-///   it rides along so walks can skip jobs without a `jobs` lookup).
-/// * `by_tenant` — the same entries split per tenant, so the round-1
-///   quota walk can merge only the under-quota tenants' jobs in
-///   global policy order instead of scanning every queued job to
-///   skip the capped ones (the dominant cost on saturated traces:
-///   ~Q skipped entries per start).
-/// * `backlog_slot_secs` — running Σ standalone·min_slots for the
-///   submission-time completion estimate. An incremental float sum
-///   can differ from the old front-to-back resum in the last bits
-///   after dequeues, which only nudges the *reported* admission
-///   estimate; placement decisions never read it.
-#[derive(Debug)]
-pub(crate) struct PolicyQueue {
-    policy: Policy,
-    jobs: BTreeMap<usize, QueuedJob>,
-    order: BTreeSet<(OrderKey, usize, usize)>,
-    by_tenant: Vec<BTreeSet<(OrderKey, usize)>>,
-    backlog_slot_secs: f64,
-    min_slots: usize,
-}
-
-impl PolicyQueue {
-    fn new(policy: Policy, min_slots: usize) -> PolicyQueue {
-        PolicyQueue {
-            policy,
-            jobs: BTreeMap::new(),
-            order: BTreeSet::new(),
-            by_tenant: Vec::new(),
-            backlog_slot_secs: 0.0,
-            min_slots,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// Queued jobs in submission-id order (the old `Vec` order).
-    fn iter(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.jobs.values()
-    }
-
-    fn queued_for(&self, tenant: usize) -> usize {
-        self.by_tenant.get(tenant).map_or(0, |s| s.len())
-    }
-
-    fn push(&mut self, job: QueuedJob) {
-        let (metric, id) = self.policy.key(&job);
-        if job.spec.tenant >= self.by_tenant.len() {
-            self.by_tenant.resize(job.spec.tenant + 1, BTreeSet::new());
-        }
-        self.by_tenant[job.spec.tenant].insert((OrderKey(metric), id));
-        self.backlog_slot_secs += job.standalone * self.min_slots as f64;
-        self.order.insert((OrderKey(metric), id, job.spec.tenant));
-        let prev = self.jobs.insert(id, job);
-        assert!(prev.is_none(), "job {id} queued twice");
-    }
-
-    fn remove(&mut self, id: usize) -> QueuedJob {
-        let job = self.jobs.remove(&id).expect("removed job is queued");
-        let (metric, _) = self.policy.key(&job);
-        self.order.remove(&(OrderKey(metric), id, job.spec.tenant));
-        self.by_tenant[job.spec.tenant].remove(&(OrderKey(metric), id));
-        self.backlog_slot_secs -= job.standalone * self.min_slots as f64;
-        job
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
@@ -208,8 +94,8 @@ enum Phase {
 
 #[derive(Debug, Clone)]
 struct Running {
-    /// Index into the outcomes vector (== JobSpec id position).
-    slot: usize,
+    /// The job's row in the job table.
+    row: usize,
     tenant: usize,
     repo: usize,
     site: usize,
@@ -554,8 +440,8 @@ pub enum CoreEvent {
 }
 
 /// The scheduler's per-run metric instruments, registered once at
-/// construction in the exact order the batch loop registered them (the
-/// golden traces pin the registry contents).
+/// construction in this order (the golden traces pin the registry
+/// contents).
 struct Instruments {
     submitted: Counter,
     admitted: Counter,
@@ -574,8 +460,7 @@ struct Instruments {
     ckpt: Option<Counter>,
 }
 
-/// The incremental scheduling state machine — the decision core
-/// extracted from `Scheduler::run`.
+/// The incremental scheduling state machine.
 ///
 /// Construction takes the scheduler *configuration* (grid, policy,
 /// feature opt-ins); jobs are fed either one at a time through
@@ -586,7 +471,6 @@ struct Instruments {
 /// job stream.
 pub struct SchedCore {
     cfg: Scheduler,
-    grid: Arc<GridSpec>,
     nrepo: usize,
     total_slots: usize,
     min_slots: usize,
@@ -600,13 +484,14 @@ pub struct SchedCore {
     suspended: Vec<Suspended>,
     tracer: Option<Tracer>,
     inst: Instruments,
-    jobs: Vec<JobSpec>,
-    outcomes: Vec<Option<JobOutcome>>,
-    slot_map: HashMap<usize, usize>,
-    /// Slots sorted by `(arrival, id)`; `next` is the consumption
-    /// cursor — exactly the batch loop's `order`/`next` pair.
-    order: Vec<usize>,
-    next: usize,
+    /// The job table: one row per submitted job, in submission order,
+    /// made when the job is accepted and filled in as decisions fall.
+    jobs: Vec<JobOutcome>,
+    /// Ids of every row, for refusing a duplicate.
+    ids: HashSet<usize>,
+    /// `(row, deadline slack)` of the jobs not yet arrived, by
+    /// `(arrival, id)`.
+    pending: VecDeque<(usize, f64)>,
     queue: PolicyQueue,
     running: Vec<Running>,
     violations: Vec<String>,
@@ -626,7 +511,7 @@ pub struct SchedCore {
     /// True between an iteration's arrival batch and its tail
     /// (transitions, pass, integration): the machine parks here
     /// between incremental submissions so equal-arrival jobs join the
-    /// same batch, exactly as the batch arrival loop consumed them.
+    /// same batch, as they do when the whole list is loaded up front.
     tail_pending: bool,
     events: Option<Vec<CoreEvent>>,
     telemetry: Option<TelemetryState>,
@@ -702,11 +587,9 @@ impl SchedCore {
         };
 
         let queue = PolicyQueue::new(scheduler.policy, min_slots);
-        let grid_arc = Arc::new(scheduler.grid.clone());
         let telemetry = scheduler.telemetry.clone().map(TelemetryState::new);
         SchedCore {
             cfg: scheduler,
-            grid: grid_arc,
             nrepo,
             total_slots,
             min_slots,
@@ -721,10 +604,8 @@ impl SchedCore {
             tracer: Some(tracer),
             inst,
             jobs: Vec::new(),
-            outcomes: Vec::new(),
-            slot_map: HashMap::new(),
-            order: Vec::new(),
-            next: 0,
+            ids: HashSet::new(),
+            pending: VecDeque::new(),
             queue,
             running: Vec::new(),
             violations: Vec::new(),
@@ -762,13 +643,7 @@ impl SchedCore {
 
     /// The grid this core schedules over.
     pub fn grid(&self) -> &Arc<GridSpec> {
-        &self.grid
-    }
-
-    fn emit(&mut self, event: CoreEvent) {
-        if let Some(log) = &mut self.events {
-            log.push(event);
-        }
+        &self.cfg.grid
     }
 
     /// Drain the decision events recorded since the last call (empty
@@ -805,18 +680,19 @@ impl SchedCore {
     /// The incremental path requires nondecreasing `(arrival, id)`
     /// submission order — the clock cannot run backwards — and rejects
     /// duplicates, unusable arrivals and fields that fail
-    /// [`JobSpec::validate`] with typed errors instead of the batch
-    /// path's panics; a refused job leaves no trace in the core.
+    /// [`JobSpec::validate`] with typed errors where the batch path
+    /// panics; a refused job leaves no trace in the core.
     pub fn submit(&mut self, job: JobSpec) -> Result<SubmitOutcome, SubmitError> {
         if !job.arrival.is_finite() || job.arrival < 0.0 {
             return Err(SubmitError::BadArrival { id: job.id, arrival: job.arrival });
         }
         job.validate().map_err(|reason| SubmitError::BadJob { id: job.id, reason })?;
-        if self.slot_map.contains_key(&job.id) {
+        if self.ids.contains(&job.id) {
             return Err(SubmitError::Duplicate { id: job.id });
         }
-        if let Some(&last_slot) = self.order.last() {
-            let last = &self.jobs[last_slot];
+        // Rows are in accepted order here, so the last row is the latest
+        // `(arrival, id)` accepted.
+        if let Some(last) = self.jobs.last() {
             let cmp = last.arrival.total_cmp(&job.arrival).then(last.id.cmp(&job.id));
             if cmp == std::cmp::Ordering::Greater {
                 return Err(SubmitError::OutOfOrder {
@@ -826,16 +702,14 @@ impl SchedCore {
                 });
             }
         }
-        let id = job.id;
-        let slot = self.jobs.len();
-        self.slot_map.insert(id, slot);
-        self.jobs.push(job);
-        self.outcomes.push(None);
-        self.order.push(slot);
+        let row = self.jobs.len();
+        self.ids.insert(job.id);
+        self.pending.push_back((row, job.deadline_slack));
+        self.jobs.push(JobOutcome::submitted(job));
         self.pump(false);
-        let o = self.outcomes[slot].as_ref().expect("pump processed the arrival");
+        let o = &self.jobs[row];
         Ok(SubmitOutcome {
-            id,
+            id: o.id,
             admitted: o.admitted,
             reject_reason: o.reject_reason.clone(),
             standalone: o.standalone,
@@ -844,26 +718,26 @@ impl SchedCore {
         })
     }
 
-    /// Load a whole job list the way the batch entry point did: slots
-    /// in input order, arrivals sorted by `(arrival, id)`, duplicate
-    /// ids a panic. The machine is not advanced; [`finish`] drains it.
+    /// Load a whole job list for the batch entry point: rows in input
+    /// order, arrivals sorted by `(arrival, id)`, duplicate ids a
+    /// panic. The machine is not advanced; [`finish`] drains it.
+    ///
+    /// [`finish`]: SchedCore::finish
     pub(crate) fn submit_all(&mut self, jobs: &[JobSpec]) {
         assert!(
-            self.jobs.is_empty() && self.next == 0,
+            self.jobs.is_empty(),
             "submit_all loads a fresh core; use submit for incremental streams"
         );
-        self.jobs = jobs.to_vec();
-        self.outcomes = vec![None; jobs.len()];
-        self.slot_map.reserve(jobs.len());
-        for (i, j) in jobs.iter().enumerate() {
-            let prev = self.slot_map.insert(j.id, i);
-            assert!(prev.is_none(), "duplicate job id {}", j.id);
-        }
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by(|&a, &b| {
             jobs[a].arrival.total_cmp(&jobs[b].arrival).then(jobs[a].id.cmp(&jobs[b].id))
         });
-        self.order = order;
+        self.pending = order.into_iter().map(|row| (row, jobs[row].deadline_slack)).collect();
+        self.ids.reserve(jobs.len());
+        for j in jobs {
+            assert!(self.ids.insert(j.id), "duplicate job id {}", j.id);
+        }
+        self.jobs = jobs.iter().cloned().map(JobOutcome::submitted).collect();
     }
 
     /// A coarse live view of progress.
@@ -896,7 +770,7 @@ impl SchedCore {
     /// of threads.
     pub fn snapshot(&self) -> SchedSnapshot {
         SchedSnapshot {
-            grid: Arc::clone(&self.grid),
+            grid: Arc::clone(&self.cfg.grid),
             policy: self.cfg.policy,
             predictor: Arc::clone(&self.cfg.predictor),
             idle: Arc::clone(&self.idle),
@@ -914,7 +788,7 @@ impl SchedCore {
         let running = self.running.iter().map(|r| {
             (r.placed_at + r.predicted.total() - self.now).max(0.0) * r.config.compute_nodes as f64
         });
-        running.sum::<f64>() + self.queue.backlog_slot_secs
+        running.sum::<f64>() + self.queue.backlog_slot_secs()
     }
 
     /// Drain the grid — run the event loop until nothing is queued,
@@ -934,12 +808,11 @@ impl SchedCore {
         if self.cfg.workload_metrics {
             // Shape-of-traffic instruments over the submitted stream,
             // computed at drain time (they describe the input, not the
-            // schedule). Registering them last preserves the batch
-            // registry order: standard, feature, workload.
-            let mut by_arrival: Vec<&JobSpec> = self.jobs.iter().collect();
+            // schedule). Registered last, so the registry order the
+            // goldens pin is standard, feature, workload.
+            let mut by_arrival: Vec<&JobOutcome> = self.jobs.iter().collect();
             by_arrival.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-            let sorted: Vec<JobSpec> = by_arrival.into_iter().cloned().collect();
-            let stats = crate::replay::stats_of(&sorted);
+            let stats = crate::replay::stats_over(&by_arrival, |o| (o.arrival, o.dataset_bytes));
             tracer.metrics.gauge("workload_burst_depth_max").set(stats.burst_depth_max as f64);
             tracer.metrics.gauge("workload_tail_mass_top1").set(stats.tail_mass_top1);
             tracer.metrics.gauge("workload_p99_dataset_mb").set(stats.p99_bytes as f64 / 1e6);
@@ -947,20 +820,16 @@ impl SchedCore {
             let size_h = tracer
                 .metrics
                 .histogram("workload_dataset_mb", &[16.0, 64.0, 256.0, 1024.0, 4096.0]);
-            for j in &sorted {
-                size_h.observe(j.dataset_bytes as f64 / 1e6);
+            for o in by_arrival {
+                size_h.observe(o.dataset_bytes as f64 / 1e6);
             }
         }
         self.inst.depth_max.set(self.depth_max as f64);
         self.inst.depth.set(self.queue.len() as f64);
-        // Nothing reads the submitted stream or its indices again:
-        // release them before the trace below sets the high-water mark.
-        drop((self.jobs, self.slot_map, self.order));
-        let outcomes: Vec<JobOutcome> = self
-            .outcomes
-            .into_iter()
-            .map(|o| o.expect("every submitted job gets an outcome"))
-            .collect();
+        // Nothing reads the id set again: release it before the trace
+        // below sets the high-water mark.
+        drop(self.ids);
+        let outcomes = self.jobs;
         let trace = build_trace(tracer, &outcomes, self.makespan);
         let telemetry = self.telemetry.take().map(|mut t| {
             let snapshot = t.snapshot(self.now);
@@ -981,10 +850,9 @@ impl SchedCore {
     /// Advance the event loop. With `drain` false, the machine stops
     /// once every known arrival is consumed, parked mid-iteration
     /// *before* the scheduling pass so later equal-arrival submissions
-    /// join the same arrival batch (the batch loop's arrival while-loop
-    /// consumed all due arrivals before the pass ran). With `drain`
-    /// true it runs to quiescence, recording stuck-forever violations
-    /// exactly as the batch loop did.
+    /// join the same arrival batch (every due arrival is consumed before
+    /// the pass runs). With `drain` true it runs to quiescence,
+    /// recording stuck-forever violations.
     ///
     /// The fair-share rates are re-solved only when the transfer list
     /// changed (`RateMemo`) — for a job, in two of its four iterations,
@@ -1006,7 +874,7 @@ impl SchedCore {
             }
             // --- arrivals due at `now` ---
             self.process_due_arrivals();
-            if !drain && self.next >= self.order.len() {
+            if !drain && self.pending.is_empty() {
                 // Every known arrival is consumed; the next event may
                 // be preceded by a future submission, so park here —
                 // mid-iteration — without integrating past `now`.
@@ -1021,10 +889,8 @@ impl SchedCore {
             self.schedule_pass();
             self.inst.depth.set(self.queue.len() as f64);
             // --- horizon: next arrival, fixed-phase end, or drain ---
-            let mut horizon = f64::INFINITY;
-            if self.next < self.order.len() {
-                horizon = self.jobs[self.order[self.next]].arrival;
-            }
+            let mut horizon =
+                self.pending.front().map_or(f64::INFINITY, |&(row, _)| self.jobs[row].arrival);
             for r in &self.running {
                 match r.phase {
                     Phase::Disk { until }
@@ -1045,10 +911,10 @@ impl SchedCore {
             // against expected bandwidth, and nothing else schedules an
             // event between a transfer's start and its completion.
             if let Some(mc) = self.cfg.migration {
-                let eligible = self.running.iter().any(|r| {
-                    r.phase == Phase::Network
-                        && self.outcomes[r.slot].as_ref().is_some_and(|o| o.migration.is_none())
-                });
+                let eligible = self
+                    .running
+                    .iter()
+                    .any(|r| r.phase == Phase::Network && self.jobs[r.row].migration.is_none());
                 if eligible {
                     horizon = horizon.min(self.now + mc.min_elapsed_secs);
                 }
@@ -1083,16 +949,14 @@ impl SchedCore {
                 // record and stop. Incrementally, a future submission
                 // may still unstick things, so just stop.
                 if drain {
-                    for q in self.queue.iter() {
-                        self.violations.push(format!(
-                            "job {} queued forever: no placement ever fits",
-                            q.spec.id
-                        ));
+                    for (id, _) in self.queue.by_id() {
+                        self.violations
+                            .push(format!("job {id} queued forever: no placement ever fits"));
                     }
                     for s in &self.suspended {
                         self.violations.push(format!(
                             "job {} suspended forever: its nodes never freed",
-                            self.jobs[s.job.slot].id
+                            self.jobs[s.job.row].id
                         ));
                     }
                 }
@@ -1123,22 +987,21 @@ impl SchedCore {
         }
     }
 
-    /// The batch loop's arrival block: admit or reject every pending
-    /// job whose arrival is due at `now`.
+    /// The arrival block: admit or reject every pending job whose
+    /// arrival is due at `now`, writing the decision into its row.
     fn process_due_arrivals(&mut self) {
-        while self.next < self.order.len()
-            && self.jobs[self.order[self.next]].arrival <= self.now + TIME_EPS
-        {
-            let slot = self.order[self.next];
-            let spec = self.jobs[slot].clone();
-            self.next += 1;
+        while let Some(&(row, deadline_slack)) = self.pending.front() {
+            if self.jobs[row].arrival > self.now + TIME_EPS {
+                break;
+            }
+            self.pending.pop_front();
             self.inst.submitted.inc();
-            if spec.tenant >= self.used_slots.len() {
-                // Batch sized this vector to the global tenant count up
-                // front; growing it lazily is decision-neutral because
-                // trailing zero-demand tenants never change a
-                // water-filled allocation.
-                self.used_slots.resize(spec.tenant + 1, 0);
+            let o = &self.jobs[row];
+            let tenant = o.tenant;
+            if tenant >= self.used_slots.len() {
+                // Grown lazily: trailing zero-demand tenants never
+                // change a water-filled allocation.
+                self.used_slots.resize(tenant + 1, 0);
             }
             let price = AdmissionView {
                 grid: &self.cfg.grid,
@@ -1150,102 +1013,72 @@ impl SchedCore {
                 backlog_slot_secs: self.backlog_slot_secs(),
                 total_slots: self.total_slots,
             }
-            .price(&spec.app, spec.dataset_bytes, spec.deadline_slack, spec.arrival);
-            let mut outcome = JobOutcome {
-                id: spec.id,
-                tenant: spec.tenant,
-                app: spec.app.clone(),
-                arrival: spec.arrival,
-                dataset_bytes: spec.dataset_bytes,
-                admitted: false,
-                reject_reason: None,
-                standalone: price.as_ref().map(|(q, _)| q.standalone),
-                deadline: price.as_ref().map(|&(_, deadline)| deadline),
-                admission_estimate: None,
-                placement: None,
-                placed_at: None,
-                predicted: None,
-                disk_end: None,
-                network_end: None,
-                finish: None,
-                preemptions: Vec::new(),
-                migration: None,
+            .price(&o.app, o.dataset_bytes, deadline_slack, o.arrival);
+            let o = &mut self.jobs[row];
+            o.standalone = price.as_ref().map(|(q, _)| q.standalone);
+            o.deadline = price.as_ref().map(|&(_, deadline)| deadline);
+            o.reject_reason = 'gate: {
+                // Token-bucket gate: refill lazily, spend one token per
+                // submission, reject (never queue) on an empty bucket.
+                if let Some((q, tokens, last)) = self.buckets.get_mut(tenant) {
+                    *tokens = (*tokens + q.refill_per_sec * (self.now - *last)).min(q.capacity);
+                    *last = self.now;
+                    if *tokens + TIME_EPS < 1.0 {
+                        if let Some(c) = &self.inst.quota_rej {
+                            c.inc();
+                        }
+                        break 'gate Some(format!(
+                            "quota: tenant {tenant} bucket has {:.2} tokens, a submission needs 1",
+                            *tokens
+                        ));
+                    }
+                    *tokens -= 1.0;
+                    if *tokens < -TIME_EPS {
+                        // Structurally unreachable: the gate above
+                        // rejects before the bucket can go negative.
+                        if let Some(c) = &self.inst.quota_vio {
+                            c.inc();
+                        }
+                    }
+                }
+                let Some((quote, deadline)) = price else {
+                    break 'gate Some(if self.cfg.grid.app(&o.app).is_none() {
+                        format!("unknown app {:?}", o.app)
+                    } else {
+                        "no feasible placement on an empty grid".to_string()
+                    });
+                };
+                let estimate = quote.estimate;
+                o.admission_estimate = Some(estimate);
+                (quote.would_admit == Some(false)).then(|| {
+                    format!(
+                        "admission: predicted completion {estimate:.1}s past deadline {deadline:.1}s"
+                    )
+                })
             };
-            // Token-bucket gate: refill lazily, spend one token per
-            // submission, reject (never queue) on an empty bucket.
-            if let Some((q, tokens, last)) = self.buckets.get_mut(spec.tenant) {
-                *tokens = (*tokens + q.refill_per_sec * (self.now - *last)).min(q.capacity);
-                *last = self.now;
-                if *tokens + TIME_EPS < 1.0 {
-                    outcome.reject_reason = Some(format!(
-                        "quota: tenant {} bucket has {:.2} tokens, a submission needs 1",
-                        spec.tenant, *tokens
-                    ));
-                    self.inst.rejected.inc();
-                    if let Some(c) = &self.inst.quota_rej {
-                        c.inc();
-                    }
-                    self.finish_arrival(slot, outcome);
-                    continue;
-                }
-                *tokens -= 1.0;
-                if *tokens < -TIME_EPS {
-                    // Structurally unreachable: the gate above
-                    // rejects before the bucket can go negative.
-                    if let Some(c) = &self.inst.quota_vio {
-                        c.inc();
-                    }
-                }
-            }
-            let Some((quote, deadline)) = price else {
-                outcome.reject_reason = Some(if self.cfg.grid.app(&spec.app).is_none() {
-                    format!("unknown app {:?}", spec.app)
-                } else {
-                    "no feasible placement on an empty grid".to_string()
+            o.admitted = o.reject_reason.is_none();
+            if let Some(log) = self.events.as_mut() {
+                log.push(CoreEvent::Submitted {
+                    id: o.id,
+                    tenant,
+                    admitted: o.admitted,
+                    reject_reason: o.reject_reason.clone(),
+                    estimate: o.admission_estimate,
                 });
-                self.inst.rejected.inc();
-                self.finish_arrival(slot, outcome);
-                continue;
-            };
-            let estimate = quote.estimate;
-            outcome.admission_estimate = Some(estimate);
-            if quote.would_admit == Some(false) {
-                outcome.reject_reason = Some(format!(
-                    "admission: predicted completion {estimate:.1}s past deadline {deadline:.1}s"
-                ));
-                self.inst.rejected.inc();
-                self.finish_arrival(slot, outcome);
-                continue;
             }
-            outcome.admitted = true;
-            self.inst.admitted.inc();
-            self.finish_arrival(slot, outcome);
-            self.queue.push(QueuedJob {
-                spec,
-                standalone: quote.standalone,
-                deadline: Some(deadline),
-            });
-            self.depth_max = self.depth_max.max(self.queue.len());
-            self.inst.depth.set(self.queue.len() as f64);
+            if o.admitted {
+                self.inst.admitted.inc();
+                self.queue.push(o, row);
+                self.depth_max = self.depth_max.max(self.queue.len());
+                self.inst.depth.set(self.queue.len() as f64);
+            } else {
+                self.inst.rejected.inc();
+            }
         }
     }
 
-    /// Store an arrival's outcome and emit its decision event.
-    fn finish_arrival(&mut self, slot: usize, outcome: JobOutcome) {
-        if self.events.is_some() {
-            self.emit(CoreEvent::Submitted {
-                id: outcome.id,
-                tenant: outcome.tenant,
-                admitted: outcome.admitted,
-                reject_reason: outcome.reject_reason.clone(),
-                estimate: outcome.admission_estimate,
-            });
-        }
-        self.outcomes[slot] = Some(outcome);
-    }
-
-    /// The batch loop's transition block: advance phases due at `now`
-    /// and finalize completions.
+    /// The transition block: advance phases due at `now` and finalize
+    /// completions.
     fn phase_transitions(&mut self) {
         let mut finished: Vec<usize> = Vec::new();
         for (ri, r) in self.running.iter_mut().enumerate() {
@@ -1296,7 +1129,7 @@ impl SchedCore {
             self.used_slots[r.tenant] -= r.config.compute_nodes;
             self.inst.completed.inc();
             self.makespan = self.makespan.max(self.now);
-            let o = self.outcomes[r.slot].as_mut().expect("placed job has an outcome");
+            let o = &mut self.jobs[r.row];
             o.disk_end = r.disk_end;
             o.network_end = r.network_end;
             o.finish = Some(self.now);
@@ -1309,83 +1142,78 @@ impl SchedCore {
             if o.met_deadline() == Some(false) {
                 self.inst.misses.inc();
             }
-            if self.events.is_some() {
-                let (id, at, met) = (o.id, self.now, o.met_deadline());
-                self.emit(CoreEvent::Completed { id, at, met_deadline: met });
+            if let Some(log) = self.events.as_mut() {
+                log.push(CoreEvent::Completed {
+                    id: o.id,
+                    at: self.now,
+                    met_deadline: o.met_deadline(),
+                });
             }
+            // The completion as a test of the placement-time prediction,
+            // read by the predictor and by the accuracy ledger. Only a
+            // clean run is one: a preempted or migrated job's phase
+            // boundaries say nothing about the prediction it was placed
+            // on.
+            let clean = o.preemptions.is_empty() && o.migration.is_none() && !r.no_feedback;
+            let record = match (&o.placement, r.disk_end, r.network_end) {
+                (Some(p), Some(de), Some(ne)) if clean => Some((
+                    p,
+                    [r.predicted.t_disk, r.predicted.t_network, r.predicted.t_compute],
+                    [de - r.placed_at, ne - de, self.now - ne],
+                )),
+                _ => None,
+            };
             if self.cfg.predictor.wants_observations() {
-                // Feed the active predictor the same clean completions
-                // the accuracy ledger samples, independent of whether
-                // telemetry is armed. The predictor may retrain here;
-                // every later scan prices through it as it then is.
-                let o = self.outcomes[r.slot].as_ref().expect("placed job has an outcome");
-                let clean = o.preemptions.is_empty() && o.migration.is_none() && !r.no_feedback;
-                if let (Some(p), Some(de), Some(ne)) = (&o.placement, r.disk_end, r.network_end) {
-                    if clean {
-                        self.cfg.predictor.observe(&Observation {
-                            app: o.app.clone(),
-                            repo: p.repo_name.clone(),
-                            data_nodes: r.config.data_nodes,
-                            compute_nodes: r.config.compute_nodes,
-                            wan_bw: r.placed_bw,
-                            dataset_bytes: o.dataset_bytes,
-                            predicted: [
-                                r.predicted.t_disk,
-                                r.predicted.t_network,
-                                r.predicted.t_compute,
-                            ],
-                            observed: [de - r.placed_at, ne - de, self.now - ne],
-                        });
-                    }
+                // Independent of whether telemetry is armed. The
+                // predictor may retrain here; every later scan prices
+                // through it as it then is.
+                if let Some((p, predicted, observed)) = record {
+                    self.cfg.predictor.observe(&Observation {
+                        app: o.app.clone(),
+                        repo: p.repo_name.clone(),
+                        data_nodes: r.config.data_nodes,
+                        compute_nodes: r.config.compute_nodes,
+                        wan_bw: r.placed_bw,
+                        dataset_bytes: o.dataset_bytes,
+                        predicted,
+                        observed,
+                    });
                 }
             }
             if let Some(tel) = self.telemetry.as_mut() {
-                let o = self.outcomes[r.slot].as_ref().expect("placed job has an outcome");
-                // Only clean observations feed the accuracy ledger: a
-                // preempted or migrated run's phase boundaries are not
-                // a fair test of the placement-time prediction.
-                let clean = o.preemptions.is_empty() && o.migration.is_none() && !r.no_feedback;
-                let sample = match (&o.placement, r.disk_end, r.network_end) {
-                    (Some(p), Some(de), Some(ne)) if clean => Some(AccuracySample {
-                        seq: 0, // assigned by the ledger
-                        id: o.id,
-                        tenant: o.tenant,
-                        app: o.app.clone(),
-                        repo: p.repo_name.clone(),
-                        config: p.config.clone(),
-                        dataset_bytes: o.dataset_bytes,
-                        predicted: [
-                            r.predicted.t_disk,
-                            r.predicted.t_network,
-                            r.predicted.t_compute,
-                        ],
-                        observed: [de - r.placed_at, ne - de, self.now - ne],
-                        placed_at: r.placed_at,
-                        finish: self.now,
-                    }),
-                    _ => None,
-                };
+                let sample = record.map(|(p, predicted, observed)| AccuracySample {
+                    seq: 0, // assigned by the ledger
+                    id: o.id,
+                    tenant: o.tenant,
+                    app: o.app.clone(),
+                    repo: p.repo_name.clone(),
+                    config: p.config.clone(),
+                    dataset_bytes: o.dataset_bytes,
+                    predicted,
+                    observed,
+                    placed_at: r.placed_at,
+                    finish: self.now,
+                });
                 let alarms = tel.on_completion(o, sample);
-                for alarm in alarms {
-                    self.emit(CoreEvent::DriftAlarm { alarm });
+                if let Some(log) = self.events.as_mut() {
+                    log.extend(alarms.into_iter().map(|alarm| CoreEvent::DriftAlarm { alarm }));
                 }
             }
         }
     }
 
-    /// The batch loop's migration block: a transfer achieving well
-    /// under its uncontended rate checkpoints its reduction object and
-    /// switches replicas when `fg-predict`'s cost/benefit model favors
-    /// the move (at most once per job).
+    /// The migration block: a transfer achieving well under its
+    /// uncontended rate checkpoints its reduction object and switches
+    /// replicas when `fg-predict`'s cost/benefit model favors the move
+    /// (at most once per job).
     fn migration_check(&mut self) {
         let Some(mc) = self.cfg.migration else { return };
         let grid = &self.cfg.grid;
-        let mut moved_events: Vec<CoreEvent> = Vec::new();
         for r in self.running.iter_mut() {
             if r.phase != Phase::Network {
                 continue;
             }
-            let o = self.outcomes[r.slot].as_ref().expect("placed job has an outcome");
+            let o = &mut self.jobs[r.row];
             if o.migration.is_some() {
                 continue;
             }
@@ -1402,7 +1230,6 @@ impl SchedCore {
                 continue;
             }
             let Some(model) = grid.app(&o.app) else { continue };
-            let dataset_bytes = o.dataset_bytes;
             // Best alternative repository with free data nodes,
             // priced at its current bandwidth estimate.
             let mut best: Option<(usize, Prediction)> = None;
@@ -1421,7 +1248,7 @@ impl SchedCore {
                     &model.profile,
                     model.classes,
                     candidate,
-                    dataset_bytes,
+                    o.dataset_bytes,
                     &grid.factors,
                 ) else {
                     continue;
@@ -1455,7 +1282,6 @@ impl SchedCore {
                 if pred.t_network > TIME_EPS { r.bytes / pred.t_network } else { f64::INFINITY };
             r.no_feedback = true;
             r.phase = Phase::Migrating { until: self.now + mc.overhead_secs };
-            let o = self.outcomes[r.slot].as_mut().expect("placed job has an outcome");
             o.migration = Some(MigrationEvent {
                 at: self.now,
                 until: self.now + mc.overhead_secs,
@@ -1468,21 +1294,13 @@ impl SchedCore {
             if let Some(c) = &self.inst.ckpt {
                 c.inc();
             }
-            if self.events.is_some() {
-                moved_events.push(CoreEvent::Migrated {
-                    id: o.id,
-                    at: self.now,
-                    from_repo,
-                    to_repo,
-                });
+            if let Some(log) = self.events.as_mut() {
+                log.push(CoreEvent::Migrated { id: o.id, at: self.now, from_repo, to_repo });
             }
-        }
-        for e in moved_events {
-            self.emit(e);
         }
     }
 
-    /// The batch loop's scheduling pass: start every job the policy
+    /// The scheduling pass: start every job the policy
     /// and fair shares allow, cheapest placement first within the
     /// policy order. Checkpointed jobs resume first; with preemption
     /// enabled, a head-of-queue job with a tighter deadline may evict
@@ -1519,14 +1337,13 @@ impl SchedCore {
                         Phase::Compute { until: self.now + overhead + rem }
                     }
                 };
-                let o = self.outcomes[job.slot].as_mut().expect("suspended job has an outcome");
+                let o = &mut self.jobs[job.row];
                 o.preemptions
                     .last_mut()
                     .expect("suspended job recorded its preemption")
                     .resumed_at = Some(self.now);
-                if self.events.is_some() {
-                    let (id, at) = (o.id, self.now);
-                    self.emit(CoreEvent::Resumed { id, at });
+                if let Some(log) = self.events.as_mut() {
+                    log.push(CoreEvent::Resumed { id: o.id, at: self.now });
                 }
                 self.running.push(job);
             }
@@ -1557,9 +1374,9 @@ impl SchedCore {
             // victim leaves).
             let scans = &mut self.pump_stats.placement_scans;
             let (predictor, bw) = (self.cfg.predictor.as_ref(), &self.bw);
-            let mut scan = |q: &QueuedJob, free: &FreeSlices, quota_cap: Option<usize>| {
+            let mut scan = |job: &JobOutcome, free: &FreeSlices, quota_cap: Option<usize>| {
                 *scans += 1;
-                scan_placement(predictor, grid, q, free, bw, quota_cap)
+                scan_placement(predictor, grid, job, free, bw, quota_cap)
             };
             // Max-min fair slot quotas over the tenants that want
             // slots. A queued job demands what it could use when placed
@@ -1581,60 +1398,41 @@ impl SchedCore {
             }
             let quota = fair_quota(self.total_slots, &demands);
 
+            let headroom = |t: usize| quota[t].saturating_sub(self.used_slots[t]);
+
             // Round 1: jobs whose tenant is under quota, capped so the
-            // start cannot push the tenant past its quota. The original
-            // loop scanned the whole policy order, skipping every job of
-            // a capped tenant — on a saturated trace that is ~Q skips
-            // per start. Instead, merge only the under-quota tenants'
-            // per-tenant order sets: repeatedly taking the smallest
-            // (key, id) across their cursors visits exactly the
-            // eligible jobs, in exactly the global policy order, so the
-            // sequence of placement queries (and therefore every
-            // decision) is identical to the full scan.
+            // start cannot push the tenant past its quota — the walk
+            // over the under-quota tenants only, so a capped tenant's
+            // jobs are never visited.
             let mut start: Option<(usize, Placement, StartKind)> = None;
             if self.cfg.policy.head_blocking() {
                 // Only the global queue head may start; later jobs wait.
-                let &(_, id, tenant) = self.queue.order.iter().next().expect("queue is non-empty");
-                let headroom = quota[tenant].saturating_sub(self.used_slots[tenant]);
-                if headroom >= self.min_slots {
-                    if let Some(p) = scan(&self.queue.jobs[&id], &self.free, Some(headroom)) {
-                        start = Some((id, p, StartKind::UnderQuota));
+                if let Some((_, row)) = self.queue.head() {
+                    let cap = headroom(self.jobs[row].tenant);
+                    if cap >= self.min_slots {
+                        if let Some(p) = scan(&self.jobs[row], &self.free, Some(cap)) {
+                            start = Some((row, p, StartKind::UnderQuota));
+                        }
                     }
                 }
             } else {
-                let mut cursors: Vec<(usize, std::iter::Peekable<_>)> = (0..ntenant)
-                    .filter_map(|t| {
-                        let headroom = quota[t].saturating_sub(self.used_slots[t]);
-                        (headroom >= self.min_slots && self.queue.queued_for(t) > 0)
-                            .then(|| (headroom, self.queue.by_tenant[t].iter().peekable()))
-                    })
-                    .collect();
-                loop {
-                    let mut head: Option<(usize, (OrderKey, usize))> = None;
-                    for (ci, (_, cursor)) in cursors.iter_mut().enumerate() {
-                        if let Some(&&entry) = cursor.peek() {
-                            if head.is_none_or(|(_, h)| entry < h) {
-                                head = Some((ci, entry));
-                            }
-                        }
-                    }
-                    let Some((ci, (_, id))) = head else { break };
-                    let cap = Some(cursors[ci].0);
-                    if let Some(p) = scan(&self.queue.jobs[&id], &self.free, cap) {
-                        start = Some((id, p, StartKind::UnderQuota));
+                let under_quota = (0..ntenant).filter(|&t| headroom(t) >= self.min_slots);
+                for (_, row) in self.queue.walk(under_quota) {
+                    let job = &self.jobs[row];
+                    if let Some(p) = scan(job, &self.free, Some(headroom(job.tenant))) {
+                        start = Some((row, p, StartKind::UnderQuota));
                         break;
                     }
-                    cursors[ci].1.next();
                 }
-            }
-            // Round 2: only when no under-quota start exists may a
-            // backfilling policy start a job past its tenant's quota —
-            // fairness must not cost work conservation.
-            if start.is_none() && !self.cfg.policy.head_blocking() {
-                for &(_, id, _) in self.queue.order.iter() {
-                    if let Some(p) = scan(&self.queue.jobs[&id], &self.free, None) {
-                        start = Some((id, p, StartKind::Backfill));
-                        break;
+                // Round 2: only when no under-quota start exists may a
+                // backfilling policy start a job past its tenant's quota
+                // — fairness must not cost work conservation.
+                if start.is_none() {
+                    for (_, row) in self.queue.walk(0..ntenant) {
+                        if let Some(p) = scan(&self.jobs[row], &self.free, None) {
+                            start = Some((row, p, StartKind::Backfill));
+                            break;
+                        }
                     }
                 }
             }
@@ -1645,17 +1443,17 @@ impl SchedCore {
             // them in the same pass — deadline urgency overrides the
             // fair-share quota, so the start is exempt from the
             // fairness checks below.
-            if start.is_none() && self.cfg.preemption.is_some() && !self.queue.is_empty() {
-                let &(_, head_id, _) = self.queue.order.iter().next().expect("queue is non-empty");
-                let hq = &self.queue.jobs[&head_id];
-                if let (Some(qd), true) = (hq.deadline, grid.app(&hq.spec.app).is_some()) {
+            let preempting = start.is_none() && self.cfg.preemption.is_some();
+            if let Some((_, head_row)) = preempting.then(|| self.queue.head()).flatten() {
+                let hq = &self.jobs[head_row];
+                if let (Some(qd), true) = (hq.deadline, grid.app(&hq.app).is_some()) {
                     let mut victims: Vec<usize> = (0..self.running.len())
                         .filter(|&i| self.running[i].deadline.is_some_and(|d| d > qd + TIME_EPS))
                         .collect();
                     victims.sort_by(|&a, &b| {
                         let (da, db) =
                             (self.running[a].deadline.unwrap(), self.running[b].deadline.unwrap());
-                        db.total_cmp(&da).then(self.running[a].slot.cmp(&self.running[b].slot))
+                        db.total_cmp(&da).then(self.running[a].row.cmp(&self.running[b].row))
                     });
                     for vi in victims {
                         let v = &self.running[vi];
@@ -1678,7 +1476,7 @@ impl SchedCore {
                                 RemainingPhase::Compute((until - self.now).max(0.0))
                             }
                         };
-                        let o = self.outcomes[v.slot].as_mut().expect("placed job has an outcome");
+                        let o = &mut self.jobs[v.row];
                         o.preemptions
                             .push(PreemptionEvent { preempted_at: self.now, resumed_at: None });
                         if let Some(c) = &self.inst.preempt {
@@ -1691,44 +1489,45 @@ impl SchedCore {
                             evs.push(CoreEvent::Preempted { id: o.id, at: self.now });
                         }
                         self.suspended.push(Suspended { job: v, remaining });
-                        start = Some((head_id, p, StartKind::Preempt));
+                        start = Some((head_row, p, StartKind::Preempt));
                         break;
                     }
                 }
             }
-            let Some((id, placement, kind)) = start else {
+            let Some((row, placement, kind)) = start else {
                 // Redundant guard for the work-conservation invariant:
                 // with a backfilling policy, no queued job may fit the
                 // free nodes once the pass declares itself done. It
-                // replays round 2 verbatim, which just proved no start
-                // exists, so it is pure double-checking — debug builds
+                // asks round 2's question of every queued job again, and
+                // round 2 just proved no start exists, so it is pure
+                // double-checking — debug builds
                 // only, where the test suite runs; a release sweep over
                 // a long saturated backlog would re-scan the whole
                 // queue after every pass.
                 if cfg!(debug_assertions) && !self.cfg.policy.head_blocking() {
-                    let mut caught: Vec<String> = Vec::new();
-                    for q in self.queue.iter() {
-                        if scan_placement(predictor, grid, q, &self.free, bw, None).is_some() {
-                            caught.push(format!(
-                                "work conservation: job {} fits free nodes but was not started at t={:.3}",
-                                q.spec.id, self.now
+                    for (id, row) in self.queue.by_id() {
+                        let job = &self.jobs[row];
+                        if scan_placement(predictor, grid, job, &self.free, bw, None).is_some() {
+                            self.violations.push(format!(
+                                "work conservation: job {id} fits free nodes but was not started at t={:.3}",
+                                self.now
                             ));
                         }
                     }
-                    self.violations.extend(caught);
                 }
                 return;
             };
 
-            let q = self.queue.remove(id);
-            let tenant = q.spec.tenant;
+            let o = &mut self.jobs[row];
+            self.queue.remove(o, row);
+            let (id, tenant) = (o.id, o.tenant);
             match kind {
                 StartKind::Backfill => {
                     self.inst.backfill.inc();
                     if quota[tenant].saturating_sub(self.used_slots[tenant]) >= self.min_slots {
                         self.violations.push(format!(
-                            "fair share: job {} backfilled past quota although tenant {tenant} had headroom at t={:.3}",
-                            q.spec.id, self.now
+                            "fair share: job {id} backfilled past quota although tenant {tenant} had headroom at t={:.3}",
+                            self.now
                         ));
                     }
                 }
@@ -1736,43 +1535,39 @@ impl SchedCore {
                     if self.used_slots[tenant] + placement.cfg.compute_nodes > quota[tenant] =>
                 {
                     self.violations.push(format!(
-                        "fair share: job {} pushed tenant {tenant} past its quota at t={:.3}",
-                        q.spec.id, self.now
+                        "fair share: job {id} pushed tenant {tenant} past its quota at t={:.3}",
+                        self.now
                     ));
                 }
                 StartKind::UnderQuota | StartKind::Preempt => {}
             }
             self.free.alloc(placement.repo, placement.site, &placement.cfg);
             self.used_slots[tenant] += placement.cfg.compute_nodes;
-            let slot = *self.slot_map.get(&q.spec.id).expect("job id present");
-            let repo_name = &self.cfg.grid.repos[placement.repo].site.name;
-            let site_name = &self.cfg.grid.sites[placement.site].site.name;
-            let config = placement.cfg.label();
+            let info = PlacementInfo {
+                repo: placement.repo,
+                site: placement.site,
+                repo_name: grid.repos[placement.repo].site.name.clone(),
+                site_name: grid.sites[placement.site].site.name.clone(),
+                config: placement.cfg.label(),
+                data_nodes: placement.cfg.data_nodes,
+                compute_nodes: placement.cfg.compute_nodes,
+            };
             if let Some(log) = self.events.as_mut() {
                 log.push(CoreEvent::Placed {
-                    id: q.spec.id,
+                    id,
                     at: self.now,
-                    repo: repo_name.clone(),
-                    site: site_name.clone(),
-                    config: config.clone(),
+                    repo: info.repo_name.clone(),
+                    site: info.site_name.clone(),
+                    config: info.config.clone(),
                     predicted: placement.predicted.total(),
                 });
             }
-            let o = self.outcomes[slot].as_mut().expect("queued job has an outcome");
             o.placed_at = Some(self.now);
             o.predicted = Some(placement.predicted.total());
-            o.placement = Some(PlacementInfo {
-                repo: placement.repo,
-                site: placement.site,
-                repo_name: repo_name.clone(),
-                site_name: site_name.clone(),
-                config,
-                data_nodes: placement.cfg.data_nodes,
-                compute_nodes: placement.cfg.compute_nodes,
-            });
+            o.placement = Some(info);
             self.pump_stats.starts += 1;
             self.running.push(Running {
-                slot,
+                row,
                 tenant,
                 repo: placement.repo,
                 site: placement.site,
@@ -1780,7 +1575,7 @@ impl SchedCore {
                 predicted: placement.predicted,
                 placed_at: self.now,
                 phase: Phase::Disk { until: self.now + placement.predicted.t_disk.max(0.0) },
-                bytes: q.spec.dataset_bytes as f64,
+                bytes: o.dataset_bytes as f64,
                 net_started: self.now,
                 net_remaining: 0.0,
                 placed_bw: self.bw[placement.repo],
@@ -1788,13 +1583,8 @@ impl SchedCore {
                 disk_end: None,
                 network_end: None,
                 net_expected: 0.0,
-                deadline: q.deadline,
-                max_obj_bytes: self
-                    .cfg
-                    .grid
-                    .app(&q.spec.app)
-                    .map(|m| m.profile.max_obj_bytes)
-                    .unwrap_or(0),
+                deadline: o.deadline,
+                max_obj_bytes: grid.app(&o.app).map(|m| m.profile.max_obj_bytes).unwrap_or(0),
                 no_feedback: false,
             });
         }
@@ -1809,7 +1599,7 @@ impl SchedCore {
 fn scan_placement(
     predictor: &dyn Predictor,
     grid: &GridSpec,
-    q: &QueuedJob,
+    job: &JobOutcome,
     free: &FreeSlices,
     bw: &[f64],
     quota_cap: Option<usize>,
@@ -1817,8 +1607,8 @@ fn scan_placement(
     naive_best_placement_with(
         predictor,
         grid,
-        grid.app(&q.spec.app)?,
-        q.spec.dataset_bytes,
+        grid.app(&job.app)?,
+        job.dataset_bytes,
         free.data(),
         free.cmp(),
         bw,

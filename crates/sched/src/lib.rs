@@ -51,6 +51,7 @@ pub mod grid;
 pub mod ledger;
 pub mod placement;
 pub mod policy;
+mod queue;
 pub mod replay;
 pub mod sched;
 pub mod telemetry;
@@ -79,5 +80,5 @@ pub use telemetry::{
 };
 pub use workload::{
     ArrivalProcess, JobSpec, LoadLevel, Sinusoid, SizeDist, TenantSpec, WorkloadError,
-    WorkloadShape, WorkloadSpec,
+    WorkloadShape, WorkloadSpec, MAX_TENANTS,
 };

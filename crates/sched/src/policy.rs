@@ -5,7 +5,7 @@
 //! from starting ahead of it (no backfilling), and whether jobs face
 //! predictor-based admission control at submission.
 
-use crate::core::QueuedJob;
+use crate::sched::JobOutcome;
 
 /// The queueing disciplines the scheduler implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,15 +55,16 @@ impl Policy {
         matches!(self, Policy::Fcfs | Policy::EdfAdmit)
     }
 
-    /// The queue-ordering key: smaller sorts first; ties broken by
-    /// submission id for determinism.
-    pub(crate) fn key(self, job: &QueuedJob) -> (f64, usize) {
+    /// The queue-ordering key of an admitted job, read off its row of
+    /// the job table: smaller sorts first; ties broken by submission id
+    /// for determinism.
+    pub(crate) fn key(self, job: &JobOutcome) -> (f64, usize) {
         let metric = match self {
-            Policy::Fcfs | Policy::FcfsBackfill => job.spec.arrival,
+            Policy::Fcfs | Policy::FcfsBackfill => Some(job.arrival),
             Policy::Spjf => job.standalone,
-            Policy::EdfAdmit => job.deadline.unwrap_or(f64::INFINITY),
+            Policy::EdfAdmit => job.deadline,
         };
-        (metric, job.spec.id)
+        (metric.unwrap_or(f64::INFINITY), job.id)
     }
 }
 
@@ -72,19 +73,16 @@ mod tests {
     use super::*;
     use crate::workload::JobSpec;
 
-    fn queued(id: usize, arrival: f64, standalone: f64, deadline: Option<f64>) -> QueuedJob {
-        QueuedJob {
-            spec: JobSpec {
-                id,
-                tenant: 0,
-                app: "kmeans".into(),
-                dataset_bytes: 1,
-                arrival,
-                deadline_slack: 2.0,
-            },
-            standalone,
-            deadline,
-        }
+    fn queued(id: usize, arrival: f64, standalone: f64, deadline: Option<f64>) -> JobOutcome {
+        let spec = JobSpec {
+            id,
+            tenant: 0,
+            app: "kmeans".into(),
+            dataset_bytes: 1,
+            arrival,
+            deadline_slack: 2.0,
+        };
+        JobOutcome { standalone: Some(standalone), deadline, ..JobOutcome::submitted(spec) }
     }
 
     #[test]

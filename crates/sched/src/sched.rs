@@ -193,6 +193,31 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The row a job enters the core's job table as: the submission's
+    /// own facts moved in, every decision still to fall.
+    pub(crate) fn submitted(job: JobSpec) -> JobOutcome {
+        JobOutcome {
+            id: job.id,
+            tenant: job.tenant,
+            app: job.app,
+            arrival: job.arrival,
+            dataset_bytes: job.dataset_bytes,
+            admitted: false,
+            reject_reason: None,
+            standalone: None,
+            deadline: None,
+            admission_estimate: None,
+            placement: None,
+            placed_at: None,
+            predicted: None,
+            disk_end: None,
+            network_end: None,
+            finish: None,
+            preemptions: Vec::new(),
+            migration: None,
+        }
+    }
+
     /// Queue wait: placement minus arrival.
     pub fn wait(&self) -> Option<f64> {
         Some(self.placed_at? - self.arrival)
@@ -252,7 +277,7 @@ pub struct SchedResult {
 /// releases.
 #[derive(Clone)]
 pub struct Scheduler {
-    pub(crate) grid: GridSpec,
+    pub(crate) grid: Arc<GridSpec>,
     pub(crate) policy: Policy,
     pub(crate) ewma_alpha: f64,
     pub(crate) quotas: Option<Vec<TenantQuota>>,
@@ -269,7 +294,7 @@ impl Scheduler {
     /// EWMA smoothing factor of 0.3 for observed bandwidths.
     pub fn new(grid: GridSpec, policy: Policy) -> Scheduler {
         Scheduler {
-            grid,
+            grid: Arc::new(grid),
             policy,
             ewma_alpha: 0.3,
             quotas: None,
@@ -403,9 +428,9 @@ impl Scheduler {
     /// return outcomes, trace, and invariant report. Deterministic: the
     /// same grid, policy, and jobs produce a bit-identical result.
     ///
-    /// This is now a thin wrapper over the extracted decision core:
-    /// load every job into a fresh [`SchedCore`] exactly as the old
-    /// batch loop indexed them, then drain. A job stream fed through
+    /// Loads every job into a fresh [`SchedCore`] (rows in input order)
+    /// and drains it; the configuration, grid included, is shared with
+    /// the core, not copied. A job stream fed through
     /// [`SchedCore::submit`] one arrival at a time produces the same
     /// bit-identical result — arrivals bound the fluid integration
     /// horizon in both drivers, so neither ever splits a step the
@@ -622,24 +647,16 @@ mod tests {
         // A degenerate prediction (empty dataset, free compute) must
         // not poison the slowdown histogram with NaN or infinity.
         let mut o = JobOutcome {
-            id: 0,
-            tenant: 0,
-            app: "kmeans".into(),
-            arrival: 10.0,
-            dataset_bytes: 0,
             admitted: true,
-            reject_reason: None,
             standalone: Some(0.0),
             deadline: Some(10.0),
             admission_estimate: Some(10.0),
-            placement: None,
             placed_at: Some(10.0),
             predicted: Some(0.0),
             disk_end: Some(10.0),
             network_end: Some(10.0),
             finish: Some(10.0),
-            preemptions: Vec::new(),
-            migration: None,
+            ..JobOutcome::submitted(job(0, 0, 0, 10.0))
         };
         assert_eq!(o.turnaround(), Some(0.0));
         assert!(o.slowdown().unwrap().is_finite());
@@ -831,6 +848,60 @@ mod tests {
         );
         assert!(stats.iterations <= 10_000 + 200 * 2, "{stats:?}");
         assert!(o.finish.is_some() && o.migration.is_none(), "{o:?}");
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn an_unbounded_tenant_index_is_a_bad_job() {
+        // The core sizes its per-tenant vectors by the index: `1 << 44`
+        // used to abort inside an allocation, `usize::MAX` to overflow
+        // `tenant + 1`.
+        use crate::core::SubmitError;
+        use crate::workload::MAX_TENANTS;
+        let mut core = SchedCore::new(Scheduler::new(grid(), Policy::FcfsBackfill));
+        let untouched = core.stats();
+        for tenant in [1 << 44, usize::MAX, MAX_TENANTS] {
+            let err = core.submit(job(0, tenant, 1_000_000, 0.0)).unwrap_err();
+            assert!(
+                matches!(err, SubmitError::BadJob { id: 0, reason } if reason.contains("tenant")),
+                "{err}"
+            );
+            assert_eq!(core.stats(), untouched);
+        }
+        assert!(core.submit(job(0, MAX_TENANTS - 1, 1_000_000, 0.0)).unwrap().admitted);
+    }
+
+    #[test]
+    fn a_refused_submission_leaves_no_trace() {
+        // A job's row is made when it is accepted, so every refusal has
+        // to fall before that: nothing a client can read moves, and the
+        // id of a job refused for its arrival or its fields is free.
+        use crate::core::SubmitError;
+        let mut core = SchedCore::new(Scheduler::new(grid(), Policy::EdfAdmit));
+        core.submit(job(0, 0, 20_000_000, 0.0)).unwrap();
+        core.submit(job(5, 1, 20_000_000, 10.0)).unwrap();
+        let view = |core: &SchedCore| {
+            (core.stats(), core.pump_stats(), core.snapshot().quote("kmeans", 5_000_000, 2.0))
+        };
+
+        let before = view(&core);
+        let dup = core.submit(job(5, 0, 1_000_000, 20.0));
+        assert_eq!(dup, Err(SubmitError::Duplicate { id: 5 }));
+        assert_eq!(view(&core), before);
+
+        let late = core.submit(job(7, 0, 1_000_000, 5.0));
+        assert!(matches!(late, Err(SubmitError::OutOfOrder { id: 7, last: (10.0, 5), .. })));
+        assert_eq!(view(&core), before);
+        core.submit(job(7, 0, 1_000_000, 10.0)).expect("the refused id is free");
+
+        let before = view(&core);
+        let empty = core.submit(job(8, 0, 0, 12.0));
+        assert!(matches!(empty, Err(SubmitError::BadJob { id: 8, .. })), "{empty:?}");
+        assert_eq!(view(&core), before);
+        core.submit(job(8, 0, 1_000_000, 12.0)).expect("the refused id is free");
+
+        let r = core.finish();
+        assert_eq!(r.outcomes.iter().map(|o| o.id).collect::<Vec<_>>(), [0, 5, 7, 8]);
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 

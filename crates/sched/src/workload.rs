@@ -624,11 +624,26 @@ pub struct JobSpec {
     pub deadline_slack: f64,
 }
 
+/// Tenant indices a job may carry: `0..MAX_TENANTS`. The scheduler keeps
+/// its per-tenant state in vectors indexed by tenant, sized to the
+/// largest index seen, so an unbounded index from the wire is an
+/// unbounded allocation. 4 096 is 80 × the largest tenant count any
+/// workload, figure or test uses. What the last index costs: 32 bytes
+/// per index below it in the core (a slot count and an empty queue set,
+/// 128 kB), and with telemetry armed ≈ 2.1 kB more per index (the SLO
+/// accumulators and one idle sliding wait histogram — 60 empty 32-byte
+/// time buckets plus its bounds — under the default
+/// [`TelemetryConfig`](crate::TelemetryConfig)), ≈ 8.5 MB.
+pub const MAX_TENANTS: usize = 4096;
+
 impl JobSpec {
     /// The field rules every job is held to wherever it enters — a
     /// replayed trace, [`SchedCore::submit`](crate::SchedCore::submit),
     /// a quote. `Err` names the field.
     pub fn validate(&self) -> Result<(), &'static str> {
+        if self.tenant >= MAX_TENANTS {
+            return Err("tenant index must be below MAX_TENANTS");
+        }
         check_job_fields(self.arrival, self.dataset_bytes, self.deadline_slack)
     }
 }

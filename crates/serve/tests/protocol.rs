@@ -720,3 +720,39 @@ fn a_live_server_survives_hostile_nesting() {
     drop(bystander);
     server.shutdown();
 }
+
+/// Nothing else bounds a wire `Submit`'s tenant index, and the core
+/// sizes its per-tenant vectors by it: `1 << 44` used to abort the
+/// process inside an allocation and `usize::MAX` to overflow `tenant +
+/// 1`, either one taking the core thread with it. Both are refused like
+/// any other bad field, and the session carries on.
+#[test]
+fn an_absurd_tenant_index_is_a_failed_submit_not_a_dead_server() {
+    use fg_bench::figures::sched_models;
+    use fg_sched::{GridSpec, Policy, Scheduler};
+    use fg_serve::ClientError;
+
+    let server = Server::start(Scheduler::new(GridSpec::demo(sched_models()), Policy::Fcfs));
+    let mut client = ServeClient::connect(&server);
+    let job = |id, tenant| JobSpec {
+        id,
+        tenant,
+        app: "kmeans".into(),
+        dataset_bytes: 1 << 28,
+        arrival: 0.0,
+        deadline_slack: 2.0,
+    };
+    for tenant in [1usize << 44, usize::MAX] {
+        match client.submit(job(0, tenant)) {
+            Err(ClientError::Server(reason)) => {
+                assert!(reason.contains("rejected: tenant index"), "{reason}")
+            }
+            other => panic!("tenant {tenant}: expected SubmitFailed, got {other:?}"),
+        }
+    }
+    let admitted = client.submit(job(0, 0)).expect("the session is still served");
+    assert!(admitted.admitted, "{admitted:?}");
+    assert_eq!(client.stats().expect("stats").submitted, 1);
+    drop(client);
+    server.shutdown();
+}
