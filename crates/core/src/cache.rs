@@ -13,8 +13,7 @@
 
 use crate::classes::AppClasses;
 use crate::model::{
-    predict_compute, predict_disk, predict_network, ComputeModel, ExecTimePredictor,
-    InterconnectParams, Prediction, Target,
+    ComputeModel, ExecTimePredictor, InterconnectParams, Prediction, Scaled, Target,
 };
 use fg_cluster::{CacheSite, ComputeSite, Deployment};
 use serde::{Deserialize, Serialize};
@@ -65,8 +64,11 @@ impl CachePlan {
         if passes <= 1 {
             return CachePlan::Local; // nothing to keep
         }
-        let per_node = dataset_bytes.div_ceil(compute_nodes as u64);
-        if per_node <= compute.node_storage_bytes {
+        // `⌈ŝ/ĉ⌉ <= storage`, the per-node share against a node's
+        // scratch space, without the division: for `ĉ >= 1` that is
+        // `ŝ <= storage × ĉ` exactly, and a product past `u64::MAX`
+        // holds any dataset.
+        if dataset_bytes <= compute.node_storage_bytes.saturating_mul(compute_nodes as u64) {
             CachePlan::Local
         } else if let Some(cs) = cache {
             CachePlan::NonLocal {
@@ -112,6 +114,8 @@ pub fn predict_with_plan(
 /// never clones a [`Profile`] (and its heap-allocated names) to build a
 /// throwaway [`ExecTimePredictor`]. Panics on a degenerate target, like
 /// the predictor it stands in for.
+///
+/// [`Profile`]: crate::profile::Profile
 #[allow(clippy::too_many_arguments)]
 pub fn predict_plan_components(
     profile: &crate::profile::Profile,
@@ -125,26 +129,47 @@ pub fn predict_plan_components(
     if let Err(e) = target.validate() {
         panic!("cannot predict for degenerate target: {e}");
     }
-    let base = Prediction {
-        t_disk: predict_disk(profile, target),
-        t_network: predict_network(profile, target),
-        t_compute: predict_compute(profile, target, model, classes, interconnect),
-    };
+    let base = Scaled::new(profile, target.dataset_bytes).predict(
+        target.data_nodes,
+        target.compute_nodes,
+        target.wan_bw,
+        model,
+        model.scalable(profile),
+        classes,
+        interconnect,
+    );
     let passes = profile.passes as f64;
-    let s = target.dataset_bytes as f64;
-    let local_io = passes * s / (target.compute_nodes as f64 * compute_disk_bw);
-    match plan {
-        CachePlan::Local => base,
-        CachePlan::NonLocal { nodes, wan_bw, disk_bw } => Prediction {
-            t_disk: base.t_disk + passes * s / (*nodes as f64 * disk_bw),
-            t_network: base.t_network + passes * s / (*nodes as f64 * wan_bw),
-            t_compute: (base.t_compute - local_io).max(0.0),
-        },
-        CachePlan::Refetch => Prediction {
-            t_disk: base.t_disk * passes,
-            t_network: base.t_network * passes,
-            t_compute: (base.t_compute - local_io).max(0.0),
-        },
+    let pass_bytes = passes * target.dataset_bytes as f64;
+    plan.adjust(base, passes, pass_bytes, target.compute_nodes, compute_disk_bw)
+}
+
+impl CachePlan {
+    /// Re-cost a local-caching prediction under this plan (the rules
+    /// are [`predict_with_plan`]'s). `pass_bytes` is `passes × ŝ`, the
+    /// volume the passes move between them.
+    pub(crate) fn adjust(
+        &self,
+        base: Prediction,
+        passes: f64,
+        pass_bytes: f64,
+        compute_nodes: usize,
+        compute_disk_bw: f64,
+    ) -> Prediction {
+        // The local cache I/O embedded in the profile's compute time.
+        let local_io = || pass_bytes / (compute_nodes as f64 * compute_disk_bw);
+        match self {
+            CachePlan::Local => base,
+            CachePlan::NonLocal { nodes, wan_bw, disk_bw } => Prediction {
+                t_disk: base.t_disk + pass_bytes / (*nodes as f64 * disk_bw),
+                t_network: base.t_network + pass_bytes / (*nodes as f64 * wan_bw),
+                t_compute: (base.t_compute - local_io()).max(0.0),
+            },
+            CachePlan::Refetch => Prediction {
+                t_disk: base.t_disk * passes,
+                t_network: base.t_network * passes,
+                t_compute: (base.t_compute - local_io()).max(0.0),
+            },
+        }
     }
 }
 

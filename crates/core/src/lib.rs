@@ -54,10 +54,10 @@ pub use error::relative_error;
 pub use hetero::ScalingFactors;
 pub use migrate::{decide_migration, migration_cost, MigrationCost, MigrationDecision};
 pub use model::{ComputeModel, ExecTimePredictor, InterconnectParams, Prediction, Target};
-pub use predictor::{AnalyticalPredictor, Observation, Predictor};
+pub use predictor::{AnalyticalPredictor, Observation, Predictor, Price};
 pub use profile::Profile;
 pub use reselect::ReselectionController;
 pub use selection::{
-    rank_deployments, try_predict_deployment, try_rank_deployments, try_rank_deployments_with,
-    Candidate, SelectionError,
+    prepare, rank_deployments, try_predict_deployment, try_rank_deployments,
+    try_rank_deployments_with, Candidate, Prepared, SelectionError, SiteQuery,
 };

@@ -139,6 +139,17 @@ impl ComputeModel {
             ComputeModel::GlobalReduction => "global reduction",
         }
     }
+
+    /// The part of the profile's `t_c` this model scales with data and
+    /// nodes: what is left after the communication it accounts for
+    /// separately.
+    pub(crate) fn scalable(&self, p: &Profile) -> f64 {
+        match self {
+            ComputeModel::NoComm => p.t_compute,
+            ComputeModel::ReductionComm => (p.t_compute - p.t_ro).max(0.0),
+            ComputeModel::GlobalReduction => (p.t_compute - p.t_ro - p.t_g).max(0.0),
+        }
+    }
 }
 
 /// A predicted execution-time breakdown (seconds).
@@ -160,56 +171,138 @@ impl Prediction {
     }
 }
 
+/// The closed form at one dataset size: `ŝ/s` resolved once, each
+/// component's expression written once. The `predict_*` functions below
+/// evaluate it at a [`Target`]'s size per call; a selection scan
+/// ([`crate::selection::prepare`]) resolves it once per (repository,
+/// site) pair and evaluates only the `(n̂, ĉ, b̂)` part per candidate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scaled<'a> {
+    p: &'a Profile,
+    /// `ŝ/s`.
+    s_ratio: f64,
+}
+
+impl<'a> Scaled<'a> {
+    pub(crate) fn new(p: &'a Profile, dataset_bytes: u64) -> Scaled<'a> {
+        Scaled { p, s_ratio: dataset_bytes as f64 / p.dataset_bytes as f64 }
+    }
+
+    /// `T̂_disk = (ŝ/s) * (n/n̂) * t_d`.
+    fn disk(&self, data_nodes: usize) -> f64 {
+        let n_ratio = self.p.data_nodes as f64 / data_nodes as f64;
+        self.s_ratio * n_ratio * self.p.t_disk
+    }
+
+    /// `T̂_network = (ŝ/s) * (n/n̂) * (b/b̂) * t_n`.
+    fn network(&self, data_nodes: usize, wan_bw: f64) -> f64 {
+        let n_ratio = self.p.data_nodes as f64 / data_nodes as f64;
+        let b_ratio = self.p.wan_bw / wan_bw;
+        self.s_ratio * n_ratio * b_ratio * self.p.t_network
+    }
+
+    /// `ρ̂` under the class model.
+    fn obj_bytes(&self, compute_nodes: usize, class: RObjSizeClass) -> f64 {
+        let rho = self.p.max_obj_bytes as f64;
+        match class {
+            RObjSizeClass::Constant => rho,
+            RObjSizeClass::Linear => {
+                rho * self.s_ratio * (self.p.compute_nodes as f64 / compute_nodes as f64)
+            }
+        }
+    }
+
+    /// A serialized gather of `ĉ - 1` objects, each costing `l + w * ρ̂`,
+    /// once per pass.
+    fn t_ro(&self, compute_nodes: usize, class: RObjSizeClass, ic: &InterconnectParams) -> f64 {
+        let rho = self.obj_bytes(compute_nodes, class);
+        // `saturating_sub`: a degenerate ĉ = 0 target must not underflow to
+        // 2^64 - 1 senders (callers validate, but this model is also used
+        // directly).
+        let senders = compute_nodes.saturating_sub(1) as f64;
+        self.p.passes as f64 * senders * (ic.latency + rho / ic.bandwidth)
+    }
+
+    /// `T̂_g` under the class model.
+    fn t_g(&self, compute_nodes: usize, class: GlobalReduceClass) -> f64 {
+        match class {
+            GlobalReduceClass::LinearConstant => {
+                self.p.t_g * (compute_nodes as f64 / self.p.compute_nodes as f64)
+            }
+            GlobalReduceClass::ConstantLinear => self.p.t_g * self.s_ratio,
+        }
+    }
+
+    /// `T̂_c = (ŝ/s) * (c/ĉ) * scalable + T̂_ro + T̂_g`, the last two as
+    /// `model` accounts for them; `scalable` is
+    /// [`ComputeModel::scalable`] of the same profile.
+    fn compute(
+        &self,
+        compute_nodes: usize,
+        model: ComputeModel,
+        scalable: f64,
+        classes: AppClasses,
+        ic: &InterconnectParams,
+    ) -> f64 {
+        let c_ratio = self.p.compute_nodes as f64 / compute_nodes as f64;
+        let scaled = self.s_ratio * c_ratio * scalable;
+        match model {
+            ComputeModel::NoComm => scaled,
+            ComputeModel::ReductionComm => scaled + self.t_ro(compute_nodes, classes.obj, ic),
+            ComputeModel::GlobalReduction => {
+                scaled
+                    + self.t_ro(compute_nodes, classes.obj, ic)
+                    + self.t_g(compute_nodes, classes.global)
+            }
+        }
+    }
+
+    /// All three components for `(n̂, ĉ, b̂)`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn predict(
+        &self,
+        data_nodes: usize,
+        compute_nodes: usize,
+        wan_bw: f64,
+        model: ComputeModel,
+        scalable: f64,
+        classes: AppClasses,
+        ic: &InterconnectParams,
+    ) -> Prediction {
+        Prediction {
+            t_disk: self.disk(data_nodes),
+            t_network: self.network(data_nodes, wan_bw),
+            t_compute: self.compute(compute_nodes, model, scalable, classes, ic),
+        }
+    }
+}
+
 /// Predicted data retrieval time:
 /// `T̂_disk = (ŝ/s) * (n/n̂) * t_d`.
 pub fn predict_disk(p: &Profile, t: &Target) -> f64 {
-    let s_ratio = t.dataset_bytes as f64 / p.dataset_bytes as f64;
-    let n_ratio = p.data_nodes as f64 / t.data_nodes as f64;
-    s_ratio * n_ratio * p.t_disk
+    Scaled::new(p, t.dataset_bytes).disk(t.data_nodes)
 }
 
 /// Predicted data communication time:
 /// `T̂_network = (ŝ/s) * (n/n̂) * (b/b̂) * t_n`.
 pub fn predict_network(p: &Profile, t: &Target) -> f64 {
-    let s_ratio = t.dataset_bytes as f64 / p.dataset_bytes as f64;
-    let n_ratio = p.data_nodes as f64 / t.data_nodes as f64;
-    let b_ratio = p.wan_bw / t.wan_bw;
-    s_ratio * n_ratio * b_ratio * p.t_network
+    Scaled::new(p, t.dataset_bytes).network(t.data_nodes, t.wan_bw)
 }
 
 /// Predicted per-node reduction-object size `ρ̂` under the class model.
 pub fn predict_obj_bytes(p: &Profile, t: &Target, class: RObjSizeClass) -> f64 {
-    let rho = p.max_obj_bytes as f64;
-    match class {
-        RObjSizeClass::Constant => rho,
-        RObjSizeClass::Linear => {
-            rho * (t.dataset_bytes as f64 / p.dataset_bytes as f64)
-                * (p.compute_nodes as f64 / t.compute_nodes as f64)
-        }
-    }
+    Scaled::new(p, t.dataset_bytes).obj_bytes(t.compute_nodes, class)
 }
 
 /// Predicted reduction-object communication time: a serialized gather of
 /// `ĉ - 1` objects, each costing `l + w * ρ̂`, once per pass.
 pub fn predict_t_ro(p: &Profile, t: &Target, class: RObjSizeClass, ic: &InterconnectParams) -> f64 {
-    let rho = predict_obj_bytes(p, t, class);
-    // `saturating_sub`: a degenerate ĉ = 0 target must not underflow to
-    // 2^64 - 1 senders (callers validate, but this model is also used
-    // directly).
-    let senders = t.compute_nodes.saturating_sub(1) as f64;
-    p.passes as f64 * senders * (ic.latency + rho / ic.bandwidth)
+    Scaled::new(p, t.dataset_bytes).t_ro(t.compute_nodes, class, ic)
 }
 
 /// Predicted global reduction time under the class model.
 pub fn predict_t_g(p: &Profile, t: &Target, class: GlobalReduceClass) -> f64 {
-    match class {
-        GlobalReduceClass::LinearConstant => {
-            p.t_g * (t.compute_nodes as f64 / p.compute_nodes as f64)
-        }
-        GlobalReduceClass::ConstantLinear => {
-            p.t_g * (t.dataset_bytes as f64 / p.dataset_bytes as f64)
-        }
-    }
+    Scaled::new(p, t.dataset_bytes).t_g(t.compute_nodes, class)
 }
 
 /// Predicted data processing time under the chosen compute model.
@@ -220,21 +313,7 @@ pub fn predict_compute(
     classes: AppClasses,
     ic: &InterconnectParams,
 ) -> f64 {
-    let s_ratio = t.dataset_bytes as f64 / p.dataset_bytes as f64;
-    let c_ratio = p.compute_nodes as f64 / t.compute_nodes as f64;
-    match model {
-        ComputeModel::NoComm => s_ratio * c_ratio * p.t_compute,
-        ComputeModel::ReductionComm => {
-            let scalable = (p.t_compute - p.t_ro).max(0.0);
-            s_ratio * c_ratio * scalable + predict_t_ro(p, t, classes.obj, ic)
-        }
-        ComputeModel::GlobalReduction => {
-            let scalable = (p.t_compute - p.t_ro - p.t_g).max(0.0);
-            s_ratio * c_ratio * scalable
-                + predict_t_ro(p, t, classes.obj, ic)
-                + predict_t_g(p, t, classes.global)
-        }
-    }
+    Scaled::new(p, t.dataset_bytes).compute(t.compute_nodes, model, model.scalable(p), classes, ic)
 }
 
 /// The assembled predictor: profile + classes + interconnect + model.
@@ -298,17 +377,15 @@ impl ExecTimePredictor {
     /// returning infinities or NaNs.
     pub fn try_predict(&self, target: &Target) -> Result<Prediction, TargetError> {
         target.validate()?;
-        Ok(Prediction {
-            t_disk: predict_disk(&self.profile, target),
-            t_network: predict_network(&self.profile, target),
-            t_compute: predict_compute(
-                &self.profile,
-                target,
-                self.model,
-                self.classes,
-                &self.interconnect,
-            ),
-        })
+        Ok(Scaled::new(&self.profile, target.dataset_bytes).predict(
+            target.data_nodes,
+            target.compute_nodes,
+            target.wan_bw,
+            self.model,
+            self.model.scalable(&self.profile),
+            self.classes,
+            &self.interconnect,
+        ))
     }
 }
 

@@ -14,24 +14,50 @@
 //! consume [`Observation`]s fed back by the scheduler on every clean
 //! job completion.
 //!
+//! # Two steps: prepare, then price
+//!
+//! The model is separable — every component is a term fixed by
+//! (application, repository, site, `ŝ`) times a term in `(n̂, ĉ, b̂)` —
+//! and resource selection enumerates many `(n̂, ĉ, b̂)` per pair. So a
+//! scan does not call [`Predictor::predict_deployment`] per candidate;
+//! it calls [`Predictor::with_prepared`] once per (repository, site)
+//! pair with a [`SiteQuery`], and the predictor hands back a [`Price`]:
+//!
+//! * **prepare** may resolve anything the query fixes: `ŝ/s`, the
+//!   scalable compute remainder, the interconnect parameters, the
+//!   cross-cluster factors, and — for a stateful predictor — the key's
+//!   model, *copied out*. A stateful predictor takes its lock here, once,
+//!   and releases it before the scan's closure runs: no lock is held
+//!   while the scan prices, so a scan never blocks `observe`, and every
+//!   price taken from one preparation comes from one model version.
+//! * **price** must be a pure function of the preparation and
+//!   `(Configuration, stream_bw)`, and must return exactly what
+//!   `predict_deployment` would for the same candidate under the model
+//!   the preparation captured — same bits, same typed rejection.
+//!
+//! The provided `with_prepared` hands the scan an adapter that calls
+//! `predict_deployment` once per priced candidate. It exists so a
+//! predictor that implements only the one-shot method — a wrapper that
+//! counts or stamps calls, a quick experiment — is priced correctly
+//! without knowing about preparations; it saves nothing.
+//!
 //! # Determinism contract
 //!
 //! Implementations must be pure functions of their internal state: the
 //! same state and arguments must yield bit-identical [`Prediction`]s.
 //! State may only change through [`Predictor::observe`], and any change
-//! that can alter a future prediction must bump [`Predictor::epoch`] —
-//! downstream caches (the scheduler's placement engine memoizes whole
-//! rankings) use the epoch to invalidate, so a stale epoch means stale
-//! placements, silently. Wall clocks and unseeded randomness are
-//! forbidden for the same reason they are everywhere else in this
-//! repository.
+//! that can alter a future prediction must bump [`Predictor::epoch`],
+//! so a caller holding a price (a quote, a preparation, a ranking) can
+//! tell whether the model has moved under it. Wall clocks and unseeded
+//! randomness are forbidden for the same reason they are everywhere
+//! else in this repository.
 
 use crate::classes::AppClasses;
 use crate::hetero::ScalingFactors;
 use crate::model::Prediction;
 use crate::profile::Profile;
-use crate::selection::{try_predict_deployment, SelectionError};
-use fg_cluster::DeploymentRef;
+use crate::selection::{prepare, try_predict_deployment, SelectionError, SiteQuery};
+use fg_cluster::{Configuration, DeploymentRef};
 use std::collections::HashMap;
 
 /// One labelled sample from a completed job: the target tuple the
@@ -87,10 +113,22 @@ pub trait Predictor: Send + Sync + std::fmt::Debug {
         factors: &HashMap<String, ScalingFactors>,
     ) -> Result<Prediction, SelectionError>;
 
+    /// Price every candidate of one (repository, site) pair: resolve
+    /// what `q` fixes, then call `scan` once with the [`Price`] its
+    /// candidates are priced from (see the module docs for the
+    /// contract). The default prices each candidate with a
+    /// [`Predictor::predict_deployment`] call.
+    fn with_prepared(&self, q: &SiteQuery<'_>, scan: &mut dyn FnMut(&dyn Price)) {
+        scan(&PerCandidate { pred: self, q })
+    }
+
     /// Monotone state-version counter. Must change whenever internal
-    /// state changes in a way that can alter a future prediction;
-    /// callers cache rankings keyed on it. Stateless predictors keep
-    /// the default constant `0`.
+    /// state changes in a way that can alter a future prediction: two
+    /// prices taken under one epoch came from one model. Nothing in the
+    /// scheduler caches on it today (a scan re-prices every query); it
+    /// is how a test, a diagnostic or a future cache tells model
+    /// versions apart. Stateless predictors keep the default constant
+    /// `0`.
     fn epoch(&self) -> u64 {
         0
     }
@@ -110,13 +148,41 @@ pub trait Predictor: Send + Sync + std::fmt::Debug {
     fn observe(&self, _obs: &Observation) {}
 }
 
+/// The candidates of one prepared (repository, site) pair, priced.
+pub trait Price {
+    /// The execution-time breakdown of the pair's deployment with
+    /// `config` at per-stream bandwidth `stream_bw`, or the typed
+    /// rejection [`Predictor::predict_deployment`] gives for it.
+    fn price(&self, config: Configuration, stream_bw: f64) -> Result<Prediction, SelectionError>;
+}
+
+/// The provided [`Predictor::with_prepared`]: nothing prepared, one
+/// `predict_deployment` call per price.
+struct PerCandidate<'a, P: ?Sized> {
+    pred: &'a P,
+    q: &'a SiteQuery<'a>,
+}
+
+impl<P: Predictor + ?Sized> Price for PerCandidate<'_, P> {
+    fn price(&self, config: Configuration, stream_bw: f64) -> Result<Prediction, SelectionError> {
+        let q = self.q;
+        self.pred.predict_deployment(
+            q.profile,
+            q.classes,
+            q.deployment(config, stream_bw),
+            q.dataset_bytes,
+            q.factors,
+        )
+    }
+}
+
 /// The paper's closed-form model behind the [`Predictor`] seam.
 ///
-/// Delegates to [`try_predict_deployment`] verbatim, so every caller
-/// refactored onto the trait produces bit-identical predictions,
-/// rankings, and schedules when this (the default) predictor is
-/// active. Stateless: `epoch` is constant and observations are
-/// declined.
+/// Delegates to [`try_predict_deployment`] and [`prepare`] verbatim, so
+/// every caller refactored onto the trait produces bit-identical
+/// predictions, rankings, and schedules when this (the default)
+/// predictor is active. Stateless: `epoch` is constant and observations
+/// are declined.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalyticalPredictor;
 
@@ -134,6 +200,10 @@ impl Predictor for AnalyticalPredictor {
         factors: &HashMap<String, ScalingFactors>,
     ) -> Result<Prediction, SelectionError> {
         try_predict_deployment(profile, classes, d, dataset_bytes, factors)
+    }
+
+    fn with_prepared(&self, q: &SiteQuery<'_>, scan: &mut dyn FnMut(&dyn Price)) {
+        scan(&prepare(q))
     }
 }
 

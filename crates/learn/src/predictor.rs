@@ -11,6 +11,18 @@
 //! learned predictor keeps each key's retained samples in one canonical
 //! order and always sums them in that order).
 //!
+//! # Reading while training
+//!
+//! Each predictor's read side is one function, `prepare`: take the
+//! state lock, find the `(app, repository)` key, copy its model out
+//! (fifteen coefficients, or three factors), release the lock, and
+//! return a [`Price`] made of the analytical preparation plus that
+//! copy. [`Predictor::with_prepared`] hands it to the scan and
+//! [`Predictor::predict_deployment`] prices it once, so a scan takes
+//! the lock once per (repository, site) pair, nothing is priced with
+//! the lock held, and every price taken from one preparation comes
+//! from one version of the model, whatever `observe` does meanwhile.
+//!
 //! # Trust region
 //!
 //! A regression fit from a handful of samples can extrapolate wildly on
@@ -22,10 +34,10 @@
 //! and never rank a candidate more than 2× cheaper than physics says.
 
 use crate::ridge::solve_ridge;
-use fg_cluster::DeploymentRef;
+use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::{
-    try_predict_deployment, AppClasses, Observation, Prediction, Predictor, Profile,
-    ScalingFactors, SelectionError,
+    prepare, AppClasses, Observation, Prediction, Predictor, Prepared, Price, Profile,
+    ScalingFactors, SelectionError, SiteQuery,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -333,6 +345,63 @@ impl LearnedPredictor {
     }
 }
 
+impl LearnedPredictor {
+    /// The read side: the analytical preparation for the pair plus the
+    /// key's coefficients as they stand now, copied out under the one
+    /// lock acquisition a pair costs. The guard is gone when this
+    /// returns, so nothing priced from the result waits on, or is
+    /// changed by, a concurrent `observe`.
+    fn prepare<'a>(&self, q: &SiteQuery<'a>) -> LearnedPrice<'a> {
+        let coefs = {
+            let state = self.state.lock().expect("no thread panics holding the model lock");
+            state
+                .iter()
+                .find(|r| r.app == q.profile.app && r.repo == q.repository.name)
+                .and_then(|r| r.coefs)
+        };
+        LearnedPrice {
+            analytical: prepare(q),
+            coefs,
+            trust: self.cfg.trust,
+            dataset_bytes: q.dataset_bytes,
+        }
+    }
+}
+
+/// One (repository, site) pair under one version of its key's model.
+struct LearnedPrice<'a> {
+    analytical: Prepared<'a>,
+    /// `None`: no fit yet, the analytical model answers.
+    coefs: Option<Coefs>,
+    trust: f64,
+    dataset_bytes: u64,
+}
+
+impl Price for LearnedPrice<'_> {
+    fn price(&self, config: Configuration, stream_bw: f64) -> Result<Prediction, SelectionError> {
+        // The analytical model both validates the target (its typed
+        // rejections propagate unchanged) and anchors the trust region.
+        let a = self.analytical.price(config, stream_bw)?;
+        let Some(coefs) = &self.coefs else {
+            return Ok(a);
+        };
+        let phi = features(config.data_nodes, config.compute_nodes, stream_bw, self.dataset_bytes);
+        let clamp = |w: &[f64; DIMS], anchor: f64| -> f64 {
+            let raw = dot(w, &phi);
+            if raw.is_finite() {
+                raw.clamp(anchor / self.trust, anchor * self.trust)
+            } else {
+                anchor
+            }
+        };
+        Ok(Prediction {
+            t_disk: clamp(&coefs[0], a.t_disk),
+            t_network: clamp(&coefs[1], a.t_network),
+            t_compute: clamp(&coefs[2], a.t_compute),
+        })
+    }
+}
+
 impl Predictor for LearnedPredictor {
     fn name(&self) -> &'static str {
         "learned"
@@ -346,31 +415,12 @@ impl Predictor for LearnedPredictor {
         dataset_bytes: u64,
         factors: &HashMap<String, ScalingFactors>,
     ) -> Result<Prediction, SelectionError> {
-        // The analytical model both validates the target (its typed
-        // rejections propagate unchanged) and anchors the trust region.
-        let a = try_predict_deployment(profile, classes, d, dataset_bytes, factors)?;
-        let state = self.state.lock().unwrap();
-        let Some(coefs) = state
-            .iter()
-            .find(|r| r.app == profile.app && r.repo == d.repository.name)
-            .and_then(|r| r.coefs.as_ref())
-        else {
-            return Ok(a);
-        };
-        let phi = features(d.config.data_nodes, d.config.compute_nodes, d.stream_bw, dataset_bytes);
-        let clamp = |w: &[f64; DIMS], anchor: f64| -> f64 {
-            let raw = dot(w, &phi);
-            if raw.is_finite() {
-                raw.clamp(anchor / self.cfg.trust, anchor * self.cfg.trust)
-            } else {
-                anchor
-            }
-        };
-        Ok(Prediction {
-            t_disk: clamp(&coefs[0], a.t_disk),
-            t_network: clamp(&coefs[1], a.t_network),
-            t_compute: clamp(&coefs[2], a.t_compute),
-        })
+        self.prepare(&SiteQuery::of(profile, classes, d, dataset_bytes, factors))
+            .price(d.config, d.stream_bw)
+    }
+
+    fn with_prepared(&self, q: &SiteQuery<'_>, scan: &mut dyn FnMut(&dyn Price)) {
+        scan(&self.prepare(q))
     }
 
     fn epoch(&self) -> u64 {
@@ -545,7 +595,13 @@ impl HybridPredictor {
     }
 
     /// Rebuild from a [`Self::dump_jsonl`] corpus; `dump → replay →
-    /// dump` is a byte fixpoint.
+    /// dump` is a byte fixpoint. A line no live corrector could have
+    /// written is an error naming the line: a factor outside the dump's
+    /// own `[min_ratio, max_ratio]` (every factor starts at 1 and each
+    /// update is clamped into that range, bounds included — a zero or
+    /// negative one would price jobs at zero or negative seconds), or a
+    /// second line for an `(app, repository)` already seen, which no
+    /// lookup would reach.
     pub fn replay_jsonl(text: &str) -> Result<HybridPredictor, String> {
         #[derive(Deserialize)]
         struct Header {
@@ -568,6 +624,7 @@ impl HybridPredictor {
         }
         header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
         let pred = HybridPredictor::new(header.config);
+        let HybridConfig { min_ratio, max_ratio, .. } = header.config;
         let mut keys: Vec<HybridKey> = Vec::new();
         for (i, line) in lines {
             if line.trim().is_empty() {
@@ -575,8 +632,21 @@ impl HybridPredictor {
             }
             let key: HybridKey =
                 serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            if key.factors.iter().any(|f| !f.is_finite()) {
-                return Err(format!("line {}: non-finite correction factor", i + 1));
+            if keys.iter().any(|k| k.app == key.app && k.repo == key.repo) {
+                return Err(format!(
+                    "line {}: a second line for ({:?}, {:?})",
+                    i + 1,
+                    key.app,
+                    key.repo
+                ));
+            }
+            // Also refuses a NaN, which is inside no range.
+            if let Some(f) = key.factors.iter().find(|f| !(min_ratio..=max_ratio).contains(*f)) {
+                return Err(format!(
+                    "line {}: correction factor {f} outside the dump's own \
+                     [{min_ratio}, {max_ratio}]",
+                    i + 1
+                ));
             }
             keys.push(key);
         }
@@ -584,6 +654,44 @@ impl HybridPredictor {
         *pred.state.lock().unwrap() = keys;
         pred.epoch.store(trained, Ordering::SeqCst);
         Ok(pred)
+    }
+}
+
+impl HybridPredictor {
+    /// The read side: the analytical preparation for the pair plus the
+    /// key's correction factors as they stand now, copied out under
+    /// the one lock acquisition a pair costs (see
+    /// [`LearnedPredictor::prepare`]).
+    fn prepare<'a>(&self, q: &SiteQuery<'a>) -> HybridPrice<'a> {
+        let factors = {
+            let state = self.state.lock().expect("no thread panics holding the model lock");
+            state
+                .iter()
+                .find(|k| k.app == q.profile.app && k.repo == q.repository.name)
+                .map(|k| k.factors)
+        };
+        HybridPrice { analytical: prepare(q), factors }
+    }
+}
+
+/// One (repository, site) pair under one version of its key's factors.
+struct HybridPrice<'a> {
+    analytical: Prepared<'a>,
+    /// `None`: the key has seen no observation, every factor is 1.
+    factors: Option<[f64; COMPONENTS]>,
+}
+
+impl Price for HybridPrice<'_> {
+    fn price(&self, config: Configuration, stream_bw: f64) -> Result<Prediction, SelectionError> {
+        let a = self.analytical.price(config, stream_bw)?;
+        let Some(factors) = &self.factors else {
+            return Ok(a);
+        };
+        Ok(Prediction {
+            t_disk: a.t_disk * factors[0],
+            t_network: a.t_network * factors[1],
+            t_compute: a.t_compute * factors[2],
+        })
     }
 }
 
@@ -600,17 +708,12 @@ impl Predictor for HybridPredictor {
         dataset_bytes: u64,
         factors: &HashMap<String, ScalingFactors>,
     ) -> Result<Prediction, SelectionError> {
-        let a = try_predict_deployment(profile, classes, d, dataset_bytes, factors)?;
-        let state = self.state.lock().unwrap();
-        let Some(key) = state.iter().find(|k| k.app == profile.app && k.repo == d.repository.name)
-        else {
-            return Ok(a);
-        };
-        Ok(Prediction {
-            t_disk: a.t_disk * key.factors[0],
-            t_network: a.t_network * key.factors[1],
-            t_compute: a.t_compute * key.factors[2],
-        })
+        self.prepare(&SiteQuery::of(profile, classes, d, dataset_bytes, factors))
+            .price(d.config, d.stream_bw)
+    }
+
+    fn with_prepared(&self, q: &SiteQuery<'_>, scan: &mut dyn FnMut(&dyn Price)) {
+        scan(&self.prepare(q))
     }
 
     fn epoch(&self) -> u64 {
@@ -666,6 +769,7 @@ impl Predictor for HybridPredictor {
 mod tests {
     use super::*;
     use fg_cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
+    use fg_predict::try_predict_deployment;
     use proptest::prelude::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
@@ -796,6 +900,265 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bits(p: &Prediction) -> [u64; 3] {
+        [p.t_disk.to_bits(), p.t_network.to_bits(), p.t_compute.to_bits()]
+    }
+
+    /// `LearnedPredictor::predict_deployment` as it stood before the
+    /// read side was split into `prepare` + `price`: the lock taken and
+    /// the key list walked per candidate, the coefficients borrowed
+    /// under the guard. That body verbatim (`self` spelled `pred`).
+    fn reference_learned(
+        pred: &LearnedPredictor,
+        profile: &Profile,
+        classes: AppClasses,
+        d: DeploymentRef<'_>,
+        dataset_bytes: u64,
+        factors: &HashMap<String, ScalingFactors>,
+    ) -> Result<Prediction, SelectionError> {
+        // The analytical model both validates the target (its typed
+        // rejections propagate unchanged) and anchors the trust region.
+        let a = try_predict_deployment(profile, classes, d, dataset_bytes, factors)?;
+        let state = pred.state.lock().unwrap();
+        let Some(coefs) = state
+            .iter()
+            .find(|r| r.app == profile.app && r.repo == d.repository.name)
+            .and_then(|r| r.coefs.as_ref())
+        else {
+            return Ok(a);
+        };
+        let phi = features(d.config.data_nodes, d.config.compute_nodes, d.stream_bw, dataset_bytes);
+        let clamp = |w: &[f64; DIMS], anchor: f64| -> f64 {
+            let raw = dot(w, &phi);
+            if raw.is_finite() {
+                raw.clamp(anchor / pred.cfg.trust, anchor * pred.cfg.trust)
+            } else {
+                anchor
+            }
+        };
+        Ok(Prediction {
+            t_disk: clamp(&coefs[0], a.t_disk),
+            t_network: clamp(&coefs[1], a.t_network),
+            t_compute: clamp(&coefs[2], a.t_compute),
+        })
+    }
+
+    /// `HybridPredictor::predict_deployment` before the same split,
+    /// verbatim.
+    fn reference_hybrid(
+        pred: &HybridPredictor,
+        profile: &Profile,
+        classes: AppClasses,
+        d: DeploymentRef<'_>,
+        dataset_bytes: u64,
+        factors: &HashMap<String, ScalingFactors>,
+    ) -> Result<Prediction, SelectionError> {
+        let a = try_predict_deployment(profile, classes, d, dataset_bytes, factors)?;
+        let state = pred.state.lock().unwrap();
+        let Some(key) = state.iter().find(|k| k.app == profile.app && k.repo == d.repository.name)
+        else {
+            return Ok(a);
+        };
+        Ok(Prediction {
+            t_disk: a.t_disk * key.factors[0],
+            t_network: a.t_network * key.factors[1],
+            t_compute: a.t_compute * key.factors[2],
+        })
+    }
+
+    /// Every candidate of a small menu (degenerate ones included) at
+    /// every repository, through the one-shot method and through one
+    /// preparation per repository, against `reference`: `Ok`s bit for
+    /// bit, `Err`s equal. Returns how many candidates priced `Ok` and
+    /// how many of those differ from the analytical answer.
+    fn assert_matches_reference<P: Predictor>(
+        pred: &P,
+        reference: impl Fn(DeploymentRef<'_>, u64) -> Result<Prediction, SelectionError>,
+    ) -> (u64, u64) {
+        let (prof, no_factors) = (profile(), HashMap::new());
+        let site = ComputeSite::pentium_myrinet("cs", 16);
+        let (mut priced, mut moved) = (0, 0);
+        for repo in ["osu", "mit", "new"] {
+            let repo = RepositorySite::pentium_repository(repo, 8);
+            for bytes in [0u64, 64 << 20, 400 << 20] {
+                let q = SiteQuery {
+                    profile: &prof,
+                    classes: AppClasses::CONSTANT_LINEAR_CONSTANT,
+                    repository: &repo,
+                    compute: &site,
+                    cache: None,
+                    dataset_bytes: bytes,
+                    factors: &no_factors,
+                };
+                pred.with_prepared(&q, &mut |prepared| {
+                    for (n, c) in [(1, 1), (2, 4), (4, 16), (0, 4), (2, 0)] {
+                        let cfg = Configuration { data_nodes: n, compute_nodes: c };
+                        for bw in [1e6, 3e5, 0.0, f64::NAN] {
+                            let d = q.deployment(cfg, bw);
+                            let want = reference(d, bytes);
+                            let one_shot =
+                                pred.predict_deployment(q.profile, q.classes, d, bytes, q.factors);
+                            let got = prepared.price(cfg, bw);
+                            match (&want, &got, &one_shot) {
+                                (Ok(w), Ok(g), Ok(o)) => {
+                                    assert_eq!(bits(w), bits(g), "{repo:?} {cfg:?} {bw} {bytes}");
+                                    assert_eq!(bits(w), bits(o), "{repo:?} {cfg:?} {bw} {bytes}");
+                                    let a = try_predict_deployment(
+                                        q.profile, q.classes, d, bytes, q.factors,
+                                    );
+                                    priced += 1;
+                                    moved += u64::from(bits(w) != bits(&a.unwrap()));
+                                }
+                                (Err(w), Err(g), Err(o)) => {
+                                    assert_eq!(w, g);
+                                    assert_eq!(w, o);
+                                }
+                                _ => panic!("{want:?} vs {got:?} / {one_shot:?}"),
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        (priced, moved)
+    }
+
+    /// A predictor with three kinds of key: `("kmeans", "osu")` fitted,
+    /// `("kmeans", "mit")` holding samples but no model, and nothing
+    /// for `"new"`.
+    fn trained_learned(trust: f64) -> LearnedPredictor {
+        let pred = LearnedPredictor::new(LearnConfig { trust, ..LearnConfig::default() });
+        for &(n, c, bw, bytes) in &training_grid() {
+            pred.observe(&stretched_obs(n, c, bw, bytes, [1.8, 0.7, 1.2]));
+        }
+        pred.observe(&Observation {
+            repo: "mit".into(),
+            ..stretched_obs(2, 4, 1e6, 200 << 20, [1.5; 3])
+        });
+        assert_eq!(pred.trained_keys(), 1);
+        pred
+    }
+
+    #[test]
+    fn learned_prices_match_the_reference_bit_for_bit() {
+        for trust in [1.0, 2.0] {
+            let pred = trained_learned(trust);
+            let reference = |d: DeploymentRef<'_>, bytes| {
+                reference_learned(
+                    &pred,
+                    &profile(),
+                    AppClasses::CONSTANT_LINEAR_CONSTANT,
+                    d,
+                    bytes,
+                    &HashMap::new(),
+                )
+            };
+            let (priced, moved) = assert_matches_reference(&pred, reference);
+            assert!(priced >= 36, "{priced} priced");
+            // Trust 1 pins every component to the analytical anchor.
+            assert_eq!(moved > 0, trust > 1.0, "trust {trust}: {moved} moved");
+            // A model whose dot product overflows falls back to the
+            // anchor, component by component.
+            pred.state.lock().unwrap()[0].coefs = Some([[f64::MAX; DIMS]; COMPONENTS]);
+            let (priced, moved) = assert_matches_reference(&pred, reference);
+            assert!(priced >= 36 && moved == 0, "{priced} priced, {moved} moved");
+        }
+    }
+
+    #[test]
+    fn hybrid_prices_match_the_reference_bit_for_bit() {
+        let pred = HybridPredictor::default();
+        for _ in 0..10 {
+            pred.observe(&stretched_obs(2, 4, 1e6, 200 << 20, [1.5, 2.0, 0.8]));
+        }
+        let reference = |d: DeploymentRef<'_>, bytes| {
+            reference_hybrid(
+                &pred,
+                &profile(),
+                AppClasses::CONSTANT_LINEAR_CONSTANT,
+                d,
+                bytes,
+                &HashMap::new(),
+            )
+        };
+        let (priced, moved) = assert_matches_reference(&pred, reference);
+        // The corrected key's candidates moved, the other two
+        // repositories' did not.
+        assert!(priced >= 36 && moved == priced / 3, "{priced} priced, {moved} moved");
+    }
+
+    /// What the per-candidate lock never gave: a scan interrupted by
+    /// training still prices all its candidates from the model it
+    /// prepared with. The reader takes half its prices, hands the
+    /// writer a turn *inside* the scan, and takes the rest — the writer
+    /// has changed the key's model by then, and was not kept waiting by
+    /// the preparation (a lock held across the scan would deadlock
+    /// here; the timeout turns that into a failure).
+    #[test]
+    fn a_scan_prices_from_one_model_version_while_training_proceeds() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let grid = training_grid();
+        let shared = LearnedPredictor::default();
+        for &(n, c, bw, bytes) in &grid {
+            shared.observe(&stretched_obs(n, c, bw, bytes, [1.3; 3]));
+        }
+        let (prof, no_factors) = (profile(), HashMap::new());
+        let d = deployment(2, 8, 8e5);
+        let q = SiteQuery::of(
+            &prof,
+            AppClasses::CONSTANT_LINEAR_CONSTANT,
+            d.as_ref(),
+            400 << 20,
+            &no_factors,
+        );
+        let menu = [(1usize, 1usize), (1, 2), (2, 4), (2, 8), (4, 8), (8, 16)];
+        let scan = |p: &LearnedPredictor, midway: &mut dyn FnMut()| -> Vec<[u64; 3]> {
+            let mut got = Vec::new();
+            p.with_prepared(&q, &mut |prepared| {
+                for (i, &(n, c)) in menu.iter().enumerate() {
+                    if i == menu.len() / 2 {
+                        midway();
+                    }
+                    got.push(bits(&prepared.price(Configuration::new(n, c), 8e5).unwrap()));
+                }
+            });
+            got
+        };
+        let (to_writer, turns) = channel::<()>();
+        let (to_reader, trained) = channel::<u64>();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // One turn per message: observe until the model moves.
+                let mut stretch = 1.3;
+                for () in turns {
+                    let before = shared.epoch();
+                    while shared.epoch() == before {
+                        stretch += 0.05;
+                        let (n, c, bw, bytes) = grid[(stretch * 100.0) as usize % grid.len()];
+                        shared.observe(&stretched_obs(n, c, bw, bytes, [stretch; 3]));
+                    }
+                    to_reader.send(shared.epoch()).unwrap();
+                }
+            });
+            for round in 0..20 {
+                let before = shared.epoch();
+                let want = scan(&shared, &mut || {});
+                let mut after = before;
+                let got = scan(&shared, &mut || {
+                    to_writer.send(()).unwrap();
+                    after = trained
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("the writer is not blocked by a preparation");
+                });
+                assert!(after > before, "round {round}: the model moved mid-scan");
+                assert_eq!(got, want, "round {round}: every price from the prepared model");
+                assert_ne!(scan(&shared, &mut || {}), want, "round {round}: the new model differs");
+            }
+            drop(to_writer);
+        });
     }
 
     fn profile() -> Profile {
@@ -1088,8 +1451,9 @@ mod tests {
         assert!(bumps > 5_000, "{bumps} epoch bumps");
     }
 
-    /// Readers never see half a model: while one thread observes, every
-    /// concurrent prediction bit-equals the answer of a model that
+    /// Readers never see half a model, nor two models in one scan: while
+    /// one thread observes, the prices a concurrent reader takes from
+    /// one preparation all bit-equal the answers of *one* model that
     /// existed between the two epochs the reader saw around it, and
     /// those epochs never go backwards.
     #[test]
@@ -1107,18 +1471,25 @@ mod tests {
                 obs
             })
             .collect();
+        // One preparation, several candidates: a scan's worth of prices.
         let d = deployment(2, 8, 8e5);
-        let probe = |p: &LearnedPredictor| -> [u64; 3] {
-            let got = p
-                .predict_deployment(
-                    &profile(),
-                    AppClasses::CONSTANT_LINEAR_CONSTANT,
-                    d.as_ref(),
-                    400 << 20,
-                    &HashMap::new(),
-                )
-                .unwrap();
-            [got.t_disk.to_bits(), got.t_network.to_bits(), got.t_compute.to_bits()]
+        let prof = profile();
+        let no_factors = HashMap::new();
+        let q = SiteQuery::of(
+            &prof,
+            AppClasses::CONSTANT_LINEAR_CONSTANT,
+            d.as_ref(),
+            400 << 20,
+            &no_factors,
+        );
+        let probe = |p: &LearnedPredictor| -> Vec<[u64; 3]> {
+            let mut got = Vec::new();
+            p.with_prepared(&q, &mut |prepared| {
+                for (n, c, bw) in [(2, 8, 8e5), (1, 2, 1e6), (4, 16, 5e5)] {
+                    got.push(bits(&prepared.price(Configuration::new(n, c), bw).unwrap()));
+                }
+            });
+            got
         };
         // Single-threaded oracle: the answer at every epoch.
         let oracle = LearnedPredictor::new(cfg);
@@ -1158,7 +1529,7 @@ mod tests {
                         assert!(last <= before && before <= after, "{last} {before} {after}");
                         assert!(
                             by_epoch[before as usize..=after as usize].contains(&got),
-                            "an answer no model between epochs {before} and {after} gives"
+                            "prices no one model between epochs {before} and {after} gives"
                         );
                         distinct += usize::from(after > last);
                         last = after;
@@ -1362,5 +1733,57 @@ mod tests {
         let replayed = HybridPredictor::replay_jsonl(&dump).unwrap();
         assert_eq!(replayed.dump_jsonl(), dump);
         assert!(replayed.epoch() > 0);
+    }
+
+    #[test]
+    fn hybrid_replay_rejects_a_line_no_live_corrector_could_have_written() {
+        let header = HybridPredictor::default().dump_jsonl();
+        let key = |repo: &str, factors: &str| {
+            format!(r#"{{"app":"kmeans","repo":"{repo}","factors":{factors},"samples":3}}"#)
+        };
+        let good = key("osu", "[1.0,0.25,4.0]");
+        // The dump in the issue: a zero, a negative and a huge factor,
+        // then a second line for the same key.
+        let dump = format!("{header}{}\n{good}\n", key("osu", "[-3.0,0.0,1e9]"));
+        let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+        assert_eq!(err, "line 2: correction factor -3 outside the dump's own [0.25, 4]");
+        for (bad, named) in [
+            ("[1.0,0.0,1.0]", "0"),
+            ("[1.0,1.0,1e9]", "1000000000"),
+            ("[0.2499,1.0,1.0]", "0.2499"),
+            (r#"[1.0,"nan",1.0]"#, "NaN"),
+            (r#"[1.0,1.0,"inf"]"#, "inf"),
+        ] {
+            let dump = format!("{header}{good}\n\n{}\n", key("mit", bad));
+            let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+            assert_eq!(
+                err,
+                format!("line 4: correction factor {named} outside the dump's own [0.25, 4]"),
+                "{bad}"
+            );
+        }
+        let dump = format!("{header}{good}\n{}\n{good}\n", key("mit", "[1.0,1.0,1.0]"));
+        let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+        assert_eq!(err, r#"line 4: a second line for ("kmeans", "osu")"#);
+        // Same app at another repository, another app at the same one:
+        // different keys.
+        let other_app = good.replace("kmeans", "em");
+        let dump = format!("{header}{good}\n{}\n{other_app}\n", key("mit", "[1.0,1.0,1.0]"));
+        assert_eq!(HybridPredictor::replay_jsonl(&dump).unwrap().dump_jsonl(), dump);
+    }
+
+    /// The range check is inclusive: a corrector sitting on both clamps
+    /// is a live corrector, and its dump replays.
+    #[test]
+    fn a_hybrid_driven_to_both_clamps_still_round_trips() {
+        let pred = HybridPredictor::default();
+        for _ in 0..100 {
+            pred.observe(&stretched_obs(1, 1, 1e6, 64 << 20, [1e6, 1e-6, 1.0]));
+        }
+        let HybridConfig { min_ratio, max_ratio, .. } = pred.config();
+        assert_eq!(pred.state.lock().unwrap()[0].factors, [max_ratio, min_ratio, 1.0]);
+        let dump = pred.dump_jsonl();
+        let replayed = HybridPredictor::replay_jsonl(&dump).unwrap();
+        assert_eq!(replayed.dump_jsonl(), dump);
     }
 }

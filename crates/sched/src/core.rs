@@ -48,14 +48,17 @@
 //! (`RateMemo`, keyed on the inputs themselves; the buffers are the
 //! core's, so a steady-state iteration allocates nothing). Every
 //! placement — an admission's two prices, each start of the scheduling
-//! pass — is the paper's scan, [`naive_best_placement_with`]; the pass
-//! keeps no placement cache because its saturation early-out is exact,
-//! so a queued job is priced to success once, when it starts (see
-//! `placement.rs`). [`PumpStats`] counts both.
+//! pass — is the paper's scan, [`naive_best_placement_with`]: one walk
+//! that prepares each (repository, site) pair once and prices its
+//! configurations from the preparation, an admission's walk at both
+//! bandwidth vectors. The pass keeps no placement cache because its
+//! saturation early-out is exact, so a queued job is priced to success
+//! once, when it starts (see `placement.rs`). [`PumpStats`] counts
+//! both.
 
 use crate::grid::GridSpec;
 use crate::ledger::AccuracySample;
-use crate::placement::{naive_best_placement_with, FreeSlices, Placement};
+use crate::placement::{best_placements, naive_best_placement_with, FreeSlices, Placement};
 use crate::policy::Policy;
 use crate::queue::PolicyQueue;
 use crate::sched::{
@@ -1668,9 +1671,11 @@ impl AdmissionView<'_> {
     /// predictions are the paper's enumeration over the *whole* grid —
     /// a job is assumed to eventually get its best placement, not the
     /// currently free one: standalone at nominal bandwidth, corrected
-    /// at the current estimates. The wait term is the fluid backlog
-    /// spread over every slot. `None` when the app is unknown or
-    /// nothing places even on an idle grid.
+    /// at the current estimates (falling back to standalone when no
+    /// candidate prices at them), both from one walk that prices each
+    /// prepared pair at the two vectors. The wait term is the fluid
+    /// backlog spread over every slot. `None` when the app is unknown
+    /// or nothing places even on an idle grid.
     fn price(
         &self,
         app: &str,
@@ -1680,21 +1685,19 @@ impl AdmissionView<'_> {
     ) -> Option<(PredictionQuote, f64)> {
         let model = self.grid.app(app)?;
         let IdleGrid { data, cmp, bw: nominal } = self.idle;
-        let scan = |bw| {
-            naive_best_placement_with(
-                self.predictor,
-                self.grid,
-                model,
-                dataset_bytes,
-                data,
-                cmp,
-                bw,
-                None,
-            )
-            .map(|p| p.predicted.total())
-        };
-        let standalone = scan(nominal)?;
-        let corrected = scan(self.bw).unwrap_or(standalone);
+        let [standalone, corrected] = best_placements(
+            self.predictor,
+            self.grid,
+            model,
+            dataset_bytes,
+            data,
+            cmp,
+            [nominal, self.bw],
+            None,
+        )
+        .map(|best| best.map(|p| p.predicted.total()));
+        let standalone = standalone?;
+        let corrected = corrected.unwrap_or(standalone);
         let estimate = self.now + self.backlog_slot_secs / self.total_slots as f64 + corrected;
         let deadline = anchor + deadline_slack * standalone;
         let would_admit = self.policy.admits().then_some(estimate <= deadline + TIME_EPS);
@@ -1870,7 +1873,158 @@ pub(crate) fn build_trace(mut tracer: Tracer, outcomes: &[JobOutcome], makespan:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{AppModel, RepoSpec, SiteSpec};
+    use fg_cluster::{ComputeSite, Configuration, RepositorySite, Wan};
+    use fg_predict::{AnalyticalPredictor, AppClasses, Profile};
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    fn models() -> Vec<(String, AppModel)> {
+        let kmeans = Profile {
+            app: "kmeans".into(),
+            data_nodes: 1,
+            compute_nodes: 1,
+            wan_bw: 1e6,
+            dataset_bytes: 1_000_000,
+            t_disk: 40.0,
+            t_network: 20.0,
+            t_compute: 100.0,
+            t_ro: 0.0,
+            t_g: 0.5,
+            max_obj_bytes: 512,
+            passes: 1,
+            repo_machine: "pentium-700".into(),
+            compute_machine: "pentium-700".into(),
+        };
+        let em = Profile {
+            app: "em".into(),
+            t_compute: 500.0,
+            t_ro: 3.0,
+            max_obj_bytes: 40_000,
+            passes: 10,
+            ..kmeans.clone()
+        };
+        vec![
+            ("em".into(), AppModel { profile: em, classes: AppClasses::LINEAR_CONSTANT_LINEAR }),
+            (
+                "kmeans".into(),
+                AppModel { profile: kmeans, classes: AppClasses::CONSTANT_LINEAR_CONSTANT },
+            ),
+        ]
+    }
+
+    /// An admission's one walk at (nominal, current) is two
+    /// single-vector scans: over random grids, menus (some fitting
+    /// nowhere) and current-bandwidth vectors — entries no target
+    /// accepts included, so a repository, or every repository, fails to
+    /// price at the current estimates and `corrected` falls back to
+    /// `standalone` — every field of the price bit-equals the one built
+    /// from `naive_best_placement_with` called twice.
+    #[test]
+    fn an_admission_walk_is_two_single_vector_scans() {
+        let case = (
+            collection::vec((1usize..9, 2e5f64..2e6, 0usize..8, 0.25f64..2.0), 1..4),
+            collection::vec(1usize..17, 1..4),
+            collection::vec(any::<bool>(), 5..6),
+            (0usize..2, 0usize..4, 0.5f64..4.0, 0.0f64..5e3),
+        );
+        let (mut priced, mut unplaced, mut fell_back, mut moved) = (0u64, 0u64, 0u64, 0u64);
+        for n in 0..256 {
+            let mut rng = TestRng::for_case(n);
+            let (repos, sites, menu, (app, size, slack, backlog)) = case.generate(&mut rng);
+            let grid = GridSpec {
+                repos: repos
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(nodes, bw, _, _))| RepoSpec {
+                        site: RepositorySite::pentium_repository(&format!("repo-{i}"), nodes),
+                        wan: Wan::per_stream(bw),
+                        wan_capacity: 4.0 * bw,
+                    })
+                    .collect(),
+                sites: sites
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &nodes)| SiteSpec {
+                        site: ComputeSite::pentium_myrinet(&format!("site-{i}"), nodes),
+                        ingress_capacity: 8e6,
+                    })
+                    .collect(),
+                configs: [(1, 1), (1, 2), (2, 4), (4, 8), (8, 16)]
+                    .iter()
+                    .zip(&menu)
+                    .filter(|(_, &keep)| keep)
+                    .map(|(&(d, c), _)| Configuration::new(d, c))
+                    .collect(),
+                apps: models(),
+                factors: HashMap::new(),
+            };
+            let idle = IdleGrid {
+                data: grid.repos.iter().map(|r| r.site.max_nodes).collect(),
+                cmp: grid.sites.iter().map(|s| s.site.max_nodes).collect(),
+                bw: grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
+            };
+            // The current estimates: drifted, or (one draw in four per
+            // repository) something no target accepts.
+            let current: Vec<f64> = repos
+                .iter()
+                .map(|&(_, bw, broken, drift)| match broken {
+                    0 => 0.0,
+                    1 => f64::NAN,
+                    _ => bw * drift,
+                })
+                .collect();
+            let view = AdmissionView {
+                grid: &grid,
+                predictor: &AnalyticalPredictor,
+                policy: Policy::EdfAdmit,
+                idle: &idle,
+                now: 100.0,
+                bw: &current,
+                backlog_slot_secs: backlog,
+                total_slots: grid.total_compute_slots(),
+            };
+            let (name, model) = &grid.apps[app];
+            let bytes = [1u64 << 20, 64 << 20, 800 << 20, 12_800 << 20][size];
+            let scan = |bw: &[f64]| {
+                naive_best_placement_with(
+                    &AnalyticalPredictor,
+                    &grid,
+                    model,
+                    bytes,
+                    &idle.data,
+                    &idle.cmp,
+                    bw,
+                    None,
+                )
+                .map(|p| p.predicted.total())
+            };
+            let got = view.price(name, bytes, slack, 90.0);
+            let Some(standalone) = scan(&idle.bw) else {
+                assert_eq!(got, None, "case {n}");
+                unplaced += 1;
+                continue;
+            };
+            let at_current = scan(&current);
+            let corrected = at_current.unwrap_or(standalone);
+            let estimate = 100.0 + backlog / grid.total_compute_slots() as f64 + corrected;
+            let deadline = 90.0 + slack * standalone;
+            let (quote, got_deadline) = got.expect("the standalone scan placed");
+            assert_eq!(quote.standalone.to_bits(), standalone.to_bits(), "case {n}");
+            assert_eq!(quote.corrected.to_bits(), corrected.to_bits(), "case {n}");
+            assert_eq!(quote.estimate.to_bits(), estimate.to_bits(), "case {n}");
+            assert_eq!(got_deadline.to_bits(), deadline.to_bits(), "case {n}");
+            assert_eq!(quote.would_admit, Some(estimate <= deadline + TIME_EPS), "case {n}");
+            priced += 1;
+            fell_back += u64::from(at_current.is_none());
+            moved += u64::from(corrected != standalone);
+        }
+        // The generator reaches what the claim is about.
+        assert!(priced > 150, "{priced} priced");
+        assert!(unplaced >= 5, "{unplaced} placing nowhere");
+        assert!(fell_back >= 5, "{fell_back} fallbacks");
+        assert!(moved > 100, "{moved} corrected predictions away from standalone");
+    }
 
     #[test]
     fn fair_quota_water_fills() {

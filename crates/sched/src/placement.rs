@@ -7,9 +7,13 @@
 //! predict each feasible one, keep the first strictly-cheapest. It is
 //! **every** placement query the scheduler makes: an admission's
 //! standalone and load-corrected predictions, and each start the
-//! scheduling pass prices (see `core.rs`). [`FreeSlices`] keeps the free
-//! node counts with maintained maxima, which give the pass its O(1)
-//! "nothing can fit" early-out.
+//! scheduling pass prices (see `core.rs`). One walk serves both: it
+//! prepares each (repository, site) pair some configuration fits once
+//! ([`Predictor::with_prepared`]) and prices the pair's feasible
+//! configurations from that preparation, at one bandwidth vector for
+//! the pass and at two (nominal, current) for an admission.
+//! [`FreeSlices`] keeps the free node counts with maintained maxima,
+//! which give the pass its O(1) "nothing can fit" early-out.
 //!
 //! The pass needs no cache, and the reason is the early-out's
 //! exactness: any site pairs with any repository and the maxima bound
@@ -41,7 +45,7 @@
 
 use crate::grid::{AppModel, GridSpec};
 use fg_cluster::{Configuration, DeploymentRef};
-use fg_predict::{Prediction, Predictor};
+use fg_predict::{Prediction, Predictor, SiteQuery};
 use std::collections::HashMap;
 
 /// The winning candidate of a placement query.
@@ -388,10 +392,7 @@ fn walk(
 /// The paper's enumeration: predict every feasible (repository, site,
 /// configuration) triple through `pred` and keep the first
 /// strictly-cheapest one. Admissions and the scheduling pass both call
-/// it directly. Feasibility — the configuration fits the repository's
-/// free data nodes, the site's free compute nodes and the quota cap —
-/// is tested before the prediction, so an infeasible candidate costs
-/// three integer compares.
+/// it (`best_placements` at one bandwidth vector).
 #[allow(clippy::too_many_arguments)]
 pub fn naive_best_placement_with<P: Predictor + ?Sized>(
     pred: &P,
@@ -403,43 +404,66 @@ pub fn naive_best_placement_with<P: Predictor + ?Sized>(
     bw: &[f64],
     quota_cap: Option<usize>,
 ) -> Option<Placement> {
-    let mut best: Option<Placement> = None;
+    let [best] =
+        best_placements(pred, grid, model, dataset_bytes, free_data, free_cmp, [bw], quota_cap);
+    best
+}
+
+/// The enumeration at `V` per-repository bandwidth vectors in one walk:
+/// `result[v]` is the first strictly-cheapest feasible triple priced at
+/// `bws[v]`, exactly what a walk at that vector alone returns.
+///
+/// Feasibility — the configuration fits the repository's free data
+/// nodes, the site's free compute nodes and the quota cap — is tested
+/// before anything is predicted, so an infeasible candidate costs three
+/// integer compares, and a (repository, site) pair no configuration
+/// fits is never prepared. A pair that has one is prepared once
+/// ([`Predictor::with_prepared`]) and each feasible configuration priced
+/// from that preparation at every vector: what the predictor resolves
+/// per pair (and, for a learned one, the lock it takes to read its
+/// model) is paid `repos × sites` times per walk, not once per
+/// candidate per vector.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn best_placements<P: Predictor + ?Sized, const V: usize>(
+    pred: &P,
+    grid: &GridSpec,
+    model: &AppModel,
+    dataset_bytes: u64,
+    free_data: &[usize],
+    free_cmp: &[usize],
+    bws: [&[f64]; V],
+    quota_cap: Option<usize>,
+) -> [Option<Placement>; V] {
+    let mut best = [None; V];
     for (ri, repo) in grid.repos.iter().enumerate() {
         for (si, site) in grid.sites.iter().enumerate() {
-            for cfg in grid.configs.iter() {
-                if cfg.data_nodes > free_data[ri] || cfg.compute_nodes > free_cmp[si] {
-                    continue;
-                }
-                if let Some(cap) = quota_cap {
-                    if cfg.compute_nodes > cap {
-                        continue;
+            let fits = |cfg: &Configuration| {
+                cfg.data_nodes <= free_data[ri]
+                    && cfg.compute_nodes <= free_cmp[si]
+                    && quota_cap.is_none_or(|cap| cfg.compute_nodes <= cap)
+            };
+            if !grid.configs.iter().any(fits) {
+                continue;
+            }
+            let pair = SiteQuery {
+                profile: &model.profile,
+                classes: model.classes,
+                repository: &repo.site,
+                compute: &site.site,
+                cache: None,
+                dataset_bytes,
+                factors: &grid.factors,
+            };
+            pred.with_prepared(&pair, &mut |prepared| {
+                for cfg in grid.configs.iter().filter(|cfg| fits(cfg)) {
+                    for (slot, bw) in best.iter_mut().zip(bws) {
+                        let Ok(predicted) = prepared.price(*cfg, bw[ri]) else { continue };
+                        if slot.is_none_or(|b: Placement| predicted.total() < b.predicted.total()) {
+                            *slot = Some(Placement { repo: ri, site: si, cfg: *cfg, predicted });
+                        }
                     }
                 }
-                let candidate = DeploymentRef {
-                    repository: &repo.site,
-                    compute: &site.site,
-                    stream_bw: bw[ri],
-                    config: *cfg,
-                    cache: None,
-                };
-                let predicted = match pred.predict_deployment(
-                    &model.profile,
-                    model.classes,
-                    candidate,
-                    dataset_bytes,
-                    &grid.factors,
-                ) {
-                    Ok(predicted) => predicted,
-                    Err(_) => continue,
-                };
-                let better = match &best {
-                    None => true,
-                    Some(b) => predicted.total() < b.predicted.total(),
-                };
-                if better {
-                    best = Some(Placement { repo: ri, site: si, cfg: *cfg, predicted });
-                }
-            }
+            });
         }
     }
     best

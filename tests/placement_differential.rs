@@ -15,16 +15,23 @@
 //!   scan — same winning (repository, site, configuration) triple, same
 //!   predicted components, same `None`s — across cache reuse, EWMA
 //!   bandwidth invalidation, dominance pruning and its early-out, over
-//!   long query sequences with per-repository bandwidth drift.
+//!   long query sequences with per-repository bandwidth drift;
+//! * a predictor that implements only `predict_deployment` — no
+//!   preparation of its own — is asked for exactly the feasible
+//!   candidates, once each, and places what the analytical scan places.
 
 use fg_bench::figures::sched_models;
+use freeride_g::cluster::DeploymentRef;
 use freeride_g::cluster::{ComputeSite, Configuration, RepositorySite, Wan};
-use freeride_g::predict::AnalyticalPredictor;
+use freeride_g::predict::{
+    AnalyticalPredictor, AppClasses, Prediction, Predictor, Profile, ScalingFactors, SelectionError,
+};
 use freeride_g::sched::{
     naive_best_placement_with, AppModel, FreeSlices, GridSpec, PlacementEngine, RepoSpec, SiteSpec,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The configuration menu random grids draw from. Includes shapes that
 /// cannot fit small grids, so infeasibility paths get exercised.
@@ -162,8 +169,80 @@ fn check_engine(mut engine: PlacementEngine, grid: &GridSpec, queries: &[Query])
     }
 }
 
+/// A predictor that knows nothing of preparations: the five required
+/// methods, `predict_deployment` counting its calls and answering with
+/// the analytical model. The scan reaches it through the provided
+/// `with_prepared` adapter — the path any wrapper predictor takes.
+#[derive(Debug, Default)]
+struct CountingPredictor {
+    calls: AtomicU64,
+}
+
+impl Predictor for CountingPredictor {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn predict_deployment(
+        &self,
+        profile: &Profile,
+        classes: AppClasses,
+        d: DeploymentRef<'_>,
+        dataset_bytes: u64,
+        factors: &HashMap<String, ScalingFactors>,
+    ) -> Result<Prediction, SelectionError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        AnalyticalPredictor.predict_deployment(profile, classes, d, dataset_bytes, factors)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The seam: through the default adapter the scan makes one
+    /// `predict_deployment` call per *feasible* candidate — none for a
+    /// configuration that does not fit, none for a (repository, site)
+    /// pair nothing fits — so a call count keeps meaning "candidates
+    /// priced", and the placement is the analytical scan's bit for bit.
+    #[test]
+    fn a_plain_predictor_sees_one_call_per_feasible_candidate(
+        repos in proptest::collection::vec((1usize..9, 2e5f64..2e6), 1..4),
+        sites in proptest::collection::vec(1usize..17, 1..4),
+        menu_mask in proptest::collection::vec(any::<bool>(), 6..7),
+        queries in queries_strategy(49),
+    ) {
+        let grid = grid_case(&repos, &sites, &menu_mask);
+        let counting = CountingPredictor::default();
+        for query in &queries {
+            let (app_name, model, bytes, quota_cap, bw, free) = query_inputs(&grid, query);
+            let feasible = free
+                .data()
+                .iter()
+                .flat_map(|&fd| free.cmp().iter().map(move |&fc| (fd, fc)))
+                .flat_map(|(fd, fc)| {
+                    grid.configs.iter().filter(move |c| {
+                        c.data_nodes <= fd
+                            && c.compute_nodes <= fc
+                            && quota_cap.is_none_or(|cap| c.compute_nodes <= cap)
+                    })
+                })
+                .count() as u64;
+            let before = counting.calls.load(Ordering::Relaxed);
+            let scan = |pred: &dyn Predictor| {
+                naive_best_placement_with(
+                    pred, &grid, model, bytes, free.data(), free.cmp(), &bw, quota_cap,
+                )
+            };
+            let placed = scan(&counting);
+            let calls = counting.calls.load(Ordering::Relaxed) - before;
+            prop_assert!(
+                calls == feasible,
+                "{app_name} moving {bytes} bytes under cap {quota_cap:?} over {free:?}: \
+                 {calls} calls for {feasible} feasible candidates"
+            );
+            prop_assert_eq!(placed, scan(&AnalyticalPredictor));
+        }
+    }
 
     /// The headline equivalence: random grid, long query sequence with
     /// bandwidth drift and varying occupancy through one cached engine,
