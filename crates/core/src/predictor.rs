@@ -59,6 +59,7 @@ use crate::profile::Profile;
 use crate::selection::{prepare, try_predict_deployment, SelectionError, SiteQuery};
 use fg_cluster::{Configuration, DeploymentRef};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One labelled sample from a completed job: the target tuple the
 /// prediction was made for, what was predicted, and what was observed.
@@ -70,10 +71,11 @@ use std::collections::HashMap;
 /// `[disk, network, compute]` in seconds, like the ledger's samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
-    /// Application name (the profile's `app`).
-    pub app: String,
+    /// Application name (the profile's `app`), shared with the
+    /// scheduler's name table.
+    pub app: Arc<str>,
     /// Repository (replica site) the job streamed from.
-    pub repo: String,
+    pub repo: Arc<str>,
     /// Data-host nodes in the placed configuration.
     pub data_nodes: usize,
     /// Compute nodes in the placed configuration.

@@ -444,12 +444,12 @@ impl Predictor for LearnedPredictor {
             return;
         }
         let mut state = self.state.lock().unwrap();
-        let ri = match state.iter().position(|r| r.app == obs.app && r.repo == obs.repo) {
+        let ri = match state.iter().position(|r| *r.app == *obs.app && *r.repo == *obs.repo) {
             Some(i) => i,
             None => {
                 state.push(Ring {
-                    app: obs.app.clone(),
-                    repo: obs.repo.clone(),
+                    app: obs.app.to_string(),
+                    repo: obs.repo.to_string(),
                     samples: Vec::new(),
                     next_seq: 0,
                     coefs: None,
@@ -726,12 +726,12 @@ impl Predictor for HybridPredictor {
 
     fn observe(&self, obs: &Observation) {
         let mut state = self.state.lock().unwrap();
-        let ki = match state.iter().position(|k| k.app == obs.app && k.repo == obs.repo) {
+        let ki = match state.iter().position(|k| *k.app == *obs.app && *k.repo == *obs.repo) {
             Some(i) => i,
             None => {
                 state.push(HybridKey {
-                    app: obs.app.clone(),
-                    repo: obs.repo.clone(),
+                    app: obs.app.to_string(),
+                    repo: obs.repo.to_string(),
                     factors: [1.0; COMPONENTS],
                     samples: 0,
                 });
@@ -841,12 +841,13 @@ mod tests {
                     return;
                 }
                 let mut state = self.state.lock().unwrap();
-                let ki = match state.iter().position(|k| k.app == obs.app && k.repo == obs.repo) {
+                let ki = match state.iter().position(|k| *k.app == *obs.app && *k.repo == *obs.repo)
+                {
                     Some(i) => i,
                     None => {
                         state.push(KeyState {
-                            app: obs.app.clone(),
-                            repo: obs.repo.clone(),
+                            app: obs.app.to_string(),
+                            repo: obs.repo.to_string(),
                             samples: Vec::new(),
                             coefs: None,
                         });

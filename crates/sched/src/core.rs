@@ -33,6 +33,17 @@
 //! entries, a running or suspended job. The grid is the scheduler
 //! configuration's `Arc`, shared with every snapshot.
 //!
+//! **Where names live.** Once, in the core's name table (`Names`):
+//! `SchedCore::new` copies every repository, site and application name
+//! and every configuration label out of the grid into an `Arc<str>`,
+//! and whatever carries a name out of the core — a row's `app`, a
+//! [`PlacementInfo`], a [`MigrationEvent`], a [`CoreEvent`], an
+//! [`Observation`], an [`AccuracySample`] — holds a clone of that `Arc`,
+//! a reference-count bump. A finished job allocates no name. A submitted
+//! app is looked up by name once, when its row is made; `app_of` keeps
+//! the index beside the table (an app the grid has no model for keeps
+//! the submitted name and is rejected at its arrival).
+//!
 //! The incremental/batch equivalence is structural, not approximate:
 //! the loop never integrates the fluid network model past the next
 //! arrival (arrivals bound the horizon), so stopping the machine at each
@@ -46,7 +57,8 @@
 //! network-phase transfers and their rate caps, so they are re-solved
 //! only when that list differs from the one they were solved for
 //! (`RateMemo`, keyed on the inputs themselves; the buffers are the
-//! core's, so a steady-state iteration allocates nothing). Every
+//! core's, as is the completion batch's, so a steady-state iteration
+//! allocates nothing). Every
 //! placement — an admission's two prices, each start of the scheduling
 //! pass — is the paper's scan, [`naive_best_placement_with`]: one walk
 //! that prepares each (repository, site) pair once and prices its
@@ -56,7 +68,7 @@
 //! once, when it starts (see `placement.rs`). [`PumpStats`] counts
 //! both.
 
-use crate::grid::GridSpec;
+use crate::grid::{AppModel, GridSpec};
 use crate::ledger::AccuracySample;
 use crate::placement::{best_placements, naive_best_placement_with, FreeSlices, Placement};
 use crate::policy::Policy;
@@ -65,7 +77,7 @@ use crate::sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
     Scheduler, TenantQuota,
 };
-use crate::telemetry::{TelemetryReport, TelemetrySnapshot, TelemetryState};
+use crate::telemetry::{TelemetrySnapshot, TelemetryState};
 use crate::workload::{check_job_fields, JobSpec};
 use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::bandwidth::{BandwidthEstimator, Ewma};
@@ -390,11 +402,11 @@ pub enum CoreEvent {
         /// Sim-clock instant.
         at: f64,
         /// Repository name.
-        repo: String,
+        repo: Arc<str>,
         /// Site name.
-        site: String,
+        site: Arc<str>,
         /// Configuration label.
-        config: String,
+        config: Arc<str>,
         /// Predicted execution time of the chosen placement.
         predicted: f64,
     },
@@ -428,9 +440,9 @@ pub enum CoreEvent {
         /// Switch instant.
         at: f64,
         /// Repository the job was fetching from.
-        from_repo: String,
+        from_repo: Arc<str>,
         /// Repository it fetches from afterwards.
-        to_repo: String,
+        to_repo: Arc<str>,
     },
     /// The accuracy ledger detected predictor drift (only emitted when
     /// telemetry is armed; see [`Scheduler::with_telemetry`]).
@@ -440,6 +452,36 @@ pub enum CoreEvent {
         /// The alarm the tripping completion raised.
         alarm: crate::ledger::DriftAlarm,
     },
+}
+
+/// Every name the core hands out, copied from the grid once at
+/// construction and shared by reference count from then on. Indexed
+/// like the grid's own `apps`, `repos`, `sites` and `configs`.
+struct Names {
+    apps: Vec<Arc<str>>,
+    repos: Vec<Arc<str>>,
+    sites: Vec<Arc<str>>,
+    /// Configuration labels, `n-c`.
+    configs: Vec<Arc<str>>,
+}
+
+impl Names {
+    fn of(grid: &GridSpec) -> Names {
+        Names {
+            apps: grid.apps.iter().map(|(name, _)| name.as_str().into()).collect(),
+            repos: grid.repos.iter().map(|r| r.site.name.as_str().into()).collect(),
+            sites: grid.sites.iter().map(|s| s.site.name.as_str().into()).collect(),
+            configs: grid.configs.iter().map(|c| c.label().into()).collect(),
+        }
+    }
+}
+
+/// The model of the job at `row`, for a job past admission: an app the
+/// grid has no model for is rejected at its arrival, so nothing queued,
+/// running or suspended lacks one.
+fn model_of<'g>(grid: &'g GridSpec, app_of: &[Option<usize>], row: usize) -> &'g AppModel {
+    let ix = app_of[row].expect("an admitted job's app has a model");
+    &grid.apps[ix].1
 }
 
 /// The scheduler's per-run metric instruments, registered once at
@@ -474,6 +516,7 @@ struct Instruments {
 /// job stream.
 pub struct SchedCore {
     cfg: Scheduler,
+    names: Names,
     nrepo: usize,
     total_slots: usize,
     min_slots: usize,
@@ -490,6 +533,9 @@ pub struct SchedCore {
     /// The job table: one row per submitted job, in submission order,
     /// made when the job is accepted and filled in as decisions fall.
     jobs: Vec<JobOutcome>,
+    /// Each row's app as an index into the grid's `apps` (`None`: the
+    /// grid has no model for it), resolved when the row is made.
+    app_of: Vec<Option<usize>>,
     /// Ids of every row, for refusing a duplicate.
     ids: HashSet<usize>,
     /// `(row, deadline slack)` of the jobs not yet arrived, by
@@ -509,6 +555,8 @@ pub struct SchedCore {
     /// the migration baseline under nominal caps). Core-owned so a
     /// steady-state iteration allocates nothing.
     netidx: Vec<usize>,
+    /// Indices into `running` of the jobs completing this iteration.
+    finished: Vec<usize>,
     rates: RateMemo,
     expected_rates: RateMemo,
     /// True between an iteration's arrival batch and its tail
@@ -591,8 +639,10 @@ impl SchedCore {
 
         let queue = PolicyQueue::new(scheduler.policy, min_slots);
         let telemetry = scheduler.telemetry.clone().map(TelemetryState::new);
+        let names = Names::of(grid);
         SchedCore {
             cfg: scheduler,
+            names,
             nrepo,
             total_slots,
             min_slots,
@@ -607,6 +657,7 @@ impl SchedCore {
             tracer: Some(tracer),
             inst,
             jobs: Vec::new(),
+            app_of: Vec::new(),
             ids: HashSet::new(),
             pending: VecDeque::new(),
             queue,
@@ -618,6 +669,7 @@ impl SchedCore {
             stalled: 0,
             pump_stats: PumpStats::default(),
             netidx: Vec::new(),
+            finished: Vec::new(),
             rates: RateMemo::default(),
             expected_rates: RateMemo::default(),
             tail_pending: false,
@@ -708,7 +760,7 @@ impl SchedCore {
         let row = self.jobs.len();
         self.ids.insert(job.id);
         self.pending.push_back((row, job.deadline_slack));
-        self.jobs.push(JobOutcome::submitted(job));
+        self.push_row(&job);
         self.pump(false);
         let o = &self.jobs[row];
         Ok(SubmitOutcome {
@@ -740,7 +792,25 @@ impl SchedCore {
         for j in jobs {
             assert!(self.ids.insert(j.id), "duplicate job id {}", j.id);
         }
-        self.jobs = jobs.iter().cloned().map(JobOutcome::submitted).collect();
+        self.jobs.reserve_exact(jobs.len());
+        self.app_of.reserve_exact(jobs.len());
+        for j in jobs {
+            self.push_row(j);
+        }
+    }
+
+    /// Append `job`'s row to the job table, its app resolved against
+    /// the grid: the one lookup by name the job ever costs.
+    fn push_row(&mut self, job: &JobSpec) {
+        let app_ix = self.cfg.grid.app_index(&job.app);
+        let app = match app_ix {
+            Some(ix) => Arc::clone(&self.names.apps[ix]),
+            // Not the grid's to share: the job is rejected at arrival
+            // under the name it came with.
+            None => job.app.as_str().into(),
+        };
+        self.app_of.push(app_ix);
+        self.jobs.push(JobOutcome::submitted(job, app));
     }
 
     /// A coarse live view of progress.
@@ -829,15 +899,13 @@ impl SchedCore {
         }
         self.inst.depth_max.set(self.depth_max as f64);
         self.inst.depth.set(self.queue.len() as f64);
-        // Nothing reads the id set again: release it before the trace
-        // below sets the high-water mark.
+        // Nothing reads the id set or the app indices again: release
+        // them before the trace below sets the high-water mark.
         drop(self.ids);
+        drop(self.app_of);
         let outcomes = self.jobs;
         let trace = build_trace(tracer, &outcomes, self.makespan);
-        let telemetry = self.telemetry.take().map(|mut t| {
-            let snapshot = t.snapshot(self.now);
-            TelemetryReport { snapshot, ledger: t.ledger().clone() }
-        });
+        let telemetry = self.telemetry.take().map(|t| t.into_report(self.now));
         (
             SchedResult {
                 outcomes,
@@ -1006,17 +1074,20 @@ impl SchedCore {
                 // change a water-filled allocation.
                 self.used_slots.resize(tenant + 1, 0);
             }
-            let price = AdmissionView {
-                grid: &self.cfg.grid,
-                predictor: self.cfg.predictor.as_ref(),
-                policy: self.cfg.policy,
-                idle: &self.idle,
-                now: self.now,
-                bw: &self.bw,
-                backlog_slot_secs: self.backlog_slot_secs(),
-                total_slots: self.total_slots,
-            }
-            .price(&o.app, o.dataset_bytes, deadline_slack, o.arrival);
+            let model = self.app_of[row].map(|ix| &self.cfg.grid.apps[ix].1);
+            let price = model.and_then(|model| {
+                AdmissionView {
+                    grid: &self.cfg.grid,
+                    predictor: self.cfg.predictor.as_ref(),
+                    policy: self.cfg.policy,
+                    idle: &self.idle,
+                    now: self.now,
+                    bw: &self.bw,
+                    backlog_slot_secs: self.backlog_slot_secs(),
+                    total_slots: self.total_slots,
+                }
+                .price(model, o.dataset_bytes, deadline_slack, o.arrival)
+            });
             let o = &mut self.jobs[row];
             o.standalone = price.as_ref().map(|(q, _)| q.standalone);
             o.deadline = price.as_ref().map(|&(_, deadline)| deadline);
@@ -1045,10 +1116,10 @@ impl SchedCore {
                     }
                 }
                 let Some((quote, deadline)) = price else {
-                    break 'gate Some(if self.cfg.grid.app(&o.app).is_none() {
-                        format!("unknown app {:?}", o.app)
-                    } else {
+                    break 'gate Some(if self.app_of[row].is_some() {
                         "no feasible placement on an empty grid".to_string()
+                    } else {
+                        format!("unknown app {:?}", o.app)
                     });
                 };
                 let estimate = quote.estimate;
@@ -1083,7 +1154,7 @@ impl SchedCore {
     /// The transition block: advance phases due at `now` and finalize
     /// completions.
     fn phase_transitions(&mut self) {
-        let mut finished: Vec<usize> = Vec::new();
+        self.finished.clear();
         for (ri, r) in self.running.iter_mut().enumerate() {
             match r.phase {
                 Phase::Disk { until } if until <= self.now + TIME_EPS => {
@@ -1120,13 +1191,13 @@ impl SchedCore {
                     r.phase = Phase::Network;
                 }
                 Phase::Compute { until } if until <= self.now + TIME_EPS => {
-                    finished.push(ri);
+                    self.finished.push(ri);
                 }
                 _ => {}
             }
         }
         // Completions: release nodes, finalize outcomes.
-        for &ri in finished.iter().rev() {
+        while let Some(ri) = self.finished.pop() {
             let r = self.running.remove(ri);
             self.free.release(r.repo, r.site, &r.config);
             self.used_slots[r.tenant] -= r.config.compute_nodes;
@@ -1172,8 +1243,8 @@ impl SchedCore {
                 // through it as it then is.
                 if let Some((p, predicted, observed)) = record {
                     self.cfg.predictor.observe(&Observation {
-                        app: o.app.clone(),
-                        repo: p.repo_name.clone(),
+                        app: Arc::clone(&o.app),
+                        repo: Arc::clone(&p.repo_name),
                         data_nodes: r.config.data_nodes,
                         compute_nodes: r.config.compute_nodes,
                         wan_bw: r.placed_bw,
@@ -1188,9 +1259,9 @@ impl SchedCore {
                     seq: 0, // assigned by the ledger
                     id: o.id,
                     tenant: o.tenant,
-                    app: o.app.clone(),
-                    repo: p.repo_name.clone(),
-                    config: p.config.clone(),
+                    app: Arc::clone(&o.app),
+                    repo: Arc::clone(&p.repo_name),
+                    config: Arc::clone(&p.config),
                     dataset_bytes: o.dataset_bytes,
                     predicted,
                     observed,
@@ -1232,7 +1303,7 @@ impl SchedCore {
             if r.net_expected <= TIME_EPS || moved >= (1.0 - mc.deviation) * r.net_expected {
                 continue;
             }
-            let Some(model) = grid.app(&o.app) else { continue };
+            let model = model_of(grid, &self.app_of, r.row);
             // Best alternative repository with free data nodes,
             // priced at its current bandwidth estimate.
             let mut best: Option<(usize, Prediction)> = None;
@@ -1277,8 +1348,8 @@ impl SchedCore {
             // uncontended rate.
             self.free.release_data(r.repo, r.config.data_nodes);
             self.free.alloc_data(to, r.config.data_nodes);
-            let from_repo = grid.repos[r.repo].site.name.clone();
-            let to_repo = grid.repos[to].site.name.clone();
+            let from_repo = Arc::clone(&self.names.repos[r.repo]);
+            let to_repo = Arc::clone(&self.names.repos[to]);
             r.repo = to;
             r.placed_bw = self.bw[to];
             r.net_cap =
@@ -1288,8 +1359,8 @@ impl SchedCore {
             o.migration = Some(MigrationEvent {
                 at: self.now,
                 until: self.now + mc.overhead_secs,
-                from_repo: from_repo.clone(),
-                to_repo: to_repo.clone(),
+                from_repo: Arc::clone(&from_repo),
+                to_repo: Arc::clone(&to_repo),
             });
             if let Some(c) = &self.inst.migrate {
                 c.inc();
@@ -1377,9 +1448,11 @@ impl SchedCore {
             // victim leaves).
             let scans = &mut self.pump_stats.placement_scans;
             let (predictor, bw) = (self.cfg.predictor.as_ref(), &self.bw);
-            let mut scan = |job: &JobOutcome, free: &FreeSlices, quota_cap: Option<usize>| {
+            let (jobs, app_of) = (&self.jobs, &self.app_of);
+            let mut scan = |row: usize, free: &FreeSlices, quota_cap: Option<usize>| {
                 *scans += 1;
-                scan_placement(predictor, grid, job, free, bw, quota_cap)
+                let model = model_of(grid, app_of, row);
+                scan_placement(predictor, grid, model, jobs[row].dataset_bytes, free, bw, quota_cap)
             };
             // Max-min fair slot quotas over the tenants that want
             // slots. A queued job demands what it could use when placed
@@ -1413,7 +1486,7 @@ impl SchedCore {
                 if let Some((_, row)) = self.queue.head() {
                     let cap = headroom(self.jobs[row].tenant);
                     if cap >= self.min_slots {
-                        if let Some(p) = scan(&self.jobs[row], &self.free, Some(cap)) {
+                        if let Some(p) = scan(row, &self.free, Some(cap)) {
                             start = Some((row, p, StartKind::UnderQuota));
                         }
                     }
@@ -1421,8 +1494,8 @@ impl SchedCore {
             } else {
                 let under_quota = (0..ntenant).filter(|&t| headroom(t) >= self.min_slots);
                 for (_, row) in self.queue.walk(under_quota) {
-                    let job = &self.jobs[row];
-                    if let Some(p) = scan(job, &self.free, Some(headroom(job.tenant))) {
+                    let cap = headroom(self.jobs[row].tenant);
+                    if let Some(p) = scan(row, &self.free, Some(cap)) {
                         start = Some((row, p, StartKind::UnderQuota));
                         break;
                     }
@@ -1432,7 +1505,7 @@ impl SchedCore {
                 // — fairness must not cost work conservation.
                 if start.is_none() {
                     for (_, row) in self.queue.walk(0..ntenant) {
-                        if let Some(p) = scan(&self.jobs[row], &self.free, None) {
+                        if let Some(p) = scan(row, &self.free, None) {
                             start = Some((row, p, StartKind::Backfill));
                             break;
                         }
@@ -1448,8 +1521,7 @@ impl SchedCore {
             // fairness checks below.
             let preempting = start.is_none() && self.cfg.preemption.is_some();
             if let Some((_, head_row)) = preempting.then(|| self.queue.head()).flatten() {
-                let hq = &self.jobs[head_row];
-                if let (Some(qd), true) = (hq.deadline, grid.app(&hq.app).is_some()) {
+                if let Some(qd) = self.jobs[head_row].deadline {
                     let mut victims: Vec<usize> = (0..self.running.len())
                         .filter(|&i| self.running[i].deadline.is_some_and(|d| d > qd + TIME_EPS))
                         .collect();
@@ -1464,7 +1536,7 @@ impl SchedCore {
                         // returned, nothing committed yet.
                         let mut hyp = self.free.clone();
                         hyp.release(v.repo, v.site, &v.config);
-                        let Some(p) = scan(hq, &hyp, None) else { continue };
+                        let Some(p) = scan(head_row, &hyp, None) else { continue };
                         let v = self.running.remove(vi);
                         self.free.release(v.repo, v.site, &v.config);
                         self.used_slots[v.tenant] -= v.config.compute_nodes;
@@ -1509,8 +1581,11 @@ impl SchedCore {
                 // queue after every pass.
                 if cfg!(debug_assertions) && !self.cfg.policy.head_blocking() {
                     for (id, row) in self.queue.by_id() {
-                        let job = &self.jobs[row];
-                        if scan_placement(predictor, grid, job, &self.free, bw, None).is_some() {
+                        let model = model_of(grid, &self.app_of, row);
+                        let bytes = self.jobs[row].dataset_bytes;
+                        if scan_placement(predictor, grid, model, bytes, &self.free, bw, None)
+                            .is_some()
+                        {
                             self.violations.push(format!(
                                 "work conservation: job {id} fits free nodes but was not started at t={:.3}",
                                 self.now
@@ -1546,12 +1621,15 @@ impl SchedCore {
             }
             self.free.alloc(placement.repo, placement.site, &placement.cfg);
             self.used_slots[tenant] += placement.cfg.compute_nodes;
+            // The scan chose a configuration of the grid's menu; equal
+            // entries have equal labels.
+            let config = grid.configs.iter().position(|c| *c == placement.cfg);
             let info = PlacementInfo {
                 repo: placement.repo,
                 site: placement.site,
-                repo_name: grid.repos[placement.repo].site.name.clone(),
-                site_name: grid.sites[placement.site].site.name.clone(),
-                config: placement.cfg.label(),
+                repo_name: Arc::clone(&self.names.repos[placement.repo]),
+                site_name: Arc::clone(&self.names.sites[placement.site]),
+                config: Arc::clone(&self.names.configs[config.expect("a menu configuration")]),
                 data_nodes: placement.cfg.data_nodes,
                 compute_nodes: placement.cfg.compute_nodes,
             };
@@ -1559,9 +1637,9 @@ impl SchedCore {
                 log.push(CoreEvent::Placed {
                     id,
                     at: self.now,
-                    repo: info.repo_name.clone(),
-                    site: info.site_name.clone(),
-                    config: info.config.clone(),
+                    repo: Arc::clone(&info.repo_name),
+                    site: Arc::clone(&info.site_name),
+                    config: Arc::clone(&info.config),
                     predicted: placement.predicted.total(),
                 });
             }
@@ -1587,7 +1665,7 @@ impl SchedCore {
                 network_end: None,
                 net_expected: 0.0,
                 deadline: o.deadline,
-                max_obj_bytes: grid.app(&o.app).map(|m| m.profile.max_obj_bytes).unwrap_or(0),
+                max_obj_bytes: model_of(grid, &self.app_of, row).profile.max_obj_bytes,
                 no_feedback: false,
             });
         }
@@ -1598,11 +1676,12 @@ impl SchedCore {
 /// `free` at the current bandwidth estimates, the same scan an admission
 /// is priced with. The scan tests a candidate's feasibility before it
 /// predicts it, so a query nothing fits costs `repos × sites × configs`
-/// integer compares. An app the grid has no model for places nowhere.
+/// integer compares.
 fn scan_placement(
     predictor: &dyn Predictor,
     grid: &GridSpec,
-    job: &JobOutcome,
+    model: &AppModel,
+    dataset_bytes: u64,
     free: &FreeSlices,
     bw: &[f64],
     quota_cap: Option<usize>,
@@ -1610,8 +1689,8 @@ fn scan_placement(
     naive_best_placement_with(
         predictor,
         grid,
-        grid.app(&job.app)?,
-        job.dataset_bytes,
+        model,
+        dataset_bytes,
         free.data(),
         free.cmp(),
         bw,
@@ -1674,16 +1753,15 @@ impl AdmissionView<'_> {
     /// at the current estimates (falling back to standalone when no
     /// candidate prices at them), both from one walk that prices each
     /// prepared pair at the two vectors. The wait term is the fluid
-    /// backlog spread over every slot. `None` when the app is unknown
-    /// or nothing places even on an idle grid.
+    /// backlog spread over every slot. `None` when nothing places even
+    /// on an idle grid.
     fn price(
         &self,
-        app: &str,
+        model: &AppModel,
         dataset_bytes: u64,
         deadline_slack: f64,
         anchor: f64,
     ) -> Option<(PredictionQuote, f64)> {
-        let model = self.grid.app(app)?;
         let IdleGrid { data, cmp, bw: nominal } = self.idle;
         let [standalone, corrected] = best_placements(
             self.predictor,
@@ -1756,7 +1834,8 @@ impl SchedSnapshot {
             backlog_slot_secs: self.backlog_slot_secs,
             total_slots: self.total_slots,
         };
-        view.price(app, dataset_bytes, deadline_slack, self.now).map(|(quote, _)| quote)
+        let model = self.grid.app(app)?;
+        view.price(model, dataset_bytes, deadline_slack, self.now).map(|(quote, _)| quote)
     }
 }
 
@@ -1813,6 +1892,9 @@ pub(crate) fn fair_quota(total: usize, demands: &[usize]) -> Vec<usize> {
 pub(crate) fn build_trace(mut tracer: Tracer, outcomes: &[JobOutcome], makespan: f64) -> Trace {
     let t = SimTime::from_secs_f64;
     let end_time = outcomes.iter().map(|o| o.finish.unwrap_or(o.arrival)).fold(makespan, f64::max);
+    // The root, and per job its span, its wait and at most three
+    // phases; only a preemption or a migration adds to that.
+    tracer.reserve(1 + 5 * outcomes.len());
     let run = tracer.begin(SpanKind::Run, None, SimTime::ZERO);
     let mut order: Vec<usize> = (0..outcomes.len()).collect();
     order.sort_by(|&a, &b| {
@@ -1824,6 +1906,8 @@ pub(crate) fn build_trace(mut tracer: Tracer, outcomes: &[JobOutcome], makespan:
     for &i in &order {
         let o = &outcomes[i];
         let job = tracer.begin(SpanKind::Job, None, t(o.arrival));
+        let optional = [o.standalone.is_some(), o.predicted.is_some(), o.met_deadline().is_some()];
+        tracer.reserve_attrs(job, 4 + optional.iter().filter(|&&set| set).count());
         tracer.attr(job, "job_id", o.id as u64);
         tracer.attr(job, "tenant", o.tenant as u64);
         tracer.attr(job, "dataset_bytes", o.dataset_bytes);
@@ -1873,7 +1957,7 @@ pub(crate) fn build_trace(mut tracer: Tracer, outcomes: &[JobOutcome], makespan:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{AppModel, RepoSpec, SiteSpec};
+    use crate::grid::{RepoSpec, SiteSpec};
     use fg_cluster::{ComputeSite, Configuration, RepositorySite, Wan};
     use fg_predict::{AnalyticalPredictor, AppClasses, Profile};
     use proptest::prelude::*;
@@ -1984,7 +2068,7 @@ mod tests {
                 backlog_slot_secs: backlog,
                 total_slots: grid.total_compute_slots(),
             };
-            let (name, model) = &grid.apps[app];
+            let (_, model) = &grid.apps[app];
             let bytes = [1u64 << 20, 64 << 20, 800 << 20, 12_800 << 20][size];
             let scan = |bw: &[f64]| {
                 naive_best_placement_with(
@@ -1999,7 +2083,7 @@ mod tests {
                 )
                 .map(|p| p.predicted.total())
             };
-            let got = view.price(name, bytes, slack, 90.0);
+            let got = view.price(model, bytes, slack, 90.0);
             let Some(standalone) = scan(&idle.bw) else {
                 assert_eq!(got, None, "case {n}");
                 unplaced += 1;

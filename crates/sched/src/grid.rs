@@ -132,7 +132,12 @@ impl GridSpec {
 
     /// Look up an application's prediction model.
     pub fn app(&self, name: &str) -> Option<&AppModel> {
-        self.apps.iter().find(|(n, _)| n == name).map(|(_, m)| m)
+        self.app_index(name).map(|ix| &self.apps[ix].1)
+    }
+
+    /// An application's index in [`apps`](GridSpec::apps).
+    pub fn app_index(&self, name: &str) -> Option<usize> {
+        self.apps.iter().position(|(n, _)| n == name)
     }
 
     /// Total compute slots across every site.

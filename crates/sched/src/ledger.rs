@@ -35,6 +35,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Format version written in the dump header.
 pub const LEDGER_VERSION: u32 = 1;
@@ -147,12 +148,13 @@ pub struct AccuracySample {
     pub id: usize,
     /// Tenant index.
     pub tenant: usize,
-    /// Application name (half of the ledger key).
-    pub app: String,
+    /// Application name (half of the ledger key). Like the next two,
+    /// the scheduler's own copy of the name, shared by reference count.
+    pub app: Arc<str>,
     /// Repository name (the other half).
-    pub repo: String,
+    pub repo: Arc<str>,
     /// Configuration label the job ran under.
-    pub config: String,
+    pub config: Arc<str>,
     /// Dataset size in bytes.
     pub dataset_bytes: u64,
     /// Predicted `(disk, net, comp)` durations, seconds.
@@ -333,12 +335,13 @@ impl AccuracyLedger {
     /// recorded in [`alarms`](AccuracyLedger::alarms)).
     pub fn ingest(&mut self, mut sample: AccuracySample) -> Vec<DriftAlarm> {
         sample.seq = self.total;
-        let ki = match self.keys.iter().position(|k| k.app == sample.app && k.repo == sample.repo) {
+        let same_key = |k: &KeyLedger| *k.app == *sample.app && *k.repo == *sample.repo;
+        let ki = match self.keys.iter().position(same_key) {
             Some(i) => i,
             None => {
                 self.keys.push(KeyLedger {
-                    app: sample.app.clone(),
-                    repo: sample.repo.clone(),
+                    app: sample.app.to_string(),
+                    repo: sample.repo.to_string(),
                     samples: VecDeque::new(),
                     total: 0,
                     stats: [ResidualStat::default(); 3],
@@ -609,12 +612,12 @@ mod tests {
         ledger.ingest(other);
         let tail = ledger.tail(10);
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].app, "kmeans");
+        assert_eq!(&*tail[0].app, "kmeans");
         assert_eq!(tail[0].seq, 0);
-        assert_eq!(tail[1].app, "apriori");
+        assert_eq!(&*tail[1].app, "apriori");
         assert_eq!(tail[1].seq, 1);
         let last = ledger.tail(1);
         assert_eq!(last.len(), 1);
-        assert_eq!(last[0].app, "apriori");
+        assert_eq!(&*last[0].app, "apriori");
     }
 }

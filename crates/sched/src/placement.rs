@@ -255,7 +255,7 @@ impl PlacementEngine {
         bw: &[f64],
         quota_cap: Option<usize>,
     ) -> Option<Placement> {
-        let app_idx = grid.apps.iter().position(|(n, _)| n == app)?;
+        let app_idx = grid.app_index(app)?;
         let model = &grid.apps[app_idx].1;
         self.stats.queries += 1;
         // Infeasibility early-out off the slice index: a candidate is

@@ -82,7 +82,11 @@ mod tests {
             arrival,
             deadline_slack: 2.0,
         };
-        JobOutcome { standalone: Some(standalone), deadline, ..JobOutcome::submitted(spec) }
+        JobOutcome {
+            standalone: Some(standalone),
+            deadline,
+            ..JobOutcome::submitted(&spec, "kmeans".into())
+        }
     }
 
     #[test]

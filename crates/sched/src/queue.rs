@@ -293,7 +293,7 @@ mod tests {
                     table.push(JobOutcome {
                         standalone: Some(standalone),
                         deadline,
-                        ..JobOutcome::submitted(spec)
+                        ..JobOutcome::submitted(&spec, "kmeans".into())
                     });
                     queue.push(&table[row], row);
                 } else {

@@ -70,9 +70,9 @@ pub struct MigrationEvent {
     /// When the transfer resumed on the new replica.
     pub until: f64,
     /// Repository the job was fetching from.
-    pub from_repo: String,
+    pub from_repo: Arc<str>,
     /// Repository it fetches from afterwards.
-    pub to_repo: String,
+    pub to_repo: Arc<str>,
 }
 
 /// Tuning for mid-run migration (see [`Scheduler::with_migration`]).
@@ -126,7 +126,8 @@ pub struct Degradation {
     pub factor: f64,
 }
 
-/// Where a job ran.
+/// Where a job ran. The three names are the core's own, shared by
+/// reference count with every other job placed there.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementInfo {
     /// Repository index in the grid.
@@ -134,11 +135,11 @@ pub struct PlacementInfo {
     /// Compute-site index in the grid.
     pub site: usize,
     /// Repository name.
-    pub repo_name: String,
+    pub repo_name: Arc<str>,
     /// Site name.
-    pub site_name: String,
+    pub site_name: Arc<str>,
     /// Configuration label, `n-c`.
-    pub config: String,
+    pub config: Arc<str>,
     /// Data nodes held for the job's lifetime.
     pub data_nodes: usize,
     /// Compute nodes held for the job's lifetime.
@@ -152,8 +153,9 @@ pub struct JobOutcome {
     pub id: usize,
     /// Tenant index.
     pub tenant: usize,
-    /// Application name.
-    pub app: String,
+    /// Application name: the core's own copy when the grid models the
+    /// app, the submitted one otherwise.
+    pub app: Arc<str>,
     /// Arrival instant (seconds).
     pub arrival: f64,
     /// Logical dataset size.
@@ -194,12 +196,13 @@ pub struct JobOutcome {
 
 impl JobOutcome {
     /// The row a job enters the core's job table as: the submission's
-    /// own facts moved in, every decision still to fall.
-    pub(crate) fn submitted(job: JobSpec) -> JobOutcome {
+    /// own facts under the shared `app` name, every decision still to
+    /// fall.
+    pub(crate) fn submitted(job: &JobSpec, app: Arc<str>) -> JobOutcome {
         JobOutcome {
             id: job.id,
             tenant: job.tenant,
-            app: job.app,
+            app,
             arrival: job.arrival,
             dataset_bytes: job.dataset_bytes,
             admitted: false,
@@ -252,7 +255,9 @@ impl JobOutcome {
 /// A scheduler run's full result.
 #[derive(Debug)]
 pub struct SchedResult {
-    /// One outcome per submitted job, in submission-id order.
+    /// One outcome per submitted job, in submission order: the order
+    /// of [`SchedCore::submit`] calls, or of [`Scheduler::run`]'s input
+    /// slice (which need not be sorted by id or arrival).
     pub outcomes: Vec<JobOutcome>,
     /// The span tree (one `Job` span per job, phase children) plus the
     /// metrics snapshot (queue depth, admission counters, wait and
@@ -656,7 +661,7 @@ mod tests {
             disk_end: Some(10.0),
             network_end: Some(10.0),
             finish: Some(10.0),
-            ..JobOutcome::submitted(job(0, 0, 0, 10.0))
+            ..JobOutcome::submitted(&job(0, 0, 0, 10.0), "kmeans".into())
         };
         assert_eq!(o.turnaround(), Some(0.0));
         assert!(o.slowdown().unwrap().is_finite());
@@ -735,8 +740,8 @@ mod tests {
             .with_migration(MigrationConfig::default())
             .run(&spec);
         let m = moved.outcomes[0].migration.as_ref().expect("collapse should trigger migration");
-        assert_eq!(m.from_repo, "repo-a");
-        assert_eq!(m.to_repo, "repo-b");
+        assert_eq!(&*m.from_repo, "repo-a");
+        assert_eq!(&*m.to_repo, "repo-b");
         assert!(m.until > m.at);
         let (sf, mf) = (stay.outcomes[0].finish.unwrap(), moved.outcomes[0].finish.unwrap());
         assert!(mf < sf, "migrating should beat staying put: {mf} vs {sf}");

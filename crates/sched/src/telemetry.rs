@@ -185,6 +185,13 @@ impl TelemetryState {
             alarms: self.ledger.alarms().to_vec(),
         }
     }
+
+    /// What a drained run hands back: the plane frozen at `now`, and
+    /// the ledger itself, moved out.
+    pub fn into_report(mut self, now: f64) -> TelemetryReport {
+        let snapshot = self.snapshot(now);
+        TelemetryReport { snapshot, ledger: self.ledger }
+    }
 }
 
 /// What a telemetry-armed run hands back in

@@ -159,9 +159,9 @@ impl Well {
             1 => CoreEvent::Placed {
                 id: (self.next() % 10_000) as usize,
                 at: self.f64(),
-                repo: self.string(),
-                site: self.string(),
-                config: self.string(),
+                repo: self.string().into(),
+                site: self.string().into(),
+                config: self.string().into(),
                 predicted: self.f64(),
             },
             2 => CoreEvent::Completed {
@@ -175,8 +175,8 @@ impl Well {
             5 => CoreEvent::Migrated {
                 id: (self.next() % 10_000) as usize,
                 at: self.f64(),
-                from_repo: self.string(),
-                to_repo: self.string(),
+                from_repo: self.string().into(),
+                to_repo: self.string().into(),
             },
             _ => CoreEvent::DriftAlarm { alarm: self.drift_alarm() },
         }
@@ -186,7 +186,7 @@ impl Well {
         JobOutcome {
             id: (self.next() % 10_000) as usize,
             tenant: (self.next() % 16) as usize,
-            app: self.string(),
+            app: self.string().into(),
             arrival: self.f64(),
             dataset_bytes: self.next(),
             admitted: self.next().is_multiple_of(2),
@@ -197,9 +197,9 @@ impl Well {
             placement: (self.next().is_multiple_of(2)).then(|| PlacementInfo {
                 repo: (self.next() % 8) as usize,
                 site: (self.next() % 8) as usize,
-                repo_name: self.string(),
-                site_name: self.string(),
-                config: self.string(),
+                repo_name: self.string().into(),
+                site_name: self.string().into(),
+                config: self.string().into(),
                 data_nodes: (self.next() % 32) as usize,
                 compute_nodes: (self.next() % 32) as usize,
             }),

@@ -134,7 +134,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                 fields.push((
                     "args".to_string(),
                     Value::Object(
-                        span.attrs.iter().map(|(k, v)| (k.clone(), Value::UInt(*v))).collect(),
+                        span.attrs.iter().map(|(k, v)| (k.to_string(), Value::UInt(*v))).collect(),
                     ),
                 ));
             }
@@ -196,10 +196,17 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip_is_exact() {
+        use std::borrow::Cow;
         let trace = sample();
         let text = to_jsonl(&trace);
         let back = from_jsonl(&text).unwrap();
         assert_eq!(back, trace);
+        // Equal, though a tracer's attribute keys are the callers'
+        // literals and a parsed trace owns its own.
+        let key = |t: &Trace| t.spans.iter().find_map(|s| s.attrs.first()).unwrap().0.clone();
+        assert!(matches!(key(&trace), Cow::Borrowed("bytes")));
+        assert!(matches!(key(&back), Cow::Owned(k) if k == "bytes"));
+        assert_eq!(to_jsonl(&back), text);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use fg_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Which side of the deployment a span is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -186,9 +187,11 @@ pub struct Span {
     pub start: SimTime,
     /// End instant (`>= start`).
     pub end: SimTime,
-    /// Integer-valued attributes (chunk counts, byte counts, ...).
+    /// Integer-valued attributes (chunk counts, byte counts, ...). A
+    /// key a [`Tracer`] attached is the caller's literal, borrowed; only
+    /// a parsed trace owns its keys.
     #[serde(default)]
-    pub attrs: Vec<(String, u64)>,
+    pub attrs: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl Span {
@@ -371,8 +374,19 @@ impl Tracer {
     }
 
     /// Attach an integer attribute to span `id`.
-    pub fn attr(&mut self, id: u64, key: &str, value: u64) {
-        self.spans[id as usize].attrs.push((key.to_string(), value));
+    pub fn attr(&mut self, id: u64, key: &'static str, value: u64) {
+        self.spans[id as usize].attrs.push((Cow::Borrowed(key), value));
+    }
+
+    /// Make room for `spans` more spans, for a producer that knows how
+    /// many it is about to emit.
+    pub fn reserve(&mut self, spans: usize) {
+        self.spans.reserve_exact(spans);
+    }
+
+    /// Make room for exactly `attrs` more attributes on span `id`.
+    pub fn reserve_attrs(&mut self, id: u64, attrs: usize) {
+        self.spans[id as usize].attrs.reserve_exact(attrs);
     }
 
     /// Finish the trace. Panics if any span is still open.

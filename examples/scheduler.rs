@@ -72,7 +72,7 @@ fn main() {
                 o.arrival,
                 placed - o.arrival,
                 finish - placed,
-                o.placement.as_ref().map(|p| p.config.as_str()).unwrap_or("?"),
+                o.placement.as_ref().map(|p| &*p.config).unwrap_or("?"),
                 if o.met_deadline() == Some(true) { "met deadline" } else { "missed deadline" },
             ),
             _ => println!(

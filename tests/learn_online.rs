@@ -139,7 +139,7 @@ fn hybrid_error_improves_as_samples_accumulate() {
                 let (_, model) = grid
                     .apps
                     .iter()
-                    .find(|(name, _)| *name == s.app)
+                    .find(|(name, _)| **name == *s.app)
                     .expect("ledger app exists in the grid");
                 let d = sample_deployment(&grid, &s.repo, &s.config);
                 let pred = p

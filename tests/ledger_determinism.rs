@@ -51,9 +51,9 @@ impl Well {
             seq: 0, // the ledger assigns ingestion order
             id: i,
             tenant: (self.next() % 4) as usize,
-            app: apps[(self.next() % 2) as usize].to_string(),
-            repo: repos[(self.next() % 2) as usize].to_string(),
-            config: "demo".to_string(),
+            app: apps[(self.next() % 2) as usize].into(),
+            repo: repos[(self.next() % 2) as usize].into(),
+            config: "demo".into(),
             dataset_bytes: self.next() % (1 << 32),
             predicted,
             observed,
