@@ -39,7 +39,8 @@ use fg_predict::{
     prepare, AppClasses, Observation, Prediction, Predictor, Prepared, Price, Profile,
     ScalingFactors, SelectionError, SiteQuery,
 };
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
+use serde_json::jsonl;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -47,6 +48,26 @@ use std::sync::Mutex;
 /// Model-dump format version; bumped on any incompatible change to the
 /// JSONL layout or the feature map.
 pub const MODEL_VERSION: u32 = 1;
+
+/// The `kind` tags of the two model dumps.
+const LEARNED: &str = "fg-learn-model";
+const HYBRID: &str = "fg-hybrid-model";
+
+/// A learned-model dump's header line: the tag and the config.
+#[derive(Serialize, Deserialize)]
+struct LearnedHeader {
+    kind: String,
+    version: u32,
+    config: LearnConfig,
+}
+
+/// A hybrid-model dump's header line: the tag and the config.
+#[derive(Serialize, Deserialize)]
+struct HybridHeader {
+    kind: String,
+    version: u32,
+    config: HybridConfig,
+}
 
 /// Component count (`[disk, network, compute]`).
 const COMPONENTS: usize = 3;
@@ -250,16 +271,10 @@ impl LearnedPredictor {
     /// The epoch is deliberately excluded — it is an instance-local
     /// cache-invalidation counter, not part of the model.
     pub fn dump_jsonl(&self) -> String {
-        #[derive(Serialize)]
-        struct Header {
-            kind: &'static str,
-            version: u32,
-            config: LearnConfig,
-        }
-        let mut out = String::new();
-        let header = Header { kind: "fg-learn-model", version: MODEL_VERSION, config: self.cfg };
-        out.push_str(&serde_json::to_string(&header).expect("header serializes"));
-        out.push('\n');
+        let mut out = Writer::new();
+        let header =
+            LearnedHeader { kind: LEARNED.into(), version: MODEL_VERSION, config: self.cfg };
+        jsonl::line(&mut out, &header);
         for ring in self.state.lock().unwrap().iter() {
             let mut samples = ring.samples.clone();
             samples.sort_by_key(|s| s.seq);
@@ -269,10 +284,9 @@ impl LearnedPredictor {
                 samples,
                 coefs: ring.coefs,
             };
-            out.push_str(&serde_json::to_string(&line).expect("key serializes"));
-            out.push('\n');
+            jsonl::line(&mut out, &line);
         }
-        out
+        out.into_string()
     }
 
     /// Rebuild a predictor from a [`Self::dump_jsonl`] corpus. The dump
@@ -287,47 +301,23 @@ impl LearnedPredictor {
     /// had frozen its key is refused here rather than replayed. The
     /// epoch restarts at the number of trained keys (any positive value
     /// distinguishes a trained replay from a fresh instance).
-    pub fn replay_jsonl(text: &str) -> Result<LearnedPredictor, String> {
-        #[derive(Deserialize)]
-        struct Header {
-            kind: String,
-            version: u32,
-            config: LearnConfig,
-        }
-        let mut lines = text.lines().enumerate();
-        let (_, first) = lines.next().ok_or("empty model dump")?;
-        let header: Header =
-            serde_json::from_str(first).map_err(|e| format!("line 1: bad header: {e}"))?;
-        if header.kind != "fg-learn-model" {
-            return Err(format!("line 1: not a learned-model dump (kind {:?})", header.kind));
-        }
-        if header.version != MODEL_VERSION {
-            return Err(format!(
-                "line 1: model version {} (this build reads {MODEL_VERSION})",
-                header.version
-            ));
-        }
-        header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
+    pub fn replay_jsonl(text: &str) -> Result<LearnedPredictor, jsonl::Error> {
+        let (header, lines): (LearnedHeader, _) =
+            jsonl::read(text, LEARNED, ("version", MODEL_VERSION))?;
+        header.config.validate().map_err(|e| jsonl::Error::at(1, format!("bad config: {e}")))?;
         let mut rings: Vec<Ring> = Vec::new();
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let KeyLine { app, repo, mut samples, coefs } =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        for (n, line) in lines {
+            let KeyLine { app, repo, mut samples, coefs } = jsonl::parse(n, line)?;
             if rings.iter().any(|r| r.app == app && r.repo == repo) {
-                return Err(format!("line {}: a second line for ({app:?}, {repo:?})", i + 1));
+                return Err(jsonl::Error::at(n, format!("a second line for ({app:?}, {repo:?})")));
             }
-            if samples.len() > header.config.capacity {
-                return Err(format!(
-                    "line {}: {} samples exceed the dump's own capacity {}",
-                    i + 1,
-                    samples.len(),
-                    header.config.capacity
-                ));
+            let (len, capacity) = (samples.len(), header.config.capacity);
+            if len > capacity {
+                let why = format!("{len} samples exceed the dump's own capacity {capacity}");
+                return Err(jsonl::Error::at(n, why));
             }
             if let Some(at) = samples.iter().position(|s| !s.fittable()) {
-                return Err(format!("line {}: sample {at} can never be fitted", i + 1));
+                return Err(jsonl::Error::at(n, format!("sample {at} can never be fitted")));
             }
             for (seq, s) in samples.iter_mut().enumerate() {
                 s.seq = seq as u64;
@@ -577,21 +567,13 @@ impl HybridPredictor {
     /// Serialize as versioned JSONL: a header line with the config,
     /// one line per corrected `(app, repository)` key.
     pub fn dump_jsonl(&self) -> String {
-        #[derive(Serialize)]
-        struct Header {
-            kind: &'static str,
-            version: u32,
-            config: HybridConfig,
-        }
-        let mut out = String::new();
-        let header = Header { kind: "fg-hybrid-model", version: MODEL_VERSION, config: self.cfg };
-        out.push_str(&serde_json::to_string(&header).expect("header serializes"));
-        out.push('\n');
+        let mut out = Writer::new();
+        let header = HybridHeader { kind: HYBRID.into(), version: MODEL_VERSION, config: self.cfg };
+        jsonl::line(&mut out, &header);
         for key in self.state.lock().unwrap().iter() {
-            out.push_str(&serde_json::to_string(key).expect("key serializes"));
-            out.push('\n');
+            jsonl::line(&mut out, key);
         }
-        out
+        out.into_string()
     }
 
     /// Rebuild from a [`Self::dump_jsonl`] corpus; `dump → replay →
@@ -602,51 +584,24 @@ impl HybridPredictor {
     /// negative one would price jobs at zero or negative seconds), or a
     /// second line for an `(app, repository)` already seen, which no
     /// lookup would reach.
-    pub fn replay_jsonl(text: &str) -> Result<HybridPredictor, String> {
-        #[derive(Deserialize)]
-        struct Header {
-            kind: String,
-            version: u32,
-            config: HybridConfig,
-        }
-        let mut lines = text.lines().enumerate();
-        let (_, first) = lines.next().ok_or("empty model dump")?;
-        let header: Header =
-            serde_json::from_str(first).map_err(|e| format!("line 1: bad header: {e}"))?;
-        if header.kind != "fg-hybrid-model" {
-            return Err(format!("line 1: not a hybrid-model dump (kind {:?})", header.kind));
-        }
-        if header.version != MODEL_VERSION {
-            return Err(format!(
-                "line 1: model version {} (this build reads {MODEL_VERSION})",
-                header.version
-            ));
-        }
-        header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
+    pub fn replay_jsonl(text: &str) -> Result<HybridPredictor, jsonl::Error> {
+        let (header, lines): (HybridHeader, _) =
+            jsonl::read(text, HYBRID, ("version", MODEL_VERSION))?;
+        header.config.validate().map_err(|e| jsonl::Error::at(1, format!("bad config: {e}")))?;
         let pred = HybridPredictor::new(header.config);
         let HybridConfig { min_ratio, max_ratio, .. } = header.config;
         let mut keys: Vec<HybridKey> = Vec::new();
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let key: HybridKey =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        for (n, line) in lines {
+            let key: HybridKey = jsonl::parse(n, line)?;
             if keys.iter().any(|k| k.app == key.app && k.repo == key.repo) {
-                return Err(format!(
-                    "line {}: a second line for ({:?}, {:?})",
-                    i + 1,
-                    key.app,
-                    key.repo
-                ));
+                let (app, repo) = (&key.app, &key.repo);
+                return Err(jsonl::Error::at(n, format!("a second line for ({app:?}, {repo:?})")));
             }
             // Also refuses a NaN, which is inside no range.
             if let Some(f) = key.factors.iter().find(|f| !(min_ratio..=max_ratio).contains(*f)) {
-                return Err(format!(
-                    "line {}: correction factor {f} outside the dump's own \
-                     [{min_ratio}, {max_ratio}]",
-                    i + 1
-                ));
+                let range = format!("[{min_ratio}, {max_ratio}]");
+                let why = format!("correction factor {f} outside the dump's own {range}");
+                return Err(jsonl::Error::at(n, why));
             }
             keys.push(key);
         }
@@ -1601,7 +1556,7 @@ mod tests {
                 "{header}{{\"app\":\"kmeans\",\"repo\":\"osu\",\"samples\":[{good},{bad}],\"coefs\":null}}\n"
             );
             let err = LearnedPredictor::replay_jsonl(&dump).unwrap_err();
-            assert_eq!(err, "line 2: sample 1 can never be fitted", "{bad}");
+            assert_eq!(err.to_string(), "line 2: sample 1 can never be fitted", "{bad}");
         }
     }
 
@@ -1612,7 +1567,7 @@ mod tests {
         let dump = pred.dump_jsonl();
         let key_line = dump.lines().nth(1).unwrap();
         let err = LearnedPredictor::replay_jsonl(&format!("{dump}\n{key_line}\n")).unwrap_err();
-        assert_eq!(err, r#"line 4: a second line for ("kmeans", "osu")"#);
+        assert_eq!(err.to_string(), r#"line 4: a second line for ("kmeans", "osu")"#);
     }
 
     #[test]
@@ -1634,7 +1589,7 @@ mod tests {
             r#"{"min_samples":8,"capacity":512,"lambda":1e-6,"trust":"inf"}"#,
         ] {
             let dump = format!(r#"{{"kind":"fg-learn-model","version":1,"config":{config}}}"#);
-            let err = LearnedPredictor::replay_jsonl(&dump).unwrap_err();
+            let err = LearnedPredictor::replay_jsonl(&dump).unwrap_err().to_string();
             assert!(err.starts_with("line 1: bad config: "), "{config}: {err}");
         }
     }
@@ -1658,7 +1613,7 @@ mod tests {
             r#"{"alpha":0.3,"min_ratio":0.25,"max_ratio":"inf"}"#,
         ] {
             let dump = format!(r#"{{"kind":"fg-hybrid-model","version":1,"config":{config}}}"#);
-            let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+            let err = HybridPredictor::replay_jsonl(&dump).unwrap_err().to_string();
             assert!(err.starts_with("line 1: bad config: "), "{config}: {err}");
         }
     }
@@ -1746,7 +1701,7 @@ mod tests {
         // The dump in the issue: a zero, a negative and a huge factor,
         // then a second line for the same key.
         let dump = format!("{header}{}\n{good}\n", key("osu", "[-3.0,0.0,1e9]"));
-        let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+        let err = HybridPredictor::replay_jsonl(&dump).unwrap_err().to_string();
         assert_eq!(err, "line 2: correction factor -3 outside the dump's own [0.25, 4]");
         for (bad, named) in [
             ("[1.0,0.0,1.0]", "0"),
@@ -1756,7 +1711,7 @@ mod tests {
             (r#"[1.0,1.0,"inf"]"#, "inf"),
         ] {
             let dump = format!("{header}{good}\n\n{}\n", key("mit", bad));
-            let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+            let err = HybridPredictor::replay_jsonl(&dump).unwrap_err().to_string();
             assert_eq!(
                 err,
                 format!("line 4: correction factor {named} outside the dump's own [0.25, 4]"),
@@ -1764,7 +1719,7 @@ mod tests {
             );
         }
         let dump = format!("{header}{good}\n{}\n{good}\n", key("mit", "[1.0,1.0,1.0]"));
-        let err = HybridPredictor::replay_jsonl(&dump).unwrap_err();
+        let err = HybridPredictor::replay_jsonl(&dump).unwrap_err().to_string();
         assert_eq!(err, r#"line 4: a second line for ("kmeans", "osu")"#);
         // Same app at another repository, another app at the same one:
         // different keys.

@@ -33,12 +33,16 @@
 //! EWMA state included (`tests/ledger_determinism.rs` pins this by
 //! property).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
+use serde_json::jsonl;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Format version written in the dump header.
 pub const LEDGER_VERSION: u32 = 1;
+
+/// The dump's `kind` tag.
+const KIND: &str = "fg-accuracy-ledger";
 
 /// Guard against division by a vanishing prediction when normalizing
 /// residuals.
@@ -387,36 +391,24 @@ impl AccuracyLedger {
     /// Dump as versioned JSONL: a header line, one `sample` line per
     /// retained sample in ingestion order, one `alarm` line per alarm.
     pub fn dump_jsonl(&self) -> String {
-        #[derive(Serialize)]
-        struct Header {
-            kind: &'static str,
-            version: u32,
-            config: DriftConfig,
-            total: u64,
-        }
-        let mut out = String::new();
+        let mut out = Writer::new();
         let header = Header {
-            kind: "fg-accuracy-ledger",
+            kind: KIND.into(),
             version: LEDGER_VERSION,
             config: self.cfg,
             total: self.total,
         };
-        out.push_str(&serde_json::to_string(&header).expect("header serializes"));
-        out.push('\n');
+        jsonl::line(&mut out, &header);
         // Retained samples in global ingestion order: every sample
         // carries (finish, id), and ingestion happens in nondecreasing
         // completion order, so the merge reproduces it.
         for s in self.tail(usize::MAX) {
-            out.push_str(&serde_json::to_string(&DumpLine::Sample(s)).expect("sample serializes"));
-            out.push('\n');
+            jsonl::tagged(&mut out, "Sample", &s);
         }
         for a in &self.alarms {
-            out.push_str(
-                &serde_json::to_string(&DumpLine::Alarm(a.clone())).expect("alarm serializes"),
-            );
-            out.push('\n');
+            jsonl::tagged(&mut out, "Alarm", a);
         }
-        out
+        out.into_string()
     }
 
     /// Rebuild a ledger by re-ingesting a dumped corpus, line by line,
@@ -425,36 +417,13 @@ impl AccuracyLedger {
     /// alarms cannot be reproduced is corrupt. When the dump retained
     /// the full history, the result is bit-identical to the live
     /// ledger that produced it.
-    pub fn replay_jsonl(text: &str) -> Result<AccuracyLedger, String> {
-        #[derive(Deserialize)]
-        struct Header {
-            kind: String,
-            version: u32,
-            config: DriftConfig,
-        }
-        let mut lines = text.lines().enumerate();
-        let (_, first) = lines.next().ok_or("empty ledger dump")?;
-        let header: Header =
-            serde_json::from_str(first).map_err(|e| format!("line 1: bad header: {e}"))?;
-        if header.kind != "fg-accuracy-ledger" {
-            return Err(format!("line 1: not a ledger dump (kind {:?})", header.kind));
-        }
-        if header.version != LEDGER_VERSION {
-            return Err(format!(
-                "line 1: ledger version {} (this build reads {LEDGER_VERSION})",
-                header.version
-            ));
-        }
-        header.config.validate().map_err(|e| format!("line 1: bad config: {e}"))?;
+    pub fn replay_jsonl(text: &str) -> Result<AccuracyLedger, jsonl::Error> {
+        let (header, lines): (Header, _) = jsonl::read(text, KIND, ("version", LEDGER_VERSION))?;
+        header.config.validate().map_err(|e| jsonl::Error::at(1, format!("bad config: {e}")))?;
         let mut ledger = AccuracyLedger::new(header.config);
         let mut dumped_alarms: Vec<DriftAlarm> = Vec::new();
-        for (i, line) in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed: DumpLine =
-                serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            match parsed {
+        for (n, line) in lines {
+            match jsonl::parse(n, line)? {
                 DumpLine::Sample(s) => {
                     ledger.ingest(s);
                 }
@@ -462,19 +431,30 @@ impl AccuracyLedger {
             }
         }
         if ledger.alarms != dumped_alarms {
-            return Err(format!(
-                "replayed corpus raised {} alarms but the dump recorded {}",
-                ledger.alarms.len(),
-                dumped_alarms.len()
-            ));
+            let (raised, dumped) = (ledger.alarms.len(), dumped_alarms.len());
+            let reason =
+                format!("replayed corpus raised {raised} alarms but the dump recorded {dumped}");
+            return Err(jsonl::Error { line: None, reason });
         }
         Ok(ledger)
     }
 }
 
-/// One non-header dump line (externally tagged:
-/// `{"Sample": {...}}` / `{"Alarm": {...}}`).
+/// The dump's header line.
 #[derive(Serialize, Deserialize)]
+struct Header {
+    kind: String,
+    version: u32,
+    config: DriftConfig,
+    /// Informational: a replay recounts what it ingests.
+    #[serde(default)]
+    total: u64,
+}
+
+/// One non-header dump line as read back (externally tagged:
+/// `{"Sample": {...}}` / `{"Alarm": {...}}`, the lines `dump_jsonl`
+/// writes).
+#[derive(Deserialize)]
 enum DumpLine {
     /// A retained sample.
     Sample(AccuracySample),
@@ -581,7 +561,7 @@ mod tests {
         assert!(AccuracyLedger::replay_jsonl("").is_err());
         assert!(AccuracyLedger::replay_jsonl(r#"{"kind":"other","version":1,"config":{"alpha":0.25,"min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":256},"total":0}"#).is_err());
         let bad_version = r#"{"kind":"fg-accuracy-ledger","version":99,"config":{"alpha":0.25,"min_samples":8,"z_threshold":4.0,"residual_threshold":3.0,"capacity":256},"total":0}"#;
-        let err = AccuracyLedger::replay_jsonl(bad_version).unwrap_err();
+        let err = AccuracyLedger::replay_jsonl(bad_version).unwrap_err().to_string();
         assert!(err.contains("version 99"), "{err}");
         // One out-of-range header per checked field: an error naming
         // the line, never a panic.
@@ -598,7 +578,7 @@ mod tests {
             let dump = format!(
                 r#"{{"kind":"fg-accuracy-ledger","version":1,"config":{config},"total":0}}"#
             );
-            let err = AccuracyLedger::replay_jsonl(&dump).unwrap_err();
+            let err = AccuracyLedger::replay_jsonl(&dump).unwrap_err().to_string();
             assert!(err.starts_with("line 1: bad config: "), "{config}: {err}");
         }
     }

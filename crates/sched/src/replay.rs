@@ -26,10 +26,12 @@
 //!
 //! Job lines must be sorted by arrival with contiguous ids `0..N`, and
 //! every declared tenant must submit at least one job (a silent tenant
-//! is almost always a truncated trace).
+//! is almost always a truncated trace). Header checks, line numbers and
+//! blank lines follow `serde_json::jsonl`, as in every JSONL record here.
 
 use crate::workload::{JobSpec, WorkloadError, WorkloadSpec};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
+use serde_json::jsonl;
 use std::fmt;
 
 /// Trace schema version this module writes and accepts.
@@ -99,28 +101,30 @@ pub enum ReplayError {
 
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplayError::Header(reason) => write!(f, "bad trace header: {reason}"),
-            ReplayError::Line { line, reason } => {
-                write!(f, "line {line}: unparseable job: {reason}")
-            }
+        let (line, reason) = match self {
+            ReplayError::Header(reason) => return write!(f, "bad trace header: {reason}"),
             ReplayError::Truncated { expected, got } => {
-                write!(f, "trace truncated: header declares {expected} jobs, found {got}")
+                return write!(f, "trace truncated: header declares {expected} jobs, found {got}")
             }
+            ReplayError::SilentTenant { tenant } => {
+                return write!(
+                    f,
+                    "tenant {tenant:?} submits no jobs; the trace is likely truncated"
+                )
+            }
+            ReplayError::Line { line, reason } => (*line, format!("unparseable job: {reason}")),
             ReplayError::TrailingData { line } => {
-                write!(f, "line {line}: data past the declared job count")
+                (*line, "data past the declared job count".into())
             }
             ReplayError::OutOfOrder { line } => {
-                write!(f, "line {line}: job arrives before its predecessor")
+                (*line, "job arrives before its predecessor".into())
             }
             ReplayError::BadId { line, expected, got } => {
-                write!(f, "line {line}: job id {got} where {expected} was required")
+                (*line, format!("job id {got} where {expected} was required"))
             }
-            ReplayError::BadJob { line, reason } => write!(f, "line {line}: {reason}"),
-            ReplayError::SilentTenant { tenant } => {
-                write!(f, "tenant {tenant:?} submits no jobs; the trace is likely truncated")
-            }
-        }
+            ReplayError::BadJob { line, reason } => (*line, reason.to_string()),
+        };
+        jsonl::Error::at(line, reason).fmt(f)
     }
 }
 
@@ -245,6 +249,7 @@ impl Workload {
     /// The output replays to a bit-identical [`Workload`], and dumping
     /// that replay reproduces the identical text.
     pub fn dump_jsonl(&self) -> String {
+        let mut out = Writer::new();
         let header = Header {
             schema: SCHEMA,
             kind: KIND.to_string(),
@@ -253,13 +258,11 @@ impl Workload {
             tenants: self.tenants.clone(),
             jobs: self.jobs.len(),
         };
-        let mut out = serde_json::to_string(&header).expect("serialize trace header");
-        out.push('\n');
+        jsonl::line(&mut out, &header);
         for job in &self.jobs {
-            out.push_str(&serde_json::to_string(job).expect("serialize job line"));
-            out.push('\n');
+            jsonl::line(&mut out, job);
         }
-        out
+        out.into_string()
     }
 
     /// Parse and validate a JSONL trace. Every malformed input —
@@ -267,37 +270,19 @@ impl Workload {
     /// out-of-order or mis-numbered jobs, semantically invalid fields,
     /// silent tenants — is a typed [`ReplayError`] naming the line.
     pub fn replay(text: &str) -> Result<Workload, ReplayError> {
-        let mut lines = text.lines().enumerate();
-        let header_line = lines
-            .next()
-            .map(|(_, l)| l)
-            .filter(|l| !l.trim().is_empty())
-            .ok_or_else(|| ReplayError::Header("empty trace".into()))?;
-        let header: Header =
-            serde_json::from_str(header_line).map_err(|e| ReplayError::Header(e.to_string()))?;
-        if header.kind != KIND {
-            return Err(ReplayError::Header(format!("kind {:?} is not {KIND:?}", header.kind)));
-        }
-        if header.schema != SCHEMA {
-            return Err(ReplayError::Header(format!(
-                "schema {} unsupported (want {SCHEMA})",
-                header.schema
-            )));
-        }
-
-        let mut jobs: Vec<JobSpec> = Vec::with_capacity(header.jobs);
-        for (idx, line) in lines {
-            let lineno = idx + 1; // enumerate is 0-based
-            if line.trim().is_empty() {
-                // A single trailing newline is the normal dump shape;
-                // blank lines elsewhere count as trailing garbage.
-                continue;
-            }
+        let (header, lines): (Header, _) = jsonl::read(text, KIND, ("schema", SCHEMA))
+            .map_err(|e| ReplayError::Header(e.reason))?;
+        // The header's job count is a claim: reserve no more bytes than
+        // the text holds (a job's line is longer than a `JobSpec`, so an
+        // honest count is reserved exactly).
+        let fits = text.len() / std::mem::size_of::<JobSpec>();
+        let mut jobs: Vec<JobSpec> = Vec::with_capacity(header.jobs.min(fits));
+        for (lineno, line) in lines {
             if jobs.len() == header.jobs {
                 return Err(ReplayError::TrailingData { line: lineno });
             }
-            let job: JobSpec = serde_json::from_str(line)
-                .map_err(|e| ReplayError::Line { line: lineno, reason: e.to_string() })?;
+            let job: JobSpec = jsonl::parse(lineno, line)
+                .map_err(|e| ReplayError::Line { line: lineno, reason: e.reason })?;
             if job.id != jobs.len() {
                 return Err(ReplayError::BadId { line: lineno, expected: jobs.len(), got: job.id });
             }

@@ -147,7 +147,7 @@ impl DrainedRun {
     }
 
     /// Reconstruct the [`SchedResult`] on the client side.
-    pub fn into_result(self) -> Result<SchedResult, String> {
+    pub fn into_result(self) -> Result<SchedResult, serde_json::jsonl::Error> {
         let trace = fg_trace::from_jsonl(&self.trace_jsonl)?;
         Ok(SchedResult {
             outcomes: self.outcomes,

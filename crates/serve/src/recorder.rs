@@ -12,7 +12,8 @@
 //! `tests/serve_telemetry.rs` pins exactly that.
 
 use fg_sched::{AccuracySample, CoreEvent, CoreStats, DriftAlarm, TelemetrySnapshot};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
+use serde_json::jsonl;
 use std::collections::VecDeque;
 
 /// Format version written in every bundle header.
@@ -99,54 +100,39 @@ pub struct IncidentBundle {
     pub alarms: Vec<DriftAlarm>,
 }
 
-/// One non-header line of a bundle dump (externally tagged).
-#[derive(Serialize, Deserialize)]
-enum BundleLine {
-    /// A ring entry.
-    Event(RecordedEvent),
-    /// A ledger-tail sample.
-    Sample(AccuracySample),
-    /// A prior drift alarm.
-    Alarm(DriftAlarm),
-}
-
 impl IncidentBundle {
     /// Render the bundle as self-contained JSONL: a header line naming
-    /// the format, reason, instant, and counters, then one line per
-    /// retained event, ledger sample, and prior alarm.
+    /// the format, reason, instant, and counters, then one externally
+    /// tagged line per retained event (`Event`), ledger sample
+    /// (`Sample`), and prior alarm (`Alarm`).
     pub fn to_jsonl(&self) -> String {
         #[derive(Serialize)]
         struct Header {
-            kind: String,
+            kind: &'static str,
             version: u32,
             reason: IncidentReason,
             at: f64,
             stats: Option<CoreStats>,
         }
-        let mut out = String::new();
+        let mut out = Writer::new();
         let header = Header {
-            kind: "fg-incident".to_string(),
+            kind: "fg-incident",
             version: self.version,
             reason: self.reason.clone(),
             at: self.at,
             stats: self.stats.clone(),
         };
-        out.push_str(&serde_json::to_string(&header).expect("header serializes"));
-        out.push('\n');
-        let mut line = |l: &BundleLine| {
-            out.push_str(&serde_json::to_string(l).expect("bundle line serializes"));
-            out.push('\n');
-        };
+        jsonl::line(&mut out, &header);
         for e in &self.events {
-            line(&BundleLine::Event(e.clone()));
+            jsonl::tagged(&mut out, "Event", e);
         }
         for s in &self.ledger_tail {
-            line(&BundleLine::Sample(s.clone()));
+            jsonl::tagged(&mut out, "Sample", s);
         }
         for a in &self.alarms {
-            line(&BundleLine::Alarm(a.clone()));
+            jsonl::tagged(&mut out, "Alarm", a);
         }
-        out
+        out.into_string()
     }
 }
 

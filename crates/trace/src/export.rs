@@ -3,11 +3,12 @@
 //! Perfetto).
 
 use crate::span::{NodeRef, NodeRole, RunMeta, Span, Trace};
-use serde::{Deserialize, Serialize, Value, Writer};
+use serde::{Deserialize, Value, Writer};
+use serde_json::jsonl;
 
-/// One line of the JSON-lines format, externally tagged by record type.
-/// [`to_jsonl`] writes the same tags around borrowed payloads; this
-/// owned form is what [`from_jsonl`] reads a line into.
+/// One line of the JSON-lines format, externally tagged by record type:
+/// what [`from_jsonl`] reads a line into ([`to_jsonl`] writes the same
+/// tags around borrowed payloads).
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 enum Record {
     /// The run header.
@@ -23,36 +24,36 @@ enum Record {
 /// integer nanoseconds and floats print shortest-roundtrip, so
 /// [`from_jsonl`] reconstructs the trace exactly.
 pub fn to_jsonl(trace: &Trace) -> String {
-    fn line<T: Serialize>(w: &mut Writer, tag: &str, payload: &T) {
-        w.raw(tag);
-        payload.serialize(w);
-        w.raw("}\n");
-    }
-    let mut w = Writer::new();
+    let mut out = Writer::new();
     if let Some(meta) = &trace.meta {
-        line(&mut w, "{\"Meta\":", meta);
+        jsonl::tagged(&mut out, "Meta", meta);
     }
     for span in &trace.spans {
-        line(&mut w, "{\"Span\":", span);
+        jsonl::tagged(&mut out, "Span", span);
     }
     if trace.metrics != crate::metrics::MetricsSnapshot::default() {
-        line(&mut w, "{\"Metrics\":", &trace.metrics);
+        jsonl::tagged(&mut out, "Metrics", &trace.metrics);
     }
-    w.into_string()
+    out.into_string()
 }
 
 /// Parse a JSON-lines trace back into memory. Inverse of [`to_jsonl`].
-pub fn from_jsonl(text: &str) -> Result<Trace, String> {
+/// A span the exporters could not index — an id that is not its
+/// position, a parent that does not precede it — is refused by line.
+pub fn from_jsonl(text: &str) -> Result<Trace, jsonl::Error> {
     let mut trace = Trace { meta: None, spans: Vec::new(), metrics: Default::default() };
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: Record =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        match record {
+    for (n, line) in jsonl::headerless("fg-trace", text)? {
+        match jsonl::parse(n, line)? {
             Record::Meta(meta) => trace.meta = Some(meta),
-            Record::Span(span) => trace.spans.push(span),
+            Record::Span(span) => {
+                let (at, id, parent) = (trace.spans.len() as u64, span.id, span.parent);
+                if id != at || parent.is_some_and(|p| p >= at) {
+                    let why =
+                        format!("span {id} (parent {parent:?}): not span {at} after its parent");
+                    return Err(jsonl::Error::at(n, why));
+                }
+                trace.spans.push(span);
+            }
             Record::Metrics(metrics) => trace.metrics = metrics,
         }
     }
