@@ -1,4 +1,4 @@
-//! Regenerate the paper's evaluation figures.
+//! Regenerate the paper's evaluation figures and check their claims.
 //!
 //! ```text
 //! cargo run -p fg-bench --release --bin figures            # everything
@@ -7,63 +7,27 @@
 //! cargo run -p fg-bench --release --bin figures -- --bars fig2   # bar charts
 //! ```
 //!
-//! Each figure prints as a text table of relative prediction errors and
-//! is also written to `target/figures/<id>.json`. Regenerating the
-//! `ext-trace` figure additionally exports each paper application's
-//! golden-configuration trace to `target/figures/traces/<app>.jsonl`
-//! (the canonical record format) and `<app>.chrome.json` (loadable in
-//! `chrome://tracing` / Perfetto).
+//! Each figure prints as a text table of relative prediction errors, is
+//! written to `target/figures/<id>.json`, and is then checked against
+//! the claims of its experiment-table row: one `ok`/`FAIL` line per
+//! claim. Regenerating `ext-trace` also exports each paper application's
+//! golden-configuration trace to `target/figures/traces/` (`<app>.jsonl`,
+//! the canonical record format, and `<app>.chrome.json`, loadable in
+//! `chrome://tracing` / Perfetto); `ext-sched` exports its heavy-load
+//! scheduler traces to `sched/` and `ext-obs` its incident bundles to
+//! `incidents/`.
+//!
+//! Exit status: 0 when every claim holds, 1 when one is violated (or an
+//! output cannot be written), 2 on an unknown figure id.
 
 use fg_bench::figures::registry;
-use fg_bench::scenario::golden_trace_run;
-use fg_bench::PaperApp;
 use std::io::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn export_traces(out_dir: &std::path::Path) {
-    let trace_dir = out_dir.join("traces");
-    std::fs::create_dir_all(&trace_dir).expect("create target/figures/traces");
-    for app in PaperApp::PAPER_FIVE {
-        let (_, trace) = golden_trace_run(app);
-        let jsonl = trace_dir.join(format!("{}.jsonl", app.name()));
-        std::fs::write(&jsonl, fg_trace::to_jsonl(&trace))
-            .unwrap_or_else(|e| panic!("write {jsonl:?}: {e}"));
-        let chrome = trace_dir.join(format!("{}.chrome.json", app.name()));
-        std::fs::write(&chrome, fg_trace::to_chrome_json(&trace))
-            .unwrap_or_else(|e| panic!("write {chrome:?}: {e}"));
-        println!("  trace: {} and {}", jsonl.display(), chrome.display());
-    }
-}
+const USAGE: &str = "usage: figures [--bars] [--list | <figure id>...]";
 
-fn export_sched_traces(out_dir: &std::path::Path) {
-    let dir = out_dir.join("sched");
-    std::fs::create_dir_all(&dir).expect("create target/figures/sched");
-    for policy in fg_sched::Policy::ALL {
-        let result = fg_bench::figures::sched_run(policy, fg_sched::LoadLevel::Heavy);
-        let jsonl = dir.join(format!("{}.jsonl", policy.name()));
-        std::fs::write(&jsonl, fg_trace::to_jsonl(&result.trace))
-            .unwrap_or_else(|e| panic!("write {jsonl:?}: {e}"));
-        let chrome = dir.join(format!("{}.chrome.json", policy.name()));
-        std::fs::write(&chrome, fg_trace::to_chrome_json(&result.trace))
-            .unwrap_or_else(|e| panic!("write {chrome:?}: {e}"));
-        println!("  sched trace: {} and {}", jsonl.display(), chrome.display());
-    }
-}
-
-fn export_incidents(out_dir: &std::path::Path) {
-    let dir = out_dir.join("incidents");
-    std::fs::create_dir_all(&dir).expect("create target/figures/incidents");
-    for shape in fg_sched::WorkloadShape::ALL {
-        let bundles = fg_bench::figures::obs_incident_bundles(shape);
-        for (i, bundle) in bundles.iter().enumerate() {
-            let path = dir.join(format!("{}-{i}.jsonl", shape.name()));
-            std::fs::write(&path, bundle).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-            println!("  incident bundle: {}", path.display());
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let bars = if let Some(pos) = args.iter().position(|a| a == "--bars") {
         args.remove(pos);
@@ -73,45 +37,61 @@ fn main() {
     };
     let registry = registry();
     if args.iter().any(|a| a == "--list") {
-        for (id, _) in &registry {
-            println!("{id}");
+        for e in &registry {
+            println!("{}", e.id);
         }
-        return;
+        return ExitCode::SUCCESS;
     }
-    let selected: Vec<&fg_bench::FigureEntry> = if args.is_empty() {
-        registry.iter().collect()
-    } else {
-        args.iter()
-            .map(|a| {
-                registry
-                    .iter()
-                    .find(|(id, _)| id == a)
-                    .unwrap_or_else(|| panic!("unknown figure {a:?}; try --list"))
-            })
-            .collect()
-    };
+    let mut selected = Vec::new();
+    for a in &args {
+        let Some(e) = registry.iter().find(|e| e.id == a) else {
+            eprintln!("unknown figure {a:?}; --list names them all\n{USAGE}");
+            return ExitCode::from(2);
+        };
+        selected.push(e);
+    }
+    if args.is_empty() {
+        selected = registry.iter().collect();
+    }
 
     let out_dir = std::path::Path::new("target/figures");
     std::fs::create_dir_all(out_dir).expect("create target/figures");
     let mut stdout = std::io::stdout().lock();
-    for (id, gen) in selected {
+    let mut failures = Vec::new();
+    for e in selected {
         let started = Instant::now();
-        let figure = gen();
+        let figure = (e.generate)(e.id);
         let elapsed = started.elapsed();
         let rendered = if bars { figure.render_bars() } else { figure.render() };
         write!(stdout, "{rendered}").expect("stdout");
-        writeln!(stdout, "  [regenerated in {:.1}s]\n", elapsed.as_secs_f64()).expect("stdout");
-        let path = out_dir.join(format!("{id}.json"));
+        writeln!(stdout, "  [regenerated in {:.1}s]", elapsed.as_secs_f64()).expect("stdout");
+        let path = out_dir.join(format!("{}.json", e.id));
         let json = serde_json::to_string_pretty(&figure).expect("serialize figure");
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
-        if *id == "ext-trace" {
-            export_traces(out_dir);
+        let written =
+            std::fs::write(&path, json).and_then(|()| e.export.map_or(Ok(()), |f| f(out_dir)));
+        if let Err(err) = written {
+            eprintln!("{}: writing outputs failed: {err}", e.id);
+            return ExitCode::FAILURE;
         }
-        if *id == "ext-sched" {
-            export_sched_traces(out_dir);
+        for claim in e.claims() {
+            let holds = (claim.holds)(&figure);
+            writeln!(stdout, "{} {}: {}", if holds { "ok  " } else { "FAIL" }, e.id, claim.what)
+                .expect("stdout");
+            if !holds {
+                failures.push(format!("{}: {}", e.id, claim.what));
+            }
         }
-        if *id == "ext-obs" {
-            export_incidents(out_dir);
+        writeln!(stdout).expect("stdout");
+    }
+
+    if failures.is_empty() {
+        writeln!(stdout, "all figure claims hold").expect("stdout");
+        ExitCode::SUCCESS
+    } else {
+        writeln!(stdout, "{} claim(s) violated:", failures.len()).expect("stdout");
+        for f in &failures {
+            writeln!(stdout, "  - {f}").expect("stdout");
         }
+        ExitCode::FAILURE
     }
 }

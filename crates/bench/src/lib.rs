@@ -2,8 +2,9 @@
 //!
 //! Regenerates every experiment figure of the paper's evaluation (§5)
 //! plus ablations, printing the same series the paper plots (relative
-//! prediction error per configuration) and persisting machine-readable
-//! results. See `src/bin/figures.rs` for the CLI.
+//! prediction error per configuration), persisting machine-readable
+//! results, and checking each figure's claims. See `src/bin/figures.rs`
+//! for the CLI.
 
 #![warn(missing_docs)]
 
@@ -13,6 +14,5 @@ pub mod scenario;
 pub mod table;
 
 pub use apps::PaperApp;
-pub use figures::FigureEntry;
 pub use scenario::{pentium_deployment, FIGURE_SCALE};
 pub use table::Figure;

@@ -94,12 +94,31 @@ impl Figure {
 
     /// All finite values in one named column.
     pub fn column_values(&self, column: &str) -> Vec<f64> {
-        let idx = self
-            .columns
+        let idx = self.column_index(column);
+        self.rows.iter().map(|(_, vs)| vs[idx]).filter(|v| v.is_finite()).collect()
+    }
+
+    /// Mean of the finite values in one named column.
+    pub fn column_mean(&self, column: &str) -> f64 {
+        let v = self.column_values(column);
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+
+    /// The cell at a row label and a column (`NaN` where not applicable).
+    pub fn at(&self, row: &str, column: &str) -> f64 {
+        let idx = self.column_index(column);
+        self.rows
+            .iter()
+            .find(|(l, _)| l == row)
+            .map(|(_, vs)| vs[idx])
+            .unwrap_or_else(|| panic!("no row {row:?} in figure {}", self.id))
+    }
+
+    fn column_index(&self, column: &str) -> usize {
+        self.columns
             .iter()
             .position(|c| c == column)
-            .unwrap_or_else(|| panic!("no column {column:?} in figure {}", self.id));
-        self.rows.iter().map(|(_, vs)| vs[idx]).filter(|v| v.is_finite()).collect()
+            .unwrap_or_else(|| panic!("no column {column:?} in figure {}", self.id))
     }
 }
 
@@ -162,9 +181,22 @@ mod tests {
     }
 
     #[test]
+    fn cell_lookup_and_column_mean() {
+        assert_eq!(fig().at("r1", "b"), 0.10);
+        assert!(fig().at("r2", "b").is_nan());
+        assert!((fig().column_mean("a") - 0.03).abs() < 1e-15);
+    }
+
+    #[test]
     #[should_panic(expected = "no column")]
     fn missing_column_panics() {
         fig().column_values("zzz");
+    }
+
+    #[test]
+    #[should_panic(expected = "no row")]
+    fn missing_row_panics() {
+        fig().at("r3", "a");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Chunk → data-node placement.
 //!
 //! The repository divides a dataset's chunks across its `n` on-line data
-//! nodes. Contiguous placement (ADR-style, preserving spatial locality)
-//! is the default; round-robin is provided for comparison and tests.
+//! nodes by contiguous placement (ADR-style, preserving spatial
+//! locality).
 
 /// Contiguous placement: node `i` holds chunks
 /// `[i*m/n, (i+1)*m/n)` — balanced to within one chunk.
@@ -17,16 +17,6 @@ pub fn contiguous(num_chunks: usize, data_nodes: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Round-robin placement: chunk `k` lives on node `k % n`.
-pub fn round_robin(num_chunks: usize, data_nodes: usize) -> Vec<Vec<usize>> {
-    assert!(data_nodes >= 1);
-    let mut out = vec![Vec::new(); data_nodes];
-    for k in 0..num_chunks {
-        out[k % data_nodes].push(k);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,15 +29,8 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_interleaves() {
-        let p = round_robin(5, 2);
-        assert_eq!(p, vec![vec![0, 2, 4], vec![1, 3]]);
-    }
-
-    #[test]
     fn single_node_gets_everything() {
         assert_eq!(contiguous(3, 1), vec![vec![0, 1, 2]]);
-        assert_eq!(round_robin(3, 1), vec![vec![0, 1, 2]]);
     }
 
     #[test]
@@ -58,15 +41,11 @@ mod tests {
     }
 
     proptest! {
-        /// Both placements form a partition: every chunk appears exactly
+        /// The placement is a partition: every chunk appears exactly
         /// once, and load is balanced to within one chunk.
         #[test]
-        fn placements_are_balanced_partitions(
-            m in 0usize..500,
-            n in 1usize..17,
-            rr in proptest::bool::ANY,
-        ) {
-            let p = if rr { round_robin(m, n) } else { contiguous(m, n) };
+        fn placement_is_a_balanced_partition(m in 0usize..500, n in 1usize..17) {
+            let p = contiguous(m, n);
             prop_assert_eq!(p.len(), n);
             let mut seen = vec![false; m];
             for node in &p {

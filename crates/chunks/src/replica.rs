@@ -36,18 +36,6 @@ impl ReplicaCatalog {
         self.entries.get(dataset).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Remove a replica (e.g. a site going off-line). Returns whether it
-    /// was present.
-    pub fn unregister(&mut self, dataset: &str, site: &str) -> bool {
-        if let Some(sites) = self.entries.get_mut(dataset) {
-            if let Some(pos) = sites.iter().position(|s| s == site) {
-                sites.remove(pos);
-                return true;
-            }
-        }
-        false
-    }
-
     /// All registered dataset ids.
     pub fn datasets(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
@@ -73,15 +61,6 @@ mod tests {
         cat.register("ds1", "osu");
         cat.register("ds1", "osu");
         assert_eq!(cat.replicas("ds1").len(), 1);
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut cat = ReplicaCatalog::new();
-        cat.register("ds1", "osu");
-        assert!(cat.unregister("ds1", "osu"));
-        assert!(!cat.unregister("ds1", "osu"));
-        assert!(cat.replicas("ds1").is_empty());
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl Target {
         }
         Ok(())
     }
-
-    /// The target that reproduces the profile configuration itself.
-    pub fn of_profile(p: &Profile) -> Target {
-        Target {
-            data_nodes: p.data_nodes,
-            compute_nodes: p.compute_nodes,
-            wan_bw: p.wan_bw,
-            dataset_bytes: p.dataset_bytes,
-        }
-    }
 }
 
 /// The experimentally determined interconnect parameters of the target
@@ -413,6 +403,11 @@ mod tests {
         }
     }
 
+    /// The target that reproduces `profile()`'s own configuration.
+    fn identity() -> Target {
+        Target { data_nodes: 2, compute_nodes: 4, wan_bw: 1e6, dataset_bytes: 1_000_000 }
+    }
+
     fn ic() -> InterconnectParams {
         InterconnectParams { bandwidth: 1e6, latency: 0.5 }
     }
@@ -436,7 +431,7 @@ mod tests {
     #[test]
     fn identity_target_reproduces_profile_for_scalable_components() {
         let p = profile();
-        let t = Target::of_profile(&p);
+        let t = identity();
         assert!((predict_disk(&p, &t) - p.t_disk).abs() < 1e-12);
         assert!((predict_network(&p, &t) - p.t_network).abs() < 1e-12);
         let classes = AppClasses::CONSTANT_LINEAR_CONSTANT;
@@ -521,7 +516,7 @@ mod tests {
         };
         let bad = Target { data_nodes: 0, compute_nodes: 4, wan_bw: 1e6, dataset_bytes: 1 };
         assert_eq!(predictor.try_predict(&bad), Err(TargetError::NoDataNodes));
-        let good = Target::of_profile(&predictor.profile);
+        let good = identity();
         let p = predictor.try_predict(&good).expect("valid target");
         assert!(p.total().is_finite());
     }
@@ -552,7 +547,7 @@ mod tests {
             interconnect: ic(),
             model: ComputeModel::NoComm,
         };
-        let t = Target::of_profile(&p);
+        let t = identity();
         let pred = predictor.predict(&t);
         assert!((pred.total() - p.total()).abs() < 1e-9);
     }

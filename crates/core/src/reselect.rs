@@ -87,12 +87,6 @@ impl ReselectionController {
         self
     }
 
-    /// Remove a replica whose repository has failed from the candidate
-    /// set (it will never be migrated to).
-    pub fn mark_dead(&mut self, repository_name: &str) {
-        self.replicas.retain(|d| d.repository.name != repository_name);
-    }
-
     /// How many migrations this controller has requested.
     pub fn migrations(&self) -> usize {
         self.migrations
@@ -272,15 +266,6 @@ mod tests {
         let cur = replica("primary", 1e6);
         assert!(matches!(c.after_pass(&obs(0, Some(1e5)), &cur), PassAction::Continue));
         assert_eq!(c.migrations(), 0);
-    }
-
-    #[test]
-    fn dead_replicas_are_not_candidates() {
-        let mut c = controller();
-        c.mark_dead("backup");
-        let cur = replica("primary", 1e6);
-        // Even a collapsed path has nowhere better to go.
-        assert!(matches!(c.after_pass(&obs(0, Some(1e5)), &cur), PassAction::Continue));
     }
 
     #[test]

@@ -89,18 +89,6 @@ impl<S, O> Checkpoint<S, O> {
     }
 }
 
-impl<S, O: crate::api::ReductionObject> Checkpoint<S, O> {
-    /// Serialized size of the partial reduction objects (the payload a
-    /// migration must move), after data-part inflation.
-    pub fn object_bytes(&self, inflation: f64) -> u64 {
-        self.partials
-            .iter()
-            .flat_map(|cores| cores.iter())
-            .map(|o| o.size().logical(inflation))
-            .sum()
-    }
-}
-
 /// What [`crate::Executor::run_with`] produced: either the run finished
 /// (always, without a stop point), or it suspended into a checkpoint.
 #[allow(clippy::large_enum_variant)]

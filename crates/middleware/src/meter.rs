@@ -61,12 +61,6 @@ impl WorkMeter {
         self.fixed.cmp += n;
     }
 
-    /// Fold another meter's counts into this one.
-    pub fn absorb(&mut self, other: &WorkMeter) {
-        self.data += other.data;
-        self.fixed += other.fixed;
-    }
-
     /// Raw data-proportional counts.
     pub fn data_counts(&self) -> OpCounts {
         self.data
@@ -127,19 +121,6 @@ mod tests {
         assert_eq!(eff.flop, 1100);
         // time = 1100 ops / 100 ops/s = 11 s
         assert_eq!(m.time_on(&machine(), 10.0), SimDuration::from_secs(11));
-    }
-
-    #[test]
-    fn absorb_accumulates_both_channels() {
-        let mut a = WorkMeter::new();
-        a.data_mem(5);
-        a.fixed_cmp(7);
-        let mut b = WorkMeter::new();
-        b.data_mem(3);
-        b.fixed_cmp(2);
-        a.absorb(&b);
-        assert_eq!(a.data_counts().mem, 8);
-        assert_eq!(a.fixed_counts().cmp, 9);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl<E> Engine<E> {
         self.observer = Some(Box::new(observer));
     }
 
-    /// Remove the observer installed by [`Engine::set_observer`].
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -79,30 +74,6 @@ impl<E> Engine<E> {
                 obs(at, &event);
             }
             handler(self, event);
-        }
-    }
-
-    /// Run until the event list drains or the clock passes `deadline`;
-    /// returns `true` if the queue drained.
-    pub fn run_until(
-        &mut self,
-        deadline: SimTime,
-        mut handler: impl FnMut(&mut Engine<E>, E),
-    ) -> bool {
-        loop {
-            match self.queue.peek_time() {
-                None => return true,
-                Some(t) if t > deadline => return false,
-                Some(_) => {
-                    let (at, event) = self.queue.pop().expect("peeked event vanished");
-                    self.now = at;
-                    self.processed += 1;
-                    if let Some(obs) = self.observer.as_mut() {
-                        obs(at, &event);
-                    }
-                    handler(self, event);
-                }
-            }
         }
     }
 }
@@ -146,22 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let mut eng = Engine::new();
-        for i in 0..10u64 {
-            eng.schedule_at(SimTime::from_nanos(i * 100), i);
-        }
-        let mut seen = 0;
-        let drained = eng.run_until(SimTime::from_nanos(450), |_, _| seen += 1);
-        assert!(!drained);
-        assert_eq!(seen, 5);
-        // The remaining events are still there and can be drained later.
-        let drained = eng.run_until(SimTime::MAX, |_, _| seen += 1);
-        assert!(drained);
-        assert_eq!(seen, 10);
-    }
-
-    #[test]
     fn observer_sees_every_event_before_its_handler() {
         let mut eng = Engine::new();
         for i in 0..5u32 {
@@ -185,8 +140,6 @@ mod tests {
             assert_eq!(log[2 * i + 1].2, "handler");
             assert_eq!(log[2 * i].1, i as u32);
         }
-        // And it can be removed again.
-        eng.clear_observer();
     }
 
     #[test]

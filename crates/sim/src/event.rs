@@ -64,11 +64,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.payload))
     }
 
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -107,14 +102,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn len_tracks_push_and_pop() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(42), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(42)));
         assert_eq!(q.len(), 1);
-        q.pop();
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(42), ())));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     proptest! {

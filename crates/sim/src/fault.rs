@@ -19,7 +19,6 @@
 //! derives a schedule from a seed through [`crate::rng::stream_rng`],
 //! making randomized fault campaigns reproducible bit-for-bit.
 
-use crate::engine::Engine;
 use crate::time::{SimDuration, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -51,18 +50,6 @@ pub struct StragglerFault {
     pub compute_node: usize,
     /// Service-time multiplier, `>= 1`.
     pub slowdown: f64,
-}
-
-/// One fault materializing at an instant — the event-loop view of a
-/// schedule, for consumers driving an [`Engine`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEvent {
-    /// A data node crashes.
-    Crash(CrashFault),
-    /// A degradation window opens.
-    DegradationStart(DegradationWindow),
-    /// A degradation window closes.
-    DegradationEnd(DegradationWindow),
 }
 
 /// The full fault plan of one run.
@@ -114,11 +101,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Is `data_node` dead at instant `t`?
-    pub fn is_crashed(&self, data_node: usize, t: SimTime) -> bool {
-        self.crashes.iter().any(|c| c.data_node == data_node && c.at <= t)
-    }
-
     /// Data nodes dead at instant `t`, ascending, deduplicated.
     pub fn crashed_nodes(&self, t: SimTime) -> Vec<usize> {
         let mut dead: Vec<usize> =
@@ -142,32 +124,6 @@ impl FaultSchedule {
             .filter(|s| s.compute_node == compute_node)
             .map(|s| s.slowdown)
             .product()
-    }
-
-    /// All instantaneous fault events, sorted by time (stragglers are
-    /// run-long properties, not events).
-    pub fn events(&self) -> Vec<(SimTime, FaultEvent)> {
-        let mut out: Vec<(SimTime, FaultEvent)> = Vec::new();
-        for &c in &self.crashes {
-            out.push((c.at, FaultEvent::Crash(c)));
-        }
-        for &w in &self.degradations {
-            out.push((w.from, FaultEvent::DegradationStart(w)));
-            out.push((w.until, FaultEvent::DegradationEnd(w)));
-        }
-        out.sort_by_key(|&(t, _)| t);
-        out
-    }
-
-    /// Schedule every fault event onto an engine (events already in the
-    /// engine's past are dropped — the faults have, by definition,
-    /// already happened).
-    pub fn inject_into(&self, engine: &mut Engine<FaultEvent>) {
-        for (t, ev) in self.events() {
-            if t >= engine.now() {
-                engine.schedule_at(t, ev);
-            }
-        }
     }
 
     /// A seeded random schedule over a run expected to span `horizon`:
@@ -227,20 +183,16 @@ mod tests {
     fn empty_schedule_reports_nothing() {
         let s = FaultSchedule::none();
         assert!(s.is_empty());
-        assert!(!s.is_crashed(0, SimTime::MAX));
+        assert!(s.crashed_nodes(SimTime::MAX).is_empty());
         assert_eq!(s.bandwidth_factor(SimTime::ZERO), 1.0);
         assert_eq!(s.slowdown(5), 1.0);
-        assert!(s.events().is_empty());
     }
 
     #[test]
     fn crashes_are_fail_stop() {
         let s = FaultSchedule::none().crash(2, t(10));
-        assert!(!s.is_crashed(2, t(9)));
-        assert!(s.is_crashed(2, t(10)));
-        assert!(s.is_crashed(2, SimTime::MAX));
-        assert!(!s.is_crashed(0, SimTime::MAX));
         assert_eq!(s.crashed_nodes(t(10)), vec![2]);
+        assert_eq!(s.crashed_nodes(SimTime::MAX), vec![2]);
         assert!(s.crashed_nodes(t(9)).is_empty());
     }
 
@@ -269,26 +221,6 @@ mod tests {
     #[should_panic(expected = "degradation factor")]
     fn zero_degradation_factor_rejected() {
         let _ = FaultSchedule::none().degrade(t(0), t(1), 0.0);
-    }
-
-    #[test]
-    fn events_are_time_sorted() {
-        let s = FaultSchedule::none().degrade(t(5), t(20), 0.5).crash(0, t(1)).crash(1, t(30));
-        let times: Vec<SimTime> = s.events().iter().map(|&(t, _)| t).collect();
-        assert_eq!(times, vec![t(1), t(5), t(20), t(30)]);
-    }
-
-    #[test]
-    fn injection_drives_an_engine() {
-        let s = FaultSchedule::none().crash(0, t(3)).degrade(t(1), t(5), 0.5);
-        let mut eng = Engine::new();
-        s.inject_into(&mut eng);
-        let mut log = Vec::new();
-        eng.run(|e, ev| {
-            log.push((e.now(), matches!(ev, FaultEvent::Crash(_))));
-        });
-        assert_eq!(log.len(), 3);
-        assert_eq!(log[1], (t(3), true));
     }
 
     #[test]

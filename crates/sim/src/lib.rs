@@ -33,6 +33,6 @@ pub mod time;
 pub use engine::Engine;
 pub use event::EventQueue;
 pub use fairshare::{FairShareSim, Flow, FlowOutcome, RateScratch, ResourceId};
-pub use fault::{CrashFault, DegradationWindow, FaultEvent, FaultSchedule, StragglerFault};
+pub use fault::{CrashFault, DegradationWindow, FaultSchedule, StragglerFault};
 pub use server::{FifoServer, Interval, ServerPool};
 pub use time::{SimDuration, SimTime};
