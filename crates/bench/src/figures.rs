@@ -1172,10 +1172,9 @@ pub fn workload_jobs(shape: fg_sched::WorkloadShape) -> Vec<fg_sched::JobSpec> {
         .generate()
 }
 
-/// One plain `ext-workload` scheduler run over a shaped stream, with
-/// the workload-shape instruments armed.
+/// One plain `ext-workload` scheduler run over a shaped stream.
 fn workload_run(policy: Policy, shape: WorkloadShape) -> SchedResult {
-    demo_scheduler(policy).with_workload_metrics().run(&workload_jobs(shape))
+    demo_scheduler(policy).run(&workload_jobs(shape))
 }
 
 /// The migration arm over a shaped stream, optionally under a pluggable

@@ -14,14 +14,15 @@
 //!   a time is bit-identical to the batch run, because arrivals are
 //!   integration horizons in both.
 //! * [`SchedSnapshot`] — an immutable, cheaply-cloned copy of what an
-//!   admission is priced from (bandwidth estimates, fluid backlog, the
-//!   clock; grid, predictor and idle grid shared by `Arc`).
-//!   [`SchedSnapshot::quote`] and the arrival block are the same call —
-//!   one private function over one borrowed view, which the live core
-//!   lends from its own state and a snapshot from its copy — so a quote
-//!   needs no mutable access and therefore no lock on the live core,
-//!   which is what lets `fg-serve`'s session threads answer quotes
-//!   while the core thread owns the clock.
+//!   admission is priced from: the clock, the bandwidth estimates and
+//!   the fluid backlog, plus the core's pricing context (grid,
+//!   predictor, policy, idle grid), which is built once and shared by
+//!   `Arc`. [`SchedSnapshot::quote`] and the arrival block are the same
+//!   call, `Pricing::price`, over the live core's state or the
+//!   snapshot's copy of it — so a quote needs no mutable access and
+//!   therefore no lock on the live core, which is what lets
+//!   `fg-serve`'s session threads answer quotes while the core thread
+//!   owns the clock.
 //!
 //! **Where a job's facts live.** Once, in the job table: a submitted
 //! [`JobSpec`] is *moved* into a [`JobOutcome`] row of `SchedCore::jobs`
@@ -30,8 +31,10 @@
 //! hands the table out as [`SchedResult::outcomes`]. Everything else
 //! refers to a job by its row index: the pending-arrival list (with the
 //! one spec field a row has no use for, the deadline slack), the queue's
-//! entries, a running or suspended job. The grid is the scheduler
-//! configuration's `Arc`, shared with every snapshot.
+//! entries, a running job. A suspended job is the running job it was
+//! evicted as, phase and all; what its phase had left is measured from
+//! the row's last preemption instant when it resumes. The grid is the
+//! scheduler configuration's `Arc`, shared with every snapshot.
 //!
 //! **Where names live.** Once, in the core's name table (`Names`):
 //! `SchedCore::new` copies every repository, site and application name
@@ -133,28 +136,9 @@ struct Running {
     /// migration trigger's baseline (accumulated only when migration
     /// is enabled).
     net_expected: f64,
-    /// Deadline instant, for preemption ordering.
-    deadline: Option<f64>,
-    /// Reduction-object bytes a checkpoint of this job would move.
-    max_obj_bytes: u64,
     /// Suppress the bandwidth-feedback sample: a preempted or migrated
     /// transfer's elapsed time is not a clean observation.
     no_feedback: bool,
-}
-
-/// What was left of a preempted job's current phase.
-#[derive(Debug, Clone, Copy)]
-enum RemainingPhase {
-    Disk(f64),
-    Network(f64),
-    Compute(f64),
-}
-
-/// A checkpointed job waiting to re-occupy its nodes.
-#[derive(Debug, Clone)]
-struct Suspended {
-    job: Running,
-    remaining: RemainingPhase,
 }
 
 /// How a job got its nodes in a scheduling pass.
@@ -518,16 +502,17 @@ pub struct SchedCore {
     cfg: Scheduler,
     names: Names,
     nrepo: usize,
-    total_slots: usize,
     min_slots: usize,
     net: FairShareSim,
     free: FreeSlices,
-    idle: Arc<IdleGrid>,
+    pricing: Arc<Pricing>,
     bw: Vec<f64>,
     estimators: Vec<Ewma>,
     used_slots: Vec<usize>,
     buckets: Vec<(TenantQuota, f64, f64)>,
-    suspended: Vec<Suspended>,
+    /// Checkpointed jobs waiting to re-occupy their nodes, each in the
+    /// phase it was evicted in.
+    suspended: Vec<Running>,
     tracer: Option<Tracer>,
     inst: Instruments,
     /// The job table: one row per submitted job, in submission order,
@@ -578,7 +563,6 @@ impl SchedCore {
             "grid must have repositories, sites, and configurations"
         );
         let nrepo = grid.repos.len();
-        let total_slots = grid.total_compute_slots();
         let min_slots = grid.min_config_slots();
         let capacities: Vec<f64> = grid
             .repos
@@ -587,13 +571,9 @@ impl SchedCore {
             .chain(grid.sites.iter().map(|s| s.ingress_capacity))
             .collect();
         let net = FairShareSim::new(capacities);
-        let idle = IdleGrid {
-            data: grid.repos.iter().map(|r| r.site.max_nodes).collect(),
-            cmp: grid.sites.iter().map(|s| s.site.max_nodes).collect(),
-            bw: grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
-        };
-        let free = FreeSlices::new(idle.data.clone(), idle.cmp.clone());
-        let bw = idle.bw.clone();
+        let pricing = Pricing::new(&scheduler);
+        let free = FreeSlices::new(pricing.idle_data.clone(), pricing.idle_cmp.clone());
+        let bw = pricing.nominal_bw.clone();
         let estimators: Vec<Ewma> = (0..nrepo).map(|_| Ewma::new(scheduler.ewma_alpha)).collect();
         // Token buckets start full; refill lazily at each arrival.
         let buckets: Vec<(TenantQuota, f64, f64)> = scheduler
@@ -644,11 +624,10 @@ impl SchedCore {
             cfg: scheduler,
             names,
             nrepo,
-            total_slots,
             min_slots,
             net,
             free,
-            idle: Arc::new(idle),
+            pricing: Arc::new(pricing),
             bw,
             estimators,
             used_slots: Vec::new(),
@@ -689,16 +668,6 @@ impl SchedCore {
     /// The sim-clock instant the machine has advanced to.
     pub fn now(&self) -> f64 {
         self.now
-    }
-
-    /// The policy this core applies.
-    pub fn policy(&self) -> Policy {
-        self.cfg.policy
-    }
-
-    /// The grid this core schedules over.
-    pub fn grid(&self) -> &Arc<GridSpec> {
-        &self.cfg.grid
     }
 
     /// Drain the decision events recorded since the last call (empty
@@ -836,21 +805,16 @@ impl SchedCore {
 
     /// An immutable copy of what an admission is priced from at this
     /// instant, for `&self` quotes that never touch the live core.
-    /// Building one copies the bandwidth estimates (the grid, the
-    /// predictor and the idle grid are [`Arc`]s), so a server can
-    /// publish one per state change — behind an `Arc`, so readers share
-    /// it instead of copying it again — and answer quotes on any number
-    /// of threads.
+    /// Building one copies the bandwidth estimates (the pricing context
+    /// is an [`Arc`]), so a server can publish one per state change —
+    /// behind an `Arc`, so readers share it instead of copying it again
+    /// — and answer quotes on any number of threads.
     pub fn snapshot(&self) -> SchedSnapshot {
         SchedSnapshot {
-            grid: Arc::clone(&self.cfg.grid),
-            policy: self.cfg.policy,
-            predictor: Arc::clone(&self.cfg.predictor),
-            idle: Arc::clone(&self.idle),
+            pricing: Arc::clone(&self.pricing),
             now: self.now,
             bw: self.bw.clone(),
             backlog_slot_secs: self.backlog_slot_secs(),
-            total_slots: self.total_slots,
         }
     }
 
@@ -878,25 +842,6 @@ impl SchedCore {
         self.pump(true);
         let events = self.take_events();
         let tracer = self.tracer.take().expect("finish consumes the tracer");
-        if self.cfg.workload_metrics {
-            // Shape-of-traffic instruments over the submitted stream,
-            // computed at drain time (they describe the input, not the
-            // schedule). Registered last, so the registry order the
-            // goldens pin is standard, feature, workload.
-            let mut by_arrival: Vec<&JobOutcome> = self.jobs.iter().collect();
-            by_arrival.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
-            let stats = crate::replay::stats_over(&by_arrival, |o| (o.arrival, o.dataset_bytes));
-            tracer.metrics.gauge("workload_burst_depth_max").set(stats.burst_depth_max as f64);
-            tracer.metrics.gauge("workload_tail_mass_top1").set(stats.tail_mass_top1);
-            tracer.metrics.gauge("workload_p99_dataset_mb").set(stats.p99_bytes as f64 / 1e6);
-            tracer.metrics.gauge("workload_mean_gap_secs").set(stats.mean_gap);
-            let size_h = tracer
-                .metrics
-                .histogram("workload_dataset_mb", &[16.0, 64.0, 256.0, 1024.0, 4096.0]);
-            for o in by_arrival {
-                size_h.observe(o.dataset_bytes as f64 / 1e6);
-            }
-        }
         self.inst.depth_max.set(self.depth_max as f64);
         self.inst.depth.set(self.queue.len() as f64);
         // Nothing reads the id set or the app indices again: release
@@ -1027,7 +972,7 @@ impl SchedCore {
                     for s in &self.suspended {
                         self.violations.push(format!(
                             "job {} suspended forever: its nodes never freed",
-                            self.jobs[s.job.row].id
+                            self.jobs[s.row].id
                         ));
                     }
                 }
@@ -1076,17 +1021,16 @@ impl SchedCore {
             }
             let model = self.app_of[row].map(|ix| &self.cfg.grid.apps[ix].1);
             let price = model.and_then(|model| {
-                AdmissionView {
-                    grid: &self.cfg.grid,
-                    predictor: self.cfg.predictor.as_ref(),
-                    policy: self.cfg.policy,
-                    idle: &self.idle,
-                    now: self.now,
-                    bw: &self.bw,
-                    backlog_slot_secs: self.backlog_slot_secs(),
-                    total_slots: self.total_slots,
-                }
-                .price(model, o.dataset_bytes, deadline_slack, o.arrival)
+                let backlog = self.backlog_slot_secs();
+                self.pricing.price(
+                    self.now,
+                    &self.bw,
+                    backlog,
+                    model,
+                    o.dataset_bytes,
+                    deadline_slack,
+                    o.arrival,
+                )
             });
             let o = &mut self.jobs[row];
             o.standalone = price.as_ref().map(|(q, _)| q.standalone);
@@ -1339,7 +1283,7 @@ impl SchedCore {
             let f_rem = (r.net_remaining / r.bytes.max(1.0)).clamp(0.0, 1.0);
             let stay = r.net_remaining / achieved + f_rem * r.predicted.t_compute.max(0.0);
             let link = InterconnectParams::of_site(&grid.sites[r.site].site);
-            let decision = decide_migration(stay, &pred, f_rem, r.max_obj_bytes, &link);
+            let decision = decide_migration(stay, &pred, f_rem, model.profile.max_obj_bytes, &link);
             if !decision.worthwhile(mc.margin) {
                 continue;
             }
@@ -1386,36 +1330,31 @@ impl SchedCore {
             // The restore pause is charged up front.
             let mut si = 0;
             while si < self.suspended.len() {
-                let fits = self.suspended[si].job.config.data_nodes
-                    <= self.free.data()[self.suspended[si].job.repo]
-                    && self.suspended[si].job.config.compute_nodes
-                        <= self.free.cmp()[self.suspended[si].job.site];
+                let s = &self.suspended[si];
+                let fits = s.config.data_nodes <= self.free.data()[s.repo]
+                    && s.config.compute_nodes <= self.free.cmp()[s.site];
                 if !fits {
                     si += 1;
                     continue;
                 }
-                let Suspended { mut job, remaining } = self.suspended.remove(si);
+                let mut job = self.suspended.remove(si);
                 let overhead = self.cfg.preemption.unwrap_or(0.0);
                 self.free.alloc(job.repo, job.site, &job.config);
                 self.used_slots[job.tenant] += job.config.compute_nodes;
                 job.no_feedback = true;
-                job.phase = match remaining {
-                    RemainingPhase::Disk(rem) => Phase::Disk { until: self.now + overhead + rem },
-                    RemainingPhase::Network(remb) => {
-                        // Restore pause, then the transfer continues
-                        // with its remaining bytes.
-                        job.net_remaining = remb;
+                let o = &mut self.jobs[job.row];
+                let p = o.preemptions.last_mut().expect("suspended job recorded its preemption");
+                p.resumed_at = Some(self.now);
+                // What the evicted phase had left, restarted after the
+                // restore pause; a transfer keeps its remaining bytes.
+                let resumed = |until: f64| self.now + overhead + (until - p.preempted_at).max(0.0);
+                job.phase = match job.phase {
+                    Phase::Disk { until } => Phase::Disk { until: resumed(until) },
+                    Phase::Network | Phase::Migrating { .. } => {
                         Phase::Migrating { until: self.now + overhead }
                     }
-                    RemainingPhase::Compute(rem) => {
-                        Phase::Compute { until: self.now + overhead + rem }
-                    }
+                    Phase::Compute { until } => Phase::Compute { until: resumed(until) },
                 };
-                let o = &mut self.jobs[job.row];
-                o.preemptions
-                    .last_mut()
-                    .expect("suspended job recorded its preemption")
-                    .resumed_at = Some(self.now);
                 if let Some(log) = self.events.as_mut() {
                     log.push(CoreEvent::Resumed { id: o.id, at: self.now });
                 }
@@ -1445,14 +1384,19 @@ impl SchedCore {
             }
             // Every placement query of the pass is the paper's scan over
             // the slices free right now (or, for preemption, free once a
-            // victim leaves).
+            // victim leaves) at the current bandwidth estimates, the same
+            // scan an admission is priced with. It tests a candidate's
+            // feasibility before it predicts it, so a query nothing fits
+            // costs `repos × sites × configs` integer compares.
             let scans = &mut self.pump_stats.placement_scans;
             let (predictor, bw) = (self.cfg.predictor.as_ref(), &self.bw);
             let (jobs, app_of) = (&self.jobs, &self.app_of);
             let mut scan = |row: usize, free: &FreeSlices, quota_cap: Option<usize>| {
                 *scans += 1;
                 let model = model_of(grid, app_of, row);
-                scan_placement(predictor, grid, model, jobs[row].dataset_bytes, free, bw, quota_cap)
+                let (data, cmp) = (free.data(), free.cmp());
+                let bytes = jobs[row].dataset_bytes;
+                naive_best_placement_with(predictor, grid, model, bytes, data, cmp, bw, quota_cap)
             };
             // Max-min fair slot quotas over the tenants that want
             // slots. A queued job demands what it could use when placed
@@ -1467,12 +1411,12 @@ impl SchedCore {
                 demands[r.tenant] += r.config.compute_nodes;
             }
             for s in self.suspended.iter() {
-                demands[s.job.tenant] += s.job.config.compute_nodes;
+                demands[s.tenant] += s.config.compute_nodes;
             }
             for (t, d) in demands.iter_mut().enumerate() {
                 *d += self.queue.queued_for(t) * max_slots;
             }
-            let quota = fair_quota(self.total_slots, &demands);
+            let quota = fair_quota(self.pricing.total_slots, &demands);
 
             let headroom = |t: usize| quota[t].saturating_sub(self.used_slots[t]);
 
@@ -1522,12 +1466,12 @@ impl SchedCore {
             let preempting = start.is_none() && self.cfg.preemption.is_some();
             if let Some((_, head_row)) = preempting.then(|| self.queue.head()).flatten() {
                 if let Some(qd) = self.jobs[head_row].deadline {
+                    let deadline = |i: usize| self.jobs[self.running[i].row].deadline;
                     let mut victims: Vec<usize> = (0..self.running.len())
-                        .filter(|&i| self.running[i].deadline.is_some_and(|d| d > qd + TIME_EPS))
+                        .filter(|&i| deadline(i).is_some_and(|d| d > qd + TIME_EPS))
                         .collect();
                     victims.sort_by(|&a, &b| {
-                        let (da, db) =
-                            (self.running[a].deadline.unwrap(), self.running[b].deadline.unwrap());
+                        let (da, db) = (deadline(a).unwrap(), deadline(b).unwrap());
                         db.total_cmp(&da).then(self.running[a].row.cmp(&self.running[b].row))
                     });
                     for vi in victims {
@@ -1540,17 +1484,6 @@ impl SchedCore {
                         let v = self.running.remove(vi);
                         self.free.release(v.repo, v.site, &v.config);
                         self.used_slots[v.tenant] -= v.config.compute_nodes;
-                        let remaining = match v.phase {
-                            Phase::Disk { until } => {
-                                RemainingPhase::Disk((until - self.now).max(0.0))
-                            }
-                            Phase::Network | Phase::Migrating { .. } => {
-                                RemainingPhase::Network(v.net_remaining)
-                            }
-                            Phase::Compute { until } => {
-                                RemainingPhase::Compute((until - self.now).max(0.0))
-                            }
-                        };
                         let o = &mut self.jobs[v.row];
                         o.preemptions
                             .push(PreemptionEvent { preempted_at: self.now, resumed_at: None });
@@ -1563,7 +1496,7 @@ impl SchedCore {
                         if let Some(evs) = self.events.as_mut() {
                             evs.push(CoreEvent::Preempted { id: o.id, at: self.now });
                         }
-                        self.suspended.push(Suspended { job: v, remaining });
+                        self.suspended.push(v);
                         start = Some((head_row, p, StartKind::Preempt));
                         break;
                     }
@@ -1580,11 +1513,14 @@ impl SchedCore {
                 // a long saturated backlog would re-scan the whole
                 // queue after every pass.
                 if cfg!(debug_assertions) && !self.cfg.policy.head_blocking() {
+                    let (data, cmp) = (self.free.data(), self.free.cmp());
                     for (id, row) in self.queue.by_id() {
                         let model = model_of(grid, &self.app_of, row);
                         let bytes = self.jobs[row].dataset_bytes;
-                        if scan_placement(predictor, grid, model, bytes, &self.free, bw, None)
-                            .is_some()
+                        if naive_best_placement_with(
+                            predictor, grid, model, bytes, data, cmp, bw, None,
+                        )
+                        .is_some()
                         {
                             self.violations.push(format!(
                                 "work conservation: job {id} fits free nodes but was not started at t={:.3}",
@@ -1664,38 +1600,10 @@ impl SchedCore {
                 disk_end: None,
                 network_end: None,
                 net_expected: 0.0,
-                deadline: o.deadline,
-                max_obj_bytes: model_of(grid, &self.app_of, row).profile.max_obj_bytes,
                 no_feedback: false,
             });
         }
     }
-}
-
-/// The scheduling pass's placement query: the paper's enumeration over
-/// `free` at the current bandwidth estimates, the same scan an admission
-/// is priced with. The scan tests a candidate's feasibility before it
-/// predicts it, so a query nothing fits costs `repos × sites × configs`
-/// integer compares.
-fn scan_placement(
-    predictor: &dyn Predictor,
-    grid: &GridSpec,
-    model: &AppModel,
-    dataset_bytes: u64,
-    free: &FreeSlices,
-    bw: &[f64],
-    quota_cap: Option<usize>,
-) -> Option<Placement> {
-    naive_best_placement_with(
-        predictor,
-        grid,
-        model,
-        dataset_bytes,
-        free.data(),
-        free.cmp(),
-        bw,
-        quota_cap,
-    )
 }
 
 /// A job's admission price — the answer to "if a job with this app and
@@ -1720,63 +1628,72 @@ pub struct PredictionQuote {
     pub would_admit: Option<bool>,
 }
 
-/// An idle grid as a placement query sees it: every data and compute
-/// node free, every repository at its nominal bandwidth. Built once
-/// per core and shared with its snapshots.
+/// What an admission is priced from that never changes while a core
+/// runs: the grid, the predictor, the policy, and the grid idle — every
+/// data and compute node free, every repository at its nominal
+/// bandwidth. Built once per core and shared by `Arc` with its
+/// snapshots.
 #[derive(Debug)]
-struct IdleGrid {
-    data: Vec<usize>,
-    cmp: Vec<usize>,
-    bw: Vec<f64>,
-}
-
-/// Everything an admission is priced from, borrowed: the live core
-/// lends its own state at each arrival, a [`SchedSnapshot`] its
-/// published copy.
-struct AdmissionView<'a> {
-    grid: &'a GridSpec,
-    predictor: &'a dyn Predictor,
+struct Pricing {
+    grid: Arc<GridSpec>,
+    predictor: Arc<dyn Predictor>,
     policy: Policy,
-    idle: &'a IdleGrid,
-    now: f64,
-    bw: &'a [f64],
-    backlog_slot_secs: f64,
+    idle_data: Vec<usize>,
+    idle_cmp: Vec<usize>,
+    nominal_bw: Vec<f64>,
     total_slots: usize,
 }
 
-impl AdmissionView<'_> {
-    /// Price one admission, with the deadline instant (`anchor` plus
-    /// slack × standalone) its verdict was judged against. Both
-    /// predictions are the paper's enumeration over the *whole* grid —
-    /// a job is assumed to eventually get its best placement, not the
-    /// currently free one: standalone at nominal bandwidth, corrected
-    /// at the current estimates (falling back to standalone when no
-    /// candidate prices at them), both from one walk that prices each
+impl Pricing {
+    fn new(scheduler: &Scheduler) -> Pricing {
+        let grid = &scheduler.grid;
+        Pricing {
+            grid: Arc::clone(grid),
+            predictor: Arc::clone(&scheduler.predictor),
+            policy: scheduler.policy,
+            idle_data: grid.repos.iter().map(|r| r.site.max_nodes).collect(),
+            idle_cmp: grid.sites.iter().map(|s| s.site.max_nodes).collect(),
+            nominal_bw: grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
+            total_slots: grid.total_compute_slots(),
+        }
+    }
+
+    /// Price one admission at instant `now`, bandwidth estimates `bw`
+    /// and fluid backlog `backlog_slot_secs`, with the deadline instant
+    /// (`anchor` plus slack × standalone) its verdict was judged
+    /// against. Both predictions are the paper's enumeration over the
+    /// *whole* grid — a job is assumed to eventually get its best
+    /// placement, not the currently free one: standalone at nominal
+    /// bandwidth, corrected at `bw` (falling back to standalone when no
+    /// candidate prices at it), both from one walk that prices each
     /// prepared pair at the two vectors. The wait term is the fluid
     /// backlog spread over every slot. `None` when nothing places even
     /// on an idle grid.
+    #[allow(clippy::too_many_arguments)]
     fn price(
         &self,
+        now: f64,
+        bw: &[f64],
+        backlog_slot_secs: f64,
         model: &AppModel,
         dataset_bytes: u64,
         deadline_slack: f64,
         anchor: f64,
     ) -> Option<(PredictionQuote, f64)> {
-        let IdleGrid { data, cmp, bw: nominal } = self.idle;
         let [standalone, corrected] = best_placements(
-            self.predictor,
-            self.grid,
+            self.predictor.as_ref(),
+            &self.grid,
             model,
             dataset_bytes,
-            data,
-            cmp,
-            [nominal, self.bw],
+            &self.idle_data,
+            &self.idle_cmp,
+            [&self.nominal_bw, bw],
             None,
         )
         .map(|best| best.map(|p| p.predicted.total()));
         let standalone = standalone?;
         let corrected = corrected.unwrap_or(standalone);
-        let estimate = self.now + self.backlog_slot_secs / self.total_slots as f64 + corrected;
+        let estimate = now + backlog_slot_secs / self.total_slots as f64 + corrected;
         let deadline = anchor + deadline_slack * standalone;
         let would_admit = self.policy.admits().then_some(estimate <= deadline + TIME_EPS);
         Some((PredictionQuote { standalone, corrected, estimate, would_admit }, deadline))
@@ -1789,25 +1706,16 @@ impl AdmissionView<'_> {
 /// without locking the live core.
 #[derive(Debug, Clone)]
 pub struct SchedSnapshot {
-    grid: Arc<GridSpec>,
-    policy: Policy,
-    predictor: Arc<dyn Predictor>,
-    idle: Arc<IdleGrid>,
+    pricing: Arc<Pricing>,
     now: f64,
     bw: Vec<f64>,
     backlog_slot_secs: f64,
-    total_slots: usize,
 }
 
 impl SchedSnapshot {
     /// The sim-clock instant the snapshot was taken at.
     pub fn now(&self) -> f64 {
         self.now
-    }
-
-    /// The policy the core applies.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// Quote the admission price a job with this app and dataset would
@@ -1824,18 +1732,10 @@ impl SchedSnapshot {
         deadline_slack: f64,
     ) -> Option<PredictionQuote> {
         check_job_fields(self.now, dataset_bytes, deadline_slack).ok()?;
-        let view = AdmissionView {
-            grid: &self.grid,
-            predictor: self.predictor.as_ref(),
-            policy: self.policy,
-            idle: &self.idle,
-            now: self.now,
-            bw: &self.bw,
-            backlog_slot_secs: self.backlog_slot_secs,
-            total_slots: self.total_slots,
-        };
-        let model = self.grid.app(app)?;
-        view.price(model, dataset_bytes, deadline_slack, self.now).map(|(quote, _)| quote)
+        let model = self.pricing.grid.app(app)?;
+        let (now, bw, backlog) = (self.now, &self.bw, self.backlog_slot_secs);
+        let price = self.pricing.price(now, bw, backlog, model, dataset_bytes, deadline_slack, now);
+        price.map(|(quote, _)| quote)
     }
 }
 
@@ -2043,11 +1943,9 @@ mod tests {
                 apps: models(),
                 factors: HashMap::new(),
             };
-            let idle = IdleGrid {
-                data: grid.repos.iter().map(|r| r.site.max_nodes).collect(),
-                cmp: grid.sites.iter().map(|s| s.site.max_nodes).collect(),
-                bw: grid.repos.iter().map(|r| r.wan.stream_bw).collect(),
-            };
+            let scheduler = Scheduler::new(grid, Policy::EdfAdmit);
+            let pricing = Pricing::new(&scheduler);
+            let grid = &scheduler.grid;
             // The current estimates: drifted, or (one draw in four per
             // repository) something no target accepts.
             let current: Vec<f64> = repos
@@ -2058,33 +1956,23 @@ mod tests {
                     _ => bw * drift,
                 })
                 .collect();
-            let view = AdmissionView {
-                grid: &grid,
-                predictor: &AnalyticalPredictor,
-                policy: Policy::EdfAdmit,
-                idle: &idle,
-                now: 100.0,
-                bw: &current,
-                backlog_slot_secs: backlog,
-                total_slots: grid.total_compute_slots(),
-            };
             let (_, model) = &grid.apps[app];
             let bytes = [1u64 << 20, 64 << 20, 800 << 20, 12_800 << 20][size];
             let scan = |bw: &[f64]| {
                 naive_best_placement_with(
                     &AnalyticalPredictor,
-                    &grid,
+                    grid,
                     model,
                     bytes,
-                    &idle.data,
-                    &idle.cmp,
+                    &pricing.idle_data,
+                    &pricing.idle_cmp,
                     bw,
                     None,
                 )
                 .map(|p| p.predicted.total())
             };
-            let got = view.price(model, bytes, slack, 90.0);
-            let Some(standalone) = scan(&idle.bw) else {
+            let got = pricing.price(100.0, &current, backlog, model, bytes, slack, 90.0);
+            let Some(standalone) = scan(&pricing.nominal_bw) else {
                 assert_eq!(got, None, "case {n}");
                 unplaced += 1;
                 continue;

@@ -141,8 +141,8 @@ struct Header {
     jobs: usize,
 }
 
-/// Shape statistics of a job stream — the quantities the workload
-/// metrics and the `ext-workload` figure report.
+/// Shape statistics of a job stream, read by [`stats_of`] — the
+/// quantities the `ext-workload` figure reports.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WorkloadStats {
     /// Number of jobs.
@@ -172,19 +172,12 @@ const BURST_WINDOW_SECS: f64 = 60.0;
 /// Compute [`WorkloadStats`] over a job stream (assumed sorted by
 /// arrival, as every validated stream is).
 pub fn stats_of(jobs: &[JobSpec]) -> WorkloadStats {
-    stats_over(jobs, |j| (j.arrival, j.dataset_bytes))
-}
-
-/// [`stats_of`] over any job records, given the two fields it reads:
-/// `fields` returns a record's `(arrival, dataset_bytes)`.
-pub(crate) fn stats_over<T>(jobs: &[T], fields: impl Fn(&T) -> (f64, u64)) -> WorkloadStats {
-    let (arrival, bytes) = (|j: &T| fields(j).0, |j: &T| fields(j).1);
-    let total_bytes: u64 = jobs.iter().map(bytes).sum();
-    let max_bytes = jobs.iter().map(bytes).max().unwrap_or(0);
+    let total_bytes: u64 = jobs.iter().map(|j| j.dataset_bytes).sum();
+    let max_bytes = jobs.iter().map(|j| j.dataset_bytes).max().unwrap_or(0);
     let p99_bytes = if jobs.is_empty() {
         0
     } else {
-        let mut sizes: Vec<u64> = jobs.iter().map(bytes).collect();
+        let mut sizes: Vec<u64> = jobs.iter().map(|j| j.dataset_bytes).collect();
         sizes.sort_unstable();
         // Nearest-rank p99: the smallest size with at least 99% of
         // samples at or below it.
@@ -194,13 +187,13 @@ pub(crate) fn stats_over<T>(jobs: &[T], fields: impl Fn(&T) -> (f64, u64)) -> Wo
     let mut burst_depth_max = 0usize;
     let mut lo = 0usize;
     for hi in 0..jobs.len() {
-        while arrival(&jobs[hi]) - arrival(&jobs[lo]) > BURST_WINDOW_SECS {
+        while jobs[hi].arrival - jobs[lo].arrival > BURST_WINDOW_SECS {
             lo += 1;
         }
         burst_depth_max = burst_depth_max.max(hi - lo + 1);
     }
     let mean_gap = if jobs.len() > 1 {
-        (arrival(&jobs[jobs.len() - 1]) - arrival(&jobs[0])) / (jobs.len() - 1) as f64
+        (jobs[jobs.len() - 1].arrival - jobs[0].arrival) / (jobs.len() - 1) as f64
     } else {
         0.0
     };

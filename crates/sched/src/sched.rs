@@ -289,7 +289,6 @@ pub struct Scheduler {
     pub(crate) preemption: Option<f64>,
     pub(crate) migration: Option<MigrationConfig>,
     pub(crate) degradations: Vec<Degradation>,
-    pub(crate) workload_metrics: bool,
     pub(crate) telemetry: Option<TelemetryConfig>,
     pub(crate) predictor: Arc<dyn Predictor>,
 }
@@ -306,7 +305,6 @@ impl Scheduler {
             preemption: None,
             migration: None,
             degradations: Vec::new(),
-            workload_metrics: false,
             telemetry: None,
             predictor: Arc::new(AnalyticalPredictor),
         }
@@ -324,11 +322,6 @@ impl Scheduler {
     pub fn with_predictor(mut self, predictor: Arc<dyn Predictor>) -> Scheduler {
         self.predictor = predictor;
         self
-    }
-
-    /// The predictor placements are priced through.
-    pub fn predictor(&self) -> &Arc<dyn Predictor> {
-        &self.predictor
     }
 
     /// Override the bandwidth-feedback smoothing factor.
@@ -389,16 +382,6 @@ impl Scheduler {
         self
     }
 
-    /// Record workload-shape instruments in the run's metrics
-    /// registry: burst-depth and tail-mass gauges plus a dataset-size
-    /// histogram over the submitted stream. Opt-in, like every other
-    /// feature instrument, so default-configured runs (and the golden
-    /// traces pinned to them) see an unchanged snapshot.
-    pub fn with_workload_metrics(mut self) -> Scheduler {
-        self.workload_metrics = true;
-        self
-    }
-
     /// Arm the live telemetry plane: per-tenant SLO gauges, windowed
     /// queue-wait quantiles, and the predictor-accuracy ledger with
     /// its drift detector. Telemetry is strictly observational — it
@@ -417,11 +400,6 @@ impl Scheduler {
     /// The telemetry configuration, when armed.
     pub fn telemetry(&self) -> Option<&TelemetryConfig> {
         self.telemetry.as_ref()
-    }
-
-    /// The policy this scheduler applies.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// The grid this scheduler places jobs onto.
@@ -959,27 +937,6 @@ mod tests {
         assert_eq!(a.trace.metrics.counter("sched_quota_rejections"), None);
         assert_eq!(a.trace.metrics.counter("sched_migrations"), None);
         assert_eq!(a.trace.metrics.counter("sched_preemptions"), None);
-        assert_eq!(a.trace.metrics.gauge("workload_burst_depth_max"), None);
         assert!(a.outcomes.iter().all(|o| o.preemptions.is_empty() && o.migration.is_none()));
-    }
-
-    #[test]
-    fn workload_metrics_describe_the_input_without_changing_the_run() {
-        use crate::replay::stats_of;
-        use crate::workload::WorkloadShape;
-        let jobs = WorkloadSpec::shaped(WorkloadShape::Bursty, LoadLevel::Medium, &["kmeans"], 7)
-            .generate();
-        let plain = Scheduler::new(grid(), Policy::FcfsBackfill).run(&jobs);
-        let r = Scheduler::new(grid(), Policy::FcfsBackfill).with_workload_metrics().run(&jobs);
-        // The instruments are descriptive: scheduling is untouched.
-        assert_eq!(plain.outcomes, r.outcomes);
-        let m = &r.trace.metrics;
-        let stats = stats_of(&jobs);
-        assert_eq!(m.gauge("workload_burst_depth_max"), Some(stats.burst_depth_max as f64));
-        assert_eq!(m.gauge("workload_tail_mass_top1"), Some(stats.tail_mass_top1));
-        assert_eq!(m.gauge("workload_p99_dataset_mb"), Some(stats.p99_bytes as f64 / 1e6));
-        assert_eq!(m.gauge("workload_mean_gap_secs"), Some(stats.mean_gap));
-        let h = m.histogram("workload_dataset_mb").expect("size histogram");
-        assert_eq!(h.count(), jobs.len() as u64);
     }
 }

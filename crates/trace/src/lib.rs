@@ -28,4 +28,4 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, QuantileError,
 };
 pub use span::{NodeRef, NodeRole, RunMeta, Span, SpanKind, Trace, Tracer};
-pub use window::{expose_text, SlidingCounter, SlidingHistogram, WindowSpec, WindowedInstrument};
+pub use window::{SlidingHistogram, WindowSpec};

@@ -123,26 +123,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// The pass-phase kinds, i.e. the direct children of a `Pass` span
-    /// that map one-to-one onto `PassReport` fields, in clock order.
-    pub const PHASES: [SpanKind; 10] = [
-        SpanKind::FaultDetection,
-        SpanKind::Retrieval,
-        SpanKind::Network,
-        SpanKind::CacheDisk,
-        SpanKind::CacheNetwork,
-        SpanKind::Compute,
-        SpanKind::Gather,
-        SpanKind::GlobalReduce,
-        SpanKind::Migration,
-        SpanKind::StragglerRecovery,
-    ];
-
-    /// True for the pass-phase kinds of [`SpanKind::PHASES`].
-    pub fn is_phase(self) -> bool {
-        SpanKind::PHASES.contains(&self)
-    }
-
     /// Stable lowercase label (used by the exporters).
     pub fn label(self) -> &'static str {
         match self {
@@ -472,14 +452,5 @@ mod tests {
         tr.end(run, t(8));
         let trace = tr.finish(None);
         assert!(trace.check_well_formed().unwrap_err().contains("before node's previous"));
-    }
-
-    #[test]
-    fn phase_kinds_are_flagged() {
-        for k in SpanKind::PHASES {
-            assert!(k.is_phase());
-        }
-        assert!(!SpanKind::Run.is_phase());
-        assert!(!SpanKind::NodeCompute.is_phase());
     }
 }

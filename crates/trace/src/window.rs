@@ -1,29 +1,24 @@
-//! Sliding-window metrics: counters and histograms over a ring of
-//! fixed-width time buckets.
+//! Sliding-window metrics: a histogram over a ring of fixed-width time
+//! buckets.
 //!
 //! The cumulative instruments in [`metrics`](crate::metrics) answer
 //! "how many, ever?" — the right shape for a run summary, the wrong
 //! shape for a live dashboard, where a deadline-violation spike an
-//! hour ago must not drown out the last minute. The windowed
-//! instruments here keep the most recent `buckets × bucket_width`
-//! seconds of observations and forget the rest, bucket by bucket, as
-//! the clock advances.
+//! hour ago must not drown out the last minute. [`SlidingHistogram`]
+//! keeps the most recent `buckets × bucket_width` seconds of
+//! observations and forgets the rest, bucket by bucket, as the clock
+//! advances.
 //!
 //! Time is supplied by the caller on every call (`now` in seconds):
 //! the scheduler feeds its sim clock, a wall-clock consumer feeds
 //! `Instant`-derived seconds. Nothing here reads a clock, so the
-//! instruments stay deterministic under the sim clock — the property
+//! windows stay deterministic under the sim clock — the property
 //! the flight recorder's golden tests lean on. Clocks must not run
 //! backwards: a `now` earlier than the newest bucket is clamped into
 //! it rather than resurrecting expired history.
-//!
-//! [`expose_text`] renders a set of windowed instruments in the
-//! Prometheus text exposition format (`# TYPE` headers, cumulative
-//! `_bucket{le="…"}` series), zero-dep like the rest of the crate.
 
 use crate::metrics::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// The shape of a sliding window: `buckets` ring slots, each covering
 /// `bucket_width` seconds of time, for a total span of
@@ -58,8 +53,8 @@ impl WindowSpec {
     }
 }
 
-/// The rotating ring shared by both windowed instruments: slot values
-/// of type `T`, a head epoch, and the zero-fill rotation as time moves.
+/// The rotating ring under a windowed instrument: slot values of type
+/// `T`, a head epoch, and the zero-fill rotation as time moves.
 #[derive(Debug, Clone, PartialEq)]
 struct Ring<T> {
     spec: WindowSpec,
@@ -99,55 +94,6 @@ impl<T: Clone + Default> Ring<T> {
     }
 }
 
-/// A counter over a sliding time window: increments land in the bucket
-/// their timestamp falls in, and [`sum`](SlidingCounter::sum) /
-/// [`rate`](SlidingCounter::rate) read only the buckets still inside
-/// the window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlidingCounter {
-    ring: Ring<f64>,
-}
-
-impl SlidingCounter {
-    /// An empty windowed counter.
-    pub fn new(spec: WindowSpec) -> SlidingCounter {
-        SlidingCounter { ring: Ring::new(spec) }
-    }
-
-    /// The window shape.
-    pub fn spec(&self) -> WindowSpec {
-        self.ring.spec
-    }
-
-    /// Add `by` at instant `now`. Non-finite increments are ignored —
-    /// one NaN would poison every later [`rate`](SlidingCounter::rate).
-    pub fn add(&mut self, now: f64, by: f64) {
-        if !by.is_finite() {
-            return;
-        }
-        let idx = self.ring.advance(now);
-        self.ring.slots[idx] += by;
-    }
-
-    /// Add one at instant `now`.
-    pub fn inc(&mut self, now: f64) {
-        self.add(now, 1.0);
-    }
-
-    /// Total increments inside the window ending at `now`.
-    pub fn sum(&mut self, now: f64) -> f64 {
-        self.ring.advance(now);
-        self.ring.live().sum()
-    }
-
-    /// Increments per second over the window ending at `now` (the
-    /// window's full span is the denominator, so a burst followed by
-    /// silence decays instead of sticking).
-    pub fn rate(&mut self, now: f64) -> f64 {
-        self.sum(now) / self.ring.spec.span()
-    }
-}
-
 /// Per-bucket state of a [`SlidingHistogram`]: observation counts per
 /// value bucket (`bounds.len() + 1`, last is overflow) plus the sum.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -177,11 +123,6 @@ impl SlidingHistogram {
             "histogram bounds must be strictly increasing"
         );
         SlidingHistogram { bounds: bounds.to_vec(), ring: Ring::new(spec) }
-    }
-
-    /// The window shape.
-    pub fn spec(&self) -> WindowSpec {
-        self.ring.spec
     }
 
     /// Record `value` at instant `now`. Non-finite values are dropped.
@@ -230,63 +171,6 @@ impl SlidingHistogram {
     }
 }
 
-/// One named windowed instrument, for [`expose_text`].
-#[derive(Debug)]
-pub enum WindowedInstrument<'a> {
-    /// A [`SlidingCounter`], exposed as a gauge of its windowed rate
-    /// (`<name>_rate_per_sec`) plus the windowed sum (`<name>_sum`).
-    Counter {
-        /// Metric name (Prometheus identifier rules apply).
-        name: &'a str,
-        /// The instrument.
-        counter: &'a mut SlidingCounter,
-    },
-    /// A [`SlidingHistogram`], exposed as cumulative
-    /// `_bucket{le="…"}` series plus `_sum` and `_count`.
-    Histogram {
-        /// Metric name.
-        name: &'a str,
-        /// The instrument.
-        histogram: &'a mut SlidingHistogram,
-    },
-}
-
-/// Render windowed instruments in the Prometheus text exposition
-/// format at instant `now`: a `# TYPE` header per metric, cumulative
-/// `le` buckets for histograms, and a trailing `window_span_seconds`
-/// gauge so a scraper knows what interval the numbers cover.
-pub fn expose_text(now: f64, instruments: &mut [WindowedInstrument<'_>]) -> String {
-    let mut out = String::new();
-    let mut span: f64 = 0.0;
-    for inst in instruments.iter_mut() {
-        match inst {
-            WindowedInstrument::Counter { name, counter } => {
-                span = span.max(counter.spec().span());
-                let _ = writeln!(out, "# TYPE {name}_rate_per_sec gauge");
-                let _ = writeln!(out, "{name}_rate_per_sec {}", counter.rate(now));
-                let _ = writeln!(out, "# TYPE {name}_sum gauge");
-                let _ = writeln!(out, "{name}_sum {}", counter.sum(now));
-            }
-            WindowedInstrument::Histogram { name, histogram } => {
-                span = span.max(histogram.spec().span());
-                let merged = histogram.merged(now, name);
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                let mut cumulative = 0u64;
-                for (i, count) in merged.counts.iter().enumerate() {
-                    cumulative += count;
-                    let le = merged.bounds.get(i).map_or("+Inf".to_string(), f64::to_string);
-                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-                }
-                let _ = writeln!(out, "{name}_sum {}", merged.sum);
-                let _ = writeln!(out, "{name}_count {cumulative}");
-            }
-        }
-    }
-    let _ = writeln!(out, "# TYPE window_span_seconds gauge");
-    let _ = writeln!(out, "window_span_seconds {span}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,50 +180,38 @@ mod tests {
     }
 
     #[test]
-    fn counter_sums_only_the_window() {
-        let mut c = SlidingCounter::new(spec());
-        c.add(1.0, 5.0);
-        c.add(15.0, 3.0);
-        assert_eq!(c.sum(15.0), 8.0);
-        // 70s later the first bucket has rotated out, the second too.
-        assert_eq!(c.sum(85.0), 0.0);
-    }
-
-    #[test]
-    fn rate_uses_the_full_span_as_denominator() {
-        let mut c = SlidingCounter::new(spec());
-        for i in 0..60 {
-            c.inc(i as f64);
-        }
-        assert!((c.rate(59.0) - 1.0).abs() < 1e-12);
-        // A silent half-window halves the rate.
-        assert!((c.rate(89.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn a_long_silence_clears_everything() {
-        let mut c = SlidingCounter::new(spec());
-        c.add(0.0, 100.0);
-        assert_eq!(c.sum(1e9), 0.0);
+        let mut h = SlidingHistogram::new(spec(), &[1.0]);
+        h.observe(0.0, 0.5);
+        h.observe(0.0, 3.0);
+        assert_eq!(h.count(1e9), 0);
+        assert_eq!(h.merged(1e9, "w").counts, vec![0, 0]);
     }
 
     #[test]
     fn time_cannot_run_backwards() {
-        let mut c = SlidingCounter::new(spec());
-        c.add(50.0, 1.0);
+        let mut h = SlidingHistogram::new(spec(), &[1.0]);
+        h.observe(50.0, 0.5);
         // A stale timestamp lands in the newest bucket, not a revived
         // old one — and must not panic or corrupt the ring.
-        c.add(3.0, 1.0);
-        assert_eq!(c.sum(50.0), 2.0);
+        h.observe(3.0, 3.0);
+        assert_eq!(h.merged(50.0, "w").counts, vec![1, 1]);
+        // At 60 s the bucket of t=3 has rotated out, the newest has not:
+        // the stale value lives exactly as long as the bucket it landed in.
+        assert_eq!(h.merged(60.0, "w").counts, vec![1, 1]);
+        assert_eq!(h.count(110.0), 0);
     }
 
     #[test]
-    fn non_finite_increments_are_dropped() {
-        let mut c = SlidingCounter::new(spec());
-        c.add(0.0, f64::NAN);
-        c.add(0.0, f64::INFINITY);
-        c.add(0.0, 2.0);
-        assert_eq!(c.sum(0.0), 2.0);
+    fn non_finite_values_are_dropped() {
+        let mut h = SlidingHistogram::new(spec(), &[1.0]);
+        h.observe(0.0, f64::NAN);
+        h.observe(0.0, f64::INFINITY);
+        h.observe(0.0, f64::NEG_INFINITY);
+        h.observe(0.0, 2.0);
+        let m = h.merged(0.0, "w");
+        assert_eq!(m.counts, vec![0, 1]);
+        assert_eq!(m.sum, 2.0);
     }
 
     #[test]
@@ -382,29 +254,6 @@ mod tests {
             h
         };
         assert_eq!(run(&feed), run(&feed));
-    }
-
-    #[test]
-    fn exposition_renders_types_buckets_and_span() {
-        let mut c = SlidingCounter::new(spec());
-        c.add(1.0, 4.0);
-        let mut h = SlidingHistogram::new(spec(), &[1.0]);
-        h.observe(1.0, 0.5);
-        h.observe(1.0, 3.0);
-        let text = expose_text(
-            5.0,
-            &mut [
-                WindowedInstrument::Counter { name: "submits", counter: &mut c },
-                WindowedInstrument::Histogram { name: "wait_seconds", histogram: &mut h },
-            ],
-        );
-        assert!(text.contains("# TYPE submits_rate_per_sec gauge"));
-        assert!(text.contains("submits_sum 4"));
-        assert!(text.contains("# TYPE wait_seconds histogram"));
-        assert!(text.contains("wait_seconds_bucket{le=\"1\"} 1"));
-        assert!(text.contains("wait_seconds_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("wait_seconds_count 2"));
-        assert!(text.contains("window_span_seconds 60"));
     }
 
     #[test]

@@ -17,14 +17,18 @@
 //! Scheduler migration traces are pinned the same way: one fixture per
 //! policy for the migration-enabled, degraded medium-load run
 //! (`migrate-<policy>.trace.jsonl`), covering the `Preempted`,
-//! `Checkpoint`, and `Migrate` span kinds.
+//! `Checkpoint`, and `Migrate` span kinds. Those runs preempt only in
+//! the network and migrating phases, so one more fixture
+//! (`preempt-fcfs-backfill-heavy.trace.jsonl`) pins a run whose
+//! preemptions land in the disk and compute phases too: the phase ends
+//! after each resume pin what the eviction left of the phase.
 
 use fg_bench::figures::migrate_run;
 use fg_bench::scenario::golden_trace_run;
 use fg_bench::PaperApp;
 use freeride_g::middleware::ExecutionReport;
 use freeride_g::predict::Profile;
-use freeride_g::sched::{LoadLevel, Policy};
+use freeride_g::sched::{LoadLevel, Policy, SchedResult};
 use freeride_g::trace::{from_jsonl, to_jsonl, SpanKind};
 use std::path::PathBuf;
 
@@ -74,8 +78,14 @@ fn check_golden(app: PaperApp) {
 /// coverage test below can check the union.
 fn check_migration_golden(policy: Policy) -> Vec<SpanKind> {
     let r = migrate_run(policy, LoadLevel::Medium, true, true);
-    r.trace.check_well_formed().expect("migration trace must be well-formed");
-    assert!(r.violations.is_empty(), "{policy:?}: {:?}", r.violations);
+    check_sched_golden(&r, &format!("migrate-{}", policy.name()));
+    r.trace.spans.iter().map(|s| s.kind).collect()
+}
+
+/// Compare a scheduler run's trace against `tests/golden/<name>.trace.jsonl`.
+fn check_sched_golden(r: &SchedResult, name: &str) {
+    r.trace.check_well_formed().expect("scheduler trace must be well-formed");
+    assert!(r.violations.is_empty(), "{name}: {:?}", r.violations);
 
     let rendered = to_jsonl(&r.trace);
     let parsed = from_jsonl(&rendered).expect("exported trace must parse back");
@@ -83,7 +93,7 @@ fn check_migration_golden(policy: Policy) -> Vec<SpanKind> {
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("migrate-{}.trace.jsonl", policy.name()));
+        .join(format!("{name}.trace.jsonl"));
     if std::env::var_os("FG_BLESS").is_some() {
         std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("bless {path:?}: {e}"));
     } else {
@@ -91,14 +101,31 @@ fn check_migration_golden(policy: Policy) -> Vec<SpanKind> {
             panic!("{path:?}: {e}\nrun `FG_BLESS=1 cargo test --test golden_traces` to create it")
         });
         assert_eq!(
-            rendered,
-            pinned,
-            "migration trace for {} drifted; if intentional, re-bless with \
-             `FG_BLESS=1 cargo test --test golden_traces`",
-            policy.name()
+            rendered, pinned,
+            "scheduler trace {name} drifted; if intentional, re-bless with \
+             `FG_BLESS=1 cargo test --test golden_traces`"
         );
     }
-    r.trace.spans.iter().map(|s| s.kind).collect()
+}
+
+/// Pin a preemption in every phase: the heavy preset under
+/// FCFS-backfill with preemption armed (no migration, no degradation)
+/// evicts jobs in their disk, network and compute phases.
+#[test]
+fn golden_preemption_trace_in_every_phase() {
+    let r = migrate_run(Policy::FcfsBackfill, LoadLevel::Heavy, false, false);
+    // The phase a job was in when evicted, from where the preemption
+    // instant falls among its (final) phase ends.
+    let mut hits = [0usize; 3];
+    for o in &r.outcomes {
+        for p in &o.preemptions {
+            let (disk, net) = (o.disk_end.unwrap(), o.network_end.unwrap());
+            hits[usize::from(disk <= p.preempted_at) + usize::from(net <= p.preempted_at)] += 1;
+        }
+    }
+    let [disk, network, compute] = hits;
+    assert!(disk > 0 && network > 0 && compute > 0, "preemptions by phase: {hits:?}");
+    check_sched_golden(&r, "preempt-fcfs-backfill-heavy");
 }
 
 #[test]

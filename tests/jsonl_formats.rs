@@ -347,5 +347,5 @@ fn every_golden_trace_parses_unchanged() {
         assert_eq!(to_jsonl(&trace), text, "{path:?}");
         seen += 1;
     }
-    assert_eq!(seen, 11);
+    assert_eq!(seen, 12);
 }
