@@ -6,7 +6,7 @@
 
 use fg_chunks::Dataset;
 use fg_cluster::Deployment;
-use fg_middleware::{ExecutionReport, Executor, FaultOptions, RunOptions};
+use fg_middleware::{ExecutionReport, Executor, RunMode};
 use fg_predict::AppClasses;
 use fg_sim::FaultSchedule;
 use fg_trace::Trace;
@@ -35,6 +35,17 @@ pub enum PaperApp {
 const APRIORI_PATTERNS: [[u32; 3]; 2] = [[2, 17, 40], [5, 23, 51]];
 
 impl PaperApp {
+    /// Every application, in declaration order.
+    pub const ALL: [PaperApp; 7] = [
+        PaperApp::KMeans,
+        PaperApp::Em,
+        PaperApp::Knn,
+        PaperApp::Vortex,
+        PaperApp::Defect,
+        PaperApp::Apriori,
+        PaperApp::Ann,
+    ];
+
     /// The five applications evaluated in the paper, in figure order.
     pub const PAPER_FIVE: [PaperApp; 5] =
         [PaperApp::KMeans, PaperApp::Vortex, PaperApp::Defect, PaperApp::Em, PaperApp::Knn];
@@ -90,14 +101,7 @@ impl PaperApp {
     /// application parameters are the fixed experiment instances, so the
     /// same dataset always does the same work.
     pub fn execute(&self, deployment: Deployment, dataset: &Dataset) -> ExecutionReport {
-        self.execute_with(
-            deployment,
-            dataset,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            false,
-        )
-        .0
+        self.execute_with(deployment, dataset, &FaultSchedule::none(), false).0
     }
 
     /// Execute with tracing enabled, returning the measured report plus
@@ -109,35 +113,27 @@ impl PaperApp {
         deployment: Deployment,
         dataset: &Dataset,
     ) -> (ExecutionReport, Trace) {
-        let (report, trace) = self.execute_with(
-            deployment,
-            dataset,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            true,
-        );
+        let (report, trace) = self.execute_with(deployment, dataset, &FaultSchedule::none(), true);
         (report, trace.expect("a traced run returns its trace"))
     }
 
-    /// Execute under an injected fault `schedule` (recovery tuned by
-    /// `options`), returning the measured report and — if `trace` — the
-    /// structured trace (recovery spans included). Same applications and
-    /// fixed parameters as [`PaperApp::execute`], which is this under an
-    /// empty schedule.
+    /// Execute under an injected fault `schedule`, returning the measured
+    /// report and — if `trace` — the structured trace (recovery spans
+    /// included). Same applications and fixed parameters as
+    /// [`PaperApp::execute`], which is this under an empty schedule.
     pub fn execute_with(
         &self,
         deployment: Deployment,
         dataset: &Dataset,
         schedule: &FaultSchedule,
-        options: &FaultOptions,
         trace: bool,
     ) -> (ExecutionReport, Option<Trace>) {
         let exec = Executor::new(deployment);
         // The arms differ only in the application's type.
         macro_rules! run {
             ($app:expr) => {{
-                let opts = RunOptions { trace, ..RunOptions::new(schedule, options) };
-                let result = exec.run_with(&$app, dataset, opts).finished();
+                let mode = RunMode::Full { controller: None, trace };
+                let result = exec.run_with(&$app, dataset, schedule, mode).finished();
                 (result.report, result.trace)
             }};
         }
@@ -160,8 +156,8 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
-        for app in PaperApp::PAPER_FIVE.iter().chain([PaperApp::Apriori, PaperApp::Ann].iter()) {
-            assert_eq!(PaperApp::parse(app.name()), Some(*app));
+        for app in PaperApp::ALL {
+            assert_eq!(PaperApp::parse(app.name()), Some(app));
         }
         assert_eq!(PaperApp::parse("nope"), None);
     }

@@ -17,14 +17,13 @@ use crate::scenario::{
 use crate::table::Figure;
 use fg_chunks::Dataset;
 use fg_cluster::{Configuration, Deployment};
-use fg_middleware::FaultOptions;
 use fg_predict::{
     relative_error, ComputeModel, ExecTimePredictor, GlobalReduceClass, InterconnectParams,
     Prediction, Profile, RObjSizeClass, ScalingFactors, Target,
 };
 use fg_sched::{
-    AccuracySample, Degradation, JobSpec, LoadLevel, MigrationConfig, Policy, SchedResult,
-    Scheduler, TelemetryConfig, TenantQuota, WorkloadShape,
+    AccuracySample, Degradation, JobSpec, LoadLevel, Policy, SchedResult, Scheduler,
+    TelemetryConfig, TenantQuota, WorkloadShape,
 };
 use fg_sim::FaultSchedule;
 use rayon::prelude::*;
@@ -701,7 +700,6 @@ fn ext_faults(id: &str) -> Figure {
     let model = profiled_model(app, pentium_deployment(1, 1, DEFAULT_WAN_BW), &dataset);
     let deployment = pentium_deployment(n, c, DEFAULT_WAN_BW);
     let predicted = model.predict(&target_of(&deployment, &dataset)).total();
-    let options = FaultOptions::default();
 
     let baseline = app.execute(deployment.clone(), &dataset);
     let horizon = baseline.total();
@@ -715,8 +713,7 @@ fn ext_faults(id: &str) -> Figure {
     ));
     for seed in 1..=6u64 {
         let schedule = FaultSchedule::random(seed, n, c, horizon);
-        let (report, _) =
-            app.execute_with(deployment.clone(), &dataset, &schedule, &options, false);
+        let (report, _) = app.execute_with(deployment.clone(), &dataset, &schedule, false);
         let total = report.total().as_secs_f64();
         let recovery = report.t_recovery().as_secs_f64();
         rows.push((
@@ -877,24 +874,12 @@ fn export_golden_traces(out: &Path) -> io::Result<()> {
         .try_for_each(|app| export_trace(&out.join("traces"), app.name(), &golden_trace_run(app).1))
 }
 
-/// The seven applications the scheduler's workload mixes over: the
-/// paper five plus the two extension apps.
-pub const SCHED_APPS: [PaperApp; 7] = [
-    PaperApp::KMeans,
-    PaperApp::Em,
-    PaperApp::Knn,
-    PaperApp::Vortex,
-    PaperApp::Defect,
-    PaperApp::Apriori,
-    PaperApp::Ann,
-];
-
 /// Profile every scheduler app on a small 1-1 run and package the
 /// results as `fg-sched` prediction models. The profile WAN bandwidth
 /// matches the demo grid's nominal per-stream bandwidth, so a first
 /// placement on the fast repository sees a bandwidth ratio of one.
 pub fn sched_models() -> Vec<(String, fg_sched::AppModel)> {
-    SCHED_APPS
+    PaperApp::ALL
         .iter()
         .map(|&app| {
             let dataset = app.generate(&format!("ext-sched-{}", app.name()), 8.0, 0.01, 3);
@@ -912,7 +897,7 @@ fn demo_scheduler(policy: Policy) -> Scheduler {
 
 /// The three-tenant workload preset (seed 42) at `load`.
 fn preset_jobs(load: LoadLevel) -> Vec<JobSpec> {
-    let names: Vec<&str> = SCHED_APPS.iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = PaperApp::ALL.iter().map(|a| a.name()).collect();
     fg_sched::WorkloadSpec::preset(load, &names, 42).generate()
 }
 
@@ -1060,9 +1045,9 @@ fn export_sched_traces(out: &Path) -> io::Result<()> {
 /// unaffected), preemption enabled, and optionally mid-run migration.
 fn migration_scheduler(policy: Policy, tenants: usize, migrate: bool) -> Scheduler {
     let quotas = vec![TenantQuota { capacity: 1000.0, refill_per_sec: 1.0 }; tenants];
-    let sched = demo_scheduler(policy).with_quotas(quotas).with_preemption(2.0);
+    let sched = demo_scheduler(policy).with_quotas(quotas).with_preemption();
     if migrate {
-        sched.with_migration(MigrationConfig::default())
+        sched.with_migration()
     } else {
         sched
     }
@@ -1167,7 +1152,7 @@ const EXT_MIGRATE: &[Claim] = &[
 /// drags every shape's precision toward zero) while heavy tails and
 /// bursts still separate clearly from uniform traffic.
 pub fn workload_jobs(shape: fg_sched::WorkloadShape) -> Vec<fg_sched::JobSpec> {
-    let names: Vec<&str> = SCHED_APPS.iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = PaperApp::ALL.iter().map(|a| a.name()).collect();
     fg_sched::WorkloadSpec::shaped_scaled(shape, fg_sched::LoadLevel::Medium, &names, 42, 12, 25)
         .generate()
 }

@@ -66,7 +66,7 @@ pub struct Deployment {
     /// Optional non-local caching site: a storage site (with its WAN
     /// path to the compute site) used for multi-pass applications when
     /// the compute nodes lack scratch storage — "a location from which
-    /// it [data] can be accessed at a lower cost than the original
+    /// it \[data\] can be accessed at a lower cost than the original
     /// repository" (§2.1). `None` means local caching or origin re-fetch.
     pub cache: Option<CacheSite>,
 }

@@ -29,7 +29,7 @@
 //! * [`calibrate`] — least-squares measurement of the interconnect
 //!   parameters `w` and `l` ("experimentally determined", §3.3.1).
 //! * [`error`] — the relative-error metric of §5.
-//! * [`predictor`] — the pluggable [`Predictor`](predictor::Predictor)
+//! * [`predictor`] — the pluggable [`Predictor`]
 //!   seam every ranking/placement/migration call site prices through,
 //!   with the analytical model as the default impl.
 

@@ -9,9 +9,10 @@
 //! per-pass bandwidth into a [`BandwidthEstimator`](crate::bandwidth),
 //! and when the estimate deviates from the replica's nominal bandwidth
 //! by more than a threshold, it re-ranks the surviving candidate
-//! replicas via [`rank_deployments`] — substituting the *estimated*
-//! bandwidth for every candidate using the degraded path — and migrates
-//! if another replica now wins by a clear margin.
+//! replicas via [`rank_deployments`](crate::rank_deployments) —
+//! substituting the *estimated* bandwidth for every candidate using the
+//! degraded path — and migrates if another replica now wins by a clear
+//! margin.
 //!
 //! The margin is hysteresis: predictions are approximate, so flapping
 //! between near-equal replicas would pay migration overhead for noise.

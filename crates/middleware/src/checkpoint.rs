@@ -7,10 +7,9 @@
 //! a processed-chunk cursor is a *complete* summary of the work done so
 //! far. [`Checkpoint`] is that snapshot. [`crate::Executor::run_with`]
 //! produces one at a requested [`StopPoint`]
-//! ([`crate::RunOptions::stop_at`]) and continues one
-//! ([`crate::RunOptions::resume_from`]) — possibly on a different
-//! replica — and the final state is bit-identical to the uninterrupted
-//! run.
+//! ([`crate::RunMode::Suspend`]) and continues one
+//! ([`crate::RunMode::Resume`]) — possibly on a different replica — and
+//! the final state is bit-identical to the uninterrupted run.
 //!
 //! The partial objects are kept *per core*, not merged per node: the
 //! intra-node combination and the master's global merge both happen in a
@@ -95,8 +94,7 @@ impl<S, O> Checkpoint<S, O> {
 pub enum ResumableOutcome<S, O> {
     /// The application finished before the stop point was reached.
     Finished(crate::exec::RunResult<S>),
-    /// The run was suspended; resume it with
-    /// [`crate::RunOptions::resume_from`].
+    /// The run was suspended; resume it with [`crate::RunMode::Resume`].
     Suspended(Checkpoint<S, O>),
 }
 

@@ -8,63 +8,15 @@
 
 use fg_cluster::RepositorySite;
 use fg_sim::{FairShareSim, Flow, ResourceId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// Per-chunk fetch timeout and retry policy for remote retrieval.
-///
-/// A fetch from a crashed data node never answers; the middleware
-/// declares the node dead after `fetch_timeout` elapses with no data,
-/// retries against the node up to `max_retries` times with exponential
-/// backoff (`backoff_base * backoff_multiplier^attempt` before retry
-/// `attempt`), and only then reassigns the node's chunks to surviving
-/// replica holders. [`RetryPolicy::detection_delay`] is the resulting
-/// worst-case time to declare one node dead; timeouts against several
+/// Time from the first silent fetch against a crashed data node to
+/// declaring it dead and reassigning its chunks to surviving replica
+/// holders: a 2 s fetch timeout, then three retries backing off 500 ms,
+/// 1 s and 2 s, each followed by another timeout —
+/// 2 + (0.5 + 2) + (1 + 2) + (2 + 2) = 11.5 s. Timeouts against several
 /// dead nodes run concurrently, so the delay is paid once per detection
 /// round, not per node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Time with no response after which one fetch attempt is abandoned.
-    pub fetch_timeout: SimDuration,
-    /// Backoff before the first retry.
-    pub backoff_base: SimDuration,
-    /// Backoff growth factor per retry (`>= 1`).
-    pub backoff_multiplier: f64,
-    /// Retries after the initial attempt before the node is declared
-    /// dead.
-    pub max_retries: u32,
-}
-
-impl Default for RetryPolicy {
-    /// 2 s timeout, 3 retries backing off 500 ms, 1 s, 2 s — a node is
-    /// declared dead after 11.5 s of silence.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            fetch_timeout: SimDuration::from_secs(2),
-            backoff_base: SimDuration::from_millis(500),
-            backoff_multiplier: 2.0,
-            max_retries: 3,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Time from first silent fetch to declaring the node dead: the
-    /// initial timeout plus, per retry, its backoff and another timeout.
-    pub fn detection_delay(&self) -> SimDuration {
-        assert!(
-            self.backoff_multiplier >= 1.0,
-            "backoff must not shrink: {}",
-            self.backoff_multiplier
-        );
-        let mut total = self.fetch_timeout;
-        let mut backoff = self.backoff_base;
-        for _ in 0..self.max_retries {
-            total = total + backoff + self.fetch_timeout;
-            backoff = backoff.mul_f64(self.backoff_multiplier);
-        }
-        total
-    }
-}
+pub const DETECTION_DELAY: SimDuration = SimDuration::from_millis(11_500);
 
 /// Per-node read times for one pass: `(data node index, time)` for every
 /// node with a nonzero share. The phase makespan is the maximum entry;
@@ -184,30 +136,5 @@ mod tests {
         let r = repo(100.0, 1000.0, 0);
         let t = retrieval_makespan(&r, &[100, 1000], &[1, 1]);
         assert!((t.as_secs_f64() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detection_delay_sums_timeouts_and_backoffs() {
-        let p = RetryPolicy {
-            fetch_timeout: SimDuration::from_secs(2),
-            backoff_base: SimDuration::from_millis(500),
-            backoff_multiplier: 2.0,
-            max_retries: 3,
-        };
-        // 2 + (0.5 + 2) + (1 + 2) + (2 + 2) = 11.5 s
-        assert!((p.detection_delay().as_secs_f64() - 11.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_retries_means_one_timeout() {
-        let p = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-        assert_eq!(p.detection_delay(), p.fetch_timeout);
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff must not shrink")]
-    fn shrinking_backoff_rejected() {
-        let p = RetryPolicy { backoff_multiplier: 0.5, ..RetryPolicy::default() };
-        p.detection_delay();
     }
 }

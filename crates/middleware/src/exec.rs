@@ -1,36 +1,37 @@
 //! The executor: drives an application over a deployment, pass by pass.
 //!
-//! There is one pass loop, [`Executor::run_with`]; everything a run can
-//! vary — an injected fault schedule, a re-selection controller, trace
-//! capture, a checkpoint to resume from, a point to suspend at — is a
-//! field of [`RunOptions`], and [`Executor::run`] is the run that sets
-//! none of them. A pass's phase arithmetic therefore lives in exactly
+//! There is one pass loop, [`Executor::run_with`]: it takes an injected
+//! fault schedule and a [`RunMode`] — a full run (optionally controlled
+//! and traced), a run that suspends at a chunk boundary, or the
+//! continuation of a checkpoint — and [`Executor::run`] is the full run
+//! under no faults. A pass's phase arithmetic therefore lives in exactly
 //! one place.
 //!
 //! # Fault model
 //!
-//! [`RunOptions::schedule`] threads an [`fg_sim::FaultSchedule`] through
-//! the phase structure:
+//! The [`fg_sim::FaultSchedule`] is threaded through the phase
+//! structure:
 //!
 //! * **Data-node crashes** are detected during remote retrieval: fetches
-//!   against a dead node time out per the [`RetryPolicy`], the detection
-//!   delay is charged once per detection round (`fault_detection`), and
-//!   the dead node's chunks are rebalanced contiguously over the
-//!   surviving replica holders for this and later remote passes.
+//!   against a dead node time out and are retried, the
+//!   [`dataserver::DETECTION_DELAY`] is charged once per detection round
+//!   (`fault_detection`), and the dead node's chunks are rebalanced
+//!   contiguously over the surviving replica holders for this and later
+//!   remote passes.
 //! * **WAN degradation windows** scale the per-stream (and aggregate)
 //!   bandwidth of the origin transfer by the window factor in force when
 //!   the transfer starts.
 //! * **Straggler compute nodes** stretch their local-reduction time by
 //!   their slowdown factor. When a straggler's projected time exceeds
-//!   [`FaultOptions::straggler_threshold`] times the slowest healthy
-//!   node, the middleware completes in degraded mode: the master
-//!   re-executes the straggler's chunks at spec speed after the healthy
-//!   makespan (`straggler_recovery`). Object contents are unchanged, so
-//!   the final reduction state equals the fault-free state.
+//!   [`STRAGGLER_THRESHOLD`] times the slowest healthy node, the
+//!   middleware completes in degraded mode: the master re-executes the
+//!   straggler's chunks at spec speed after the healthy makespan
+//!   (`straggler_recovery`). Object contents are unchanged, so the final
+//!   reduction state equals the fault-free state.
 //! * A [`PassController`] observes each pass and may **migrate** the run
 //!   to a different replica (same compute site and node count); the
-//!   switch costs [`FaultOptions::migration_overhead`] and redirects all
-//!   later remote fetches.
+//!   switch costs [`MIGRATION_OVERHEAD`] and redirects all later remote
+//!   fetches.
 //!
 //! Chunk-to-compute-node assignment never changes under faults — only
 //! the fetch side does — so every chunk is folded on the same node in
@@ -42,18 +43,17 @@
 //! # Suspend and resume
 //!
 //! A pass folds the chunks with global id in `[lo, hi)`: the whole
-//! dataset, except in the pass a [`RunOptions::stop_at`] point suspends
-//! (`hi` is its cursor) and in the first pass of a
-//! [`RunOptions::resume_from`] checkpoint (`lo` is its cursor). Per-core
-//! partial objects are carried across the split unmerged, so fold and
-//! merge orders — and with them the final state — match the
-//! uninterrupted run bit for bit.
+//! dataset, except in the pass a [`RunMode::Suspend`] point suspends
+//! (`hi` is its cursor) and in the first pass of a [`RunMode::Resume`]
+//! checkpoint (`lo` is its cursor). Per-core partial objects are carried
+//! across the split unmerged, so fold and merge orders — and with them
+//! the final state — match the uninterrupted run bit for bit.
 
 use crate::api::{PassOutcome, ReductionApp, ReductionObject};
 use crate::checkpoint::{Checkpoint, ResumableOutcome, StopPoint};
 use crate::comm::{self, TransferFlow};
 use crate::computeserver::{self, CacheTraffic};
-use crate::dataserver::{self, RetryPolicy};
+use crate::dataserver::{self, DETECTION_DELAY};
 use crate::meter::WorkMeter;
 use crate::report::{CacheMode, ExecutionReport, PassReport};
 use fg_chunks::{distribution, partition, Dataset};
@@ -69,33 +69,18 @@ pub struct RunResult<S> {
     /// The application's final state (clusters found, features detected,
     /// ...).
     pub final_state: S,
-    /// Where the virtual time went, when [`RunOptions::trace`] asked for
-    /// it. Its component sums reproduce the report exactly.
+    /// Where the virtual time went, when a traced [`RunMode::Full`] asked
+    /// for it. Its component sums reproduce the report exactly.
     pub trace: Option<Trace>,
 }
 
-/// Recovery tuning for fault-injected runs.
-#[derive(Debug, Clone)]
-pub struct FaultOptions {
-    /// Per-chunk fetch timeout and retry policy (crash detection).
-    pub retry: RetryPolicy,
-    /// A straggler whose projected local-reduction time exceeds this
-    /// multiple of the slowest healthy node is abandoned and its chunks
-    /// re-executed at the master (`>= 1`).
-    pub straggler_threshold: f64,
-    /// Virtual-time cost of switching to a different replica.
-    pub migration_overhead: SimDuration,
-}
+/// A straggler whose projected local-reduction time exceeds this multiple
+/// of the slowest healthy node is abandoned and its chunks re-executed at
+/// the master.
+pub const STRAGGLER_THRESHOLD: f64 = 3.0;
 
-impl Default for FaultOptions {
-    fn default() -> FaultOptions {
-        FaultOptions {
-            retry: RetryPolicy::default(),
-            straggler_threshold: 3.0,
-            migration_overhead: SimDuration::from_millis(500),
-        }
-    }
-}
+/// Virtual-time cost of switching a run to a different replica.
+pub const MIGRATION_OVERHEAD: SimDuration = SimDuration::from_millis(500);
 
 /// What a [`PassController`] sees after each pass.
 #[derive(Debug, Clone)]
@@ -134,49 +119,30 @@ pub trait PassController {
     fn after_pass(&mut self, obs: &PassObservation, current: &Deployment) -> PassAction;
 }
 
-/// What [`Executor::run_with`] can vary about a run. [`RunOptions::new`]
-/// is a plain run under the given schedule; set the other fields with
-/// struct-update syntax.
-pub struct RunOptions<'a, S, O> {
-    /// Faults to inject (see the module docs); empty for none.
-    pub schedule: &'a FaultSchedule,
-    /// How the run recovers from them.
-    pub recovery: &'a FaultOptions,
-    /// Mid-run re-selection hook.
-    pub controller: Option<&'a mut dyn PassController>,
-    /// Record a structured trace into [`RunResult::trace`]. Tracing
-    /// observes the run, it never perturbs it: the report is bit-identical
-    /// to the untraced run's.
-    pub trace: bool,
-    /// Continue this suspended run instead of starting a fresh one. The
-    /// executor's deployment may serve a *different replica* of the same
-    /// dataset — that is a migration, charged
-    /// [`FaultOptions::migration_overhead`] in the resumed pass — but the
-    /// compute site and node count must match the checkpoint's.
-    pub resume_from: Option<Checkpoint<S, O>>,
+/// How [`Executor::run_with`] runs. Only a full run takes a controller
+/// or records a trace; the two checkpointed modes take neither, and
+/// neither supports a deployment with a non-local cache site.
+#[allow(clippy::large_enum_variant)]
+pub enum RunMode<'a, S, O> {
+    /// An uninterrupted run from the first pass to the last.
+    Full {
+        /// Mid-run re-selection hook.
+        controller: Option<&'a mut dyn PassController>,
+        /// Record a structured trace into [`RunResult::trace`]. Tracing
+        /// observes the run, it never perturbs it: the report is
+        /// bit-identical to the untraced run's.
+        trace: bool,
+    },
     /// Suspend into a [`Checkpoint`] at this chunk boundary: chunks with
     /// global id below `cursor` are folded in pass `pass` before the
     /// snapshot is taken. A run that finishes before reaching it just
     /// finishes.
-    ///
-    /// Checkpointed runs (this field or `resume_from`, which exclude each
-    /// other) support neither non-local cache sites, nor a controller,
-    /// nor trace capture.
-    pub stop_at: Option<StopPoint>,
-}
-
-impl<'a, S, O> RunOptions<'a, S, O> {
-    /// An uninterrupted, untraced, uncontrolled run under `schedule`.
-    pub fn new(schedule: &'a FaultSchedule, recovery: &'a FaultOptions) -> Self {
-        RunOptions {
-            schedule,
-            recovery,
-            controller: None,
-            trace: false,
-            resume_from: None,
-            stop_at: None,
-        }
-    }
+    Suspend(StopPoint),
+    /// Continue this suspended run. The executor's deployment may serve a
+    /// *different replica* of the same dataset — that is a migration,
+    /// charged [`MIGRATION_OVERHEAD`] in the resumed pass — but the
+    /// compute site and node count must match the checkpoint's.
+    Resume(Checkpoint<S, O>),
 }
 
 /// The remote-fetch side of a pass: what each data node serves and the
@@ -254,12 +220,12 @@ struct StragglerPlan {
 
 /// Local-reduction makespan under stragglers, plus the degraded-mode
 /// recovery time. A straggler whose stretched time would exceed
-/// `threshold` times the slowest healthy node is abandoned; the master
-/// re-executes its chunks at spec speed after the healthy nodes finish
-/// (serially, one abandoned node after another). If every node
-/// straggles there is no healthy baseline and nothing is abandoned; if
-/// none does, the makespan is simply the slowest node's time.
-fn straggler_plan(base: &[SimDuration], schedule: &FaultSchedule, threshold: f64) -> StragglerPlan {
+/// [`STRAGGLER_THRESHOLD`] times the slowest healthy node is abandoned;
+/// the master re-executes its chunks at spec speed after the healthy
+/// nodes finish (serially, one abandoned node after another). If every
+/// node straggles there is no healthy baseline and nothing is abandoned;
+/// if none does, the makespan is simply the slowest node's time.
+fn straggler_plan(base: &[SimDuration], schedule: &FaultSchedule) -> StragglerPlan {
     let slow: Vec<f64> = (0..base.len()).map(|i| schedule.slowdown(i)).collect();
     let healthy_max = base.iter().zip(&slow).filter(|&(_, &s)| s == 1.0).map(|(t, _)| *t).max();
     match healthy_max {
@@ -280,7 +246,7 @@ fn straggler_plan(base: &[SimDuration], schedule: &FaultSchedule, threshold: f64
             let mut abandoned = Vec::new();
             for (i, (t, &s)) in base.iter().zip(&slow).enumerate() {
                 let scaled = if s == 1.0 { *t } else { t.mul_f64(s) };
-                if s > 1.0 && !hmax.is_zero() && scaled > hmax.mul_f64(threshold) {
+                if s > 1.0 && !hmax.is_zero() && scaled > hmax.mul_f64(STRAGGLER_THRESHOLD) {
                     recovery += *t;
                     node_times.push(None);
                     abandoned.push((i, *t));
@@ -442,26 +408,25 @@ impl Executor {
     /// repository nodes empty is a resource-selection bug, not a
     /// middleware condition).
     pub fn run<A: ReductionApp>(&self, app: &A, dataset: &Dataset) -> RunResult<A::State> {
-        let (schedule, recovery) = (FaultSchedule::none(), FaultOptions::default());
-        self.run_with(app, dataset, RunOptions::new(&schedule, &recovery)).finished()
+        let mode = RunMode::Full { controller: None, trace: false };
+        self.run_with(app, dataset, &FaultSchedule::none(), mode).finished()
     }
 
-    /// Run `app` over `dataset` as `opts` says: to completion, or into a
-    /// [`Checkpoint`] if [`RunOptions::stop_at`] is reached first.
+    /// Run `app` over `dataset` under the faults in `schedule` (empty for
+    /// none) as `mode` says: to completion, or into a [`Checkpoint`] if a
+    /// [`RunMode::Suspend`] point is reached first.
     pub fn run_with<A: ReductionApp>(
         &self,
         app: &A,
         dataset: &Dataset,
-        opts: RunOptions<'_, A::State, A::Obj>,
+        schedule: &FaultSchedule,
+        mode: RunMode<'_, A::State, A::Obj>,
     ) -> ResumableOutcome<A::State, A::Obj> {
-        let RunOptions {
-            schedule,
-            recovery: options,
-            mut controller,
-            trace,
-            resume_from: start,
-            stop_at: stop,
-        } = opts;
+        let (mut controller, trace, start, stop) = match mode {
+            RunMode::Full { controller, trace } => (controller, trace, None, None),
+            RunMode::Suspend(sp) => (None, false, None, Some(sp)),
+            RunMode::Resume(ck) => (None, false, Some(ck), None),
+        };
         let d = &self.deployment;
         let n = d.config.data_nodes;
         let c = d.config.compute_nodes;
@@ -473,15 +438,8 @@ impl Executor {
             num_chunks,
             n
         );
-        assert!(
-            options.straggler_threshold >= 1.0,
-            "straggler threshold below 1 would abandon healthy nodes"
-        );
         if start.is_some() || stop.is_some() {
             assert!(d.cache.is_none(), "checkpointed runs do not support non-local cache sites");
-            assert!(controller.is_none(), "checkpointed runs do not support a pass controller");
-            assert!(!trace, "checkpointed runs do not support trace capture");
-            assert!(start.is_none() || stop.is_none(), "a resumed run cannot take a stop point");
         }
         if let Some(sp) = stop {
             assert!(
@@ -523,7 +481,7 @@ impl Executor {
                 // A resume on a different replica pays the restart
                 // overhead in its first pass.
                 let overhead = if ck.repository != d.repository.name {
-                    options.migration_overhead
+                    MIGRATION_OVERHEAD
                 } else {
                     SimDuration::ZERO
                 };
@@ -642,7 +600,7 @@ impl Executor {
                 let dead_now: Vec<usize> =
                     schedule.crashed_nodes(now).into_iter().filter(|&i| i < n_cur).collect();
                 if dead_now.iter().any(|i| !known_dead.contains(i)) {
-                    fault_detection = options.retry.detection_delay();
+                    fault_detection = DETECTION_DELAY;
                     known_dead = dead_now;
                 }
             }
@@ -747,7 +705,7 @@ impl Executor {
             if let Some(sp) = stop_here {
                 // Suspend: per-core partials stay unmerged so the resume
                 // replays the exact merge tree.
-                let folds = straggler_plan(&fold_times, schedule, options.straggler_threshold);
+                let folds = straggler_plan(&fold_times, schedule);
                 let prefix = PassReport {
                     retrieval,
                     network,
@@ -793,7 +751,7 @@ impl Executor {
                 recovery: straggler_recovery,
                 node_times,
                 abandoned,
-            } = straggler_plan(&base_times, schedule, options.straggler_threshold);
+            } = straggler_plan(&base_times, schedule);
 
             // Phase 4: reduction-object communication (serialized
             // gather): t_ro is exactly the sum of the per-sender times.
@@ -857,7 +815,7 @@ impl Executor {
                                 new_d.compute.machine.name, d.compute.machine.name,
                                 "migration is a replica switch; the compute site stays"
                             );
-                            migration = options.migration_overhead;
+                            migration = MIGRATION_OVERHEAD;
                             current = *new_d;
                         }
                     }
@@ -1135,9 +1093,10 @@ mod tests {
         }
     }
 
-    /// A run to completion under `schedule` with default recovery.
+    /// An untraced full run to completion under `schedule`.
     fn run_faulty(ex: &Executor, ds: &Dataset, schedule: &FaultSchedule) -> RunResult<Phase> {
-        ex.run_with(&TwoPass, ds, RunOptions::new(schedule, &FaultOptions::default())).finished()
+        ex.run_with(&TwoPass, ds, schedule, RunMode::Full { controller: None, trace: false })
+            .finished()
     }
 
     /// [`run_faulty`] with trace capture and an optional controller.
@@ -1147,12 +1106,8 @@ mod tests {
         schedule: &FaultSchedule,
         controller: Option<&mut dyn PassController>,
     ) -> (RunResult<Phase>, Trace) {
-        let recovery = FaultOptions::default();
-        let mut opts = RunOptions { trace: true, ..RunOptions::new(schedule, &recovery) };
-        if let Some(ctrl) = controller {
-            opts.controller = Some(ctrl);
-        }
-        let mut result = ex.run_with(&TwoPass, ds, opts).finished();
+        let mode = RunMode::Full { controller, trace: true };
+        let mut result = ex.run_with(&TwoPass, ds, schedule, mode).finished();
         let trace = result.trace.take().expect("a traced run returns its trace");
         (result, trace)
     }
@@ -1164,12 +1119,7 @@ mod tests {
         schedule: &FaultSchedule,
         stop: StopPoint,
     ) -> ResumableOutcome<Phase, Acc> {
-        let recovery = FaultOptions::default();
-        ex.run_with(
-            &TwoPass,
-            ds,
-            RunOptions { stop_at: Some(stop), ..RunOptions::new(schedule, &recovery) },
-        )
+        ex.run_with(&TwoPass, ds, schedule, RunMode::Suspend(stop))
     }
 
     /// Continue `ck` to completion.
@@ -1179,13 +1129,7 @@ mod tests {
         schedule: &FaultSchedule,
         ck: Checkpoint<Phase, Acc>,
     ) -> RunResult<Phase> {
-        let recovery = FaultOptions::default();
-        ex.run_with(
-            &TwoPass,
-            ds,
-            RunOptions { resume_from: Some(ck), ..RunOptions::new(schedule, &recovery) },
-        )
-        .finished()
+        ex.run_with(&TwoPass, ds, schedule, RunMode::Resume(ck)).finished()
     }
 
     #[test]
@@ -1204,11 +1148,10 @@ mod tests {
         let ds = dataset(8, 100);
         let ex = Executor::new(deployment(4, 4));
         let plain = ex.run(&TwoPass, &ds);
-        let opts = FaultOptions::default();
         let s = FaultSchedule::none().crash(1, SimTime::ZERO).crash(3, SimTime::ZERO);
         let faulty = run_faulty(&ex, &ds, &s);
         // Both crashes are found in one concurrent detection round.
-        assert_eq!(faulty.report.passes[0].fault_detection, opts.retry.detection_delay());
+        assert_eq!(faulty.report.passes[0].fault_detection, DETECTION_DELAY);
         // Cached second pass touches no data nodes: nothing to detect.
         assert_eq!(faulty.report.passes[1].fault_detection, SimDuration::ZERO);
         // Two survivors serve what four nodes did: retrieval slows down.
@@ -1309,16 +1252,10 @@ mod tests {
         let slow = refetch_deployment(2, 4, 1e5);
         let fast = refetch_deployment(2, 4, 1e6);
         let mut ctrl = MigrateOnce { target: Some(fast), observed: Vec::new() };
-        let (schedule, opts) = (FaultSchedule::none(), FaultOptions::default());
-        let r = Executor::new(slow)
-            .run_with(
-                &TwoPass,
-                &ds,
-                RunOptions { controller: Some(&mut ctrl), ..RunOptions::new(&schedule, &opts) },
-            )
-            .finished()
-            .report;
-        assert_eq!(r.passes[0].migration, opts.migration_overhead);
+        let mode = RunMode::Full { controller: Some(&mut ctrl), trace: false };
+        let r = Executor::new(slow).run_with(&TwoPass, &ds, &FaultSchedule::none(), mode);
+        let r = r.finished().report;
+        assert_eq!(r.passes[0].migration, MIGRATION_OVERHEAD);
         assert_eq!(r.passes[1].migration, SimDuration::ZERO);
         // Refetch mode keeps every pass remote; the new replica's faster
         // WAN shows up immediately.
@@ -1401,10 +1338,7 @@ mod tests {
         let ex = Executor::new(refetch_deployment(2, 4, 1e5));
         let (result, trace) = run_traced(&ex, &ds, &FaultSchedule::none(), Some(&mut ctrl));
         trace.check_well_formed().expect("migrated trace must be well-formed");
-        assert_eq!(
-            trace.component_sum(SpanKind::Migration),
-            FaultOptions::default().migration_overhead
-        );
+        assert_eq!(trace.component_sum(SpanKind::Migration), MIGRATION_OVERHEAD);
         let rebuilt = crate::ExecutionReport::from_trace(&trace).expect("reconstructable");
         assert_eq!(rebuilt, result.report);
     }
@@ -1425,11 +1359,12 @@ mod tests {
         let ds = dataset(8, 10);
         let mut ctrl =
             MigrateOnce { target: Some(refetch_deployment(2, 8, 1e6)), observed: Vec::new() };
-        let (schedule, opts) = (FaultSchedule::none(), FaultOptions::default());
+        let mode = RunMode::Full { controller: Some(&mut ctrl), trace: false };
         Executor::new(refetch_deployment(2, 4, 1e5)).run_with(
             &TwoPass,
             &ds,
-            RunOptions { controller: Some(&mut ctrl), ..RunOptions::new(&schedule, &opts) },
+            &FaultSchedule::none(),
+            mode,
         );
     }
 
@@ -1489,7 +1424,6 @@ mod tests {
     #[test]
     fn resume_on_another_replica_charges_the_migration_overhead() {
         let ds = dataset(8, 100);
-        let opts = FaultOptions::default();
         let sched = FaultSchedule::none();
         let home = Executor::new(refetch_deployment(2, 4, 1e5));
         let unsplit = home.run(&TwoPass, &ds);
@@ -1501,7 +1435,7 @@ mod tests {
         let away = Executor::new(refetch_replica(2, 4, 1e6));
         let resumed = resume(&away, &ds, &sched, ck);
         assert_eq!(final_count(&resumed.final_state), final_count(&unsplit.final_state));
-        assert_eq!(resumed.report.passes[1].migration, opts.migration_overhead);
+        assert_eq!(resumed.report.passes[1].migration, MIGRATION_OVERHEAD);
     }
 
     #[test]
@@ -1571,82 +1505,29 @@ mod tests {
             .expect_suspended("stops mid first pass")
     }
 
-    /// `run_with` over an 8-chunk dataset under no faults; `tweak` sets
-    /// the combination under test on top of [`RunOptions::new`].
-    macro_rules! run_rejected {
-        ($deployment:expr, |$o:ident, $ds:ident| $tweak:block) => {{
-            let $ds = dataset(8, 100);
-            let (schedule, recovery) = (FaultSchedule::none(), FaultOptions::default());
-            let mut $o = RunOptions::new(&schedule, &recovery);
-            $tweak
-            Executor::new($deployment).run_with(&TwoPass, &$ds, $o);
-        }};
-    }
-
     #[test]
     #[should_panic(expected = "checkpointed runs do not support non-local cache sites")]
     fn stop_point_with_a_cache_site_is_rejected() {
-        run_rejected!(cache_site_deployment(), |o, ds| { o.stop_at = Some(mid_first_pass()) });
+        let ex = Executor::new(cache_site_deployment());
+        suspend(&ex, &dataset(8, 100), &FaultSchedule::none(), mid_first_pass());
     }
 
     #[test]
     #[should_panic(expected = "checkpointed runs do not support non-local cache sites")]
     fn resume_with_a_cache_site_is_rejected() {
-        run_rejected!(cache_site_deployment(), |o, ds| { o.resume_from = Some(a_checkpoint(&ds)) });
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpointed runs do not support a pass controller")]
-    fn stop_point_with_a_controller_is_rejected() {
-        let mut ctrl = MigrateOnce { target: None, observed: Vec::new() };
-        run_rejected!(deployment(2, 4), |o, ds| {
-            o.stop_at = Some(mid_first_pass());
-            o.controller = Some(&mut ctrl);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpointed runs do not support a pass controller")]
-    fn resume_with_a_controller_is_rejected() {
-        let mut ctrl = MigrateOnce { target: None, observed: Vec::new() };
-        run_rejected!(deployment(2, 4), |o, ds| {
-            o.resume_from = Some(a_checkpoint(&ds));
-            o.controller = Some(&mut ctrl);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpointed runs do not support trace capture")]
-    fn stop_point_with_tracing_is_rejected() {
-        run_rejected!(deployment(2, 4), |o, ds| {
-            o.stop_at = Some(mid_first_pass());
-            o.trace = true;
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpointed runs do not support trace capture")]
-    fn resume_with_tracing_is_rejected() {
-        run_rejected!(deployment(2, 4), |o, ds| {
-            o.resume_from = Some(a_checkpoint(&ds));
-            o.trace = true;
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "a resumed run cannot take a stop point")]
-    fn resume_with_a_stop_point_is_rejected() {
-        run_rejected!(deployment(2, 4), |o, ds| {
-            o.resume_from = Some(a_checkpoint(&ds));
-            o.stop_at = Some(StopPoint { pass: 1, cursor: 2 });
-        });
+        let ds = dataset(8, 100);
+        resume(
+            &Executor::new(cache_site_deployment()),
+            &ds,
+            &FaultSchedule::none(),
+            a_checkpoint(&ds),
+        );
     }
 
     #[test]
     #[should_panic(expected = "stop cursor 9 exceeds the dataset's 8 chunks")]
     fn stop_cursor_past_the_dataset_is_rejected() {
-        run_rejected!(deployment(2, 4), |o, ds| {
-            o.stop_at = Some(StopPoint { pass: 0, cursor: 9 })
-        });
+        let ex = Executor::new(deployment(2, 4));
+        suspend(&ex, &dataset(8, 100), &FaultSchedule::none(), StopPoint { pass: 0, cursor: 9 });
     }
 }

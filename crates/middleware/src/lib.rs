@@ -43,9 +43,10 @@ pub mod timeline;
 
 pub use api::{ObjSize, PassOutcome, ReductionApp, ReductionObject};
 pub use checkpoint::{Checkpoint, ResumableOutcome, StopPoint};
-pub use dataserver::RetryPolicy;
+pub use dataserver::DETECTION_DELAY;
 pub use exec::{
-    Executor, FaultOptions, PassAction, PassController, PassObservation, RunOptions, RunResult,
+    Executor, PassAction, PassController, PassObservation, RunMode, RunResult, MIGRATION_OVERHEAD,
+    STRAGGLER_THRESHOLD,
 };
 pub use meter::WorkMeter;
 pub use pipeline::{run_pipelined, run_pipelined_traced, PipelinedRun};

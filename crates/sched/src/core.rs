@@ -78,9 +78,10 @@ use crate::policy::Policy;
 use crate::queue::PolicyQueue;
 use crate::sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
-    Scheduler, TenantQuota,
+    Scheduler, TenantQuota, MIGRATION_DEVIATION, MIGRATION_MARGIN, MIGRATION_MIN_ELAPSED_SECS,
+    MIGRATION_OVERHEAD_SECS, PREEMPTION_OVERHEAD_SECS,
 };
-use crate::telemetry::{TelemetrySnapshot, TelemetryState};
+use crate::telemetry::{TelemetrySnapshot, TelemetryState, WAIT_BOUNDS};
 use crate::workload::{check_job_fields, JobSpec};
 use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::bandwidth::{BandwidthEstimator, Ewma};
@@ -594,9 +595,7 @@ impl SchedCore {
             backfill: tracer.metrics.counter("sched_backfill_starts"),
             depth: tracer.metrics.gauge("sched_queue_depth"),
             depth_max: tracer.metrics.gauge("sched_queue_depth_max"),
-            wait: tracer
-                .metrics
-                .histogram("sched_wait_seconds", &[1.0, 5.0, 15.0, 60.0, 300.0, 1800.0]),
+            wait: tracer.metrics.histogram("sched_wait_seconds", &WAIT_BOUNDS),
             slow: tracer
                 .metrics
                 .histogram("sched_slowdown", &[1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]),
@@ -611,9 +610,9 @@ impl SchedCore {
                 .quotas
                 .as_ref()
                 .map(|_| tracer.metrics.counter("sched_quota_violations")),
-            preempt: scheduler.preemption.map(|_| tracer.metrics.counter("sched_preemptions")),
-            migrate: scheduler.migration.map(|_| tracer.metrics.counter("sched_migrations")),
-            ckpt: (scheduler.preemption.is_some() || scheduler.migration.is_some())
+            preempt: scheduler.preemption.then(|| tracer.metrics.counter("sched_preemptions")),
+            migrate: scheduler.migration.then(|| tracer.metrics.counter("sched_migrations")),
+            ckpt: (scheduler.preemption || scheduler.migration)
                 .then(|| tracer.metrics.counter("sched_checkpoints")),
         };
 
@@ -926,14 +925,13 @@ impl SchedCore {
             // transfer is in flight: the trigger compares achieved
             // against expected bandwidth, and nothing else schedules an
             // event between a transfer's start and its completion.
-            if let Some(mc) = self.cfg.migration {
-                let eligible = self
+            if self.cfg.migration
+                && self
                     .running
                     .iter()
-                    .any(|r| r.phase == Phase::Network && self.jobs[r.row].migration.is_none());
-                if eligible {
-                    horizon = horizon.min(self.now + mc.min_elapsed_secs);
-                }
+                    .any(|r| r.phase == Phase::Network && self.jobs[r.row].migration.is_none())
+            {
+                horizon = horizon.min(self.now + MIGRATION_MIN_ELAPSED_SECS);
             }
             self.netidx.clear();
             self.netidx.extend(
@@ -982,7 +980,7 @@ impl SchedCore {
             // The migration trigger's baseline: what each transfer
             // would have moved this step under the same fair-share
             // contention with undegraded rate caps.
-            if self.cfg.migration.is_some() && !self.netidx.is_empty() && dt > 0.0 {
+            if self.cfg.migration && !self.netidx.is_empty() && dt > 0.0 {
                 let flows = self.netidx.iter().map(|&i| {
                     let r = &self.running[i];
                     NetFlow { repo: r.repo, site: r.site, cap_bits: r.net_cap.to_bits() }
@@ -1225,7 +1223,9 @@ impl SchedCore {
     /// replicas when `fg-predict`'s cost/benefit model favors the move
     /// (at most once per job).
     fn migration_check(&mut self) {
-        let Some(mc) = self.cfg.migration else { return };
+        if !self.cfg.migration {
+            return;
+        }
         let grid = &self.cfg.grid;
         for r in self.running.iter_mut() {
             if r.phase != Phase::Network {
@@ -1236,7 +1236,7 @@ impl SchedCore {
                 continue;
             }
             let elapsed = self.now - r.net_started;
-            if elapsed < mc.min_elapsed_secs {
+            if elapsed < MIGRATION_MIN_ELAPSED_SECS {
                 continue;
             }
             let moved = r.bytes - r.net_remaining;
@@ -1244,7 +1244,7 @@ impl SchedCore {
                 continue;
             }
             let achieved = moved / elapsed;
-            if r.net_expected <= TIME_EPS || moved >= (1.0 - mc.deviation) * r.net_expected {
+            if r.net_expected <= TIME_EPS || moved >= (1.0 - MIGRATION_DEVIATION) * r.net_expected {
                 continue;
             }
             let model = model_of(grid, &self.app_of, r.row);
@@ -1284,7 +1284,7 @@ impl SchedCore {
             let stay = r.net_remaining / achieved + f_rem * r.predicted.t_compute.max(0.0);
             let link = InterconnectParams::of_site(&grid.sites[r.site].site);
             let decision = decide_migration(stay, &pred, f_rem, model.profile.max_obj_bytes, &link);
-            if !decision.worthwhile(mc.margin) {
+            if !decision.worthwhile(MIGRATION_MARGIN) {
                 continue;
             }
             // Commit: swap repositories, pause for the checkpoint
@@ -1299,10 +1299,10 @@ impl SchedCore {
             r.net_cap =
                 if pred.t_network > TIME_EPS { r.bytes / pred.t_network } else { f64::INFINITY };
             r.no_feedback = true;
-            r.phase = Phase::Migrating { until: self.now + mc.overhead_secs };
+            r.phase = Phase::Migrating { until: self.now + MIGRATION_OVERHEAD_SECS };
             o.migration = Some(MigrationEvent {
                 at: self.now,
-                until: self.now + mc.overhead_secs,
+                until: self.now + MIGRATION_OVERHEAD_SECS,
                 from_repo: Arc::clone(&from_repo),
                 to_repo: Arc::clone(&to_repo),
             });
@@ -1338,7 +1338,6 @@ impl SchedCore {
                     continue;
                 }
                 let mut job = self.suspended.remove(si);
-                let overhead = self.cfg.preemption.unwrap_or(0.0);
                 self.free.alloc(job.repo, job.site, &job.config);
                 self.used_slots[job.tenant] += job.config.compute_nodes;
                 job.no_feedback = true;
@@ -1347,11 +1346,13 @@ impl SchedCore {
                 p.resumed_at = Some(self.now);
                 // What the evicted phase had left, restarted after the
                 // restore pause; a transfer keeps its remaining bytes.
-                let resumed = |until: f64| self.now + overhead + (until - p.preempted_at).max(0.0);
+                let resumed = |until: f64| {
+                    self.now + PREEMPTION_OVERHEAD_SECS + (until - p.preempted_at).max(0.0)
+                };
                 job.phase = match job.phase {
                     Phase::Disk { until } => Phase::Disk { until: resumed(until) },
                     Phase::Network | Phase::Migrating { .. } => {
-                        Phase::Migrating { until: self.now + overhead }
+                        Phase::Migrating { until: self.now + PREEMPTION_OVERHEAD_SECS }
                     }
                     Phase::Compute { until } => Phase::Compute { until: resumed(until) },
                 };
@@ -1375,7 +1376,7 @@ impl SchedCore {
             // victim first), so the shortcut only applies when
             // preemption is off. Decision-neutral by construction: it
             // suppresses only work that provably finds no start.
-            if self.cfg.preemption.is_none()
+            if !self.cfg.preemption
                 && !grid.configs.iter().any(|c| {
                     c.data_nodes <= self.free.max_data() && c.compute_nodes <= self.free.max_cmp()
                 })
@@ -1463,7 +1464,7 @@ impl SchedCore {
             // them in the same pass — deadline urgency overrides the
             // fair-share quota, so the start is exempt from the
             // fairness checks below.
-            let preempting = start.is_none() && self.cfg.preemption.is_some();
+            let preempting = start.is_none() && self.cfg.preemption;
             if let Some((_, head_row)) = preempting.then(|| self.queue.head()).flatten() {
                 if let Some(qd) = self.jobs[head_row].deadline {
                     let deadline = |i: usize| self.jobs[self.running[i].row].deadline;

@@ -11,34 +11,27 @@
 //! [`Scheduler::run`].
 //!
 //! [`Scheduler::with_telemetry`]: crate::sched::Scheduler::with_telemetry
+//! [`Scheduler::run`]: crate::sched::Scheduler::run
 
 use crate::ledger::{AccuracyLedger, AccuracySample, DriftAlarm, DriftConfig, KeyDrift};
 use crate::sched::JobOutcome;
 use fg_trace::{SlidingHistogram, WindowSpec};
 use serde::{Deserialize, Serialize};
 
-/// Telemetry tuning: the drift detector plus the queue-wait window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Telemetry tuning: the drift detector.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Accuracy-ledger and drift-detector tuning.
     pub drift: DriftConfig,
-    /// Sliding window for per-tenant queue-wait quantiles (sim-clock
-    /// seconds).
-    pub wait_window: WindowSpec,
-    /// Value-bucket bounds for the windowed wait histograms, seconds.
-    pub wait_bounds: Vec<f64>,
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            drift: DriftConfig::default(),
-            // One hour of sim time in one-minute buckets.
-            wait_window: WindowSpec::new(60.0, 60),
-            wait_bounds: vec![1.0, 5.0, 15.0, 60.0, 300.0, 1800.0],
-        }
-    }
-}
+/// Sliding window for per-tenant queue-wait quantiles: one hour of sim
+/// time in one-minute buckets.
+const WAIT_WINDOW: WindowSpec = WindowSpec { bucket_width: 60.0, buckets: 60 };
+
+/// Value-bucket bounds of every queue-wait histogram, seconds: the
+/// windowed per-tenant ones here and the run's `sched_wait_seconds`.
+pub(crate) const WAIT_BOUNDS: [f64; 6] = [1.0, 5.0, 15.0, 60.0, 300.0, 1800.0];
 
 /// One tenant's live SLO gauges.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,7 +88,6 @@ struct TenantAcc {
 /// [`SchedCore`]: crate::core::SchedCore
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryState {
-    cfg: TelemetryConfig,
     ledger: AccuracyLedger,
     tenants: Vec<TenantAcc>,
     waits: Vec<SlidingHistogram>,
@@ -106,7 +98,7 @@ impl TelemetryState {
     /// Fresh state under `cfg`.
     pub fn new(cfg: TelemetryConfig) -> TelemetryState {
         let ledger = AccuracyLedger::new(cfg.drift);
-        TelemetryState { cfg, ledger, tenants: Vec::new(), waits: Vec::new(), epoch: 0 }
+        TelemetryState { ledger, tenants: Vec::new(), waits: Vec::new(), epoch: 0 }
     }
 
     /// The accuracy ledger.
@@ -122,7 +114,7 @@ impl TelemetryState {
     fn tenant_mut(&mut self, tenant: usize) -> &mut TenantAcc {
         while self.tenants.len() <= tenant {
             self.tenants.push(TenantAcc::default());
-            self.waits.push(SlidingHistogram::new(self.cfg.wait_window, &self.cfg.wait_bounds));
+            self.waits.push(SlidingHistogram::new(WAIT_WINDOW, &WAIT_BOUNDS));
         }
         &mut self.tenants[tenant]
     }

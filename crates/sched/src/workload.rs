@@ -777,33 +777,12 @@ impl WorkloadSpec {
         WorkloadSpec { tenants, apps: apps.iter().map(|a| a.to_string()).collect(), seed }
     }
 
-    /// The three-tenant preset widened to `tenants` clones of its
-    /// shapes (round-robin), each submitting `jobs_per_tenant` jobs —
-    /// the benchmark harness's knob for million-job traces. Per-tenant
-    /// inter-arrival means are scaled by `tenants / 3` so the
-    /// *aggregate* arrival rate stays what the load level dictates
-    /// regardless of the tenant count.
-    pub fn preset_scaled(
-        load: LoadLevel,
-        apps: &[&str],
-        seed: u64,
-        tenants: usize,
-        jobs_per_tenant: usize,
-    ) -> WorkloadSpec {
-        WorkloadSpec::shaped_scaled(
-            WorkloadShape::Uniform,
-            load,
-            apps,
-            seed,
-            tenants,
-            jobs_per_tenant,
-        )
-    }
-
-    /// [`WorkloadSpec::shaped`] widened to `tenants` clones the same
-    /// way [`WorkloadSpec::preset_scaled`] widens the legacy preset:
-    /// round-robin over the three shape tenants, all gaps scaled by
-    /// `tenants / 3` to hold the aggregate rate fixed.
+    /// [`WorkloadSpec::shaped`] widened to `tenants` clones of its
+    /// shapes (round-robin over the three shape tenants), each
+    /// submitting `jobs_per_tenant` jobs — the benchmark harness's knob
+    /// for million-job traces. Per-tenant inter-arrival means are
+    /// scaled by `tenants / 3` so the *aggregate* arrival rate stays
+    /// what the load level dictates regardless of the tenant count.
     pub fn shaped_scaled(
         shape: WorkloadShape,
         load: LoadLevel,
@@ -1066,8 +1045,15 @@ mod tests {
     }
 
     #[test]
-    fn preset_scaled_keeps_the_aggregate_rate() {
-        let s = WorkloadSpec::preset_scaled(LoadLevel::Heavy, &["kmeans"], 3, 30, 10);
+    fn shaped_scaled_keeps_the_aggregate_rate() {
+        let s = WorkloadSpec::shaped_scaled(
+            WorkloadShape::Uniform,
+            LoadLevel::Heavy,
+            &["kmeans"],
+            3,
+            30,
+            10,
+        );
         assert_eq!(s.tenants.len(), 30);
         assert!(s.validate().is_ok());
         let jobs = s.generate();

@@ -15,7 +15,7 @@
 //! pin that property.
 
 use crate::msg::{DrainedRun, Request, Response, ServeMetrics};
-use crate::recorder::{FlightRecorder, IncidentBundle, IncidentReason, RecorderConfig};
+use crate::recorder::{FlightRecorder, IncidentBundle, IncidentReason, LEDGER_TAIL};
 use fg_sched::{
     AccuracySample, CoreEvent, CoreStats, SchedCore, SchedSnapshot, Scheduler, TelemetryConfig,
     TelemetrySnapshot,
@@ -49,7 +49,7 @@ impl ServerEngine {
         };
         ServerEngine {
             core: Some(SchedCore::new(cfg).with_event_log()),
-            recorder: FlightRecorder::new(RecorderConfig::default()),
+            recorder: FlightRecorder::default(),
             published_epoch: None,
             final_metrics: None,
         }
@@ -101,11 +101,10 @@ impl ServerEngine {
     /// with whatever context is still available.
     pub fn decode_poisoned(&mut self, error: String) {
         let reason = IncidentReason::DecodePoisoned { error };
-        let tail_n = self.recorder.config().ledger_tail;
         let (at, stats, tail, alarms) = match self.core.as_mut() {
             Some(core) => {
                 let stats = core.stats();
-                let tail = core.ledger_tail(tail_n);
+                let tail = core.ledger_tail(LEDGER_TAIL);
                 let alarms = core.telemetry_snapshot().map(|s| s.alarms).unwrap_or_default();
                 (stats.now, Some(stats), tail, alarms)
             }
@@ -118,7 +117,7 @@ impl ServerEngine {
     /// events the request caused, in decision order, for streaming.
     ///
     /// [`Request::Quote`] and [`Request::Stats`] go through
-    /// [`answer_read`], the same function a server session calls with
+    /// `answer_read`, the same function a server session calls with
     /// the published snapshot — so a single-threaded driver and the
     /// threaded server give identical answers by construction.
     pub fn handle(&mut self, req: Request) -> (Response, Vec<CoreEvent>) {
@@ -130,8 +129,8 @@ impl ServerEngine {
                 Ok(outcome) => {
                     let events = core.take_events();
                     let plane = core.telemetry_snapshot();
-                    observe(&mut self.recorder, &events, plane.as_ref(), |n| {
-                        (core.stats(), core.ledger_tail(n))
+                    observe(&mut self.recorder, &events, plane.as_ref(), || {
+                        (core.stats(), core.ledger_tail(LEDGER_TAIL))
                     });
                     (Response::Submitted { outcome }, events)
                 }
@@ -157,8 +156,8 @@ impl ServerEngine {
                     suspended: 0,
                     ..pre
                 };
-                observe(&mut self.recorder, &events, plane, |n| {
-                    (stats.clone(), report.map_or_else(Vec::new, |r| r.ledger.tail(n)))
+                observe(&mut self.recorder, &events, plane, || {
+                    (stats.clone(), report.map_or_else(Vec::new, |r| r.ledger.tail(LEDGER_TAIL)))
                 });
                 // Stash the end-of-run plane so the publisher can push
                 // one final snapshot even though the core is gone.
@@ -199,14 +198,14 @@ pub(crate) fn answer_read<S: Borrow<SchedSnapshot>>(
 /// Feed a request's decision events through the flight recorder: ring
 /// them all, then trip a bundle per drift alarm and per tenant SLO
 /// newly breached on `plane`. `context` yields the counters and the
-/// ledger tail (of the length it is asked for) that a bundle carries —
+/// ledger tail ([`LEDGER_TAIL`] samples) that a bundle carries —
 /// from the live core after a submit, from the finished run's report
 /// after a drain — and runs only when something trips.
 fn observe(
     recorder: &mut FlightRecorder,
     events: &[CoreEvent],
     plane: Option<&TelemetrySnapshot>,
-    context: impl FnOnce(usize) -> (CoreStats, Vec<AccuracySample>),
+    context: impl FnOnce() -> (CoreStats, Vec<AccuracySample>),
 ) {
     for e in events {
         recorder.record(e);
@@ -228,7 +227,7 @@ fn observe(
     if reasons.is_empty() {
         return;
     }
-    let (stats, tail) = context(recorder.config().ledger_tail);
+    let (stats, tail) = context();
     let alarms = plane.map(|p| p.alarms.clone()).unwrap_or_default();
     for (reason, at) in reasons {
         recorder.trip(reason, at, Some(stats.clone()), tail.clone(), alarms.clone());

@@ -55,6 +55,7 @@ pub use engine::ServerEngine;
 pub use frame::{Frame, FrameDecoder, FrameKind, WireError};
 pub use msg::{DrainedRun, EventBatch, Request, Response, ServeMetrics, SubscribeMetrics};
 pub use recorder::{
-    FlightRecorder, IncidentBundle, IncidentReason, RecordedEvent, RecorderConfig, INCIDENT_VERSION,
+    FlightRecorder, IncidentBundle, IncidentReason, RecordedEvent, INCIDENT_VERSION, LEDGER_TAIL,
+    RING_CAPACITY, SLO_MAX_VIOLATION_RATE, SLO_MIN_COMPLETED,
 };
 pub use server::{Server, WireConn};

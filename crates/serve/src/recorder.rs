@@ -19,31 +19,18 @@ use std::collections::VecDeque;
 /// Format version written in every bundle header.
 pub const INCIDENT_VERSION: u32 = 1;
 
-/// Flight-recorder tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RecorderConfig {
-    /// Decision events retained in the ring.
-    pub capacity: usize,
-    /// Accuracy samples included in a bundle's ledger tail.
-    pub ledger_tail: usize,
-    /// Deadline-violation rate at which a tenant's SLO counts as
-    /// breached.
-    pub slo_max_violation_rate: f64,
-    /// Completions a tenant must have before its SLO arms (a single
-    /// early miss is not an incident).
-    pub slo_min_completed: u64,
-}
+/// Decision events retained in the flight recorder's ring.
+pub const RING_CAPACITY: usize = 256;
 
-impl Default for RecorderConfig {
-    fn default() -> RecorderConfig {
-        RecorderConfig {
-            capacity: 256,
-            ledger_tail: 32,
-            slo_max_violation_rate: 0.5,
-            slo_min_completed: 16,
-        }
-    }
-}
+/// Accuracy samples included in a bundle's ledger tail.
+pub const LEDGER_TAIL: usize = 32;
+
+/// Deadline-violation rate at which a tenant's SLO counts as breached.
+pub const SLO_MAX_VIOLATION_RATE: f64 = 0.5;
+
+/// Completions a tenant must have before its SLO arms (a single early
+/// miss is not an incident).
+pub const SLO_MIN_COMPLETED: u64 = 16;
 
 /// Why a bundle was cut.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,9 +126,8 @@ impl IncidentBundle {
 /// The bounded event ring and SLO trip state. The engine records every
 /// decision event here and cuts bundles on trip conditions; completed
 /// bundles are drained with [`take_bundles`](FlightRecorder::take_bundles).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    cfg: RecorderConfig,
     ring: VecDeque<RecordedEvent>,
     seq: u64,
     /// Tenants whose SLO breach has already been bundled — one bundle
@@ -151,23 +137,6 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An empty recorder under `cfg`.
-    pub fn new(cfg: RecorderConfig) -> FlightRecorder {
-        assert!(cfg.capacity >= 1, "recorder needs at least one slot");
-        FlightRecorder {
-            cfg,
-            ring: VecDeque::new(),
-            seq: 0,
-            slo_tripped: Vec::new(),
-            bundles: Vec::new(),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> RecorderConfig {
-        self.cfg
-    }
-
     /// Events recorded ever (≥ the ring's current length).
     pub fn recorded(&self) -> u64 {
         self.seq
@@ -182,7 +151,7 @@ impl FlightRecorder {
     pub fn record(&mut self, event: &CoreEvent) {
         self.ring.push_back(RecordedEvent { seq: self.seq, event: event.clone() });
         self.seq += 1;
-        while self.ring.len() > self.cfg.capacity {
+        while self.ring.len() > RING_CAPACITY {
             self.ring.pop_front();
         }
     }
@@ -197,8 +166,8 @@ impl FlightRecorder {
                 self.slo_tripped.resize(t.tenant + 1, false);
             }
             if self.slo_tripped[t.tenant]
-                || t.completed < self.cfg.slo_min_completed
-                || t.violation_rate < self.cfg.slo_max_violation_rate
+                || t.completed < SLO_MIN_COMPLETED
+                || t.violation_rate < SLO_MAX_VIOLATION_RATE
             {
                 continue;
             }
@@ -249,19 +218,18 @@ mod tests {
 
     #[test]
     fn the_ring_is_bounded_and_seq_survives_eviction() {
-        let cfg = RecorderConfig { capacity: 3, ..RecorderConfig::default() };
-        let mut r = FlightRecorder::new(cfg);
-        for i in 0..10 {
+        let mut r = FlightRecorder::default();
+        for i in 0..RING_CAPACITY + 7 {
             r.record(&event(i));
         }
         let seqs: Vec<u64> = r.events().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9]);
-        assert_eq!(r.recorded(), 10);
+        assert_eq!(seqs, (7..RING_CAPACITY as u64 + 7).collect::<Vec<_>>());
+        assert_eq!(r.recorded(), RING_CAPACITY as u64 + 7);
     }
 
     #[test]
     fn bundles_render_as_versioned_jsonl() {
-        let mut r = FlightRecorder::new(RecorderConfig::default());
+        let mut r = FlightRecorder::default();
         r.record(&event(0));
         r.record(&event(1));
         r.trip(
@@ -286,12 +254,7 @@ mod tests {
     #[test]
     fn slo_breaches_latch_per_tenant() {
         use fg_sched::TenantSlo;
-        let cfg = RecorderConfig {
-            slo_min_completed: 4,
-            slo_max_violation_rate: 0.5,
-            ..RecorderConfig::default()
-        };
-        let mut r = FlightRecorder::new(cfg);
+        let mut r = FlightRecorder::default();
         let snap = |completed: u64, violations: u64| TelemetrySnapshot {
             now: 0.0,
             epoch: completed,
@@ -307,10 +270,12 @@ mod tests {
             keys: Vec::new(),
             alarms: Vec::new(),
         };
-        assert!(r.slo_breaches(&snap(2, 2)).is_empty(), "below min_completed");
-        assert!(r.slo_breaches(&snap(4, 1)).is_empty(), "below the rate");
-        let fired = r.slo_breaches(&snap(4, 3));
+        let (armed, at_rate) =
+            (SLO_MIN_COMPLETED, (SLO_MIN_COMPLETED as f64 * SLO_MAX_VIOLATION_RATE) as u64);
+        assert!(r.slo_breaches(&snap(armed - 1, armed - 1)).is_empty(), "below min_completed");
+        assert!(r.slo_breaches(&snap(armed, at_rate - 1)).is_empty(), "below the rate");
+        let fired = r.slo_breaches(&snap(armed, at_rate));
         assert_eq!(fired.len(), 1);
-        assert!(r.slo_breaches(&snap(8, 7)).is_empty(), "latched: one bundle per tenant");
+        assert!(r.slo_breaches(&snap(2 * armed, 2 * armed)).is_empty(), "latched: one per tenant");
     }
 }

@@ -29,48 +29,21 @@ impl Interval {
 /// Jobs must be submitted in non-decreasing arrival order (FIFO means the
 /// queue discipline is arrival order; submitting out of order would let a
 /// later arrival overtake an earlier one).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FifoServer {
     free_at: SimTime,
     last_arrival: SimTime,
     busy: SimDuration,
     jobs: u64,
-    slowdown: f64,
-}
-
-impl Default for FifoServer {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl FifoServer {
     /// An idle server.
     pub fn new() -> Self {
-        FifoServer {
-            free_at: SimTime::ZERO,
-            last_arrival: SimTime::ZERO,
-            busy: SimDuration::ZERO,
-            jobs: 0,
-            slowdown: 1.0,
-        }
+        Self::default()
     }
 
-    /// An idle server whose service times are stretched by `slowdown >= 1`
-    /// — a straggler (fault injection). A factor of exactly `1.0` keeps
-    /// service times bit-identical to a healthy server.
-    pub fn with_slowdown(slowdown: f64) -> Self {
-        assert!(slowdown >= 1.0, "a straggler is slower, not faster: {slowdown}");
-        FifoServer { slowdown, ..Self::new() }
-    }
-
-    /// This server's service-time multiplier.
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown
-    }
-
-    /// Submit a job arriving at `arrival` needing `service` time (on a
-    /// healthy server; stragglers stretch it by their factor).
+    /// Submit a job arriving at `arrival` needing `service` time.
     pub fn submit(&mut self, arrival: SimTime, service: SimDuration) -> Interval {
         assert!(
             arrival >= self.last_arrival,
@@ -79,8 +52,6 @@ impl FifoServer {
             arrival
         );
         self.last_arrival = arrival;
-        // Guarded so healthy servers never round-trip through floats.
-        let service = if self.slowdown == 1.0 { service } else { service.mul_f64(self.slowdown) };
         let start = self.free_at.max(arrival);
         let end = start + service;
         self.free_at = end;
@@ -118,16 +89,6 @@ impl ServerPool {
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "a server pool needs at least one server");
         ServerPool { servers: vec![FifoServer::new(); k], last_arrival: SimTime::ZERO }
-    }
-
-    /// A pool with one server per slowdown factor (fault injection:
-    /// stragglers run at `factor >= 1`, healthy servers at exactly `1.0`).
-    pub fn with_slowdowns(slowdowns: &[f64]) -> Self {
-        assert!(!slowdowns.is_empty(), "a server pool needs at least one server");
-        ServerPool {
-            servers: slowdowns.iter().map(|&f| FifoServer::with_slowdown(f)).collect(),
-            last_arrival: SimTime::ZERO,
-        }
     }
 
     /// Number of servers.
@@ -205,45 +166,6 @@ mod tests {
         let mut s = FifoServer::new();
         s.submit(t(10), d(1));
         s.submit(t(5), d(1));
-    }
-
-    #[test]
-    fn straggler_stretches_service_time() {
-        let mut s = FifoServer::with_slowdown(3.0);
-        let iv = s.submit(t(0), d(10));
-        assert_eq!(iv, Interval { start: t(0), end: t(30) });
-        assert_eq!(s.busy_time(), d(30));
-    }
-
-    #[test]
-    fn unit_slowdown_is_bit_identical_to_healthy() {
-        let mut healthy = FifoServer::new();
-        let mut unit = FifoServer::with_slowdown(1.0);
-        for i in 0..50u64 {
-            assert_eq!(healthy.submit(t(i * 3), d(7)), unit.submit(t(i * 3), d(7)));
-        }
-        assert_eq!(healthy.busy_time(), unit.busy_time());
-    }
-
-    #[test]
-    #[should_panic(expected = "slower, not faster")]
-    fn speedup_factor_is_rejected() {
-        FifoServer::with_slowdown(0.5);
-    }
-
-    #[test]
-    fn pool_routes_around_a_straggler() {
-        // One straggler at 10x: back-to-back jobs should pile onto the
-        // healthy server once the straggler falls behind.
-        let mut p = ServerPool::with_slowdowns(&[10.0, 1.0]);
-        let mut straggler_jobs = 0;
-        for _ in 0..10 {
-            let (idx, _) = p.submit(SimTime::ZERO, d(10));
-            if idx == 0 {
-                straggler_jobs += 1;
-            }
-        }
-        assert!(straggler_jobs < 5, "straggler took {straggler_jobs}/10 jobs");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use freeride_g::apps::kmeans;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{timeline, Executor, FaultOptions, RunOptions};
+use freeride_g::middleware::{timeline, Executor, RunMode};
 use freeride_g::predict::bandwidth::Ewma;
 use freeride_g::predict::{AppClasses, Profile, ReselectionController};
 use freeride_g::sim::{FaultSchedule, SimDuration, SimTime};
@@ -43,9 +43,8 @@ fn main() {
         .crash(3, SimTime::ZERO)
         .degrade(SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(60), 0.3)
         .straggler(5, 4.0);
-    let recovery = FaultOptions::default();
     let faulty = Executor::new(replica("primary", 40e6, n, c))
-        .run_with(&app, &dataset, RunOptions::new(&schedule, &recovery))
+        .run_with(&app, &dataset, &schedule, RunMode::Full { controller: None, trace: false })
         .finished();
     let r = &faulty.report;
     println!(
@@ -86,10 +85,8 @@ fn main() {
         .run_with(
             &app,
             &dataset,
-            RunOptions {
-                controller: Some(&mut controller),
-                ..RunOptions::new(&collapse, &recovery)
-            },
+            &collapse,
+            RunMode::Full { controller: Some(&mut controller), trace: false },
         )
         .finished();
     println!(

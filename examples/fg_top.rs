@@ -79,7 +79,6 @@ fn main() {
         // Alarm after three samples per key instead of eight: the demo
         // workload is small, and we want detection on screen.
         drift: DriftConfig { min_samples: 3, ..DriftConfig::default() },
-        ..TelemetryConfig::default()
     };
     let sched = Scheduler::new(GridSpec::demo(sched_models()), Policy::Fcfs)
         .with_telemetry(telemetry)

@@ -15,8 +15,7 @@
 
 use fg_bench::figures::sched_models;
 use freeride_g::sched::{
-    Degradation, GridSpec, JobOutcome, LoadLevel, MigrationConfig, Policy, Scheduler, TenantQuota,
-    WorkloadSpec,
+    Degradation, GridSpec, JobOutcome, LoadLevel, Policy, Scheduler, TenantQuota, WorkloadSpec,
 };
 
 fn mean_slowdown(outcomes: &[JobOutcome]) -> f64 {
@@ -36,10 +35,10 @@ fn main() {
     let build = |migrate: bool| {
         let mut s = Scheduler::new(GridSpec::demo(models.clone()), Policy::FcfsBackfill)
             .with_quotas(vec![TenantQuota { capacity: 1000.0, refill_per_sec: 1.0 }; 3])
-            .with_preemption(2.0)
+            .with_preemption()
             .with_degradation(Degradation { repo: 0, start: 0.0, factor: 0.1 });
         if migrate {
-            s = s.with_migration(MigrationConfig::default());
+            s = s.with_migration();
         }
         s
     };

@@ -14,18 +14,19 @@
 //! generated at 1/100 scale. The simulated testbed is the paper's
 //! Pentium/Myrinet cluster.
 
-use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
+use fg_bench::{pentium_deployment, PaperApp};
+use freeride_g::chunks::Dataset;
+use freeride_g::cluster::{Configuration, Deployment};
 use freeride_g::middleware::{timeline, ExecutionReport};
 use freeride_g::predict::{
-    rank_deployments, relative_error, AppClasses, ComputeModel, ExecTimePredictor,
-    InterconnectParams, Profile, Target,
+    rank_deployments, relative_error, ComputeModel, ExecTimePredictor, InterconnectParams, Profile,
+    Target,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
 
 const SCALE: f64 = 0.01;
 const DEFAULT_BW_MBPS: f64 = 40.0;
-const APPS: [&str; 7] = ["kmeans", "em", "knn", "vortex", "defect", "apriori", "ann"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,23 +41,31 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match command.as_str() {
-        "apps" => {
-            for app in APPS {
-                let c = AppClasses::for_app(app);
-                println!("{app:<8} {:?} object, {:?} global reduction", c.obj, c.global);
+    match (command.as_str(), opts.app, opts.config) {
+        ("apps", ..) => {
+            for app in PaperApp::ALL {
+                let c = app.classes();
+                println!("{:<8} {:?} object, {:?} global reduction", app.name(), c.obj, c.global);
             }
-            ExitCode::SUCCESS
         }
-        "run" => cmd_run(&opts),
-        "profile" => cmd_profile(&opts),
-        "predict" => cmd_predict(&opts),
-        "select" => cmd_select(&opts),
-        other => {
+        ("run", Some(app), Some(cfg)) => print!("{}", timeline::render(&execute(app, cfg, &opts))),
+        ("profile", Some(app), _) => return cmd_profile(app, &opts),
+        ("predict", Some(app), Some(cfg)) => cmd_predict(app, cfg, &opts),
+        ("select", Some(app), _) => cmd_select(app, &opts),
+        (cmd @ ("run" | "predict"), ..) => {
+            eprintln!("{cmd} needs --app and --config\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        (cmd @ ("profile" | "select"), ..) => {
+            eprintln!("{cmd} needs --app\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        (other, ..) => {
             eprintln!("error: unknown command {other:?}\n\n{USAGE}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }
 
 const USAGE: &str = "usage:
@@ -67,7 +76,8 @@ const USAGE: &str = "usage:
   fg select  --app <name> --mb <nominal-MB> [--bw <MB/s>]";
 
 struct Options {
-    app: Option<String>,
+    /// `None` when missing or not an app `fg apps` lists.
+    app: Option<PaperApp>,
     mb: f64,
     config: Option<Configuration>,
     bw: f64,
@@ -84,7 +94,7 @@ impl Options {
                 it.next().map(String::as_str).ok_or_else(|| format!("flag {flag} needs a value"))
             };
             match flag.as_str() {
-                "--app" => opts.app = Some(value()?.to_string()),
+                "--app" => opts.app = PaperApp::parse(value()?),
                 "--mb" => {
                     opts.mb = value()?.parse().map_err(|e| format!("bad --mb: {e}"))?;
                     if opts.mb <= 0.0 {
@@ -113,106 +123,28 @@ impl Options {
         }
         Ok(opts)
     }
-
-    fn app(&self) -> Result<&str, String> {
-        let app = self.app.as_deref().ok_or("missing --app")?;
-        if APPS.contains(&app) {
-            Ok(app)
-        } else {
-            Err(format!("unknown app {app:?}; see `fg apps`"))
-        }
-    }
 }
 
 fn deployment(cfg: Configuration, bw: f64) -> Deployment {
-    Deployment::new(
-        RepositorySite::pentium_repository("repository", 8),
-        ComputeSite::pentium_myrinet("cluster", 16),
-        Wan::per_stream(bw),
-        cfg,
-    )
+    pentium_deployment(cfg.data_nodes, cfg.compute_nodes, bw)
 }
 
-/// Generate a dataset and execute on a configuration, via the harness's
-/// uniform app driver.
-fn execute(app: &str, mb: f64, cfg: Configuration, bw: f64, seed: u64) -> ExecutionReport {
-    // The harness crate owns the uniform PaperApp driver, but the CLI
-    // lives in the facade crate; drive each app directly.
-    use freeride_g::apps::*;
-    use freeride_g::middleware::Executor;
-    let exec = Executor::new(deployment(cfg, bw));
-    let id = format!("cli-{app}-{mb}");
-    match app {
-        "kmeans" => {
-            let ds = kmeans::generate(&id, mb, SCALE, seed, 8);
-            exec.run(&kmeans::KMeans::paper(7), &ds).report
-        }
-        "em" => {
-            let ds = em::generate(&id, mb, SCALE, seed, 4);
-            exec.run(&em::Em::paper(7), &ds).report
-        }
-        "knn" => {
-            let ds = knn::generate(&id, mb, SCALE, seed);
-            exec.run(&knn::Knn::paper(7), &ds).report
-        }
-        "vortex" => {
-            let ds = vortex::generate(&id, mb, SCALE, seed).0;
-            exec.run(&vortex::VortexDetect::default(), &ds).report
-        }
-        "defect" => {
-            let ds = defect::generate(&id, mb, SCALE, seed).0;
-            let app = defect::DefectDetect::for_dataset(&ds);
-            exec.run(&app, &ds).report
-        }
-        "apriori" => {
-            let ds = apriori::generate(&id, mb, SCALE, seed, &[[2, 17, 40], [5, 23, 51]]);
-            exec.run(&apriori::Apriori::standard(), &ds).report
-        }
-        "ann" => {
-            let ds = ann::generate(&id, mb, SCALE, seed);
-            exec.run(&ann::AnnTrain::paper(7), &ds).report
-        }
-        other => unreachable!("validated app {other}"),
-    }
+/// The app's dataset at `--mb` nominal megabytes.
+fn dataset(app: PaperApp, opts: &Options) -> Dataset {
+    app.generate(&format!("cli-{}-{}", app.name(), opts.mb), opts.mb, SCALE, 42)
 }
 
-fn dataset_bytes(app: &str, mb: f64, seed: u64) -> u64 {
-    use freeride_g::apps::*;
-    let id = format!("cli-{app}-{mb}");
-    match app {
-        "kmeans" => kmeans::generate(&id, mb, SCALE, seed, 8).logical_bytes(),
-        "em" => em::generate(&id, mb, SCALE, seed, 4).logical_bytes(),
-        "knn" => knn::generate(&id, mb, SCALE, seed).logical_bytes(),
-        "vortex" => vortex::generate(&id, mb, SCALE, seed).0.logical_bytes(),
-        "defect" => defect::generate(&id, mb, SCALE, seed).0.logical_bytes(),
-        "apriori" => {
-            apriori::generate(&id, mb, SCALE, seed, &[[2, 17, 40], [5, 23, 51]]).logical_bytes()
-        }
-        "ann" => ann::generate(&id, mb, SCALE, seed).logical_bytes(),
-        other => unreachable!("validated app {other}"),
-    }
+/// Generate the dataset and execute on a configuration.
+fn execute(app: PaperApp, cfg: Configuration, opts: &Options) -> ExecutionReport {
+    app.execute(deployment(cfg, opts.bw), &dataset(app, opts))
 }
 
-fn cmd_run(opts: &Options) -> ExitCode {
-    let (Ok(app), Some(cfg)) = (opts.app(), opts.config) else {
-        eprintln!("run needs --app and --config\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let report = execute(app, opts.mb, cfg, opts.bw, 42);
-    print!("{}", timeline::render(&report));
-    ExitCode::SUCCESS
-}
-
-fn cmd_profile(opts: &Options) -> ExitCode {
-    let Ok(app) = opts.app() else {
-        eprintln!("profile needs --app\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let report = execute(app, opts.mb, Configuration::new(1, 1), opts.bw, 42);
-    let profile = Profile::from_report(&report);
+fn cmd_profile(app: PaperApp, opts: &Options) -> ExitCode {
+    let profile = Profile::from_report(&execute(app, Configuration::new(1, 1), opts));
     println!(
-        "profile {app} 1-1 @ {:.0} MB: t_d={:.2}s t_n={:.2}s t_c={:.2}s \
+        "profile {} 1-1 @ {:.0} MB: t_d={:.2}s t_n={:.2}s t_c={:.2}s \
          (t_ro={:.3}s t_g={:.3}s), rho={} B, {} passes",
+        app.name(),
         opts.mb,
         profile.t_disk,
         profile.t_network,
@@ -233,26 +165,18 @@ fn cmd_profile(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_predict(opts: &Options) -> ExitCode {
-    let (Ok(app), Some(cfg)) = (opts.app(), opts.config) else {
-        eprintln!("predict needs --app and --config\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let profile =
-        Profile::from_report(&execute(app, opts.mb, Configuration::new(1, 1), opts.bw, 42));
+fn cmd_predict(app: PaperApp, cfg: Configuration, opts: &Options) {
     let predictor = ExecTimePredictor {
-        profile,
-        classes: AppClasses::for_app(app),
-        interconnect: InterconnectParams::of_site(
-            &deployment(Configuration::new(1, 1), opts.bw).compute,
-        ),
+        profile: Profile::from_report(&execute(app, Configuration::new(1, 1), opts)),
+        classes: app.classes(),
+        interconnect: InterconnectParams::of_site(&pentium_deployment(1, 1, opts.bw).compute),
         model: ComputeModel::GlobalReduction,
     };
     let target = Target {
         data_nodes: cfg.data_nodes,
         compute_nodes: cfg.compute_nodes,
         wan_bw: opts.bw,
-        dataset_bytes: dataset_bytes(app, opts.mb, 42),
+        dataset_bytes: dataset(app, opts).logical_bytes(),
     };
     let predicted = predictor.predict(&target);
     println!(
@@ -263,33 +187,21 @@ fn cmd_predict(opts: &Options) -> ExitCode {
         predicted.t_compute,
         predicted.total()
     );
-    let actual = execute(app, opts.mb, cfg, opts.bw, 42);
+    let actual = execute(app, cfg, opts).total().as_secs_f64();
     println!(
-        "actual    {}: total={:.2}s  (error {:.2}%)",
+        "actual    {}: total={actual:.2}s  (error {:.2}%)",
         cfg.label(),
-        actual.total().as_secs_f64(),
-        relative_error(actual.total().as_secs_f64(), predicted.total()) * 100.0
+        relative_error(actual, predicted.total()) * 100.0
     );
-    ExitCode::SUCCESS
 }
 
-fn cmd_select(opts: &Options) -> ExitCode {
-    let Ok(app) = opts.app() else {
-        eprintln!("select needs --app\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let profile =
-        Profile::from_report(&execute(app, opts.mb, Configuration::new(1, 1), opts.bw, 42));
+fn cmd_select(app: PaperApp, opts: &Options) {
+    let profile = Profile::from_report(&execute(app, Configuration::new(1, 1), opts));
     let deployments: Vec<Deployment> =
         Configuration::paper_grid().into_iter().map(|cfg| deployment(cfg, opts.bw)).collect();
-    let ranked = rank_deployments(
-        &profile,
-        AppClasses::for_app(app),
-        &deployments,
-        dataset_bytes(app, opts.mb, 42),
-        &HashMap::new(),
-    );
-    println!("deployments ranked by predicted cost ({app} @ {:.0} MB):", opts.mb);
+    let bytes = dataset(app, opts).logical_bytes();
+    let ranked = rank_deployments(&profile, app.classes(), &deployments, bytes, &HashMap::new());
+    println!("deployments ranked by predicted cost ({} @ {:.0} MB):", app.name(), opts.mb);
     for (i, cand) in ranked.iter().enumerate() {
         println!(
             "  {:>2}. {:<6} {:>10.1}s  (disk {:>7.1}s net {:>7.1}s compute {:>8.1}s)",
@@ -301,5 +213,4 @@ fn cmd_select(opts: &Options) -> ExitCode {
             cand.predicted.t_compute
         );
     }
-    ExitCode::SUCCESS
 }

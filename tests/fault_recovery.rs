@@ -11,7 +11,7 @@
 use freeride_g::apps::kmeans;
 use freeride_g::chunks::Dataset;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{Executor, FaultOptions, RunOptions, RunResult};
+use freeride_g::middleware::{Executor, RunMode, RunResult};
 use freeride_g::sim::{FaultSchedule, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -46,8 +46,8 @@ fn run_faulty(
     ds: &Dataset,
     schedule: &FaultSchedule,
 ) -> RunResult<kmeans::KMeansState> {
-    let recovery = FaultOptions::default();
-    Executor::new(deployment).run_with(app, ds, RunOptions::new(schedule, &recovery)).finished()
+    let full = RunMode::Full { controller: None, trace: false };
+    Executor::new(deployment).run_with(app, ds, schedule, full).finished()
 }
 
 fn centroid_bits(state: &kmeans::KMeansState) -> Vec<Vec<u32>> {

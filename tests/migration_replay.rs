@@ -22,7 +22,7 @@ use freeride_g::apps::{ann, apriori, defect, em, kmeans, knn, vortex};
 use freeride_g::chunks::Dataset;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
 use freeride_g::middleware::{
-    Checkpoint, Executor, FaultOptions, ReductionApp, RunOptions, StopPoint,
+    Checkpoint, Executor, ReductionApp, RunMode, StopPoint, MIGRATION_OVERHEAD,
 };
 use freeride_g::sched::{LoadLevel, Policy, WorkloadShape};
 use freeride_g::sim::{FaultSchedule, SimDuration, SimTime};
@@ -33,16 +33,6 @@ use std::fmt::Write as _;
 
 const SCALE: f64 = 0.01;
 const NOMINAL_MB: f64 = 8.0;
-
-const ALL_APPS: [PaperApp; 7] = [
-    PaperApp::KMeans,
-    PaperApp::Em,
-    PaperApp::Knn,
-    PaperApp::Vortex,
-    PaperApp::Defect,
-    PaperApp::Apriori,
-    PaperApp::Ann,
-];
 
 /// Home replica: no compute-side storage, so every pass refetches over
 /// the WAN and mid-run faults (and replica switches) stay observable.
@@ -137,9 +127,9 @@ fn differential_replay<A>(
     A::State: Serialize + Deserialize,
     A::Obj: Serialize + Deserialize,
 {
-    let opts = FaultOptions::default();
     let home = Executor::new(home_deployment());
-    let unsplit = home.run_with(app, ds, RunOptions::new(schedule, &opts)).finished();
+    let full = RunMode::Full { controller: None, trace: false };
+    let unsplit = home.run_with(app, ds, schedule, full).finished();
     let want = state_bits(&unsplit.final_state);
     let passes = unsplit.report.num_passes();
     assert!(passes >= 1);
@@ -149,9 +139,8 @@ fn differential_replay<A>(
         let cursor = (lcg_next(lcg) as usize) % (ds.num_chunks() + 1);
         let label = format!("{} split (pass {pass}, chunk {cursor})", app.name());
 
-        let stop_at = Some(StopPoint { pass, cursor });
         let ck = home
-            .run_with(app, ds, RunOptions { stop_at, ..RunOptions::new(schedule, &opts) })
+            .run_with(app, ds, schedule, RunMode::Suspend(StopPoint { pass, cursor }))
             .expect_suspended(&label);
         assert_eq!(ck.pass_idx, pass);
         assert_eq!(ck.cursor, cursor);
@@ -161,11 +150,8 @@ fn differential_replay<A>(
         let wire = serde_json::to_value(&ck).expect("checkpoint serializes");
         let back: Checkpoint<A::State, A::Obj> =
             serde_json::from_value(&wire).unwrap_or_else(|e| panic!("{label}: round-trip: {e}"));
-        let resume = |ex: &Executor, ck| {
-            let resume_from = Some(ck);
-            ex.run_with(app, ds, RunOptions { resume_from, ..RunOptions::new(schedule, &opts) })
-                .finished()
-        };
+        let resume =
+            |ex: &Executor, ck| ex.run_with(app, ds, schedule, RunMode::Resume(ck)).finished();
         let resumed = resume(&home, back);
         assert_eq!(state_bits(&resumed.final_state), want, "{label}: same-replica resume");
         assert_eq!(resumed.report.num_passes(), passes, "{label}: pass count");
@@ -177,7 +163,7 @@ fn differential_replay<A>(
         assert_eq!(state_bits(&migrated.final_state), want, "{label}: cross-replica resume");
         if cursor < ds.num_chunks() {
             assert_eq!(
-                migrated.report.passes[pass].migration, opts.migration_overhead,
+                migrated.report.passes[pass].migration, MIGRATION_OVERHEAD,
                 "{label}: replica switch must charge the migration overhead"
             );
         }
@@ -216,7 +202,7 @@ fn replay_app(
 #[test]
 fn every_app_replays_bit_identically_without_faults() {
     let mut lcg = 0x5eed_0001;
-    for app in ALL_APPS {
+    for app in PaperApp::ALL {
         let ds = app.generate(&format!("mr-clean-{}", app.name()), NOMINAL_MB, SCALE, 23);
         replay_app(app, &ds, &FaultSchedule::none(), 3, &mut lcg);
     }
@@ -232,7 +218,7 @@ fn every_app_replays_bit_identically_under_faults() {
         .degrade(SimTime::ZERO, SimTime::MAX, 0.5)
         .straggler(2, 3.0);
     let mut lcg = 0x5eed_0002;
-    for app in ALL_APPS {
+    for app in PaperApp::ALL {
         let ds = app.generate(&format!("mr-fault-{}", app.name()), NOMINAL_MB, SCALE, 29);
         replay_app(app, &ds, &schedule, 2, &mut lcg);
     }
@@ -246,7 +232,7 @@ proptest! {
     /// produces, the replayed run lands on the same bits.
     #[test]
     fn random_fault_schedules_replay_bit_identically(seed in 0u64..1000) {
-        let app = ALL_APPS[(seed % 7) as usize];
+        let app = PaperApp::ALL[(seed % 7) as usize];
         let ds = app.generate(&format!("mr-prop-{}", app.name()), NOMINAL_MB, SCALE, 31);
         let schedule = FaultSchedule::random(seed, 2, 4, SimDuration::from_secs(120));
         let mut lcg = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;

@@ -73,8 +73,8 @@ fn feature_stack_is_unperturbed_by_the_explicit_predictor() {
                     };
                     12
                 ])
-                .with_preemption(2.0)
-                .with_migration(freeride_g::sched::MigrationConfig::default())
+                .with_preemption()
+                .with_migration()
                 .with_degradation(Degradation { repo: 0, start: 0.0, factor: 0.1 })
         };
         let implicit = build().run(&jobs);

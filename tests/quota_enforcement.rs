@@ -10,7 +10,8 @@
 //! other tenants' outcomes by a single bit, and the structural
 //! violation counter stays at zero throughout.
 
-use fg_bench::figures::{sched_models, SCHED_APPS};
+use fg_bench::figures::sched_models;
+use fg_bench::PaperApp;
 use freeride_g::sched::{
     GridSpec, JobOutcome, LoadLevel, Policy, SchedResult, Scheduler, TenantQuota, WorkloadShape,
     WorkloadSpec,
@@ -20,7 +21,7 @@ use proptest::prelude::*;
 const EPS: f64 = 1e-6;
 
 fn preset_jobs(load: LoadLevel, seed: u64) -> Vec<freeride_g::sched::JobSpec> {
-    let names: Vec<&str> = SCHED_APPS.iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = PaperApp::ALL.iter().map(|a| a.name()).collect();
     WorkloadSpec::preset(load, &names, seed).generate()
 }
 
@@ -29,7 +30,7 @@ fn shaped_jobs(
     load: LoadLevel,
     seed: u64,
 ) -> Vec<freeride_g::sched::JobSpec> {
-    let names: Vec<&str> = SCHED_APPS.iter().map(|a| a.name()).collect();
+    let names: Vec<&str> = PaperApp::ALL.iter().map(|a| a.name()).collect();
     WorkloadSpec::shaped(shape, load, &names, seed).generate()
 }
 

@@ -6,9 +6,7 @@ use fg_bench::PaperApp;
 use freeride_g::apps::{ann, apriori, defect, em, kmeans, knn, vortex};
 use freeride_g::chunks::Dataset;
 use freeride_g::cluster::{ComputeSite, Configuration, Deployment, RepositorySite, Wan};
-use freeride_g::middleware::{
-    Checkpoint, Executor, FaultOptions, ReductionApp, RunOptions, StopPoint,
-};
+use freeride_g::middleware::{Checkpoint, Executor, ReductionApp, RunMode, StopPoint};
 use freeride_g::predict::{Prediction, Profile, ScalingFactors, Target};
 use freeride_g::sim::FaultSchedule;
 use serde::{Deserialize, Serialize, Value};
@@ -72,10 +70,10 @@ where
     A::Obj: Serialize + Deserialize,
 {
     let ex = Executor::new(deployment(2, 4));
-    let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
+    let sched = FaultSchedule::none();
     let stop = StopPoint { pass: 0, cursor: ds.num_chunks() / 2 };
     let ck = ex
-        .run_with(app, ds, RunOptions { stop_at: Some(stop), ..RunOptions::new(&sched, &opts) })
+        .run_with(app, ds, &sched, RunMode::Suspend(stop))
         .expect_suspended("every app runs at least one full pass");
 
     let wire = serde_json::to_value(&ck).expect("checkpoint serializes");
@@ -94,9 +92,7 @@ where
     assert_eq!(back.partials.len(), 4, "one partial-object vector per compute node");
 
     let unsplit = ex.run(app, ds);
-    let resumed = ex
-        .run_with(app, ds, RunOptions { resume_from: Some(back), ..RunOptions::new(&sched, &opts) })
-        .finished();
+    let resumed = ex.run_with(app, ds, &sched, RunMode::Resume(back)).finished();
     assert_eq!(
         serde_json::to_value(&resumed.final_state).unwrap(),
         serde_json::to_value(&unsplit.final_state).unwrap(),
@@ -121,10 +117,9 @@ fn checkpoints_roundtrip_for_all_seven_apps() {
 fn kmeans_checkpoint() -> (Dataset, Value) {
     let ds = kmeans::generate("ser-ck-corrupt", 50.0, 0.004, 5, 4);
     let app = kmeans::KMeans { k: 4, passes: 3, seed: 5 };
-    let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
-    let stop_at = Some(StopPoint { pass: 1, cursor: 3 });
+    let stop = RunMode::Suspend(StopPoint { pass: 1, cursor: 3 });
     let ck = Executor::new(deployment(2, 4))
-        .run_with(&app, &ds, RunOptions { stop_at, ..RunOptions::new(&sched, &opts) })
+        .run_with(&app, &ds, &FaultSchedule::none(), stop)
         .expect_suspended("three passes reach pass 1");
     let wire = serde_json::to_value(&ck).expect("checkpoint serializes");
     (ds, wire)
@@ -173,11 +168,11 @@ fn out_of_range_checkpoint_cursor_is_rejected_at_resume() {
     let mut ck: KmCheckpoint = serde_json::from_value(&wire).expect("intact wire decodes");
     ck.cursor = ds.num_chunks() + 7;
     let app = kmeans::KMeans { k: 4, passes: 3, seed: 5 };
-    let (sched, opts) = (FaultSchedule::none(), FaultOptions::default());
     Executor::new(deployment(2, 4)).run_with(
         &app,
         &ds,
-        RunOptions { resume_from: Some(ck), ..RunOptions::new(&sched, &opts) },
+        &FaultSchedule::none(),
+        RunMode::Resume(ck),
     );
 }
 

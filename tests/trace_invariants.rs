@@ -6,21 +6,11 @@
 //! `execute_with` under an empty `FaultSchedule`.
 
 use fg_bench::{pentium_deployment, PaperApp};
-use freeride_g::middleware::{ExecutionReport, FaultOptions};
+use freeride_g::middleware::ExecutionReport;
 use freeride_g::predict::Profile;
 use freeride_g::sim::FaultSchedule;
 use freeride_g::trace::{SpanKind, Trace};
 use proptest::prelude::*;
-
-const APPS: [PaperApp; 7] = [
-    PaperApp::KMeans,
-    PaperApp::Em,
-    PaperApp::Knn,
-    PaperApp::Vortex,
-    PaperApp::Defect,
-    PaperApp::Apriori,
-    PaperApp::Ann,
-];
 
 /// `(app index, data nodes, compute nodes, nominal MB, seed)`.
 type Case = (usize, usize, usize, u64, u64);
@@ -35,12 +25,12 @@ type CaseRanges = (
 );
 
 fn cases() -> CaseRanges {
-    (0..APPS.len(), 1..5, 1..9, 4..13, 0..1_000_000)
+    (0..PaperApp::ALL.len(), 1..5, 1..9, 4..13, 0..1_000_000)
 }
 
 fn run_case(case: Case) -> (ExecutionReport, Trace) {
     let (a, n, c, mb, seed) = case;
-    let app = APPS[a];
+    let app = PaperApp::ALL[a];
     let dataset = app.generate("ti", mb as f64, 0.01, seed);
     // The middleware requires compute nodes >= data nodes.
     app.execute_traced(pentium_deployment(n, c.max(n), 1e6), &dataset)
@@ -130,17 +120,12 @@ proptest! {
     #[test]
     fn empty_fault_schedule_trace_is_identical(case in cases()) {
         let (a, n, c, mb, seed) = case;
-        let app = APPS[a];
+        let app = PaperApp::ALL[a];
         let dataset = app.generate("ti", mb as f64, 0.01, seed);
         let dep = pentium_deployment(n, c.max(n), 1e6);
         let (plain_report, plain_trace) = app.execute_traced(dep.clone(), &dataset);
-        let (fault_report, fault_trace) = app.execute_with(
-            dep,
-            &dataset,
-            &FaultSchedule::none(),
-            &FaultOptions::default(),
-            true,
-        );
+        let (fault_report, fault_trace) =
+            app.execute_with(dep, &dataset, &FaultSchedule::none(), true);
         prop_assert_eq!(plain_report, fault_report);
         prop_assert_eq!(Some(plain_trace), fault_trace);
     }
