@@ -132,7 +132,7 @@ impl PaperApp {
         // The arms differ only in the application's type.
         macro_rules! run {
             ($app:expr) => {{
-                let mode = RunMode::Full { controller: None, trace };
+                let mode = RunMode::Full { trace };
                 let result = exec.run_with(&$app, dataset, schedule, mode).finished();
                 (result.report, result.trace)
             }};

@@ -173,7 +173,7 @@ impl Deployment {
 /// heap-allocated names and machine specs), so enumerating one per
 /// `(replica, site, configuration)` triple clones strings on every
 /// candidate. Hot paths that score thousands of candidates per decision
-/// — a scheduler placing a job, a mid-run re-selection sweep — build a
+/// — a scheduler placing a job or pricing a mid-run migration — build a
 /// `DeploymentRef` on the stack instead and allocate nothing.
 ///
 /// The WAN path collapses to the one number prediction consumes, the

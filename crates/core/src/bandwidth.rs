@@ -11,7 +11,6 @@
 
 use fg_sim::rng::stream_rng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An on-line bandwidth estimator: feed observations, ask for the next
 /// value.
@@ -21,12 +20,10 @@ pub trait BandwidthEstimator {
     /// Estimate the bandwidth of the next transfer. Panics if called
     /// before any observation.
     fn estimate(&self) -> f64;
-    /// Estimator name (for reports).
-    fn name(&self) -> &'static str;
 }
 
 /// Predicts the most recent observation (the naive baseline).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LastValue {
     last: Option<f64>,
 }
@@ -38,13 +35,10 @@ impl BandwidthEstimator for LastValue {
     fn estimate(&self) -> f64 {
         self.last.expect("no observations yet")
     }
-    fn name(&self) -> &'static str {
-        "last-value"
-    }
 }
 
 /// Sliding-window mean.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MovingAverage {
     window: usize,
     values: std::collections::VecDeque<f64>,
@@ -55,34 +49,6 @@ impl MovingAverage {
     pub fn new(window: usize) -> MovingAverage {
         assert!(window >= 1);
         MovingAverage { window, values: Default::default() }
-    }
-}
-
-/// Hand-written so deserialization enforces the same `window >= 1`
-/// invariant as [`MovingAverage::new`] — a derived impl would accept
-/// `{"window": 0}` and then panic on the first `estimate()`.
-impl serde::Deserialize for MovingAverage {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut window, mut values) = (None, None);
-        let mut more = r.object_start("MovingAverage")?;
-        while more {
-            match &*r.key()? {
-                "window" => r.field(&mut window)?,
-                "values" => r.field(&mut values)?,
-                _ => r.skip_value()?,
-            }
-            more = r.object_more()?;
-        }
-        let window: usize = serde::required(window, "window", "MovingAverage")?;
-        if window < 1 {
-            return Err(serde::Error::custom("MovingAverage window must be >= 1"));
-        }
-        let values: std::collections::VecDeque<f64> =
-            serde::required(values, "values", "MovingAverage")?;
-        if values.len() > window {
-            return Err(serde::Error::custom("MovingAverage holds more values than its window"));
-        }
-        Ok(MovingAverage { window, values })
     }
 }
 
@@ -97,14 +63,11 @@ impl BandwidthEstimator for MovingAverage {
         assert!(!self.values.is_empty(), "no observations yet");
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
-    fn name(&self) -> &'static str {
-        "moving-average"
-    }
 }
 
 /// Exponentially weighted moving average (the workhorse of the NWS-era
 /// forecasters).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -118,29 +81,6 @@ impl Ewma {
     }
 }
 
-/// Hand-written for the same reason as [`MovingAverage`]'s impl: the
-/// `0 < alpha <= 1` constructor invariant must survive deserialization.
-impl serde::Deserialize for Ewma {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut alpha, mut value) = (None, None);
-        let mut more = r.object_start("Ewma")?;
-        while more {
-            match &*r.key()? {
-                "alpha" => r.field(&mut alpha)?,
-                "value" => r.field(&mut value)?,
-                _ => r.skip_value()?,
-            }
-            more = r.object_more()?;
-        }
-        let alpha: f64 = serde::required(alpha, "alpha", "Ewma")?;
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return Err(serde::Error::custom("Ewma alpha must satisfy 0 < alpha <= 1"));
-        }
-        let value: Option<f64> = serde::required(value, "value", "Ewma")?;
-        Ok(Ewma { alpha, value })
-    }
-}
-
 impl BandwidthEstimator for Ewma {
     fn observe(&mut self, bw: f64) {
         self.value = Some(match self.value {
@@ -150,9 +90,6 @@ impl BandwidthEstimator for Ewma {
     }
     fn estimate(&self) -> f64 {
         self.value.expect("no observations yet")
-    }
-    fn name(&self) -> &'static str {
-        "ewma"
     }
 }
 
@@ -260,47 +197,6 @@ mod tests {
     #[should_panic(expected = "no positive finite samples")]
     fn evaluate_rejects_unscorable_traces() {
         evaluate(&mut LastValue::default(), &[10.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn moving_average_deserialization_enforces_window_invariant() {
-        // Regression: the derived impl accepted `window: 0` (bypassing
-        // the constructor assert) and then panicked on `estimate()`.
-        let bad = r#"{"window": 0, "values": []}"#;
-        assert!(serde_json::from_str::<MovingAverage>(bad).is_err());
-        let overfull = r#"{"window": 1, "values": [1.0, 2.0]}"#;
-        assert!(serde_json::from_str::<MovingAverage>(overfull).is_err());
-        let good = r#"{"window": 3, "values": [1.0, 2.0]}"#;
-        let ma: MovingAverage = serde_json::from_str(good).expect("valid state");
-        assert!((ma.estimate() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_deserialization_enforces_alpha_invariant() {
-        for bad in [
-            r#"{"alpha": 0.0, "value": null}"#,
-            r#"{"alpha": -0.5, "value": null}"#,
-            r#"{"alpha": 1.5, "value": null}"#,
-        ] {
-            assert!(serde_json::from_str::<Ewma>(bad).is_err(), "{bad}");
-        }
-        let mut e: Ewma = serde_json::from_str(r#"{"alpha": 0.5, "value": 10.0}"#).unwrap();
-        e.observe(20.0);
-        assert!((e.estimate() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn estimator_serialization_round_trips() {
-        let mut ma = MovingAverage::new(4);
-        ma.observe(1.0);
-        ma.observe(3.0);
-        let back: MovingAverage =
-            serde_json::from_str(&serde_json::to_string(&ma).unwrap()).unwrap();
-        assert_eq!(back.estimate(), ma.estimate());
-        let mut e = Ewma::new(0.25);
-        e.observe(8.0);
-        let back: Ewma = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
-        assert_eq!(back.estimate(), e.estimate());
     }
 
     #[test]

@@ -22,16 +22,14 @@
 //!   §2.1 goal the paper deferred, implemented as an extension).
 //! * [`bandwidth`] — on-line estimators of the achievable WAN bandwidth
 //!   `b̂` (the §3.2 ingredient the paper imports from related work).
-//! * [`reselect`] — mid-run replica re-selection: re-ranks candidates
-//!   and migrates when observed bandwidth deviates from nominal.
 //! * [`migrate`] — the migration cost/benefit model: prices a
-//!   checkpoint move (`T̂_migrate`) and gates re-selection verdicts.
+//!   checkpoint move (`T̂_migrate`) against staying on a degraded path.
 //! * [`calibrate`] — least-squares measurement of the interconnect
 //!   parameters `w` and `l` ("experimentally determined", §3.3.1).
 //! * [`error`] — the relative-error metric of §5.
-//! * [`predictor`] — the pluggable [`Predictor`]
-//!   seam every ranking/placement/migration call site prices through,
-//!   with the analytical model as the default impl.
+//! * [`predictor`] — the pluggable [`Predictor`] seam every scheduler
+//!   placement/migration call site prices through, with the analytical
+//!   model as the default impl.
 
 #![warn(missing_docs)]
 
@@ -45,7 +43,6 @@ pub mod migrate;
 pub mod model;
 pub mod predictor;
 pub mod profile;
-pub mod reselect;
 pub mod selection;
 
 pub use cache::{predict_plan_components, predict_with_plan, CachePlan};
@@ -56,8 +53,7 @@ pub use migrate::{decide_migration, migration_cost, MigrationCost, MigrationDeci
 pub use model::{ComputeModel, ExecTimePredictor, InterconnectParams, Prediction, Target};
 pub use predictor::{AnalyticalPredictor, Observation, Predictor, Price};
 pub use profile::Profile;
-pub use reselect::ReselectionController;
 pub use selection::{
-    prepare, rank_deployments, try_predict_deployment, try_rank_deployments,
-    try_rank_deployments_with, Candidate, Prepared, SelectionError, SiteQuery,
+    prepare, rank_deployments, try_predict_deployment, try_rank_deployments, Candidate, Prepared,
+    SelectionError, SiteQuery,
 };

@@ -1,13 +1,15 @@
 //! Migration cost/benefit model: is moving a checkpointed run worth it?
 //!
-//! [`ReselectionController`](crate::ReselectionController) answers
-//! *where* a run should be — it re-ranks replicas when observed
-//! bandwidth drifts. This module answers whether moving there pays:
-//! migration is not free. The checkpointed reduction objects must cross
-//! a link (`checkpoint_size · ŵ + l`, the paper's per-object
-//! interconnect model applied to the snapshot), and the destination
-//! replica must redo the remaining fraction of the run's retrieval and
-//! WAN transfer — `T̂_disk`/`T̂_network` scaled by the unprocessed share:
+//! A run whose replica's WAN path degrades can be checkpointed
+//! (`fg-middleware`'s `RunMode::Suspend`) and resumed on another
+//! replica of the same dataset (`RunMode::Resume`). Ranking the replicas
+//! at the observed bandwidth says *where* the run should be; this module
+//! says whether moving there pays, because migration is not free. The
+//! checkpointed reduction objects must cross a link
+//! (`checkpoint_size · ŵ + l`, the paper's per-object interconnect model
+//! applied to the snapshot), and the destination replica must redo the
+//! remaining fraction of the run's retrieval and WAN transfer —
+//! `T̂_disk`/`T̂_network` scaled by the unprocessed share:
 //!
 //! ```text
 //! T̂_migrate = checkpoint_bytes · ŵ + l + f_rem · (T̂_disk + T̂_network)
@@ -16,8 +18,8 @@
 //! [`decide_migration`] puts the two sides on one scale: a move only
 //! pays if the predicted remaining time on the candidate *plus*
 //! `T̂_migrate` still beats staying put on the degraded path. The
-//! scheduler (`fg-sched`) calls it directly for every mid-run
-//! migration it considers.
+//! scheduler (`fg-sched`) calls it for every mid-run migration it
+//! considers, and `examples/fault_injection.rs` for a single run.
 
 use crate::model::{InterconnectParams, Prediction};
 

@@ -1,4 +1,4 @@
-//! The pluggable prediction seam: a [`Predictor`] trait every ranking,
+//! The pluggable prediction seam: a [`Predictor`] trait every scheduler
 //! placement, admission, and migration call site prices deployments
 //! through, with the paper's closed-form model as the default impl.
 //!

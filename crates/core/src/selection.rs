@@ -94,34 +94,10 @@ pub fn try_rank_deployments(
     dataset_bytes: u64,
     factors: &HashMap<String, ScalingFactors>,
 ) -> Result<Vec<Candidate>, SelectionError> {
-    try_rank_deployments_with(
-        &crate::predictor::AnalyticalPredictor,
-        profile,
-        classes,
-        deployments,
-        dataset_bytes,
-        factors,
-    )
-}
-
-/// [`try_rank_deployments`] generalized over the pricing model: every
-/// candidate is priced through `pred` instead of the closed-form
-/// analytical path. With [`AnalyticalPredictor`] this is bit-identical
-/// to [`try_rank_deployments`] (which is implemented on top of it).
-///
-/// [`AnalyticalPredictor`]: crate::predictor::AnalyticalPredictor
-pub fn try_rank_deployments_with<P: crate::predictor::Predictor + ?Sized>(
-    pred: &P,
-    profile: &Profile,
-    classes: AppClasses,
-    deployments: &[Deployment],
-    dataset_bytes: u64,
-    factors: &HashMap<String, ScalingFactors>,
-) -> Result<Vec<Candidate>, SelectionError> {
     let mut out = Vec::with_capacity(deployments.len());
     for d in deployments {
         let predicted =
-            pred.predict_deployment(profile, classes, d.as_ref(), dataset_bytes, factors)?;
+            try_predict_deployment(profile, classes, d.as_ref(), dataset_bytes, factors)?;
         out.push(Candidate { deployment: d.clone(), predicted });
     }
     out.sort_by(|a, b| {

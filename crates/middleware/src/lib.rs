@@ -44,10 +44,7 @@ pub mod timeline;
 pub use api::{ObjSize, PassOutcome, ReductionApp, ReductionObject};
 pub use checkpoint::{Checkpoint, ResumableOutcome, StopPoint};
 pub use dataserver::DETECTION_DELAY;
-pub use exec::{
-    Executor, PassAction, PassController, PassObservation, RunMode, RunResult, MIGRATION_OVERHEAD,
-    STRAGGLER_THRESHOLD,
-};
+pub use exec::{Executor, RunMode, RunResult, MIGRATION_OVERHEAD, STRAGGLER_THRESHOLD};
 pub use meter::WorkMeter;
 pub use pipeline::{run_pipelined, run_pipelined_traced, PipelinedRun};
 pub use report::{CacheMode, ExecutionReport, PassReport};

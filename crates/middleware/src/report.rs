@@ -253,7 +253,6 @@ impl ExecutionReport {
                     SpanKind::Compute => pr.local_compute = d,
                     SpanKind::Gather => pr.t_ro = d,
                     SpanKind::GlobalReduce => pr.t_g = d,
-                    SpanKind::Migration => pr.migration = d,
                     SpanKind::StragglerRecovery => pr.straggler_recovery = d,
                     other => return Err(format!("unexpected {other:?} span under a pass")),
                 }

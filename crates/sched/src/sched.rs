@@ -78,10 +78,10 @@ pub struct MigrationEvent {
 /// Mid-run migration (see [`Scheduler::with_migration`]) runs the
 /// cost model only when a transfer has moved less than
 /// `1 - MIGRATION_DEVIATION` of the bytes the fluid model's
-/// contention-adjusted expectation says it should have. Fair-share
-/// stretching from modeled link contention is part of the expectation,
-/// so a run with stable bandwidth never trips the trigger. The threshold
-/// mirrors `fg-predict`'s `ReselectionController` hysteresis.
+/// contention-adjusted expectation says it should have: a transfer more
+/// than 25% behind. Fair-share stretching from modeled link contention
+/// is part of the expectation, so a run with stable bandwidth never
+/// trips the trigger.
 pub const MIGRATION_DEVIATION: f64 = 0.25;
 
 /// Relative improvement a migration must clear after paying

@@ -89,8 +89,6 @@ pub enum SpanKind {
     Gather,
     /// Global reduction at the master (`T_g`).
     GlobalReduce,
-    /// Replica-migration overhead (recovery component).
-    Migration,
     /// Master re-execution of abandoned straggler chunks (recovery).
     StragglerRecovery,
     /// One data node reading its chunk share (child of `Retrieval` or
@@ -136,7 +134,6 @@ impl SpanKind {
             SpanKind::Compute => "compute",
             SpanKind::Gather => "gather",
             SpanKind::GlobalReduce => "global-reduce",
-            SpanKind::Migration => "migration",
             SpanKind::StragglerRecovery => "straggler-recovery",
             SpanKind::NodeRead => "node-read",
             SpanKind::NodeTransfer => "node-transfer",

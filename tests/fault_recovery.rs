@@ -46,7 +46,7 @@ fn run_faulty(
     ds: &Dataset,
     schedule: &FaultSchedule,
 ) -> RunResult<kmeans::KMeansState> {
-    let full = RunMode::Full { controller: None, trace: false };
+    let full = RunMode::Full { trace: false };
     Executor::new(deployment).run_with(app, ds, schedule, full).finished()
 }
 

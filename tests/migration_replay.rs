@@ -128,7 +128,7 @@ fn differential_replay<A>(
     A::Obj: Serialize + Deserialize,
 {
     let home = Executor::new(home_deployment());
-    let full = RunMode::Full { controller: None, trace: false };
+    let full = RunMode::Full { trace: false };
     let unsplit = home.run_with(app, ds, schedule, full).finished();
     let want = state_bits(&unsplit.final_state);
     let passes = unsplit.report.num_passes();

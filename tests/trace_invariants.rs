@@ -99,7 +99,6 @@ proptest! {
         prop_assert_eq!(trace.component_sum(SpanKind::GlobalReduce), report.t_g());
         prop_assert_eq!(
             trace.component_sum(SpanKind::FaultDetection)
-                + trace.component_sum(SpanKind::Migration)
                 + trace.component_sum(SpanKind::StragglerRecovery),
             report.t_recovery()
         );
