@@ -89,7 +89,7 @@ impl ReductionObject for AprioriObj {
 
 /// The broadcast state: current candidates and the frequent sets found so
 /// far.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AprioriState {
     /// Candidates counted in the next pass (sorted item lists).
     pub candidates: Vec<Vec<u32>>,
@@ -130,6 +130,37 @@ fn contains_sorted(txn: &[u32], set: &[u32]) -> bool {
     i == set.len()
 }
 
+/// Add one to `counts[base + i]` for every `candidates[i]` contained in
+/// `txn`. `candidates` is a sorted run of one-size candidates whose first
+/// `depth` items are already matched in the transaction; each item of the
+/// (strictly increasing) `txn` narrows it by binary search to those whose
+/// next item it is. A transaction costs a search per prefix it shares
+/// with some candidate, not a merge against every candidate.
+fn count_subsets(
+    txn: &[u32],
+    mut candidates: &[Vec<u32>],
+    mut base: usize,
+    depth: usize,
+    counts: &mut [u64],
+) {
+    for (j, &item) in txn.iter().enumerate() {
+        let lo = candidates.partition_point(|c| c[depth] < item);
+        let hi = lo + candidates[lo..].partition_point(|c| c[depth] == item);
+        if lo < hi {
+            if candidates[lo].len() == depth + 1 {
+                counts[base + lo] += 1; // strictly sorted: the only match
+            } else {
+                count_subsets(&txn[j + 1..], &candidates[lo..hi], base + lo, depth + 1, counts);
+            }
+        }
+        candidates = &candidates[hi..];
+        base += hi;
+        if candidates.is_empty() {
+            return;
+        }
+    }
+}
+
 impl ReductionApp for Apriori {
     type Obj = AprioriObj;
     type State = AprioriState;
@@ -157,6 +188,12 @@ impl ReductionApp for Apriori {
         obj: &mut AprioriObj,
         meter: &mut WorkMeter,
     ) {
+        let candidates = &state.candidates;
+        debug_assert!(
+            candidates.windows(2).all(|w| w[0].len() == w[1].len() && w[0] < w[1]),
+            "candidates are one size and strictly sorted (the join emits them so)"
+        );
+        let candidate_items: u64 = candidates.iter().map(|c| c.len() as u64).sum();
         let words = codec::decode_u32s(&chunk.payload);
         let mut pos = 0usize;
         let mut scans = 0u64;
@@ -164,13 +201,15 @@ impl ReductionApp for Apriori {
             let len = words[pos] as usize;
             let txn = &words[pos + 1..pos + 1 + len];
             pos += 1 + len;
+            debug_assert!(
+                txn.windows(2).all(|w| w[0] < w[1]),
+                "transactions are sorted and duplicate-free, as `generate` writes them"
+            );
             obj.transactions += 1;
-            for (ci, cand) in state.candidates.iter().enumerate() {
-                scans += (txn.len() + cand.len()) as u64;
-                if contains_sorted(txn, cand) {
-                    obj.counts[ci] += 1;
-                }
-            }
+            // Metered as the direct scan: every candidate merged against
+            // the whole transaction.
+            scans += txn.len() as u64 * candidates.len() as u64 + candidate_items;
+            count_subsets(txn, candidates, 0, 0, &mut obj.counts);
         }
         meter.data_cmp(scans);
         meter.data_mem(words.len() as u64);
@@ -333,6 +372,93 @@ mod tests {
             "spurious frequent sets: {:?}",
             run.final_state.frequent
         );
+    }
+
+    /// `Apriori` with the direct scan kernel: every candidate merged
+    /// against every transaction.
+    struct VerbatimApriori(Apriori);
+
+    impl ReductionApp for VerbatimApriori {
+        type Obj = AprioriObj;
+        type State = AprioriState;
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn initial_state(&self) -> AprioriState {
+            self.0.initial_state()
+        }
+
+        fn new_object(&self, state: &AprioriState) -> AprioriObj {
+            self.0.new_object(state)
+        }
+
+        fn local_reduce(
+            &self,
+            state: &AprioriState,
+            chunk: &Chunk,
+            obj: &mut AprioriObj,
+            meter: &mut WorkMeter,
+        ) {
+            let words = codec::decode_u32s(&chunk.payload);
+            let mut pos = 0usize;
+            let mut scans = 0u64;
+            while pos < words.len() {
+                let len = words[pos] as usize;
+                let txn = &words[pos + 1..pos + 1 + len];
+                pos += 1 + len;
+                obj.transactions += 1;
+                for (ci, cand) in state.candidates.iter().enumerate() {
+                    scans += (txn.len() + cand.len()) as u64;
+                    if contains_sorted(txn, cand) {
+                        obj.counts[ci] += 1;
+                    }
+                }
+            }
+            meter.data_cmp(scans);
+            meter.data_mem(words.len() as u64);
+        }
+
+        fn global_finalize(
+            &self,
+            state: &AprioriState,
+            merged: AprioriObj,
+            meter: &mut WorkMeter,
+        ) -> PassOutcome<AprioriState> {
+            self.0.global_finalize(state, merged, meter)
+        }
+
+        fn state_size(&self, state: &AprioriState) -> ObjSize {
+            self.0.state_size(state)
+        }
+
+        fn caches(&self) -> bool {
+            self.0.caches()
+        }
+    }
+
+    #[test]
+    fn subset_lookup_matches_verbatim_scan() {
+        // Two planted triples share a pair, so at 5 % support a 4-item
+        // candidate reaches the fourth pass.
+        let ds = generate("ap-diff", 4.0, 0.01, 97, &[[2, 17, 40], [2, 17, 51], [5, 23, 51]]);
+        let mut four_passes = false;
+        for min_support in [0.05, 0.2, 1.0] {
+            for max_size in [1, 3, 4] {
+                for (n, c) in [(1, 1), (4, 8)] {
+                    let app = || Apriori { min_support, max_size };
+                    let fast = Executor::new(deployment(n, c)).run(&app(), &ds);
+                    let verbatim =
+                        Executor::new(deployment(n, c)).run(&VerbatimApriori(app()), &ds);
+                    let at = format!("support {min_support}, size {max_size}, {n}-{c}");
+                    assert_eq!(fast.final_state, verbatim.final_state, "{at}: state");
+                    assert_eq!(fast.report, verbatim.report, "{at}: report");
+                    four_passes |= fast.report.num_passes() == 4;
+                }
+            }
+        }
+        assert!(four_passes, "no configuration counted 4-item candidates");
     }
 
     #[test]

@@ -146,8 +146,9 @@ impl Em {
 
     /// Per-point log-densities and responsibilities under `state`'s
     /// (old) parameters. Writes γ into `gamma` (length k) and returns
-    /// `log p(x)`. Buffer-reusing (this is the hot loop of the suite);
-    /// precomputed `log w_c - 0.5 log det Σ_c` terms come in via `prior`.
+    /// `log p(x)`. The sequential oracle's form, written straight from
+    /// the definition; precomputed `log w_c - 0.5 log det Σ_c` terms come
+    /// in via `prior`.
     fn responsibilities(state: &EmState, x: &[f32], prior: &[f64], gamma: &mut [f64]) -> f64 {
         let k = state.weights.len();
         debug_assert_eq!(gamma.len(), k);
@@ -169,6 +170,45 @@ impl Em {
             *g = (*g - log_px).exp();
         }
         log_px
+    }
+
+    /// The kernel's form of `responsibilities`: fills `e` with
+    /// `e_c = exp(log p(x, c) − max)` and returns `(max, Σ e_c)`, so
+    /// `γ_c = e_c / Σ e_c` and `log p(x) = max + ln Σ e_c`. One `exp` per
+    /// component, none for the maximum (exactly 1). Terms below `e^-708`
+    /// are 0 rather than subnormal (libm's slow path): a responsibility
+    /// that small is far below the `1e-12` mass the master treats as an
+    /// empty component. `inv_vars` holds `1 / σ²_c`.
+    fn softmax_terms(
+        means: &[[f64; DIM]],
+        inv_vars: &[[f64; DIM]],
+        prior: &[f64],
+        x: &[f64; DIM],
+        e: &mut [f64],
+    ) -> (f64, f64) {
+        let mut max = f64::NEG_INFINITY;
+        for (((term, mean), inv_var), prior) in e.iter_mut().zip(means).zip(inv_vars).zip(prior) {
+            let mut quad = 0.0f64;
+            for d in 0..DIM {
+                let diff = x[d] - mean[d];
+                quad += diff * diff * inv_var[d];
+            }
+            *term = prior - 0.5 * quad;
+            max = max.max(*term);
+        }
+        let mut denom = 0.0f64;
+        for term in e.iter_mut() {
+            let t = *term - max;
+            *term = if t == 0.0 {
+                1.0
+            } else if t < -708.0 {
+                0.0
+            } else {
+                t.exp()
+            };
+            denom += *term;
+        }
+        (max, denom)
     }
 
     /// The per-component constant of the log-density:
@@ -225,15 +265,26 @@ impl ReductionApp for Em {
         let points = vals.chunks_exact(DIM);
         let n = points.len() as u64;
         let prior = Em::log_priors(state);
-        let mut gamma = vec![0.0f64; self.k];
-        for (i, p) in points.enumerate() {
-            let log_px = Em::responsibilities(state, p, &prior, &mut gamma);
-            match state.phase {
-                EmPhase::Expectation => {
-                    for c in 0..self.k {
-                        obj.n[c] += gamma[c];
+        let inv_vars: Vec<[f64; DIM]> = state.vars.iter().map(|v| v.map(|x| 1.0 / x)).collect();
+        let mut e = vec![0.0f64; self.k];
+        // γ_c = e_c / Σe and log p(x) = max + ln Σe; the log is taken only
+        // where it is read.
+        let terms = |p: &[f32], e: &mut [f64]| {
+            let x: [f64; DIM] = std::array::from_fn(|d| p[d] as f64);
+            let (max, denom) = Em::softmax_terms(&state.means, &inv_vars, &prior, &x, e);
+            (x, max, denom)
+        };
+        match state.phase {
+            EmPhase::Expectation => {
+                for (i, p) in points.enumerate() {
+                    let (x, max, denom) = terms(p, &mut e);
+                    let log_px = max + denom.ln();
+                    let inv = 1.0 / denom;
+                    for ((term, n), sums) in e.iter().zip(&mut obj.n).zip(&mut obj.sums) {
+                        let g = term * inv;
+                        *n += g;
                         for d in 0..DIM {
-                            obj.sums[c][d] += gamma[c] * p[d] as f64;
+                            sums[d] += g * x[d];
                         }
                     }
                     obj.loglik += log_px;
@@ -241,16 +292,23 @@ impl ReductionApp for Em {
                         obj.diag.push(log_px as f32);
                     }
                 }
-                EmPhase::Maximization => {
-                    for c in 0..self.k {
-                        obj.n[c] += gamma[c];
+            }
+            EmPhase::Maximization => {
+                for (i, p) in points.enumerate() {
+                    let (x, max, denom) = terms(p, &mut e);
+                    let inv = 1.0 / denom;
+                    for (((term, n), sums), mean) in
+                        e.iter().zip(&mut obj.n).zip(&mut obj.sums).zip(&state.new_means)
+                    {
+                        let g = term * inv;
+                        *n += g;
                         for d in 0..DIM {
-                            let diff = p[d] as f64 - state.new_means[c][d];
-                            obj.sums[c][d] += gamma[c] * diff * diff;
+                            let diff = x[d] - mean[d];
+                            sums[d] += g * diff * diff;
                         }
                     }
                     if i % DIAG_STRIDE == 0 {
-                        obj.diag.push(log_px as f32);
+                        obj.diag.push((max + denom.ln()) as f32);
                     }
                 }
             }
@@ -269,22 +327,14 @@ impl ReductionApp for Em {
         merged: EmObj,
         meter: &mut WorkMeter,
     ) -> PassOutcome<EmState> {
-        // The master scans the merged diagnostic buffer (outlier check):
-        // genuine data-proportional work at the master.
-        let mut worst = f64::INFINITY;
-        for &v in &merged.diag {
-            if (v as f64) < worst {
-                worst = v as f64;
-            }
-        }
-        // Outlier screen over the merged buffer: sort-free selection plus
-        // robust statistics — this is the dataset-proportional master work
-        // that makes EM's global reduction the constant-linear class.
+        // Outlier screen over the merged buffer (sort-free selection plus
+        // robust statistics), metered but not run since nothing reads its
+        // result — the dataset-proportional master work that makes EM's
+        // global reduction the constant-linear class.
         meter.data_mem(merged.diag.len() as u64 * 4);
         meter.data_flops(merged.diag.len() as u64 * 3);
         meter.data_cmp(merged.diag.len() as u64 * 2);
         meter.fixed_flops((self.k * (DIM + 1)) as u64);
-        let _ = worst;
 
         let mut next = state.clone();
         match state.phase {
@@ -499,6 +549,118 @@ mod tests {
         let two = obj.size().data;
         assert!(one > 0, "EM object must carry data-proportional payload");
         assert!(two > one, "diagnostic buffer must grow with data volume");
+    }
+
+    /// `Em` with the direct kernel: the sequential oracle's
+    /// `responsibilities` (two `exp`s per component and a log per point)
+    /// in both phases.
+    struct VerbatimEm(Em);
+
+    impl ReductionApp for VerbatimEm {
+        type Obj = EmObj;
+        type State = EmState;
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn initial_state(&self) -> EmState {
+            self.0.initial_state()
+        }
+
+        fn new_object(&self, state: &EmState) -> EmObj {
+            self.0.new_object(state)
+        }
+
+        fn local_reduce(
+            &self,
+            state: &EmState,
+            chunk: &Chunk,
+            obj: &mut EmObj,
+            meter: &mut WorkMeter,
+        ) {
+            let vals = codec::decode_f32s(&chunk.payload);
+            let points = vals.chunks_exact(DIM);
+            let n = points.len() as u64;
+            let prior = Em::log_priors(state);
+            let mut gamma = vec![0.0f64; self.0.k];
+            for (i, p) in points.enumerate() {
+                let log_px = Em::responsibilities(state, p, &prior, &mut gamma);
+                match state.phase {
+                    EmPhase::Expectation => {
+                        for c in 0..self.0.k {
+                            obj.n[c] += gamma[c];
+                            for d in 0..DIM {
+                                obj.sums[c][d] += gamma[c] * p[d] as f64;
+                            }
+                        }
+                        obj.loglik += log_px;
+                        if i % DIAG_STRIDE == 0 {
+                            obj.diag.push(log_px as f32);
+                        }
+                    }
+                    EmPhase::Maximization => {
+                        for c in 0..self.0.k {
+                            obj.n[c] += gamma[c];
+                            for d in 0..DIM {
+                                let diff = p[d] as f64 - state.new_means[c][d];
+                                obj.sums[c][d] += gamma[c] * diff * diff;
+                            }
+                        }
+                        if i % DIAG_STRIDE == 0 {
+                            obj.diag.push(log_px as f32);
+                        }
+                    }
+                }
+            }
+            let k = self.0.k as u64;
+            meter.data_flops(n * k * (6 * DIM as u64 + 4));
+            meter.data_mem(n * DIM as u64 * 2);
+            meter.data_cmp(n * k);
+        }
+
+        fn global_finalize(
+            &self,
+            state: &EmState,
+            merged: EmObj,
+            meter: &mut WorkMeter,
+        ) -> PassOutcome<EmState> {
+            self.0.global_finalize(state, merged, meter)
+        }
+
+        fn state_size(&self, state: &EmState) -> ObjSize {
+            self.0.state_size(state)
+        }
+
+        fn caches(&self) -> bool {
+            self.0.caches()
+        }
+    }
+
+    fn assert_close(what: &str, a: f64, b: f64) {
+        let rel = (a - b).abs() / a.abs().max(b.abs()).max(f64::MIN_POSITIVE);
+        assert!(rel <= 1e-12, "{what}: {a} vs {b} (relative {rel:e})");
+    }
+
+    #[test]
+    fn kernel_matches_verbatim_kernel_on_the_sweep_dataset() {
+        // The benchmark sweep's EM input: 130 MB nominal at the figure
+        // harness's 1:250 scale, seed 42, four planted components.
+        let ds = generate("bench-em", 130.0, 0.004, 42, 4);
+        for (n, c) in [(1, 1), (2, 4), (8, 16)] {
+            let fast = Executor::new(deployment(n, c)).run(&Em::paper(7), &ds);
+            let verbatim = Executor::new(deployment(n, c)).run(&VerbatimEm(Em::paper(7)), &ds);
+            assert_eq!(fast.report, verbatim.report, "{n}-{c}: simulated execution moved");
+            let (a, b) = (&fast.final_state, &verbatim.final_state);
+            for k in 0..a.weights.len() {
+                for d in 0..DIM {
+                    assert_close("mean", a.means[k][d], b.means[k][d]);
+                    assert_close("var", a.vars[k][d], b.vars[k][d]);
+                }
+                assert_close("weight", a.weights[k], b.weights[k]);
+            }
+            assert_close("loglik", a.loglik, b.loglik);
+        }
     }
 
     #[test]

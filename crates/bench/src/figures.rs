@@ -769,8 +769,8 @@ const EXT_FAULTS: &[Claim] = &[
 /// from the trace and reports the worst component mismatch in integer
 /// nanoseconds — the trace retraces the executor's exact arithmetic, so
 /// this must be zero — and (b) reports the host-side wall-clock overhead
-/// of collecting the trace (best-of-`REPEATS` on both sides, so the
-/// ratio is noise-resistant).
+/// of collecting the trace (best-of-`REPEATS` on both sides, the two
+/// sides interleaved rep by rep so machine drift hits both alike).
 fn ext_trace(id: &str) -> Figure {
     use fg_middleware::ExecutionReport;
     use std::time::Instant;
@@ -781,21 +781,19 @@ fn ext_trace(id: &str) -> Figure {
         .map(|&app| {
             let dataset = app.generate(&format!("{id}-{}", app.name()), 130.0, FIGURE_SCALE, 42);
             let deployment = pentium_deployment(2, 4, DEFAULT_WAN_BW);
-            let time = |f: &dyn Fn() -> ExecutionReport| {
-                (0..REPEATS)
-                    .map(|_| {
-                        let t0 = Instant::now();
-                        let r = f();
-                        (t0.elapsed().as_secs_f64(), r)
-                    })
-                    .min_by(|a, b| a.0.total_cmp(&b.0))
-                    .expect("at least one repeat")
-            };
-            let (plain_wall, plain) = time(&|| app.execute(deployment.clone(), &dataset));
-            let (traced_wall, traced) =
-                time(&|| app.execute_traced(deployment.clone(), &dataset).0);
-            let (_, trace) = app.execute_traced(deployment.clone(), &dataset);
-            assert_eq!(plain, traced, "tracing must not perturb the execution");
+            let (mut plain_wall, mut traced_wall) = (f64::INFINITY, f64::INFINITY);
+            let mut last = None;
+            for _ in 0..REPEATS {
+                let t0 = Instant::now();
+                let plain = app.execute(deployment.clone(), &dataset);
+                plain_wall = plain_wall.min(t0.elapsed().as_secs_f64());
+                let t0 = Instant::now();
+                let (traced, trace) = app.execute_traced(deployment.clone(), &dataset);
+                traced_wall = traced_wall.min(t0.elapsed().as_secs_f64());
+                assert_eq!(plain, traced, "tracing must not perturb the execution");
+                last = Some((plain, trace));
+            }
+            let (plain, trace) = last.expect("at least one repeat");
             let rebuilt = ExecutionReport::from_trace(&trace).expect("report from trace");
             let components = [
                 (plain.t_disk(), rebuilt.t_disk()),

@@ -6,10 +6,10 @@
 //! are split round-robin across the node's cores, each core folds into a
 //! replicated sub-object, and the sub-objects are combined node-locally —
 //! FREERIDE's shared-memory reduction strategy, behind the same API.
-//! Distinct nodes (and cores) are independent, so they execute on real
-//! threads (rayon); within a worker, chunks are processed in assignment
-//! order, keeping results and meters deterministic regardless of thread
-//! scheduling.
+//! Distinct nodes (and cores) are independent, written as a `par_iter`
+//! over nodes; the vendored `rayon` runs it sequentially, one node after
+//! another. Within a worker, chunks are processed in assignment order, so
+//! results and meters are deterministic whatever runs the nodes.
 //!
 //! A pass is folded as *segments* of the global chunk order — one
 //! covering everything, or a prefix and a suffix around a checkpoint —
