@@ -320,23 +320,23 @@ fn trace_pass(tr: &mut Tracer, now: SimTime, pass: &PassReport, detail: &PassDet
     tr.attr(pass_span, "remote", u64::from(detail.remote));
     tr.end(pass_span, t);
 
-    tr.metrics.counter("passes").inc();
+    let m = &mut tr.metrics;
+    m.add("passes", 1);
     if detail.remote {
         let (fb, fc) = detail
             .flow_times
             .iter()
             .fold((0u64, 0u64), |(b, k), (f, _)| (b + f.bytes, k + f.chunks as u64));
-        tr.metrics.counter("bytes_fetched").add(fb);
-        tr.metrics.counter("chunks_fetched").add(fc);
+        m.add("bytes_fetched", fb);
+        m.add("chunks_fetched", fc);
     }
     if !pass.fault_detection.is_zero() {
-        tr.metrics.counter("fault_detections").inc();
-        tr.metrics.gauge("dead_data_nodes").set(detail.dead_data_nodes as f64);
+        m.add("fault_detections", 1);
+        m.set("dead_data_nodes", detail.dead_data_nodes as f64);
     }
-    tr.metrics.counter("stragglers_abandoned").add(detail.abandoned.len() as u64);
-    tr.metrics
-        .histogram("pass_seconds", &[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0])
-        .observe(t.saturating_since(now).as_secs_f64());
+    m.add("stragglers_abandoned", detail.abandoned.len() as u64);
+    let bounds = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0];
+    m.observe("pass_seconds", &bounds, t.saturating_since(now).as_secs_f64());
 }
 
 /// Executes FREERIDE-G applications on a deployment.

@@ -266,7 +266,7 @@ fn run_pipelined_inner<A: ReductionApp>(
                 tr.record(SpanKind::GlobalReduce, Some(NodeRef::master()), g1, g1 + t_g);
             }
             tr.end(pass_span, start + pass_total);
-            tr.metrics.counter("passes").inc();
+            tr.metrics.add("passes", 1);
         }
 
         pass_totals.push(pass_total);

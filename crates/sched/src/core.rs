@@ -87,7 +87,7 @@ use fg_cluster::{Configuration, DeploymentRef};
 use fg_predict::bandwidth::{BandwidthEstimator, Ewma};
 use fg_predict::{decide_migration, InterconnectParams, Observation, Prediction, Predictor};
 use fg_sim::{FairShareSim, RateScratch, ResourceId, SimTime};
-use fg_trace::{Counter, Gauge, Histogram, SpanKind, Trace, Tracer};
+use fg_trace::{Histogram, Metrics, SpanKind, Trace, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
@@ -469,25 +469,58 @@ fn model_of<'g>(grid: &'g GridSpec, app_of: &[Option<usize>], row: usize) -> &'g
     &grid.apps[ix].1
 }
 
-/// The scheduler's per-run metric instruments, registered once at
-/// construction in this order (the golden traces pin the registry
-/// contents).
-struct Instruments {
-    submitted: Counter,
-    admitted: Counter,
-    rejected: Counter,
-    completed: Counter,
-    misses: Counter,
-    backfill: Counter,
-    depth: Gauge,
-    depth_max: Gauge,
+/// Value-bucket bounds of the run's `sched_slowdown` histogram.
+const SLOWDOWN_BOUNDS: [f64; 8] = [1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0];
+
+/// What the core counts as it runs, written into the run's [`Metrics`]
+/// once, at [`finish`](SchedCore::finish).
+#[derive(Default)]
+struct Tally {
+    submitted: u64,
+    admitted: u64,
+    rejected: u64,
+    completed: u64,
+    misses: u64,
+    backfill: u64,
+    quota_rej: u64,
+    quota_vio: u64,
+    preempt: u64,
+    migrate: u64,
+    /// Each completion's queue wait and slowdown, in completion order.
     wait: Histogram,
     slow: Histogram,
-    quota_rej: Option<Counter>,
-    quota_vio: Option<Counter>,
-    preempt: Option<Counter>,
-    migrate: Option<Counter>,
-    ckpt: Option<Counter>,
+}
+
+impl Tally {
+    /// The run's metrics, with the queue depth at the end and its
+    /// high-water mark. A feature's counters appear only when the
+    /// feature is on, so a default-configured run's metrics (and its
+    /// golden traces) do not mention it.
+    fn into_metrics(self, cfg: &Scheduler, depth: usize, depth_max: usize) -> Metrics {
+        // Name order: `sched_slowdown` < `sched_wait_seconds`.
+        let mut m = Metrics { histograms: vec![self.slow, self.wait], ..Metrics::default() };
+        let counts = [
+            ("sched_jobs_submitted", self.submitted, true),
+            ("sched_jobs_admitted", self.admitted, true),
+            ("sched_jobs_rejected", self.rejected, true),
+            ("sched_jobs_completed", self.completed, true),
+            ("sched_deadline_misses", self.misses, true),
+            ("sched_backfill_starts", self.backfill, true),
+            ("sched_quota_rejections", self.quota_rej, cfg.quotas.is_some()),
+            ("sched_quota_violations", self.quota_vio, cfg.quotas.is_some()),
+            ("sched_preemptions", self.preempt, cfg.preemption),
+            ("sched_migrations", self.migrate, cfg.migration),
+            ("sched_checkpoints", self.preempt + self.migrate, cfg.preemption || cfg.migration),
+        ];
+        for (name, value, on) in counts {
+            if on {
+                m.add(name, value);
+            }
+        }
+        m.set("sched_queue_depth", depth as f64);
+        m.set("sched_queue_depth_max", depth_max as f64);
+        m
+    }
 }
 
 /// The incremental scheduling state machine.
@@ -514,8 +547,7 @@ pub struct SchedCore {
     /// Checkpointed jobs waiting to re-occupy their nodes, each in the
     /// phase it was evicted in.
     suspended: Vec<Running>,
-    tracer: Option<Tracer>,
-    inst: Instruments,
+    tally: Tally,
     /// The job table: one row per submitted job, in submission order,
     /// made when the job is accepted and filled in as decisions fall.
     jobs: Vec<JobOutcome>,
@@ -585,37 +617,6 @@ impl SchedCore {
             .map(|&q| (q, q.capacity, 0.0))
             .collect();
 
-        let tracer = Tracer::new();
-        let inst = Instruments {
-            submitted: tracer.metrics.counter("sched_jobs_submitted"),
-            admitted: tracer.metrics.counter("sched_jobs_admitted"),
-            rejected: tracer.metrics.counter("sched_jobs_rejected"),
-            completed: tracer.metrics.counter("sched_jobs_completed"),
-            misses: tracer.metrics.counter("sched_deadline_misses"),
-            backfill: tracer.metrics.counter("sched_backfill_starts"),
-            depth: tracer.metrics.gauge("sched_queue_depth"),
-            depth_max: tracer.metrics.gauge("sched_queue_depth_max"),
-            wait: tracer.metrics.histogram("sched_wait_seconds", &WAIT_BOUNDS),
-            slow: tracer
-                .metrics
-                .histogram("sched_slowdown", &[1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0]),
-            // Feature counters exist only when the feature is on, so a
-            // default-configured run's metrics snapshot (and its golden
-            // traces) are unchanged.
-            quota_rej: scheduler
-                .quotas
-                .as_ref()
-                .map(|_| tracer.metrics.counter("sched_quota_rejections")),
-            quota_vio: scheduler
-                .quotas
-                .as_ref()
-                .map(|_| tracer.metrics.counter("sched_quota_violations")),
-            preempt: scheduler.preemption.then(|| tracer.metrics.counter("sched_preemptions")),
-            migrate: scheduler.migration.then(|| tracer.metrics.counter("sched_migrations")),
-            ckpt: (scheduler.preemption || scheduler.migration)
-                .then(|| tracer.metrics.counter("sched_checkpoints")),
-        };
-
         let queue = PolicyQueue::new(scheduler.policy, min_slots);
         let telemetry = scheduler.telemetry.clone().map(TelemetryState::new);
         let names = Names::of(grid);
@@ -632,8 +633,11 @@ impl SchedCore {
             used_slots: Vec::new(),
             buckets,
             suspended: Vec::new(),
-            tracer: Some(tracer),
-            inst,
+            tally: Tally {
+                wait: Histogram::new("sched_wait_seconds", &WAIT_BOUNDS),
+                slow: Histogram::new("sched_slowdown", &SLOWDOWN_BOUNDS),
+                ..Tally::default()
+            },
             jobs: Vec::new(),
             app_of: Vec::new(),
             ids: HashSet::new(),
@@ -786,10 +790,10 @@ impl SchedCore {
         CoreStats {
             now: self.now,
             makespan: self.makespan,
-            submitted: self.inst.submitted.get(),
-            admitted: self.inst.admitted.get(),
-            rejected: self.inst.rejected.get(),
-            completed: self.inst.completed.get(),
+            submitted: self.tally.submitted,
+            admitted: self.tally.admitted,
+            rejected: self.tally.rejected,
+            completed: self.tally.completed,
             queued: self.queue.len(),
             running: self.running.len(),
             suspended: self.suspended.len(),
@@ -840,15 +844,13 @@ impl SchedCore {
     pub fn finish_with_events(mut self) -> (SchedResult, Vec<CoreEvent>) {
         self.pump(true);
         let events = self.take_events();
-        let tracer = self.tracer.take().expect("finish consumes the tracer");
-        self.inst.depth_max.set(self.depth_max as f64);
-        self.inst.depth.set(self.queue.len() as f64);
+        let metrics = self.tally.into_metrics(&self.cfg, self.queue.len(), self.depth_max);
         // Nothing reads the id set or the app indices again: release
         // them before the trace below sets the high-water mark.
         drop(self.ids);
         drop(self.app_of);
         let outcomes = self.jobs;
-        let trace = build_trace(tracer, &outcomes, self.makespan);
+        let trace = build_trace(metrics, &outcomes, self.makespan);
         let telemetry = self.telemetry.take().map(|t| t.into_report(self.now));
         (
             SchedResult {
@@ -902,7 +904,6 @@ impl SchedCore {
             self.migration_check();
             // --- scheduling pass ---
             self.schedule_pass();
-            self.inst.depth.set(self.queue.len() as f64);
             // --- horizon: next arrival, fixed-phase end, or drain ---
             let mut horizon =
                 self.pending.front().map_or(f64::INFINITY, |&(row, _)| self.jobs[row].arrival);
@@ -1009,7 +1010,7 @@ impl SchedCore {
                 break;
             }
             self.pending.pop_front();
-            self.inst.submitted.inc();
+            self.tally.submitted += 1;
             let o = &self.jobs[row];
             let tenant = o.tenant;
             if tenant >= self.used_slots.len() {
@@ -1040,9 +1041,7 @@ impl SchedCore {
                     *tokens = (*tokens + q.refill_per_sec * (self.now - *last)).min(q.capacity);
                     *last = self.now;
                     if *tokens + TIME_EPS < 1.0 {
-                        if let Some(c) = &self.inst.quota_rej {
-                            c.inc();
-                        }
+                        self.tally.quota_rej += 1;
                         break 'gate Some(format!(
                             "quota: tenant {tenant} bucket has {:.2} tokens, a submission needs 1",
                             *tokens
@@ -1052,9 +1051,7 @@ impl SchedCore {
                     if *tokens < -TIME_EPS {
                         // Structurally unreachable: the gate above
                         // rejects before the bucket can go negative.
-                        if let Some(c) = &self.inst.quota_vio {
-                            c.inc();
-                        }
+                        self.tally.quota_vio += 1;
                     }
                 }
                 let Some((quote, deadline)) = price else {
@@ -1083,12 +1080,11 @@ impl SchedCore {
                 });
             }
             if o.admitted {
-                self.inst.admitted.inc();
+                self.tally.admitted += 1;
                 self.queue.push(o, row);
                 self.depth_max = self.depth_max.max(self.queue.len());
-                self.inst.depth.set(self.queue.len() as f64);
             } else {
-                self.inst.rejected.inc();
+                self.tally.rejected += 1;
             }
         }
     }
@@ -1143,20 +1139,20 @@ impl SchedCore {
             let r = self.running.remove(ri);
             self.free.release(r.repo, r.site, &r.config);
             self.used_slots[r.tenant] -= r.config.compute_nodes;
-            self.inst.completed.inc();
+            self.tally.completed += 1;
             self.makespan = self.makespan.max(self.now);
             let o = &mut self.jobs[r.row];
             o.disk_end = r.disk_end;
             o.network_end = r.network_end;
             o.finish = Some(self.now);
             if let Some(w) = o.wait() {
-                self.inst.wait.observe(w);
+                self.tally.wait.observe(w);
             }
             if let Some(s) = o.slowdown() {
-                self.inst.slow.observe(s);
+                self.tally.slow.observe(s);
             }
             if o.met_deadline() == Some(false) {
-                self.inst.misses.inc();
+                self.tally.misses += 1;
             }
             if let Some(log) = self.events.as_mut() {
                 log.push(CoreEvent::Completed {
@@ -1306,12 +1302,7 @@ impl SchedCore {
                 from_repo: Arc::clone(&from_repo),
                 to_repo: Arc::clone(&to_repo),
             });
-            if let Some(c) = &self.inst.migrate {
-                c.inc();
-            }
-            if let Some(c) = &self.inst.ckpt {
-                c.inc();
-            }
+            self.tally.migrate += 1;
             if let Some(log) = self.events.as_mut() {
                 log.push(CoreEvent::Migrated { id: o.id, at: self.now, from_repo, to_repo });
             }
@@ -1488,12 +1479,7 @@ impl SchedCore {
                         let o = &mut self.jobs[v.row];
                         o.preemptions
                             .push(PreemptionEvent { preempted_at: self.now, resumed_at: None });
-                        if let Some(c) = &self.inst.preempt {
-                            c.inc();
-                        }
-                        if let Some(c) = &self.inst.ckpt {
-                            c.inc();
-                        }
+                        self.tally.preempt += 1;
                         if let Some(evs) = self.events.as_mut() {
                             evs.push(CoreEvent::Preempted { id: o.id, at: self.now });
                         }
@@ -1538,7 +1524,7 @@ impl SchedCore {
             let (id, tenant) = (o.id, o.tenant);
             match kind {
                 StartKind::Backfill => {
-                    self.inst.backfill.inc();
+                    self.tally.backfill += 1;
                     if quota[tenant].saturating_sub(self.used_slots[tenant]) >= self.min_slots {
                         self.violations.push(format!(
                             "fair share: job {id} backfilled past quota although tenant {tenant} had headroom at t={:.3}",
@@ -1790,8 +1776,10 @@ pub(crate) fn fair_quota(total: usize, demands: &[usize]) -> Vec<usize> {
 /// Post-hoc span tree: one `Run` root, one `Job` span per submission in
 /// arrival order with `JobQueued` and phase children, integer attrs for
 /// the figures and exporters.
-pub(crate) fn build_trace(mut tracer: Tracer, outcomes: &[JobOutcome], makespan: f64) -> Trace {
+pub(crate) fn build_trace(metrics: Metrics, outcomes: &[JobOutcome], makespan: f64) -> Trace {
     let t = SimTime::from_secs_f64;
+    let mut tracer = Tracer::new();
+    tracer.metrics = metrics;
     let end_time = outcomes.iter().map(|o| o.finish.unwrap_or(o.arrival)).fold(makespan, f64::max);
     // The root, and per job its span, its wait and at most three
     // phases; only a preemption or a migration adds to that.

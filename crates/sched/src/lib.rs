@@ -34,7 +34,7 @@
 //!   per-stream bandwidth of every completed transfer feeds a per-repo
 //!   [`fg_predict::bandwidth`] estimator so later placements and
 //!   admission decisions use load-corrected predictions. Every job gets
-//!   an [`fg_trace`] span tree and the registry gains queue-depth
+//!   an [`fg_trace`] span tree, and the run's metrics carry queue-depth
 //!   gauges, admission counters, and wait/slowdown histograms.
 //!   Opt-in extensions (all default-off): deadline-driven preemption
 //!   with checkpoint/resume, mid-run replica migration gated by

@@ -365,7 +365,7 @@ impl Scheduler {
     /// Arm the live telemetry plane: per-tenant SLO gauges, windowed
     /// queue-wait quantiles, and the predictor-accuracy ledger with
     /// its drift detector. Telemetry is strictly observational — it
-    /// never registers metrics in the trace registry and never touches
+    /// never writes to the trace's metrics and never touches
     /// a scheduling decision, so an armed run stays bit-identical
     /// (outcomes, trace, events) to an unarmed one. The plane comes
     /// back in [`SchedResult::telemetry`], and drift alarms surface as

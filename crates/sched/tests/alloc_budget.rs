@@ -3,7 +3,7 @@
 //!
 //! Two quantities, each as the *margin* between a 1 000-job and a
 //! 2 000-job run of the same shape (so whatever a run owns regardless of
-//! its length — the grid, the name table, the metrics registry, ledger
+//! its length — the grid, the name table, the run's metrics, ledger
 //! rings once full — cancels):
 //!
 //! * the live allocations a [`SchedResult`] owns per job. Every name in

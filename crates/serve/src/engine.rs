@@ -36,11 +36,10 @@ pub struct ServerEngine {
 }
 
 impl ServerEngine {
-    /// Build the engine from a scheduler configuration. The decision
-    /// core is constructed here — on whichever thread the engine lives
-    /// on — because the core's trace counters are deliberately not
-    /// `Send`. Telemetry is armed with the default configuration
-    /// unless `cfg` already carries one.
+    /// Build the engine — and its decision core — from a scheduler
+    /// configuration (the server builds it on the thread that runs it;
+    /// see [`crate::server`]). Telemetry is armed with the default
+    /// configuration unless `cfg` already carries one.
     pub fn new(cfg: Scheduler) -> ServerEngine {
         let cfg = if cfg.telemetry().is_none() {
             cfg.with_telemetry(TelemetryConfig::default())

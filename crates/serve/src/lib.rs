@@ -15,12 +15,12 @@
 //! * [`engine`] — the sans-IO session state machine over the decision
 //!   core; tests drive it directly, the server drives it on a thread.
 //! * [`server`] — the threaded service, two thread roles: one core
-//!   thread serialising writes (the decision core is intentionally not
-//!   `Send`) and publishing an `Arc`'d [`fg_sched::SchedSnapshot`]
-//!   after each, and a session thread per connection that answers
-//!   quotes and stats itself from the published snapshot — the read
-//!   guard is held for one refcount bump — and streams scheduling
-//!   events ahead of each write's response. There is no query pool:
+//!   thread that builds the decision core, serialises writes and
+//!   publishes an `Arc`'d [`fg_sched::SchedSnapshot`] after each, and
+//!   a session thread per connection that answers quotes and stats
+//!   itself from the published snapshot — the read guard is held for
+//!   one refcount bump — and streams scheduling events ahead of each
+//!   write's response. There is no query pool:
 //!   sessions are closed-loop threads already, so one added no
 //!   parallelism and cost half the handoff time of a quote.
 //! * [`recorder`] — the flight recorder: a bounded ring of recent

@@ -169,3 +169,14 @@ fn concurrent_readers_see_monotone_prefixes_of_one_writer() {
     drop(writer);
     server.shutdown();
 }
+
+/// Compile-time: the decision core and the engine around it may cross
+/// threads — their run metrics are plain owned values, not shared
+/// handles. (The server still builds the engine on its core thread;
+/// see `fg_serve::server`.)
+#[test]
+fn the_core_and_the_engine_are_send() {
+    fn send<T: Send>() {}
+    send::<fg_sched::SchedCore>();
+    send::<ServerEngine>();
+}

@@ -2,6 +2,7 @@
 //! in-memory trace) and Chrome `trace_event` (for chrome://tracing and
 //! Perfetto).
 
+use crate::metrics::Metrics;
 use crate::span::{NodeRef, NodeRole, RunMeta, Span, Trace};
 use serde::{Deserialize, Value, Writer};
 use serde_json::jsonl;
@@ -16,7 +17,7 @@ enum Record {
     /// One span.
     Span(Span),
     /// The final metrics snapshot.
-    Metrics(crate::metrics::MetricsSnapshot),
+    Metrics(Metrics),
 }
 
 /// Serialize a trace as JSON lines: the meta record (if any), every span
@@ -31,7 +32,7 @@ pub fn to_jsonl(trace: &Trace) -> String {
     for span in &trace.spans {
         jsonl::tagged(&mut out, "Span", span);
     }
-    if trace.metrics != crate::metrics::MetricsSnapshot::default() {
+    if trace.metrics != Metrics::default() {
         jsonl::tagged(&mut out, "Metrics", &trace.metrics);
     }
     out.into_string()
@@ -39,7 +40,9 @@ pub fn to_jsonl(trace: &Trace) -> String {
 
 /// Parse a JSON-lines trace back into memory. Inverse of [`to_jsonl`].
 /// A span the exporters could not index — an id that is not its
-/// position, a parent that does not precede it — is refused by line.
+/// position, a parent that does not precede it — and a metrics record
+/// no recorder could have written (see [`Metrics::check`]) are refused
+/// by line.
 pub fn from_jsonl(text: &str) -> Result<Trace, jsonl::Error> {
     let mut trace = Trace { meta: None, spans: Vec::new(), metrics: Default::default() };
     for (n, line) in jsonl::headerless("fg-trace", text)? {
@@ -54,7 +57,10 @@ pub fn from_jsonl(text: &str) -> Result<Trace, jsonl::Error> {
                 }
                 trace.spans.push(span);
             }
-            Record::Metrics(metrics) => trace.metrics = metrics,
+            Record::Metrics(metrics) => {
+                metrics.check().map_err(|why| jsonl::Error::at(n, why))?;
+                trace.metrics = metrics;
+            }
         }
     }
     Ok(trace)
@@ -172,9 +178,9 @@ mod tests {
 
     fn sample() -> Trace {
         let mut tr = Tracer::new();
-        tr.metrics.counter("passes").inc();
-        tr.metrics.gauge("wan_bw").set(1.25e6);
-        tr.metrics.histogram("pass_seconds", &[1.0, 10.0]).observe(2.5);
+        tr.metrics.add("passes", 1);
+        tr.metrics.set("wan_bw", 1.25e6);
+        tr.metrics.observe("pass_seconds", &[1.0, 10.0], 2.5);
         let run = tr.begin(SpanKind::Run, None, t(0));
         let pass = tr.begin(SpanKind::Pass, None, t(0));
         let read = tr.record(SpanKind::NodeRead, Some(NodeRef::data(1)), t(0), t(500));
@@ -224,6 +230,39 @@ mod tests {
     fn jsonl_rejects_garbage() {
         assert!(from_jsonl("{\"nope\": 1}\n").is_err());
         assert!(from_jsonl("not json").is_err());
+    }
+
+    #[test]
+    fn jsonl_refuses_metrics_no_recorder_could_write() {
+        use crate::metrics::{Histogram, Metrics};
+        let counters = |names: &[&str]| Metrics {
+            counters: names.iter().map(|&n| (n.to_string(), 1)).collect(),
+            ..Metrics::default()
+        };
+        let hist = |name: &str, bounds: &[f64], counts: usize| Histogram {
+            name: name.into(),
+            bounds: bounds.to_vec(),
+            counts: vec![0; counts],
+            sum: 0.0,
+        };
+        let histograms = |histograms| Metrics { histograms, ..Metrics::default() };
+        let bad = [
+            counters(&["z", "a"]),
+            counters(&["a", "a"]),
+            Metrics { gauges: vec![("b".into(), 1.0), ("a".into(), 2.0)], ..Metrics::default() },
+            histograms(vec![hist("h", &[1.0], 2), hist("h", &[1.0], 2)]),
+            histograms(vec![hist("h", &[2.0, 1.0], 3)]),
+            histograms(vec![hist("h", &[1.0, 1.0], 3)]),
+            histograms(vec![hist("h", &[1.0, f64::INFINITY], 3)]),
+            histograms(vec![hist("h", &[1.0, 2.0], 1)]),
+        ];
+        for metrics in bad {
+            let mut trace = sample();
+            trace.metrics = metrics;
+            let text = to_jsonl(&trace);
+            let err = from_jsonl(&text).expect_err(&text);
+            assert_eq!(err.line, Some(text.lines().count()), "{}", err.reason);
+        }
     }
 
     #[test]

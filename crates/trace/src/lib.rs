@@ -6,8 +6,9 @@
 //! parameterizes every prediction. This crate records that breakdown as
 //! a tree of [`Span`]s on the simulated clock — nested phases
 //! (retrieval, network, cache, compute, gather, global reduce, recovery)
-//! with per-node attribution — plus a [`MetricsRegistry`] of counters,
-//! gauges, and fixed-bucket histograms. Traces serialize losslessly to
+//! with per-node attribution — plus the run's [`Metrics`]: counters,
+//! gauges, and fixed-bucket histograms, one plain value owned by
+//! whoever records the run. Traces serialize losslessly to
 //! JSON lines ([`to_jsonl`] / [`from_jsonl`]) and to Chrome
 //! `trace_event` JSON ([`to_chrome_json`]) for chrome://tracing and
 //! Perfetto.
@@ -24,8 +25,6 @@ pub mod span;
 pub mod window;
 
 pub use export::{chrome_tid, from_jsonl, to_chrome_json, to_jsonl};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, QuantileError,
-};
+pub use metrics::{Histogram, Metrics};
 pub use span::{NodeRef, NodeRole, RunMeta, Span, SpanKind, Trace, Tracer};
 pub use window::{SlidingHistogram, WindowSpec};

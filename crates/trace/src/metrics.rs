@@ -1,202 +1,23 @@
-//! A small metrics registry: counters, gauges, and fixed-bucket
-//! histograms.
+//! A run's metrics: counters, gauges, and fixed-bucket histograms, as
+//! one plain owned value.
 //!
-//! Handles are cheap clones over shared cells, so a closure (an engine
-//! event hook, say) can own a [`Counter`] while the registry keeps
-//! reporting it. No external dependencies, consistent with the
-//! workspace's vendored-only policy. Snapshots are deterministic:
-//! instruments are reported in name order.
+//! Whoever records a run holds its [`Metrics`] directly and writes to
+//! it through three recorders — [`add`](Metrics::add),
+//! [`set`](Metrics::set) and [`observe`](Metrics::observe) — each of
+//! which creates its instrument on first use, in name order. The value
+//! is therefore its own deterministic snapshot. No external
+//! dependencies, consistent with the workspace's vendored-only policy.
 
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::rc::Rc;
-
-/// A monotonically increasing integer.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Add `by` to the counter.
-    pub fn add(&self, by: u64) {
-        self.0.set(self.0.get() + by);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A settable real value.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Rc<Cell<f64>>);
-
-impl Gauge {
-    /// Set the gauge.
-    pub fn set(&self, value: f64) {
-        self.0.set(value);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-#[derive(Debug)]
-struct HistogramInner {
-    /// Upper bounds of the finite buckets, strictly increasing; an
-    /// implicit overflow bucket catches everything above the last bound.
-    bounds: Vec<f64>,
-    /// Per-bucket observation counts, `bounds.len() + 1` long.
-    counts: Vec<u64>,
-    sum: f64,
-    /// Non-finite observations turned away at the door (kept out of the
-    /// snapshot so the serialized schema — and every golden trace
-    /// pinned against it — is unchanged).
-    rejected: u64,
-}
 
 /// A fixed-bucket histogram of real observations.
-#[derive(Debug, Clone)]
-pub struct Histogram(Rc<RefCell<HistogramInner>>);
-
-impl Histogram {
-    fn new(bounds: &[f64]) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram(Rc::new(RefCell::new(HistogramInner {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            rejected: 0,
-        })))
-    }
-
-    /// Record one observation into its bucket. Non-finite values (NaN,
-    /// ±∞) are counted under [`Histogram::rejected`] and otherwise
-    /// ignored — a single NaN folded into `sum` would poison it, and
-    /// every later snapshot, forever. The bucket search is a binary
-    /// `partition_point` over the sorted bounds, placing `value` in the
-    /// first bucket whose upper bound is `>= value` exactly as the
-    /// linear scan it replaces did.
-    pub fn observe(&self, value: f64) {
-        let mut inner = self.0.borrow_mut();
-        if !value.is_finite() {
-            inner.rejected += 1;
-            return;
-        }
-        let idx = inner.bounds.partition_point(|&b| b < value);
-        inner.counts[idx] += 1;
-        inner.sum += value;
-    }
-
-    /// Observations turned away as non-finite.
-    pub fn rejected(&self) -> u64 {
-        self.0.borrow().rejected
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.borrow().counts.iter().sum()
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.0.borrow().sum
-    }
-}
-
-/// Named instruments, created on first use.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: RefCell<Vec<(String, Counter)>>,
-    gauges: RefCell<Vec<(String, Gauge)>>,
-    histograms: RefCell<Vec<(String, Histogram)>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// The counter named `name`, created at zero on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut counters = self.counters.borrow_mut();
-        if let Some((_, c)) = counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter::default();
-        counters.push((name.to_string(), c.clone()));
-        c
-    }
-
-    /// The gauge named `name`, created at zero on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut gauges = self.gauges.borrow_mut();
-        if let Some((_, g)) = gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        gauges.push((name.to_string(), g.clone()));
-        g
-    }
-
-    /// The histogram named `name`, created with `bounds` on first use
-    /// (later calls return the existing instrument and ignore `bounds`).
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut histograms = self.histograms.borrow_mut();
-        if let Some((_, h)) = histograms.iter().find(|(n, _)| n == name) {
-            return h.clone();
-        }
-        let h = Histogram::new(bounds);
-        histograms.push((name.to_string(), h.clone()));
-        h
-    }
-
-    /// Freeze the current values into a serializable snapshot, sorted by
-    /// instrument name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> =
-            self.counters.borrow().iter().map(|(n, c)| (n.clone(), c.get())).collect();
-        counters.sort();
-        let mut gauges: Vec<(String, f64)> =
-            self.gauges.borrow().iter().map(|(n, g)| (n.clone(), g.get())).collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<HistogramSnapshot> = self
-            .histograms
-            .borrow()
-            .iter()
-            .map(|(n, h)| {
-                let inner = h.0.borrow();
-                HistogramSnapshot {
-                    name: n.clone(),
-                    bounds: inner.bounds.clone(),
-                    counts: inner.counts.clone(),
-                    sum: inner.sum,
-                }
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        MetricsSnapshot { counters, gauges, histograms }
-    }
-}
-
-/// One histogram's frozen state.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
+pub struct Histogram {
     /// Instrument name.
     pub name: String,
-    /// Finite bucket upper bounds.
+    /// Finite bucket upper bounds, strictly increasing; an implicit
+    /// overflow bucket catches everything above the last one.
     pub bounds: Vec<f64>,
     /// Per-bucket counts (`bounds.len() + 1`, last is overflow).
     pub counts: Vec<u64>,
@@ -204,48 +25,30 @@ pub struct HistogramSnapshot {
     pub sum: f64,
 }
 
-/// Why [`HistogramSnapshot::quantile_exact`] could not produce an
-/// in-range estimate. Callers that can live with a clamped answer use
-/// [`quantile`](HistogramSnapshot::quantile); callers that must not
-/// mistake "no data" or "saturated" for a real reading match on this.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QuantileError {
-    /// The histogram holds no observations.
-    Empty,
-    /// `q` is outside `[0, 1]`.
-    OutOfRange {
-        /// The offending quantile.
-        q: f64,
-    },
-    /// The target rank falls in the unbounded overflow bucket: the
-    /// histogram saturated its top bucket and can only name the floor
-    /// of the answer (its last finite edge), or nothing at all when it
-    /// has no finite buckets.
-    Saturated {
-        /// Last finite bucket edge — a lower bound on the true
-        /// quantile — or `None` for a histogram with no finite edges.
-        floor: Option<f64>,
-    },
-}
-
-impl std::fmt::Display for QuantileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QuantileError::Empty => write!(f, "empty histogram has no quantiles"),
-            QuantileError::OutOfRange { q } => write!(f, "quantile {q} outside [0, 1]"),
-            QuantileError::Saturated { floor: Some(b) } => {
-                write!(f, "rank falls in the overflow bucket (true value is above {b})")
-            }
-            QuantileError::Saturated { floor: None } => {
-                write!(f, "histogram has no finite buckets to resolve the rank")
-            }
+impl Histogram {
+    /// An empty histogram named `name` over `bounds`, which must be
+    /// finite and strictly increasing.
+    pub fn new(name: &str, bounds: &[f64]) -> Histogram {
+        assert!(bounds_ok(bounds), "histogram bounds must be finite and strictly increasing");
+        Histogram {
+            name: name.to_string(),
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            sum: 0.0,
         }
     }
-}
 
-impl std::error::Error for QuantileError {}
+    /// Record one observation into the first bucket whose upper bound
+    /// is `>= value`. Non-finite values (NaN, ±∞) are dropped: a single
+    /// NaN folded into `sum` would poison it for the rest of the run.
+    pub fn observe(&mut self, value: f64) {
+        if !value.is_finite() {
+            return;
+        }
+        self.counts[self.bounds.partition_point(|&b| b < value)] += 1;
+        self.sum += value;
+    }
 
-impl HistogramSnapshot {
     /// Total observations across all buckets.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -253,99 +56,122 @@ impl HistogramSnapshot {
 
     /// Bucket-interpolated quantile estimate for `q ∈ [0, 1]`: walk
     /// the cumulative counts to the bucket holding the target rank and
-    /// interpolate linearly inside it. Every degenerate case is a
-    /// typed [`QuantileError`], never a fabricated number: an empty
-    /// histogram is [`Empty`](QuantileError::Empty), and a rank
-    /// landing in the unbounded overflow bucket is
-    /// [`Saturated`](QuantileError::Saturated) carrying the last
-    /// finite edge as a floor.
-    pub fn quantile_exact(&self, q: f64) -> Result<f64, QuantileError> {
-        if !(0.0..=1.0).contains(&q) {
-            return Err(QuantileError::OutOfRange { q });
-        }
+    /// interpolate linearly inside it. A rank landing in the unbounded
+    /// overflow bucket answers the last finite edge — a floor on the
+    /// true value. `None` when the histogram is empty, `q` is out of
+    /// range, or there is no finite edge to answer with.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();
-        if total == 0 {
-            return Err(QuantileError::Empty);
+        if !(0.0..=1.0).contains(&q) || total == 0 {
+            return None;
         }
         let rank = q * total as f64;
         let mut cumulative = 0u64;
-        for (i, &count) in self.counts.iter().enumerate() {
+        for (i, (&count, &hi)) in self.counts.iter().zip(&self.bounds).enumerate() {
             let next = cumulative + count;
             if (next as f64) >= rank && count > 0 {
-                return match self.bounds.get(i) {
-                    Some(&hi) => {
-                        let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                        let into = (rank - cumulative as f64) / count as f64;
-                        Ok(lo + (hi - lo) * into.clamp(0.0, 1.0))
-                    }
-                    // Overflow bucket: unbounded above — the histogram
-                    // cannot see past its last edge.
-                    None => Err(QuantileError::Saturated { floor: self.bounds.last().copied() }),
-                };
+                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
+                let into = (rank - cumulative as f64) / count as f64;
+                return Some(lo + (hi - lo) * into.clamp(0.0, 1.0));
             }
             cumulative = next;
         }
-        // Unreachable for well-formed counts (the last occupied bucket
-        // always answers above); treat it as saturation, not as zero.
-        Err(QuantileError::Saturated { floor: self.bounds.last().copied() })
-    }
-
-    /// [`quantile_exact`](HistogramSnapshot::quantile_exact) as a
-    /// clamped convenience: a saturated reading answers with its floor
-    /// (the last finite edge — a lower bound on the truth), and the
-    /// cases with no defensible number at all (`Empty`, `OutOfRange`,
-    /// saturation with no finite edges) answer `None`. Before the
-    /// audit this method silently answered `0.0` for the last case.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        match self.quantile_exact(q) {
-            Ok(v) => Some(v),
-            Err(QuantileError::Saturated { floor }) => floor,
-            Err(QuantileError::Empty | QuantileError::OutOfRange { .. }) => None,
-        }
-    }
-
-    /// Fraction of observations strictly above the bucket edge
-    /// `bound` — the tail-mass reading for heavy-tail assertions.
-    /// `None` when `bound` is not one of this histogram's edges (the
-    /// histogram cannot resolve arbitrary thresholds) or when the
-    /// histogram is empty — an empty histogram has no tail, and
-    /// answering `0.0` let "no data" impersonate "no outliers".
-    pub fn tail_fraction(&self, bound: f64) -> Option<f64> {
-        let idx = self.bounds.iter().position(|&b| b == bound)?;
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let above: u64 = self.counts[idx + 1..].iter().sum();
-        Some(above as f64 / total as f64)
+        // Saturated: the rank is in the overflow bucket.
+        self.bounds.last().copied()
     }
 }
 
-/// All instrument values at one instant.
+/// Finite and strictly increasing: what a histogram's bounds must be.
+pub(crate) fn bounds_ok(bounds: &[f64]) -> bool {
+    bounds.iter().all(|b| b.is_finite()) && bounds.windows(2).all(|w| w[0] < w[1])
+}
+
+/// A run's instrument values, each list sorted by name.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct MetricsSnapshot {
+pub struct Metrics {
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Gauge values, sorted by name.
     pub gauges: Vec<(String, f64)>,
     /// Histogram states, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
+    pub histograms: Vec<Histogram>,
 }
 
-impl MetricsSnapshot {
-    /// A counter's value, if it was registered.
+/// The entry named `name` in the name-sorted `items`, inserted in
+/// order with `new` on first use.
+fn entry<'a, T>(
+    items: &'a mut Vec<T>,
+    name: &str,
+    key: impl Fn(&T) -> &str,
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    let i = items.binary_search_by(|item| key(item).cmp(name)).unwrap_or_else(|i| {
+        items.insert(i, new());
+        i
+    });
+    &mut items[i]
+}
+
+impl Metrics {
+    /// Add `by` to the counter `name`, created at zero on first use.
+    pub fn add(&mut self, name: &str, by: u64) {
+        entry(&mut self.counters, name, |(n, _)| n, || (name.to_string(), 0)).1 += by;
+    }
+
+    /// Set the gauge `name`, created on first use.
+    pub fn set(&mut self, name: &str, value: f64) {
+        entry(&mut self.gauges, name, |(n, _)| n, || (name.to_string(), 0.0)).1 = value;
+    }
+
+    /// Record `value` in the histogram `name`, created with `bounds` on
+    /// first use (later calls keep the existing bounds).
+    pub fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
+        entry(&mut self.histograms, name, |h| &h.name, || Histogram::new(name, bounds))
+            .observe(value);
+    }
+
+    /// A counter's value, if it was recorded.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// A gauge's value, if it was registered.
+    /// A gauge's value, if it was recorded.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// A histogram's state, if it was registered.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    /// A histogram's state, if it was recorded.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.iter().find(|h| h.name == name)
+    }
+
+    /// Why no sequence of recorder calls could have produced this
+    /// value, if none could: names unsorted or repeated, histogram
+    /// bounds not finite and strictly increasing, or a histogram with
+    /// other than `bounds.len() + 1` counts. For a record read from
+    /// outside the program.
+    pub fn check(&self) -> Result<(), String> {
+        let sorted = |what: &str, names: Vec<&str>| match names.windows(2).find(|w| w[0] >= w[1]) {
+            Some(w) => Err(format!("{what} {:?} is out of name order or repeated", w[1])),
+            None => Ok(()),
+        };
+        sorted("counter", self.counters.iter().map(|(n, _)| n.as_str()).collect())?;
+        sorted("gauge", self.gauges.iter().map(|(n, _)| n.as_str()).collect())?;
+        sorted("histogram", self.histograms.iter().map(|h| h.name.as_str()).collect())?;
+        for h in &self.histograms {
+            if !bounds_ok(&h.bounds) {
+                return Err(format!("histogram {:?}: bounds not finite and increasing", h.name));
+            }
+            if h.counts.len() != h.bounds.len() + 1 {
+                return Err(format!(
+                    "histogram {:?}: {} counts for {} bounds",
+                    h.name,
+                    h.counts.len(),
+                    h.bounds.len()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Render as a Prometheus-style text exposition (for logs and the
@@ -377,36 +203,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_through_clones() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("passes");
-        let b = reg.counter("passes");
-        a.inc();
-        b.add(2);
-        assert_eq!(reg.counter("passes").get(), 3);
-        assert_eq!(reg.snapshot().counter("passes"), Some(3));
+    fn counters_accumulate() {
+        let mut m = Metrics::default();
+        m.add("passes", 1);
+        m.add("passes", 2);
+        assert_eq!(m.counter("passes"), Some(3));
+        assert_eq!(m.counter("missing"), None);
     }
 
     #[test]
     fn gauges_keep_the_last_value() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("nodes").set(4.0);
-        reg.gauge("nodes").set(8.0);
-        assert_eq!(reg.snapshot().gauge("nodes"), Some(8.0));
-        assert_eq!(reg.snapshot().gauge("missing"), None);
+        let mut m = Metrics::default();
+        m.set("nodes", 4.0);
+        m.set("nodes", 8.0);
+        assert_eq!(m.gauge("nodes"), Some(8.0));
+        assert_eq!(m.gauge("missing"), None);
     }
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("pass_seconds", &[1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        h.observe(50.0);
+        let mut m = Metrics::default();
+        for v in [0.5, 5.0, 50.0] {
+            m.observe("pass_seconds", &[1.0, 10.0], v);
+        }
+        let h = m.histogram("pass_seconds").unwrap();
         assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 55.5);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histogram("pass_seconds").unwrap().counts, vec![1, 1, 1]);
+        assert_eq!(h.sum, 55.5);
+        assert_eq!(h.counts, vec![1, 1, 1]);
     }
 
     #[test]
@@ -414,159 +237,108 @@ mod tests {
         // Regression: one NaN folded into `sum` made it NaN for the
         // rest of the run (and +∞ is just as sticky); every later
         // snapshot and text rendering carried the poison.
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("t", &[1.0, 10.0]);
-        h.observe(5.0);
-        h.observe(f64::NAN);
-        h.observe(f64::INFINITY);
-        h.observe(f64::NEG_INFINITY);
-        h.observe(0.5);
-        assert_eq!(h.count(), 2, "rejected values must not occupy buckets");
-        assert_eq!(h.sum(), 5.5);
-        assert_eq!(h.rejected(), 3);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histogram("t").unwrap().counts, vec![1, 1, 0]);
-        assert!(snap.histogram("t").unwrap().sum.is_finite());
+        let mut h = Histogram::new("t", &[1.0, 10.0]);
+        for v in [5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5] {
+            h.observe(v);
+        }
+        assert_eq!(h.counts, vec![1, 1, 0], "dropped values must not occupy buckets");
+        assert_eq!(h.sum, 5.5);
     }
 
     #[test]
     fn partition_point_bucketing_matches_the_linear_scan() {
         // Bound-exact, mid-bucket, below-all, and above-all values land
         // where `position(|b| value <= b)` put them.
-        let reg = MetricsRegistry::new();
         let bounds = [1.0, 5.0, 25.0];
-        let h = reg.histogram("t", &bounds);
         let linear = |v: f64| bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
         for v in [0.0, 0.5, 1.0, 1.5, 5.0, 7.0, 25.0, 26.0, 1e12] {
+            let mut h = Histogram::new("t", &bounds);
             h.observe(v);
-            let snap = reg.snapshot();
-            let idx = linear(v);
-            assert!(
-                snap.histogram("t").unwrap().counts[idx] >= 1,
-                "value {v} should land in bucket {idx}"
-            );
+            assert_eq!(h.counts[linear(v)], 1, "value {v} should land in bucket {}", linear(v));
         }
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_rejected() {
-        let reg = MetricsRegistry::new();
-        reg.histogram("bad", &[2.0, 1.0]);
+        Histogram::new("bad", &[2.0, 1.0]);
     }
 
     #[test]
-    fn snapshot_is_sorted_by_name() {
-        let reg = MetricsRegistry::new();
-        reg.counter("z").inc();
-        reg.counter("a").inc();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters[0].0, "a");
-        assert_eq!(snap.counters[1].0, "z");
+    fn instruments_are_kept_in_name_order() {
+        let mut m = Metrics::default();
+        m.add("z", 1);
+        m.add("a", 1);
+        m.add("m", 1);
+        m.observe("y", &[1.0], 0.5);
+        m.observe("b", &[1.0], 0.5);
+        let names: Vec<&str> = m.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "m", "z"]);
+        assert_eq!(m.histograms[0].name, "b");
+        assert_eq!(m.check(), Ok(()));
     }
 
     #[test]
     fn quantiles_interpolate_within_buckets() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("q", &[10.0, 20.0, 40.0]);
+        let mut h = Histogram::new("q", &[10.0, 20.0, 40.0]);
         // 10 observations in (0,10], 10 in (10,20]: the median sits at
         // the 10/20 boundary, p25 halfway into the first bucket.
         for i in 0..10 {
             h.observe(i as f64 + 0.5);
             h.observe(10.0 + i as f64 + 0.5);
         }
-        let snap = reg.snapshot();
-        let hs = snap.histogram("q").unwrap();
-        assert_eq!(hs.count(), 20);
-        assert!((hs.quantile(0.5).unwrap() - 10.0).abs() < 1e-9);
-        assert!((hs.quantile(0.25).unwrap() - 5.0).abs() < 1e-9);
-        assert!((hs.quantile(1.0).unwrap() - 20.0).abs() < 1e-9);
-        assert_eq!(hs.quantile(1.5), None);
+        assert_eq!(h.count(), 20);
+        assert!((h.quantile(0.5).unwrap() - 10.0).abs() < 1e-9);
+        assert!((h.quantile(0.25).unwrap() - 5.0).abs() < 1e-9);
+        assert!((h.quantile(1.0).unwrap() - 20.0).abs() < 1e-9);
+        assert_eq!(h.quantile(1.5), None);
         // Overflow observations report the last edge, never +inf.
         h.observe(1e9);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histogram("q").unwrap().quantile(1.0), Some(40.0));
-        // Empty histograms have no quantiles.
-        let empty = HistogramSnapshot::default();
-        assert_eq!(empty.quantile(0.5), None);
+        assert_eq!(h.quantile(1.0), Some(40.0));
     }
 
     #[test]
-    fn empty_histograms_answer_typed_errors_not_zero() {
-        // Regression (edge-case audit): an empty histogram used to
-        // answer tail_fraction(edge) = Some(0.0), letting "no data"
-        // impersonate "no outliers"; quantile's trailing fallback
-        // could likewise fabricate 0.0 for a boundless histogram.
-        let reg = MetricsRegistry::new();
-        reg.histogram("e", &[1.0, 10.0]);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("e").unwrap();
-        assert_eq!(hs.tail_fraction(1.0), None, "empty tail must be None, not 0.0");
-        assert_eq!(hs.quantile(0.5), None);
-        assert_eq!(hs.quantile_exact(0.5), Err(QuantileError::Empty));
-        assert_eq!(hs.quantile_exact(1.5), Err(QuantileError::OutOfRange { q: 1.5 }));
+    fn empty_histograms_have_no_quantiles() {
+        // Regression (edge-case audit): "no data" must not impersonate
+        // a reading of 0.0.
+        let h = Histogram::new("e", &[1.0, 10.0]);
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile(q), None);
+        }
+        assert_eq!(Histogram::default().quantile(0.5), None);
     }
 
     #[test]
     fn single_sample_quantiles_stay_inside_their_bucket() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("s", &[1.0, 10.0]);
+        let mut h = Histogram::new("s", &[1.0, 10.0]);
         h.observe(5.0);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("s").unwrap();
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            let v = hs.quantile_exact(q).unwrap();
+            let v = h.quantile(q).unwrap();
             assert!((1.0..=10.0).contains(&v), "q={q} escaped the bucket: {v}");
         }
-        assert_eq!(hs.tail_fraction(1.0), Some(1.0));
-        assert_eq!(hs.tail_fraction(10.0), Some(0.0));
     }
 
     #[test]
-    fn saturated_top_buckets_are_typed_saturation() {
+    fn saturated_top_buckets_answer_their_floor() {
         // All mass in the unbounded overflow bucket: the histogram can
-        // only name a floor, and must say so.
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("sat", &[1.0, 10.0]);
+        // only name a floor — a defensible lower bound — not a
+        // fabricated interpolation.
+        let mut h = Histogram::new("sat", &[1.0, 10.0]);
         h.observe(1e9);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("sat").unwrap();
-        assert_eq!(hs.quantile_exact(0.5), Err(QuantileError::Saturated { floor: Some(10.0) }));
-        // The clamped convenience reports the floor — a defensible
-        // lower bound — not a fabricated interpolation.
-        assert_eq!(hs.quantile(0.5), Some(10.0));
+        assert_eq!(h.quantile(0.5), Some(10.0));
         // A histogram with no finite buckets has nothing to clamp to.
-        let boundless =
-            HistogramSnapshot { name: "b".into(), bounds: vec![], counts: vec![3], sum: 30.0 };
-        assert_eq!(boundless.quantile_exact(0.5), Err(QuantileError::Saturated { floor: None }));
-        assert_eq!(boundless.quantile(0.5), None, "was silently 0.0 before the audit");
-    }
-
-    #[test]
-    fn tail_fraction_reads_mass_past_an_edge() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("t", &[1.0, 10.0]);
-        for _ in 0..8 {
-            h.observe(0.5);
-        }
-        h.observe(5.0);
-        h.observe(100.0);
-        let snap = reg.snapshot();
-        let hs = snap.histogram("t").unwrap();
-        assert!((hs.tail_fraction(1.0).unwrap() - 0.2).abs() < 1e-12);
-        assert!((hs.tail_fraction(10.0).unwrap() - 0.1).abs() < 1e-12);
-        // Only real edges resolve; arbitrary thresholds don't.
-        assert_eq!(hs.tail_fraction(3.0), None);
-        assert_eq!(HistogramSnapshot::default().tail_fraction(1.0), None);
+        let mut boundless = Histogram::new("b", &[]);
+        boundless.observe(30.0);
+        assert_eq!(boundless.quantile(0.5), None);
     }
 
     #[test]
     fn text_rendering_includes_every_instrument() {
-        let reg = MetricsRegistry::new();
-        reg.counter("passes").add(2);
-        reg.gauge("bw").set(1e6);
-        reg.histogram("t", &[1.0]).observe(0.5);
-        let text = reg.snapshot().render_text();
+        let mut m = Metrics::default();
+        m.add("passes", 2);
+        m.set("bw", 1e6);
+        m.observe("t", &[1.0], 0.5);
+        let text = m.render_text();
         assert!(text.contains("passes 2"));
         assert!(text.contains("bw 1000000"));
         assert!(text.contains("t_bucket{le=\"1\"} 1"));

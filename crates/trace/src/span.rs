@@ -9,7 +9,7 @@
 //! integer-nanosecond [`SimTime`]s, phase durations recovered from a
 //! trace equal the executor's own accounting bit for bit.
 
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::Metrics;
 use fg_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -216,7 +216,7 @@ pub struct Trace {
     pub spans: Vec<Span>,
     /// Counter/gauge/histogram values at the end of the run.
     #[serde(default)]
-    pub metrics: MetricsSnapshot,
+    pub metrics: Metrics,
 }
 
 impl Trace {
@@ -293,7 +293,7 @@ pub struct Tracer {
     spans: Vec<Span>,
     stack: Vec<u64>,
     /// Counters, gauges and histograms recorded alongside the spans.
-    pub metrics: MetricsRegistry,
+    pub metrics: Metrics,
 }
 
 impl Tracer {
@@ -369,7 +369,7 @@ impl Tracer {
     /// Finish the trace. Panics if any span is still open.
     pub fn finish(self, meta: Option<RunMeta>) -> Trace {
         assert!(self.stack.is_empty(), "{} span(s) left open", self.stack.len());
-        Trace { meta, spans: self.spans, metrics: self.metrics.snapshot() }
+        Trace { meta, spans: self.spans, metrics: self.metrics }
     }
 }
 

@@ -17,13 +17,12 @@
 //! backwards: a `now` earlier than the newest bucket is clamped into
 //! it rather than resurrecting expired history.
 
-use crate::metrics::HistogramSnapshot;
-use serde::{Deserialize, Serialize};
+use crate::metrics::{bounds_ok, Histogram};
 
 /// The shape of a sliding window: `buckets` ring slots, each covering
 /// `bucket_width` seconds of time, for a total span of
 /// `buckets × bucket_width`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSpec {
     /// Width of one time bucket, in seconds. Must be positive.
     pub bucket_width: f64,
@@ -31,71 +30,9 @@ pub struct WindowSpec {
     pub buckets: usize,
 }
 
-impl WindowSpec {
-    /// A window of `buckets` slots, `bucket_width` seconds each.
-    pub fn new(bucket_width: f64, buckets: usize) -> WindowSpec {
-        assert!(
-            bucket_width.is_finite() && bucket_width > 0.0,
-            "bucket width must be positive and finite"
-        );
-        assert!(buckets >= 1, "a window needs at least one bucket");
-        WindowSpec { bucket_width, buckets }
-    }
-
-    /// Total time the window covers, in seconds.
-    pub fn span(&self) -> f64 {
-        self.bucket_width * self.buckets as f64
-    }
-
-    /// The bucket epoch (absolute bucket index since t=0) holding `now`.
-    fn epoch(&self, now: f64) -> u64 {
-        ((now / self.bucket_width).floor().max(0.0)) as u64
-    }
-}
-
-/// The rotating ring under a windowed instrument: slot values of type
-/// `T`, a head epoch, and the zero-fill rotation as time moves.
-#[derive(Debug, Clone, PartialEq)]
-struct Ring<T> {
-    spec: WindowSpec,
-    /// Absolute bucket index of the newest slot; `u64::MAX` until the
-    /// first observation or advance.
-    head: u64,
-    slots: Vec<T>,
-}
-
-impl<T: Clone + Default> Ring<T> {
-    fn new(spec: WindowSpec) -> Ring<T> {
-        Ring { spec, head: u64::MAX, slots: vec![T::default(); spec.buckets] }
-    }
-
-    /// Rotate the ring so the slot for `now`'s epoch is current,
-    /// clearing every bucket the clock skipped over. Returns the slot
-    /// index for `now` (clamped into the newest bucket if `now` is in
-    /// the past — time does not run backwards here).
-    fn advance(&mut self, now: f64) -> usize {
-        let epoch = self.spec.epoch(now);
-        if self.head == u64::MAX {
-            self.head = epoch;
-        } else if epoch > self.head {
-            let skipped = (epoch - self.head).min(self.spec.buckets as u64);
-            for i in 1..=skipped {
-                let idx = ((self.head + i) % self.spec.buckets as u64) as usize;
-                self.slots[idx] = T::default();
-            }
-            self.head = epoch;
-        }
-        (self.head % self.spec.buckets as u64) as usize
-    }
-
-    /// Slots currently inside the window (unordered).
-    fn live(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter()
-    }
-}
-
 /// Per-bucket state of a [`SlidingHistogram`]: observation counts per
-/// value bucket (`bounds.len() + 1`, last is overflow) plus the sum.
+/// value bucket (`bounds.len() + 1`, last is overflow, allocated on the
+/// bucket's first observation) plus the sum.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct HistSlot {
     counts: Vec<u64>,
@@ -104,25 +41,54 @@ struct HistSlot {
 
 /// A fixed-bound histogram over a sliding time window: observations
 /// land in the time bucket of their timestamp, and every read merges
-/// the buckets still inside the window into one
-/// [`HistogramSnapshot`] — so [`quantile`](SlidingHistogram::quantile)
-/// inherits the cumulative histogram's interpolation *and* its typed
-/// edge-case handling (empty windows answer `None`, not 0.0).
+/// the buckets still inside the window into one [`Histogram`] — so
+/// [`quantile`](SlidingHistogram::quantile) inherits the cumulative
+/// histogram's interpolation *and* its edge-case handling (empty
+/// windows answer `None`, not 0.0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingHistogram {
+    bucket_width: f64,
     bounds: Vec<f64>,
-    ring: Ring<HistSlot>,
+    /// Absolute bucket index (since t=0) of the newest slot;
+    /// `u64::MAX` until the first observation or read.
+    head: u64,
+    slots: Vec<HistSlot>,
 }
 
 impl SlidingHistogram {
-    /// A windowed histogram with the given strictly increasing value
-    /// bucket bounds.
+    /// A windowed histogram of `spec`'s shape with the given finite,
+    /// strictly increasing value bucket bounds.
     pub fn new(spec: WindowSpec, bounds: &[f64]) -> SlidingHistogram {
         assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
+            spec.bucket_width.is_finite() && spec.bucket_width > 0.0,
+            "bucket width must be positive and finite"
         );
-        SlidingHistogram { bounds: bounds.to_vec(), ring: Ring::new(spec) }
+        assert!(spec.buckets >= 1, "a window needs at least one bucket");
+        assert!(bounds_ok(bounds), "histogram bounds must be finite and strictly increasing");
+        SlidingHistogram {
+            bucket_width: spec.bucket_width,
+            bounds: bounds.to_vec(),
+            head: u64::MAX,
+            slots: vec![HistSlot::default(); spec.buckets],
+        }
+    }
+
+    /// Rotate the ring so the slot for `now`'s bucket is current,
+    /// clearing every bucket the clock skipped over. Returns the slot
+    /// index for `now` (clamped into the newest bucket if `now` is in
+    /// the past — time does not run backwards here).
+    fn advance(&mut self, now: f64) -> usize {
+        let epoch = (now / self.bucket_width).floor().max(0.0) as u64;
+        let n = self.slots.len() as u64;
+        if self.head == u64::MAX {
+            self.head = epoch;
+        } else if epoch > self.head {
+            for i in 1..=(epoch - self.head).min(n) {
+                self.slots[((self.head + i) % n) as usize] = HistSlot::default();
+            }
+            self.head = epoch;
+        }
+        (self.head % n) as usize
     }
 
     /// Record `value` at instant `now`. Non-finite values are dropped.
@@ -130,8 +96,8 @@ impl SlidingHistogram {
         if !value.is_finite() {
             return;
         }
-        let idx = self.ring.advance(now);
-        let slot = &mut self.ring.slots[idx];
+        let idx = self.advance(now);
+        let slot = &mut self.slots[idx];
         if slot.counts.is_empty() {
             slot.counts = vec![0; self.bounds.len() + 1];
         }
@@ -141,31 +107,22 @@ impl SlidingHistogram {
     }
 
     /// Merge the live buckets into one frozen histogram named `name`.
-    pub fn merged(&mut self, now: f64, name: &str) -> HistogramSnapshot {
-        self.ring.advance(now);
+    pub fn merged(&mut self, now: f64, name: &str) -> Histogram {
+        self.advance(now);
         let mut counts = vec![0u64; self.bounds.len() + 1];
         let mut sum = 0.0;
-        for slot in self.ring.live() {
-            if slot.counts.is_empty() {
-                continue;
-            }
+        for slot in self.slots.iter().filter(|s| !s.counts.is_empty()) {
             for (c, s) in counts.iter_mut().zip(&slot.counts) {
                 *c += s;
             }
             sum += slot.sum;
         }
-        HistogramSnapshot { name: name.to_string(), bounds: self.bounds.clone(), counts, sum }
-    }
-
-    /// Observations inside the window ending at `now`.
-    pub fn count(&mut self, now: f64) -> u64 {
-        self.ring.advance(now);
-        self.ring.live().map(|s| s.counts.iter().sum::<u64>()).sum()
+        Histogram { name: name.to_string(), bounds: self.bounds.clone(), counts, sum }
     }
 
     /// Bucket-interpolated quantile over the window ending at `now`;
     /// `None` when the window is empty or `q` is out of range (see
-    /// [`HistogramSnapshot::quantile`]).
+    /// [`Histogram::quantile`]).
     pub fn quantile(&mut self, now: f64, q: f64) -> Option<f64> {
         self.merged(now, "window").quantile(q)
     }
@@ -176,7 +133,11 @@ mod tests {
     use super::*;
 
     fn spec() -> WindowSpec {
-        WindowSpec::new(10.0, 6) // 60-second window
+        WindowSpec { bucket_width: 10.0, buckets: 6 } // 60-second window
+    }
+
+    fn count(h: &mut SlidingHistogram, now: f64) -> u64 {
+        h.merged(now, "w").count()
     }
 
     #[test]
@@ -184,7 +145,7 @@ mod tests {
         let mut h = SlidingHistogram::new(spec(), &[1.0]);
         h.observe(0.0, 0.5);
         h.observe(0.0, 3.0);
-        assert_eq!(h.count(1e9), 0);
+        assert_eq!(count(&mut h, 1e9), 0);
         assert_eq!(h.merged(1e9, "w").counts, vec![0, 0]);
     }
 
@@ -199,7 +160,7 @@ mod tests {
         // At 60 s the bucket of t=3 has rotated out, the newest has not:
         // the stale value lives exactly as long as the bucket it landed in.
         assert_eq!(h.merged(60.0, "w").counts, vec![1, 1]);
-        assert_eq!(h.count(110.0), 0);
+        assert_eq!(count(&mut h, 110.0), 0);
     }
 
     #[test]
@@ -235,7 +196,7 @@ mod tests {
             h.observe(i as f64, 5.0); // bucket epochs 0..=0
             h.observe(10.0 + i as f64, 15.0); // epoch 1
         }
-        assert_eq!(h.count(19.0), 20);
+        assert_eq!(count(&mut h, 19.0), 20);
         let m = h.merged(19.0, "w");
         assert_eq!(m.counts, vec![10, 10, 0]);
         assert!((m.sum - 200.0).abs() < 1e-9);
@@ -259,6 +220,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bucket")]
     fn zero_buckets_rejected() {
-        WindowSpec::new(1.0, 0);
+        SlidingHistogram::new(WindowSpec { bucket_width: 1.0, buckets: 0 }, &[1.0]);
     }
 }

@@ -261,6 +261,22 @@ fn check_sched_invariants(r: &freeride_g::sched::SchedResult, label: &str) {
     // Quotas are on in these runs, and the violation counter is the
     // structural "never exceeded" guarantee.
     assert_eq!(m.counter("sched_quota_violations"), Some(0), "{label}");
+    // Every other scheduler metric, against the job table it counts.
+    let jobs = &r.outcomes;
+    let misses = jobs.iter().filter(|o| o.met_deadline() == Some(false)).count() as u64;
+    let preemptions: u64 = jobs.iter().map(|o| o.preemptions.len() as u64).sum();
+    let migrations = jobs.iter().filter(|o| o.migration.is_some()).count() as u64;
+    assert_eq!(m.counter("sched_deadline_misses"), Some(misses), "{label}");
+    assert_eq!(m.counter("sched_preemptions"), Some(preemptions), "{label}");
+    assert_eq!(m.counter("sched_migrations"), Some(migrations), "{label}");
+    assert_eq!(m.counter("sched_checkpoints"), Some(preemptions + migrations), "{label}");
+    let completed = || jobs.iter().filter(|o| o.finish.is_some());
+    let waits = completed().filter(|o| o.wait().is_some()).count() as u64;
+    let slowdowns = completed().filter(|o| o.slowdown().is_some()).count() as u64;
+    let observed = |name: &str| m.histogram(name).map(|h| h.count());
+    assert_eq!(observed("sched_wait_seconds"), Some(waits), "{label}");
+    assert_eq!(observed("sched_slowdown"), Some(slowdowns), "{label}");
+    assert_eq!(m.gauge("sched_queue_depth"), Some(0.0), "{label}: the queue drains");
 
     for o in &r.outcomes {
         assert_eq!(o.admitted, o.finish.is_some(), "{label} job {}", o.id);
