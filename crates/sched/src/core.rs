@@ -78,8 +78,8 @@ use crate::policy::Policy;
 use crate::queue::PolicyQueue;
 use crate::sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
-    Scheduler, TenantQuota, MIGRATION_DEVIATION, MIGRATION_MARGIN, MIGRATION_MIN_ELAPSED_SECS,
-    MIGRATION_OVERHEAD_SECS, PREEMPTION_OVERHEAD_SECS,
+    SchedTrace, Scheduler, TenantQuota, MIGRATION_DEVIATION, MIGRATION_MARGIN,
+    MIGRATION_MIN_ELAPSED_SECS, MIGRATION_OVERHEAD_SECS, PREEMPTION_OVERHEAD_SECS,
 };
 use crate::telemetry::{TelemetrySnapshot, TelemetryState, WAIT_BOUNDS};
 use crate::workload::{check_job_fields, JobSpec};
@@ -841,16 +841,17 @@ impl SchedCore {
     /// [`finish`](SchedCore::finish), also returning the scheduling
     /// events the final drain produced (empty unless the event log is
     /// on) so a streaming server can flush them before the result.
+    ///
+    /// The job table moves into the result's `Arc` without a copy. The
+    /// span tree is not built here: [`SchedTrace`] builds it from that
+    /// table the first time [`SchedResult::trace`] is read, so a caller
+    /// that reads only the outcomes never holds it.
     pub fn finish_with_events(mut self) -> (SchedResult, Vec<CoreEvent>) {
         self.pump(true);
         let events = self.take_events();
         let metrics = self.tally.into_metrics(&self.cfg, self.queue.len(), self.depth_max);
-        // Nothing reads the id set or the app indices again: release
-        // them before the trace below sets the high-water mark.
-        drop(self.ids);
-        drop(self.app_of);
-        let outcomes = self.jobs;
-        let trace = build_trace(metrics, &outcomes, self.makespan);
+        let outcomes = Arc::new(self.jobs);
+        let trace = SchedTrace::new(Arc::clone(&outcomes), metrics, self.makespan);
         let telemetry = self.telemetry.take().map(|t| t.into_report(self.now));
         (
             SchedResult {

@@ -73,8 +73,8 @@ pub use policy::Policy;
 pub use replay::{ReplayError, Workload, WorkloadStats};
 pub use sched::{
     Degradation, JobOutcome, MigrationEvent, PlacementInfo, PreemptionEvent, SchedResult,
-    Scheduler, TenantQuota, MIGRATION_DEVIATION, MIGRATION_MARGIN, MIGRATION_MIN_ELAPSED_SECS,
-    MIGRATION_OVERHEAD_SECS, PREEMPTION_OVERHEAD_SECS,
+    SchedTrace, Scheduler, TenantQuota, MIGRATION_DEVIATION, MIGRATION_MARGIN,
+    MIGRATION_MIN_ELAPSED_SECS, MIGRATION_OVERHEAD_SECS, PREEMPTION_OVERHEAD_SECS,
 };
 pub use telemetry::{
     TelemetryConfig, TelemetryReport, TelemetrySnapshot, TelemetryState, TenantSlo,

@@ -29,15 +29,17 @@
 //! either property are recorded on the result rather than silently
 //! dropped.
 
-use crate::core::{SchedCore, TIME_EPS};
+use crate::core::{build_trace, SchedCore, TIME_EPS};
 use crate::grid::GridSpec;
 use crate::policy::Policy;
 use crate::telemetry::{TelemetryConfig, TelemetryReport};
 use crate::workload::JobSpec;
 use fg_predict::{AnalyticalPredictor, Predictor};
-use fg_trace::Trace;
+use fg_trace::{Metrics, Trace};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// A per-tenant token-bucket admission quota: each submission spends one
 /// token; the bucket refills continuously up to `capacity`. A tenant
@@ -243,12 +245,14 @@ impl JobOutcome {
 pub struct SchedResult {
     /// One outcome per submitted job, in submission order: the order
     /// of [`SchedCore::submit`] calls, or of [`Scheduler::run`]'s input
-    /// slice (which need not be sorted by id or arrival).
-    pub outcomes: Vec<JobOutcome>,
+    /// slice (which need not be sorted by id or arrival). The core's
+    /// job table itself, moved here without a copy and shared with
+    /// [`trace`](SchedResult::trace), which builds its spans from it.
+    pub outcomes: Arc<Vec<JobOutcome>>,
     /// The span tree (one `Job` span per job, phase children) plus the
     /// metrics snapshot (queue depth, admission counters, wait and
-    /// slowdown histograms).
-    pub trace: Trace,
+    /// slowdown histograms), built from the job table when first read.
+    pub trace: SchedTrace,
     /// Last completion instant (0 for an empty workload).
     pub makespan: f64,
     /// Fairness or work-conservation invariant violations detected
@@ -258,6 +262,53 @@ pub struct SchedResult {
     /// statistics, and the full accuracy ledger. `None` unless the run
     /// was armed with [`Scheduler::with_telemetry`].
     pub telemetry: Option<TelemetryReport>,
+}
+
+/// A scheduler run's span tree, built the first time it is read.
+///
+/// Every span of a scheduler trace is derived from the job table, so
+/// until someone dereferences it this holds only the shared table, the
+/// run's metrics and its makespan: a caller that reads just
+/// [`SchedResult::outcomes`] never pays for the tree. The first
+/// dereference builds it once; later reads return the same [`Trace`].
+pub struct SchedTrace {
+    outcomes: Arc<Vec<JobOutcome>>,
+    metrics: Metrics,
+    makespan: f64,
+    built: OnceLock<Trace>,
+}
+
+impl SchedTrace {
+    /// The tree of a run whose table is `outcomes`, built on first read.
+    pub(crate) fn new(outcomes: Arc<Vec<JobOutcome>>, metrics: Metrics, makespan: f64) -> Self {
+        SchedTrace { outcomes, metrics, makespan, built: OnceLock::new() }
+    }
+}
+
+impl Deref for SchedTrace {
+    type Target = Trace;
+
+    fn deref(&self) -> &Trace {
+        self.built.get_or_init(|| build_trace(self.metrics.clone(), &self.outcomes, self.makespan))
+    }
+}
+
+/// A tree that arrives already built, such as one parsed off the wire.
+impl From<Trace> for SchedTrace {
+    fn from(trace: Trace) -> Self {
+        SchedTrace {
+            outcomes: Arc::default(),
+            metrics: Metrics::default(),
+            makespan: 0.0,
+            built: OnceLock::from(trace),
+        }
+    }
+}
+
+impl fmt::Debug for SchedTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Trace::fmt(self, f)
+    }
 }
 
 /// The multi-tenant scheduler: a grid, a policy, and an EWMA smoothing
@@ -545,7 +596,7 @@ mod tests {
             assert!(r.violations.is_empty(), "{}: {:?}", policy.name(), r.violations);
             r.trace.check_well_formed().unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
             assert_eq!(r.outcomes.len(), jobs.len());
-            for o in &r.outcomes {
+            for o in r.outcomes.iter() {
                 if o.admitted {
                     let finish = o.finish.expect("admitted jobs complete");
                     assert!(finish >= o.arrival);

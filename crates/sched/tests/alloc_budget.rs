@@ -1,17 +1,19 @@
 //! What a job costs in heap allocations — counted, not timed, so the
 //! numbers repeat exactly and a shared machine cannot move them.
 //!
-//! Two quantities, each as the *margin* between a 1 000-job and a
+//! Three quantities, each as the *margin* between a 1 000-job and a
 //! 2 000-job run of the same shape (so whatever a run owns regardless of
 //! its length — the grid, the name table, the run's metrics, ledger
 //! rings once full — cancels):
 //!
-//! * the live allocations a [`SchedResult`] owns per job. Every name in
-//!   it is a reference-count bump on a string the core made once, so an
-//!   admitted job owns one allocation (its `Job` span's attributes) and
-//!   a rejected one two (the reason is its own text). Twelve before the
-//!   names were shared: seven attribute keys, the app, three placement
-//!   names, the attributes.
+//! * the live allocations a [`SchedResult`] owns per job. The job table
+//!   is one vector shared by the result's outcomes and its unbuilt
+//!   trace, and every name in a row is a reference-count bump on a
+//!   string the core made once, so an admitted job owns none and a
+//!   rejected one one (its reason is its own text).
+//! * the allocations the first read of [`SchedResult::trace`] leaves
+//!   live: the span tree, whose only per-job allocation is the `Job`
+//!   span's attributes. A second read builds nothing.
 //! * the allocations `submit` + `finish` make per job, whether or not
 //!   they survive. The ceilings are what was measured plus less than one
 //!   allocation a job, so a `String` made per start or per completion
@@ -23,6 +25,7 @@ use fg_sched::{
     AppModel, Degradation, GridSpec, JobSpec, LoadLevel, Policy, SchedCore, SchedResult, Scheduler,
     TelemetryConfig, WorkloadShape, WorkloadSpec,
 };
+use fg_trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -168,9 +171,13 @@ fn margins(small: &Cost, large: &Cost, extra_jobs: usize) -> (f64, f64, f64) {
     )
 }
 
+/// The backfilling scheduler on the overloaded grid: every job runs.
+fn backfill() -> Scheduler {
+    Scheduler::new(grid(1.0), Policy::FcfsBackfill)
+}
+
 #[test]
-fn a_backfilled_job_owns_one_allocation_and_makes_a_pinned_few() {
-    let scheduler = || Scheduler::new(grid(1.0), Policy::FcfsBackfill);
+fn a_backfilled_job_owns_nothing_and_makes_a_pinned_few() {
     let every_job_ran = |r: &SchedResult| {
         assert!(r.outcomes.iter().all(|o| o.admitted && o.finish.is_some()));
         // Names are shared, not copied: two jobs placed at one
@@ -179,17 +186,41 @@ fn a_backfilled_job_owns_one_allocation_and_makes_a_pinned_few() {
         let twin = placed[1..].iter().find(|p| p.repo == placed[0].repo).expect("a shared repo");
         assert!(Arc::ptr_eq(&placed[0].repo_name, &twin.repo_name));
     };
-    let small = run(scheduler(), &jobs(1_000), every_job_ran);
-    let large = run(scheduler(), &jobs(2_000), every_job_ran);
+    let small = run(backfill(), &jobs(1_000), every_job_ran);
+    let large = run(backfill(), &jobs(2_000), every_job_ran);
     let (made, owned, admitted) = margins(&small, &large, 1_000);
     assert_eq!(admitted, 1.0);
-    // Exactly the `Job` span's attributes.
-    assert_eq!(owned, 1.0, "a finished job owns {owned} allocations");
+    // Its row lives in the shared table, its names are shared, and its
+    // span is not built.
+    assert_eq!(owned, 0.0, "a finished job owns {owned} allocations");
     assert!(made <= MADE_PER_BACKFILLED_JOB, "a job costs {made} allocations");
 }
 
 #[test]
-fn an_admitted_job_under_telemetry_and_a_learned_predictor_owns_at_most_two() {
+fn the_first_read_of_the_trace_builds_it_and_a_second_reuses_it() {
+    // The allocations the first read leaves live; the second read must
+    // make none and return the same tree.
+    let built = |n: usize| {
+        let mut built = 0;
+        run(backfill(), &jobs(n), |r| {
+            let before = live();
+            let first: &Trace = &r.trace;
+            built = live() - before;
+            let made_before = made();
+            let second: &Trace = &r.trace;
+            assert_eq!(made(), made_before, "the second read built the tree again");
+            assert!(std::ptr::eq(first, second));
+            assert_eq!(first.spans.len(), 1 + 5 * n, "a root, and five spans per job");
+        });
+        built
+    };
+    let per_job = (built(2_000) - built(1_000)) as f64 / 1_000.0;
+    // Exactly the `Job` span's attributes.
+    assert_eq!(per_job, 1.0, "a job's spans own {per_job} allocations");
+}
+
+#[test]
+fn under_telemetry_and_a_learned_predictor_only_a_rejected_job_owns_its_reason() {
     let learned_run = |jobs: &[JobSpec]| {
         let learned = Arc::new(LearnedPredictor::default());
         let scheduler = Scheduler::new(grid(0.1), Policy::EdfAdmit)
@@ -210,17 +241,16 @@ fn an_admitted_job_under_telemetry_and_a_learned_predictor_owns_at_most_two() {
     let (small, large) = (learned_run(&jobs(1_000)), learned_run(&jobs(2_000)));
     let (made, owned, admitted) = margins(&small, &large, 1_000);
     assert!(admitted > 0.25, "the policy admitted only {admitted} of the extra jobs");
-    // One for an admitted job, two for a rejected one (its reason); a
-    // ledger sample owns nothing.
-    assert!(owned <= 2.0, "a finished job owns {owned} allocations");
-    assert!(owned <= 1.0 + (1.0 - admitted) + 0.05, "{owned} owned at {admitted} admitted");
+    // Nothing for an admitted job, one for a rejected one (its reason);
+    // a ledger sample owns nothing.
+    assert!(owned <= (1.0 - admitted) + 0.05, "{owned} owned at {admitted} admitted");
     assert!(made <= MADE_PER_LEARNED_JOB, "a job costs {made} allocations");
 }
 
 /// Ceilings on the allocations a job costs between `SchedCore::new` and
 /// the end of `finish`: the measured margin plus half an allocation.
-/// Measured 5.174 and 3.285 (a rejected job never reaches the pass, whose
-/// fair-share vectors are three of a started job's five); a debug build
-/// adds its redundant guards' scratch (18.374 and 8.753).
-const MADE_PER_BACKFILLED_JOB: f64 = if cfg!(debug_assertions) { 18.9 } else { 5.7 };
-const MADE_PER_LEARNED_JOB: f64 = if cfg!(debug_assertions) { 9.3 } else { 3.8 };
+/// Measured 4.174 and 2.285 (a rejected job never reaches the pass, whose
+/// fair-share vectors are three of a started job's four); a debug build
+/// adds its redundant guards' scratch (17.374 and 7.753).
+const MADE_PER_BACKFILLED_JOB: f64 = if cfg!(debug_assertions) { 17.9 } else { 4.7 };
+const MADE_PER_LEARNED_JOB: f64 = if cfg!(debug_assertions) { 8.3 } else { 2.8 };

@@ -15,6 +15,7 @@ use fg_sched::{
     TelemetrySnapshot,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A client-to-server request (frame kind 1).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -138,9 +139,14 @@ impl DrainedRun {
     /// outcomes move instead of being copied, and only the span tree's
     /// JSONL outlives the call.
     pub fn from_result(r: SchedResult) -> DrainedRun {
+        let trace_jsonl = fg_trace::to_jsonl(&r.trace);
+        // The trace shares the job table: once it is dropped the table
+        // moves out of its `Arc` (it is copied only if a caller kept
+        // another handle on it).
+        drop(r.trace);
         DrainedRun {
-            outcomes: r.outcomes,
-            trace_jsonl: fg_trace::to_jsonl(&r.trace),
+            outcomes: Arc::unwrap_or_clone(r.outcomes),
+            trace_jsonl,
             makespan: r.makespan,
             violations: r.violations,
         }
@@ -150,8 +156,8 @@ impl DrainedRun {
     pub fn into_result(self) -> Result<SchedResult, serde_json::jsonl::Error> {
         let trace = fg_trace::from_jsonl(&self.trace_jsonl)?;
         Ok(SchedResult {
-            outcomes: self.outcomes,
-            trace,
+            outcomes: Arc::new(self.outcomes),
+            trace: trace.into(),
             makespan: self.makespan,
             violations: self.violations,
             // The wire result carries no telemetry: the plane is

@@ -173,10 +173,15 @@ fn concurrent_readers_see_monotone_prefixes_of_one_writer() {
 /// Compile-time: the decision core and the engine around it may cross
 /// threads — their run metrics are plain owned values, not shared
 /// handles. (The server still builds the engine on its core thread;
-/// see `fg_serve::server`.)
+/// see `fg_serve::server`.) So may a finished run: its job table is an
+/// `Arc` and its lazily built trace a `OnceLock`, which an `Rc` or a
+/// `OnceCell` would break here rather than in a caller.
 #[test]
 fn the_core_and_the_engine_are_send() {
     fn send<T: Send>() {}
+    fn sync<T: Sync>() {}
     send::<fg_sched::SchedCore>();
     send::<ServerEngine>();
+    send::<fg_sched::SchedResult>();
+    sync::<fg_sched::SchedTrace>();
 }

@@ -756,3 +756,26 @@ fn an_absurd_tenant_index_is_a_failed_submit_not_a_dead_server() {
     drop(client);
     server.shutdown();
 }
+
+#[test]
+fn a_drain_moves_its_outcomes_and_its_trace_round_trips() {
+    use fg_bench::figures::sched_models;
+    use fg_sched::{GridSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec};
+
+    let apps = ["kmeans", "em"];
+    let jobs =
+        WorkloadSpec::shaped_scaled(WorkloadShape::HeavyTail, LoadLevel::Heavy, &apps, 7, 12, 20)
+            .generate();
+    let scheduler = Scheduler::new(GridSpec::demo(sched_models()), Policy::EdfAdmit);
+    let reference = scheduler.run(&jobs);
+    let result = scheduler.run(&jobs);
+    // The drain reads a trace nobody has read yet, then hands out the
+    // core's own table: the rows move, they are not copied.
+    let table = result.outcomes.as_ptr();
+    let drained = DrainedRun::from_result(result);
+    assert_eq!(drained.outcomes.as_ptr(), table, "the drain copied the job table");
+    assert_eq!(drained.trace_jsonl, fg_trace::to_jsonl(&reference.trace));
+    let back = drained.into_result().expect("a drained trace parses");
+    assert_eq!(*back.outcomes, *reference.outcomes);
+    assert_eq!(*back.trace, *reference.trace);
+}

@@ -89,7 +89,7 @@ fn check_sched_golden(r: &SchedResult, name: &str) {
 
     let rendered = to_jsonl(&r.trace);
     let parsed = from_jsonl(&rendered).expect("exported trace must parse back");
-    assert_eq!(parsed, r.trace, "jsonl export must round-trip");
+    assert_eq!(parsed, *r.trace, "jsonl export must round-trip");
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -117,7 +117,7 @@ fn golden_preemption_trace_in_every_phase() {
     // The phase a job was in when evicted, from where the preemption
     // instant falls among its (final) phase ends.
     let mut hits = [0usize; 3];
-    for o in &r.outcomes {
+    for o in r.outcomes.iter() {
         for p in &o.preemptions {
             let (disk, net) = (o.disk_end.unwrap(), o.network_end.unwrap());
             hits[usize::from(disk <= p.preempted_at) + usize::from(net <= p.preempted_at)] += 1;

@@ -278,7 +278,7 @@ fn check_sched_invariants(r: &freeride_g::sched::SchedResult, label: &str) {
     assert_eq!(observed("sched_slowdown"), Some(slowdowns), "{label}");
     assert_eq!(m.gauge("sched_queue_depth"), Some(0.0), "{label}: the queue drains");
 
-    for o in &r.outcomes {
+    for o in r.outcomes.iter() {
         assert_eq!(o.admitted, o.finish.is_some(), "{label} job {}", o.id);
         if !o.admitted {
             assert!(o.reject_reason.is_some(), "{label} job {}: rejection needs a reason", o.id);
@@ -336,8 +336,8 @@ fn migration_enabled_scheduler_is_deterministic() {
     let a = migrate_run(Policy::FcfsBackfill, LoadLevel::Medium, true, true);
     let b = migrate_run(Policy::FcfsBackfill, LoadLevel::Medium, true, true);
     assert_eq!(
-        serde_json::to_string(&a.outcomes).unwrap(),
-        serde_json::to_string(&b.outcomes).unwrap(),
+        serde_json::to_string(&*a.outcomes).unwrap(),
+        serde_json::to_string(&*b.outcomes).unwrap(),
         "outcomes must be bit-identical across reruns"
     );
     assert_eq!(to_jsonl(&a.trace), to_jsonl(&b.trace), "traces must be bit-identical");
@@ -366,8 +366,8 @@ fn trace_shaped_migration_runs_are_deterministic() {
     let a = workload_migrate_run(WorkloadShape::Bursty, true);
     let b = workload_migrate_run(WorkloadShape::Bursty, true);
     assert_eq!(
-        serde_json::to_string(&a.outcomes).unwrap(),
-        serde_json::to_string(&b.outcomes).unwrap(),
+        serde_json::to_string(&*a.outcomes).unwrap(),
+        serde_json::to_string(&*b.outcomes).unwrap(),
         "bursty migration outcomes must be bit-identical across reruns"
     );
     assert_eq!(to_jsonl(&a.trace), to_jsonl(&b.trace), "bursty migration traces must match");

@@ -104,7 +104,7 @@ fn served_runs_carry_the_predictor_and_train_it() {
     server.shutdown();
 
     assert_eq!(
-        serde_json::to_string(&direct.outcomes).unwrap(),
+        serde_json::to_string(&*direct.outcomes).unwrap(),
         serde_json::to_string(&served.drained.outcomes).unwrap(),
         "served outcomes diverged from the direct run"
     );

@@ -25,8 +25,8 @@ fn same_seed_gives_bit_identical_schedules_and_traces() {
     for policy in Policy::ALL {
         let a = Scheduler::new(grid(), policy).run(&jobs);
         let b = Scheduler::new(grid(), policy).run(&jobs);
-        let aj = serde_json::to_string(&a.outcomes).expect("serialize outcomes");
-        let bj = serde_json::to_string(&b.outcomes).expect("serialize outcomes");
+        let aj = serde_json::to_string(&*a.outcomes).expect("serialize outcomes");
+        let bj = serde_json::to_string(&*b.outcomes).expect("serialize outcomes");
         assert_eq!(aj, bj, "outcomes differ across identical runs ({})", policy.name());
         assert_eq!(
             freeride_g::trace::to_jsonl(&a.trace),

@@ -37,7 +37,7 @@ fn served_schedules_are_bit_identical_across_every_shape() {
         server.shutdown();
 
         assert_eq!(
-            serde_json::to_string(&direct.outcomes).unwrap(),
+            serde_json::to_string(&*direct.outcomes).unwrap(),
             serde_json::to_string(&served.drained.outcomes).unwrap(),
             "{}: outcomes diverged",
             shape.name()
@@ -58,7 +58,7 @@ fn served_schedules_are_bit_identical_across_every_shape() {
 
         // The wire acknowledgements agree with the final outcomes.
         assert_eq!(served.submits.len(), jobs.len());
-        for (ack, outcome) in served.submits.iter().zip(&direct.outcomes) {
+        for (ack, outcome) in served.submits.iter().zip(direct.outcomes.iter()) {
             assert_eq!(ack.id, outcome.id);
             assert_eq!(ack.admitted, outcome.admitted);
             assert_eq!(

@@ -49,8 +49,8 @@ fn replayed_traces_schedule_bit_identically_to_synthetic_ones() {
         let a = Scheduler::new(GridSpec::demo(sched_models()), Policy::EdfAdmit).run(&w.jobs);
         let b = Scheduler::new(GridSpec::demo(sched_models()), Policy::EdfAdmit).run(&r.jobs);
         assert_eq!(
-            serde_json::to_string(&a.outcomes).unwrap(),
-            serde_json::to_string(&b.outcomes).unwrap(),
+            serde_json::to_string(&*a.outcomes).unwrap(),
+            serde_json::to_string(&*b.outcomes).unwrap(),
             "{}: replayed outcomes diverged",
             shape.name()
         );
