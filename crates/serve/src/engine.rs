@@ -13,6 +13,17 @@
 //! strictly observational, which is what keeps a served run
 //! bit-identical to a direct `Scheduler::run` — the differential tests
 //! pin that property.
+//!
+//! The plane is read at most once per telemetry epoch. The epoch bumps
+//! on every completion, and nothing a read feeds changes between
+//! completions: the SLO check reads cumulative per-tenant counters, and
+//! a drift alarm is raised only by a completion's ledger ingest. So a
+//! submit that completed nothing reads nothing, and a submit that moved
+//! the epoch reads the plane once, runs the SLO check on that read, and
+//! keeps it for [`metrics_if_changed`](ServerEngine::metrics_if_changed)
+//! to hand to the publisher. This crate's `tests/telemetry_reads.rs`
+//! checks the engine byte for byte against one that reads after every
+//! request.
 
 use crate::msg::{DrainedRun, Request, Response, ServeMetrics};
 use crate::recorder::{FlightRecorder, IncidentBundle, IncidentReason, LEDGER_TAIL};
@@ -27,12 +38,15 @@ use std::borrow::Borrow;
 pub struct ServerEngine {
     core: Option<SchedCore>,
     recorder: FlightRecorder,
-    /// Telemetry epoch of the last snapshot handed out through
+    /// Telemetry epoch of the last plane handed out through
     /// [`metrics_if_changed`](ServerEngine::metrics_if_changed).
     published_epoch: Option<u64>,
-    /// The end-of-run plane, stashed at drain so subscribers see the
-    /// final state even though the core is gone.
-    final_metrics: Option<ServeMetrics>,
+    /// The plane and counters read by the last submit that moved the
+    /// epoch, or the end-of-run plane after the drain, until
+    /// `metrics_if_changed` takes them. The next submit replaces them:
+    /// with its own read when it moves the epoch, with nothing when it
+    /// does not, so what is kept is always the plane of now.
+    fresh: Option<ServeMetrics>,
 }
 
 impl ServerEngine {
@@ -50,7 +64,7 @@ impl ServerEngine {
             core: Some(SchedCore::new(cfg).with_event_log()),
             recorder: FlightRecorder::default(),
             published_epoch: None,
-            final_metrics: None,
+            fresh: None,
         }
     }
 
@@ -68,26 +82,24 @@ impl ServerEngine {
 
     /// The telemetry plane plus counters — but only when it has
     /// changed since the last call (epoch-gated, so the publisher
-    /// pays for a snapshot only on completions). The drain-time plane
-    /// is handed out exactly once, after the core is gone.
+    /// gets a plane only on completions). The plane the request that
+    /// moved the epoch read is handed out by move; this reads one of
+    /// its own only when none is kept, as at the first publish after
+    /// start-up. The drain-time plane is handed out exactly once,
+    /// after the core is gone.
     pub fn metrics_if_changed(&mut self) -> Option<ServeMetrics> {
-        if let Some(core) = self.core.as_mut() {
-            let epoch = core.telemetry_epoch();
-            if self.published_epoch == Some(epoch) {
-                return None;
+        let m = match (self.fresh.take(), self.core.as_mut()) {
+            (Some(m), _) => m,
+            (None, Some(core)) if self.published_epoch != Some(core.telemetry_epoch()) => {
+                read_metrics(core)?
             }
-            let telemetry = core.telemetry_snapshot()?;
-            let stats = core.stats();
-            self.published_epoch = Some(epoch);
-            return Some(ServeMetrics { epoch, stats, telemetry });
+            _ => return None,
+        };
+        if self.published_epoch == Some(m.epoch) {
+            return None;
         }
-        if let Some(m) = self.final_metrics.take() {
-            if self.published_epoch != Some(m.epoch) {
-                self.published_epoch = Some(m.epoch);
-                return Some(m);
-            }
-        }
-        None
+        self.published_epoch = Some(m.epoch);
+        Some(m)
     }
 
     /// Incident bundles cut since the last call (drift alarms, SLO
@@ -124,17 +136,30 @@ impl ServerEngine {
             return (drained(), Vec::new());
         };
         match req {
-            Request::Submit { job } => match core.submit(job) {
-                Ok(outcome) => {
-                    let events = core.take_events();
-                    let plane = core.telemetry_snapshot();
-                    observe(&mut self.recorder, &events, plane.as_ref(), || {
-                        (core.stats(), core.ledger_tail(LEDGER_TAIL))
-                    });
-                    (Response::Submitted { outcome }, events)
-                }
-                Err(e) => (Response::SubmitFailed { reason: e.to_string() }, Vec::new()),
-            },
+            Request::Submit { job } => {
+                let epoch = core.telemetry_epoch();
+                let outcome = match core.submit(job) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        return (Response::SubmitFailed { reason: e.to_string() }, Vec::new())
+                    }
+                };
+                let events = core.take_events();
+                // Only a completion moves the epoch, and only a
+                // completion can breach an SLO or raise a drift alarm:
+                // a submit that left the epoch has nothing to read.
+                let moved = core.telemetry_epoch() != epoch;
+                debug_assert!(
+                    moved || !events.iter().any(|e| matches!(e, CoreEvent::DriftAlarm { .. })),
+                    "a drift alarm on a submit that completed nothing"
+                );
+                self.fresh = if moved { read_metrics(core) } else { None };
+                let plane = self.fresh.as_ref().map(|m| &m.telemetry);
+                observe(&mut self.recorder, &events, plane, || {
+                    (core.stats(), core.ledger_tail(LEDGER_TAIL))
+                });
+                (Response::Submitted { outcome }, events)
+            }
             read @ (Request::Quote { .. } | Request::Stats) => {
                 (answer_read(&read, || core.snapshot(), || core.stats()), Vec::new())
             }
@@ -158,14 +183,21 @@ impl ServerEngine {
                 observe(&mut self.recorder, &events, plane, || {
                     (stats.clone(), report.map_or_else(Vec::new, |r| r.ledger.tail(LEDGER_TAIL)))
                 });
-                // Stash the end-of-run plane so the publisher can push
+                // Keep the end-of-run plane so the publisher can push
                 // one final snapshot even though the core is gone.
-                self.final_metrics =
+                self.fresh =
                     plane.map(|p| ServeMetrics { epoch: p.epoch, stats, telemetry: p.clone() });
                 (Response::Drained { result: DrainedRun::from_result(result) }, events)
             }
         }
     }
+}
+
+/// The live plane and counters, frozen now; `None` when telemetry is
+/// off.
+fn read_metrics(core: &mut SchedCore) -> Option<ServeMetrics> {
+    let telemetry = core.telemetry_snapshot()?;
+    Some(ServeMetrics { epoch: telemetry.epoch, stats: core.stats(), telemetry })
 }
 
 /// The reply to any request that arrives after the drain.
@@ -196,9 +228,10 @@ pub(crate) fn answer_read<S: Borrow<SchedSnapshot>>(
 
 /// Feed a request's decision events through the flight recorder: ring
 /// them all, then trip a bundle per drift alarm and per tenant SLO
-/// newly breached on `plane`. `context` yields the counters and the
-/// ledger tail ([`LEDGER_TAIL`] samples) that a bundle carries —
-/// from the live core after a submit, from the finished run's report
+/// newly breached on `plane` (`None` when the request moved no epoch,
+/// so no SLO can have newly breached). `context` yields the counters
+/// and the ledger tail ([`LEDGER_TAIL`] samples) that a bundle carries
+/// — from the live core after a submit, from the finished run's report
 /// after a drain — and runs only when something trips.
 fn observe(
     recorder: &mut FlightRecorder,

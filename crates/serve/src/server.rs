@@ -153,9 +153,11 @@ struct Shared {
 impl Shared {
     /// Publish whatever the engine's last request changed: the view
     /// always; the telemetry plane only when the engine says it moved
-    /// (epoch-gated), with the epoch store ordered *after* the snapshot
-    /// write so a session that observes the new epoch always finds the
-    /// matching snapshot; and any incident bundles the request cut.
+    /// (epoch-gated) — the plane the request itself read, taken by
+    /// move, so publishing reads nothing twice — with the epoch store
+    /// ordered *after* the snapshot write so a session that observes
+    /// the new epoch always finds the matching snapshot; and any
+    /// incident bundles the request cut.
     fn publish(&self, engine: &mut ServerEngine) {
         let fresh = engine.snapshot().zip(engine.stats()).map(Arc::new);
         let stale = std::mem::replace(&mut *self.view.write().expect("published lock"), fresh);

@@ -61,24 +61,32 @@ impl Histogram {
     /// true value. `None` when the histogram is empty, `q` is out of
     /// range, or there is no finite edge to answer with.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if !(0.0..=1.0).contains(&q) || total == 0 {
-            return None;
-        }
-        let rank = q * total as f64;
-        let mut cumulative = 0u64;
-        for (i, (&count, &hi)) in self.counts.iter().zip(&self.bounds).enumerate() {
-            let next = cumulative + count;
-            if (next as f64) >= rank && count > 0 {
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let into = (rank - cumulative as f64) / count as f64;
-                return Some(lo + (hi - lo) * into.clamp(0.0, 1.0));
-            }
-            cumulative = next;
-        }
-        // Saturated: the rank is in the overflow bucket.
-        self.bounds.last().copied()
+        quantile(&self.bounds, &self.counts, q)
     }
+}
+
+/// The one definition of a bucket-interpolated quantile, over per-bucket
+/// `counts` (`bounds.len() + 1`, last is overflow): behind both
+/// [`Histogram::quantile`] and
+/// [`SlidingHistogram::quantile`](crate::SlidingHistogram::quantile).
+pub(crate) fn quantile(bounds: &[f64], counts: &[u64], q: f64) -> Option<f64> {
+    let total: u64 = counts.iter().sum();
+    if !(0.0..=1.0).contains(&q) || total == 0 {
+        return None;
+    }
+    let rank = q * total as f64;
+    let mut cumulative = 0u64;
+    for (i, (&count, &hi)) in counts.iter().zip(bounds).enumerate() {
+        let next = cumulative + count;
+        if (next as f64) >= rank && count > 0 {
+            let lo = if i == 0 { 0.0 } else { bounds[i - 1] };
+            let into = (rank - cumulative as f64) / count as f64;
+            return Some(lo + (hi - lo) * into.clamp(0.0, 1.0));
+        }
+        cumulative = next;
+    }
+    // Saturated: the rank is in the overflow bucket.
+    bounds.last().copied()
 }
 
 /// Finite and strictly increasing: what a histogram's bounds must be.

@@ -41,10 +41,11 @@ struct HistSlot {
 
 /// A fixed-bound histogram over a sliding time window: observations
 /// land in the time bucket of their timestamp, and every read merges
-/// the buckets still inside the window into one [`Histogram`] — so
-/// [`quantile`](SlidingHistogram::quantile) inherits the cumulative
-/// histogram's interpolation *and* its edge-case handling (empty
-/// windows answer `None`, not 0.0).
+/// the buckets still inside the window — so
+/// [`quantile`](SlidingHistogram::quantile), which shares its
+/// interpolation with [`Histogram::quantile`], inherits the cumulative
+/// histogram's answers *and* its edge-case handling (empty windows
+/// answer `None`, not 0.0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingHistogram {
     bucket_width: f64,
@@ -106,8 +107,8 @@ impl SlidingHistogram {
         slot.sum += value;
     }
 
-    /// Merge the live buckets into one frozen histogram named `name`.
-    pub fn merged(&mut self, now: f64, name: &str) -> Histogram {
+    /// The live buckets' counts summed into one buffer, and their sum.
+    fn merge(&mut self, now: f64) -> (Vec<u64>, f64) {
         self.advance(now);
         let mut counts = vec![0u64; self.bounds.len() + 1];
         let mut sum = 0.0;
@@ -117,14 +118,22 @@ impl SlidingHistogram {
             }
             sum += slot.sum;
         }
+        (counts, sum)
+    }
+
+    /// Merge the live buckets into one frozen histogram named `name`.
+    pub fn merged(&mut self, now: f64, name: &str) -> Histogram {
+        let (counts, sum) = self.merge(now);
         Histogram { name: name.to_string(), bounds: self.bounds.clone(), counts, sum }
     }
 
     /// Bucket-interpolated quantile over the window ending at `now`;
     /// `None` when the window is empty or `q` is out of range (see
-    /// [`Histogram::quantile`]).
+    /// [`Histogram::quantile`]). Builds no [`Histogram`]: one counts
+    /// buffer, read by the same interpolation.
     pub fn quantile(&mut self, now: f64, q: f64) -> Option<f64> {
-        self.merged(now, "window").quantile(q)
+        let (counts, _) = self.merge(now);
+        crate::metrics::quantile(&self.bounds, &counts, q)
     }
 }
 
@@ -215,6 +224,20 @@ mod tests {
             h
         };
         assert_eq!(run(&feed), run(&feed));
+    }
+
+    #[test]
+    fn quantile_is_the_merged_histograms_quantile_bit_for_bit() {
+        let mut h = SlidingHistogram::new(spec(), &[2.0, 8.0, 16.0]);
+        for i in 0..400 {
+            let t = i as f64 * 0.37;
+            h.observe(t, (i % 23) as f64);
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0, 1.5] {
+                let want = h.merged(t, "w").quantile(q).map(f64::to_bits);
+                assert_eq!(h.quantile(t, q).map(f64::to_bits), want, "q {q} at {t}");
+            }
+        }
+        assert_eq!(h.quantile(1e9, 0.5), None, "an expired window answers None");
     }
 
     #[test]
