@@ -762,25 +762,29 @@ const EXT_FAULTS: &[Claim] = &[
     }),
 ];
 
-/// Extension: tracing fidelity and overhead.
+/// Extension: tracing fidelity and cost.
 ///
 /// For each paper application, runs the same execution untraced and
 /// traced, then (a) reconstructs the execution report and the profile
 /// from the trace and reports the worst component mismatch in integer
 /// nanoseconds — the trace retraces the executor's exact arithmetic, so
-/// this must be zero — and (b) reports the host-side wall-clock overhead
-/// of collecting the trace (best-of-`REPEATS` on both sides, the two
-/// sides interleaved rep by rep so machine drift hits both alike).
+/// this must be zero — (b) counts the spans recorded per pass and node,
+/// the collection cost that repeats exactly, and (c) reports the
+/// host-side wall-clock overhead of collecting the trace (best-of-
+/// `REPEATS` on both sides, the two sides interleaved rep by rep so
+/// machine drift hits both alike). The wall-clock ratio swings wider
+/// than any useful bound on a shared machine, so no claim rests on it.
 fn ext_trace(id: &str) -> Figure {
     use fg_middleware::ExecutionReport;
     use std::time::Instant;
     const REPEATS: usize = 5;
+    const NODES: (usize, usize) = (2, 4);
     let mut notes = Vec::new();
     let rows = PaperApp::PAPER_FIVE
         .iter()
         .map(|&app| {
             let dataset = app.generate(&format!("{id}-{}", app.name()), 130.0, FIGURE_SCALE, 42);
-            let deployment = pentium_deployment(2, 4, DEFAULT_WAN_BW);
+            let deployment = pentium_deployment(NODES.0, NODES.1, DEFAULT_WAN_BW);
             let (mut plain_wall, mut traced_wall) = (f64::INFINITY, f64::INFINITY);
             let mut last = None;
             for _ in 0..REPEATS {
@@ -815,6 +819,8 @@ fn ext_trace(id: &str) -> Figure {
             } else {
                 1.0
             };
+            let spans_per_pass_node =
+                trace.spans.len() as f64 / (plain.num_passes() * (NODES.0 + NODES.1)) as f64;
             let overhead = traced_wall / plain_wall - 1.0;
             notes.push(format!(
                 "{}: untraced {:.1}ms, traced {:.1}ms ({} spans, {} passes)",
@@ -824,13 +830,19 @@ fn ext_trace(id: &str) -> Figure {
                 trace.spans.len(),
                 plain.num_passes(),
             ));
-            (app.name().to_string(), vec![mismatch_ns as f64, profile_drift, overhead])
+            let row = vec![mismatch_ns as f64, profile_drift, spans_per_pass_node, overhead];
+            (app.name().to_string(), row)
         })
         .collect();
     Figure {
         id: id.into(),
-        title: "Extension: trace fidelity (report/profile reconstruction) and collection overhead, 130 MB datasets on 2-4".into(),
-        columns: labels(&["component mismatch (ns)", "profile drift", "trace overhead"]),
+        title: "Extension: trace fidelity (report/profile reconstruction) and collection cost, 130 MB datasets on 2-4".into(),
+        columns: labels(&[
+            "component mismatch (ns)",
+            "profile drift",
+            "spans per pass and node",
+            "trace overhead",
+        ]),
         rows,
         notes,
     }
@@ -843,8 +855,13 @@ const EXT_TRACE: &[Claim] = &[
     claim("trace-derived profiles equal report-derived profiles", |f| {
         f.column_values("profile drift").iter().all(|&d| d == 0.0)
     }),
-    claim("kmeans tracing overhead under 5% wall-clock", |f| {
-        f.at("kmeans", "trace overhead") < 0.05
+    // A pass records its own span, one per phase and one per node in a
+    // phase: 11 for a pass served from the cache, 19 for one that
+    // reads and moves data, over 6 nodes. The one-pass apps come
+    // highest (the run's span too: 20 / 6). A span per chunk would
+    // multiply this by the chunk count.
+    claim("tracing records under 4 spans per pass and node", |f| {
+        f.column_values("spans per pass and node").iter().all(|&s| s < 4.0)
     }),
 ];
 
@@ -1338,12 +1355,14 @@ fn obs_run(shape: WorkloadShape, degrade: bool) -> (SchedResult, f64) {
     (sched.run(&jobs), onset)
 }
 
-/// Measured overhead of a metrics subscription on the serve quote
-/// path: the ratio of subscribed to unsubscribed wall-clock for the
-/// same quote stream, minus one. The steady-state cost of a
-/// subscription is one atomic epoch load per response, so this should
-/// be indistinguishable from noise.
-fn quote_overhead(jobs: &[JobSpec], quotes: usize, reps: usize) -> f64 {
+/// What a metrics subscription costs the serve quote path: how many
+/// snapshots the subscribed session is pushed during its quote bursts,
+/// and the ratio of subscribed to unsubscribed wall-clock for the same
+/// quote stream, minus one. No quote moves the telemetry epoch, so the
+/// count is zero and the steady-state cost is one atomic epoch load per
+/// response; the wall-clock ratio is reported, not claimed, because it
+/// swings wider than that cost on a shared machine.
+fn quote_overhead(jobs: &[JobSpec], quotes: usize, reps: usize) -> (usize, f64) {
     use std::time::Instant;
     let sched = demo_scheduler(Policy::EdfAdmit);
     let apps: Vec<String> = sched.grid().apps.iter().map(|(n, _)| n.clone()).collect();
@@ -1374,11 +1393,12 @@ fn quote_overhead(jobs: &[JobSpec], quotes: usize, reps: usize) -> f64 {
         plain = plain.min(burst(&mut plain_client));
         subscribed = subscribed.min(burst(&mut sub_client));
     }
+    let pushes = sub_client.take_metrics().len();
     drop(plain_client);
     drop(sub_client);
     drop(feeder);
     server.shutdown();
-    subscribed / plain - 1.0
+    (pushes, subscribed / plain - 1.0)
 }
 
 /// Extension: the live telemetry plane — drift detection under a
@@ -1389,8 +1409,9 @@ fn quote_overhead(jobs: &[JobSpec], quotes: usize, reps: usize) -> f64 {
 /// degraded run, how many of those blame a component other than the
 /// network (always zero — only the WAN lied), how many degraded-
 /// repository completions elapsed between fault onset and the first
-/// alarm (detection latency in jobs), and the measured overhead a
-/// metrics subscription adds to the serve quote path.
+/// alarm (detection latency in jobs), and what a metrics subscription
+/// adds to the serve quote path: the snapshots pushed during its
+/// quotes and the measured wall-clock overhead.
 fn ext_obs(id: &str) -> Figure {
     use fg_sched::Component;
     let mut rows = Vec::new();
@@ -1416,11 +1437,18 @@ fn ext_obs(id: &str) -> Figure {
             on_repo().filter(|s| s.finish > onset && s.finish <= a.at).count() as f64
         });
 
-        let overhead = quote_overhead(&workload_jobs(shape), 4000, 9);
+        let (pushes, overhead) = quote_overhead(&workload_jobs(shape), 4000, 9);
 
         rows.push((
             shape.name().to_string(),
-            vec![clean_alarms as f64, alarms.len() as f64, off_net as f64, jobs_to_alarm, overhead],
+            vec![
+                clean_alarms as f64,
+                alarms.len() as f64,
+                off_net as f64,
+                jobs_to_alarm,
+                pushes as f64,
+                overhead,
+            ],
         ));
         notes.push(format!(
             "{}: fault onset {:.0}s (factor 0.15, {repo_name}); first alarm {}; \
@@ -1446,6 +1474,7 @@ fn ext_obs(id: &str) -> Figure {
             "alarms",
             "off-net alarms",
             "jobs to alarm",
+            "pushes during quotes",
             "subscriber overhead",
         ]),
         rows,
@@ -1466,8 +1495,8 @@ const EXT_OBS: &[Claim] = &[
     claim("detection latency within 10 degraded-repository jobs of fault onset", |f| {
         f.column_values("jobs to alarm").iter().all(|&j| j.is_finite() && j <= 10.0)
     }),
-    claim("a metrics subscription costs the quote path under 5%", |f| {
-        f.column_values("subscriber overhead").iter().all(|&o| o < 0.05)
+    claim("a subscribed session is pushed no snapshot while it only quotes", |f| {
+        f.column_values("pushes during quotes").iter().all(|&p| p == 0.0)
     }),
 ];
 

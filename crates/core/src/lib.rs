@@ -20,8 +20,9 @@
 //!   pairs (§3's resource allocation problem).
 //! * [`cache`] — non-local caching-site planning and prediction (the
 //!   §2.1 goal the paper deferred, implemented as an extension).
-//! * [`bandwidth`] — on-line estimators of the achievable WAN bandwidth
-//!   `b̂` (the §3.2 ingredient the paper imports from related work).
+//! * [`bandwidth`] — an on-line EWMA estimate of the achievable WAN
+//!   bandwidth `b̂` (the §3.2 ingredient the paper imports from related
+//!   work), and a seeded synthetic shared-WAN trace to drive it.
 //! * [`migrate`] — the migration cost/benefit model: prices a
 //!   checkpoint move (`T̂_migrate`) against staying on a degraded path.
 //! * [`calibrate`] — least-squares measurement of the interconnect

@@ -84,7 +84,7 @@ use crate::sched::{
 use crate::telemetry::{TelemetrySnapshot, TelemetryState, WAIT_BOUNDS};
 use crate::workload::{check_job_fields, JobSpec};
 use fg_cluster::{Configuration, DeploymentRef};
-use fg_predict::bandwidth::{BandwidthEstimator, Ewma};
+use fg_predict::bandwidth::Ewma;
 use fg_predict::{decide_migration, InterconnectParams, Observation, Prediction, Predictor};
 use fg_sim::{FairShareSim, RateScratch, ResourceId, SimTime};
 use fg_trace::{Histogram, Metrics, SpanKind, Trace, Tracer};

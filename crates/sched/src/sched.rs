@@ -251,7 +251,8 @@ pub struct SchedResult {
     pub outcomes: Arc<Vec<JobOutcome>>,
     /// The span tree (one `Job` span per job, phase children) plus the
     /// metrics snapshot (queue depth, admission counters, wait and
-    /// slowdown histograms), built from the job table when first read.
+    /// slowdown histograms). The tree is built from the job table when
+    /// first read; the metrics are held as the core wrote them.
     pub trace: SchedTrace,
     /// Last completion instant (0 for an empty workload).
     pub makespan: f64,
@@ -271,6 +272,9 @@ pub struct SchedResult {
 /// run's metrics and its makespan: a caller that reads just
 /// [`SchedResult::outcomes`] never pays for the tree. The first
 /// dereference builds it once; later reads return the same [`Trace`].
+/// The tree is a pure function of those three inputs, so whoever keeps
+/// them keeps the tree: [`into_metrics`](SchedTrace::into_metrics)
+/// hands over the one input the table does not hold.
 pub struct SchedTrace {
     outcomes: Arc<Vec<JobOutcome>>,
     metrics: Metrics,
@@ -283,6 +287,14 @@ impl SchedTrace {
     pub(crate) fn new(outcomes: Arc<Vec<JobOutcome>>, metrics: Metrics, makespan: f64) -> Self {
         SchedTrace { outcomes, metrics, makespan, built: OnceLock::new() }
     }
+
+    /// The run's metrics, without building the tree. Consumes the
+    /// view, so its handle on the job table is released and
+    /// [`Arc::unwrap_or_clone`] on [`SchedResult::outcomes`] moves the
+    /// rows instead of copying them.
+    pub fn into_metrics(self) -> Metrics {
+        self.metrics
+    }
 }
 
 impl Deref for SchedTrace {
@@ -290,18 +302,6 @@ impl Deref for SchedTrace {
 
     fn deref(&self) -> &Trace {
         self.built.get_or_init(|| build_trace(self.metrics.clone(), &self.outcomes, self.makespan))
-    }
-}
-
-/// A tree that arrives already built, such as one parsed off the wire.
-impl From<Trace> for SchedTrace {
-    fn from(trace: Trace) -> Self {
-        SchedTrace {
-            outcomes: Arc::default(),
-            metrics: Metrics::default(),
-            makespan: 0.0,
-            built: OnceLock::from(trace),
-        }
     }
 }
 

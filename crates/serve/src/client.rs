@@ -241,7 +241,7 @@ fn client_only(frame: &Frame) -> ClientError {
 pub struct ServedRun {
     /// Per-submission outcomes, as acknowledged over the wire.
     pub submits: Vec<SubmitOutcome>,
-    /// The drained run (outcomes, trace JSONL, makespan, violations).
+    /// The drained run (outcomes, metrics, makespan, violations).
     pub drained: DrainedRun,
     /// Every scheduling event streamed during the session.
     pub events: Vec<CoreEvent>,

@@ -14,6 +14,7 @@ use fg_sched::{
     CoreEvent, CoreStats, JobOutcome, PredictionQuote, SchedResult, SubmitOutcome,
     TelemetrySnapshot,
 };
+use fg_trace::Metrics;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -74,7 +75,7 @@ pub enum Response {
     },
     /// The drained run.
     Drained {
-        /// Everything needed to reconstruct the [`SchedResult`].
+        /// The run's rows and metrics.
         result: DrainedRun,
     },
     /// The request could not be served (e.g. it arrived after drain).
@@ -119,15 +120,19 @@ pub struct ServeMetrics {
     pub telemetry: TelemetrySnapshot,
 }
 
-/// The result of a drained run, flattened for the wire: the span tree
-/// travels as its canonical JSONL dump, which round-trips bit-exactly
-/// through [`fg_trace::from_jsonl`].
+/// The result of a drained run, flattened for the wire: the job table,
+/// the run's metrics, its makespan and its violations. The span tree
+/// does not travel: it is a pure function of the rows, the metrics and
+/// the makespan, which is exactly what [`fg_sched::SchedTrace`] builds
+/// it from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DrainedRun {
     /// One outcome per submitted job, in submission-id order.
     pub outcomes: Vec<JobOutcome>,
-    /// The span tree and metrics snapshot as JSONL text.
-    pub trace_jsonl: String,
+    /// The run's metrics snapshot (queue depth, admission counters,
+    /// wait and slowdown histograms). A record no recorder could have
+    /// written fails to decode.
+    pub metrics: Metrics,
     /// Last completion instant.
     pub makespan: f64,
     /// Invariant violations detected during the run.
@@ -136,35 +141,19 @@ pub struct DrainedRun {
 
 impl DrainedRun {
     /// Flatten a [`SchedResult`] for the wire, consuming it: the
-    /// outcomes move instead of being copied, and only the span tree's
-    /// JSONL outlives the call.
+    /// outcomes move instead of being copied, and no span tree is
+    /// built.
     pub fn from_result(r: SchedResult) -> DrainedRun {
-        let trace_jsonl = fg_trace::to_jsonl(&r.trace);
-        // The trace shares the job table: once it is dropped the table
-        // moves out of its `Arc` (it is copied only if a caller kept
-        // another handle on it).
-        drop(r.trace);
+        // The trace shares the job table: once it gives up its metrics
+        // the table moves out of its `Arc` (it is copied only if a
+        // caller kept another handle on it).
+        let metrics = r.trace.into_metrics();
         DrainedRun {
             outcomes: Arc::unwrap_or_clone(r.outcomes),
-            trace_jsonl,
+            metrics,
             makespan: r.makespan,
             violations: r.violations,
         }
-    }
-
-    /// Reconstruct the [`SchedResult`] on the client side.
-    pub fn into_result(self) -> Result<SchedResult, serde_json::jsonl::Error> {
-        let trace = fg_trace::from_jsonl(&self.trace_jsonl)?;
-        Ok(SchedResult {
-            outcomes: Arc::new(self.outcomes),
-            trace: trace.into(),
-            makespan: self.makespan,
-            violations: self.violations,
-            // The wire result carries no telemetry: the plane is
-            // streamed live through `MetricsSnapshot` frames instead
-            // of being replayed at drain time.
-            telemetry: None,
-        })
     }
 }
 

@@ -1,6 +1,6 @@
-//! What a submission costs the serving engine in heap allocations —
-//! counted, not timed, so the numbers repeat exactly and a shared
-//! machine cannot move them.
+//! What a submission and a drain cost the serving engine in heap
+//! allocations — counted, not timed, so the numbers repeat exactly and
+//! a shared machine cannot move them.
 //!
 //! A submit that completes no job leaves the telemetry epoch where it
 //! was, so it must not read the telemetry plane: a read merges every
@@ -10,10 +10,16 @@
 //! measured to make, plus less than one allocation, so a plane read
 //! (or any new per-submit `String` or `Vec`) fails here and not in a
 //! benchmark.
+//!
+//! A drain flattens the finished run for the wire by moving its rows
+//! and its metrics: it builds no span tree and copies no row, so what
+//! it makes does not grow with the job count.
 
 use fg_bench::figures::sched_models;
-use fg_sched::{CoreEvent, GridSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec};
-use fg_serve::{Request, Response, ServerEngine};
+use fg_sched::{
+    CoreEvent, GridSpec, JobSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec,
+};
+use fg_serve::{DrainedRun, Request, Response, ServerEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -56,16 +62,22 @@ fn made() -> u64 {
     MADE.with(Cell::get)
 }
 
-#[test]
-fn a_submit_that_completes_nothing_reads_no_telemetry() {
-    // The heavy-tail backlog the wire benchmark replays: 20 tenants, so
-    // a plane read would merge 20 wait windows.
-    let grid = GridSpec::demo(sched_models());
+/// The heavy-tail backlog the wire benchmark replays, 1 000 jobs over
+/// 20 tenants (so a plane read would merge 20 wait windows), in
+/// submission order.
+fn backlog(grid: &GridSpec) -> Vec<JobSpec> {
     let names: Vec<&str> = grid.apps.iter().map(|(n, _)| n.as_str()).collect();
     let spec =
         WorkloadSpec::shaped_scaled(WorkloadShape::HeavyTail, LoadLevel::Heavy, &names, 42, 20, 50);
     let mut jobs = spec.generate();
     jobs.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+    jobs
+}
+
+#[test]
+fn a_submit_that_completes_nothing_reads_no_telemetry() {
+    let grid = GridSpec::demo(sched_models());
+    let jobs = backlog(&grid);
     let mut engine = ServerEngine::new(Scheduler::new(grid.clone(), Policy::EdfAdmit));
 
     let (mut quiet, mut quiet_made, mut completions) = (0u64, 0u64, 0usize);
@@ -97,3 +109,17 @@ fn a_submit_that_completes_nothing_reads_no_telemetry() {
 /// allocation: measured 4.951, and 9.141 in a debug build. When such a
 /// submit still read the plane, the debug build measured 86.1.
 const MADE_PER_QUIET_SUBMIT: f64 = if cfg!(debug_assertions) { 9.6 } else { 5.4 };
+
+#[test]
+fn a_drain_makes_no_allocation_per_job() {
+    let grid = GridSpec::demo(sched_models());
+    let jobs = backlog(&grid);
+    let result = Scheduler::new(grid, Policy::EdfAdmit).run(&jobs);
+    let before = made();
+    let drained = DrainedRun::from_result(result);
+    let cost = made() - before;
+    assert_eq!(drained.outcomes.len(), jobs.len());
+    // Measured 0: a span tree built for the wire (an attribute vector
+    // per `Job` span) or a copied row fails this.
+    assert!(cost < jobs.len() as u64, "flattening {} jobs made {cost} allocations", jobs.len());
+}

@@ -20,6 +20,7 @@ use fg_serve::msg::{
     EventBatch, Request, Response, ServeMetrics, SubscribeMetrics,
 };
 use fg_serve::{ServeClient, Server};
+use fg_trace::{Histogram, Metrics};
 use proptest::prelude::*;
 use serde_json::Value;
 
@@ -276,7 +277,7 @@ impl Well {
             4 => Response::Drained {
                 result: DrainedRun {
                     outcomes: (0..self.next() % 4).map(|_| self.outcome()).collect(),
-                    trace_jsonl: format!("{{\"x\":{}}}\n{}", self.f64(), self.string()),
+                    metrics: self.metrics(),
                     makespan: self.f64(),
                     violations: (0..self.next() % 3).map(|_| self.string()).collect(),
                 },
@@ -287,6 +288,22 @@ impl Well {
 }
 
 impl Well {
+    /// Metrics some run could have recorded: built through the
+    /// recorders, so names stay sorted and every histogram is well
+    /// formed.
+    fn metrics(&mut self) -> Metrics {
+        let mut m = Metrics::default();
+        for _ in 0..self.next() % 6 {
+            let name = self.string();
+            match self.next() % 3 {
+                0 => m.add(&name, self.next() % 1000),
+                1 => m.set(&name, self.f64()),
+                _ => m.observe(&name, &[-1.0, 0.5, 1e6], self.f64()),
+            }
+        }
+        m
+    }
+
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
@@ -758,7 +775,7 @@ fn an_absurd_tenant_index_is_a_failed_submit_not_a_dead_server() {
 }
 
 #[test]
-fn a_drain_moves_its_outcomes_and_its_trace_round_trips() {
+fn a_drain_moves_its_rows_and_carries_the_direct_runs_metrics() {
     use fg_bench::figures::sched_models;
     use fg_sched::{GridSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec};
 
@@ -769,13 +786,55 @@ fn a_drain_moves_its_outcomes_and_its_trace_round_trips() {
     let scheduler = Scheduler::new(GridSpec::demo(sched_models()), Policy::EdfAdmit);
     let reference = scheduler.run(&jobs);
     let result = scheduler.run(&jobs);
-    // The drain reads a trace nobody has read yet, then hands out the
-    // core's own table: the rows move, they are not copied.
+    // The drain hands out the core's own table: the rows move, they
+    // are not copied.
     let table = result.outcomes.as_ptr();
     let drained = DrainedRun::from_result(result);
     assert_eq!(drained.outcomes.as_ptr(), table, "the drain copied the job table");
-    assert_eq!(drained.trace_jsonl, fg_trace::to_jsonl(&reference.trace));
-    let back = drained.into_result().expect("a drained trace parses");
-    assert_eq!(*back.outcomes, *reference.outcomes);
-    assert_eq!(*back.trace, *reference.trace);
+    // The span tree is a pure function of these three inputs, so equal
+    // inputs pin the same tree.
+    assert_eq!(drained.outcomes, *reference.outcomes);
+    assert_eq!(drained.metrics, reference.trace.metrics);
+    assert_eq!(drained.makespan.to_bits(), reference.makespan.to_bits());
+}
+
+/// A metrics record no recorder could write is refused where the wire
+/// decodes it: a bad payload, never a drained run whose histogram
+/// panics a later `quantile`.
+#[test]
+fn a_drained_run_with_impossible_metrics_is_a_bad_payload() {
+    let counters = |names: &[&str]| Metrics {
+        counters: names.iter().map(|&n| (n.to_string(), 1)).collect(),
+        ..Metrics::default()
+    };
+    let hist = |name: &str, bounds: &[f64], counts: usize| Histogram {
+        name: name.into(),
+        bounds: bounds.to_vec(),
+        counts: vec![0; counts],
+        sum: 0.0,
+    };
+    let histograms = |histograms| Metrics { histograms, ..Metrics::default() };
+    let bad = [
+        counters(&["z", "a"]),
+        counters(&["a", "a"]),
+        Metrics { gauges: vec![("b".into(), 1.0), ("a".into(), 2.0)], ..Metrics::default() },
+        histograms(vec![hist("h", &[1.0], 2), hist("h", &[1.0], 2)]),
+        histograms(vec![hist("h", &[2.0, 1.0], 3)]),
+        histograms(vec![hist("h", &[1.0, 1.0], 3)]),
+        histograms(vec![hist("h", &[1.0, f64::INFINITY], 3)]),
+        histograms(vec![hist("h", &[1.0, 2.0], 1)]),
+    ];
+    for metrics in bad {
+        let what = format!("{metrics:?}");
+        let result = DrainedRun { outcomes: vec![], metrics, makespan: 1.0, violations: vec![] };
+        let payload = encode_response(&Response::Drained { result });
+        let frame = wire_trip(FrameKind::Response, 4, &payload);
+        match decode_response(&frame, 0) {
+            Err(WireError::BadPayload { seq: 4, reason, .. }) => {
+                let named = ["counter ", "gauge ", "histogram "].iter().any(|w| reason.contains(w));
+                assert!(named, "{what}: refused for another reason: {reason}");
+            }
+            other => panic!("{what}: expected BadPayload, got {other:?}"),
+        }
+    }
 }

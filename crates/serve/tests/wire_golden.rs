@@ -22,6 +22,7 @@ use fg_sched::{
     TelemetrySnapshot, TenantSlo,
 };
 use fg_serve::msg::{DrainedRun, EventBatch, Request, Response, ServeMetrics, SubscribeMetrics};
+use fg_trace::Metrics;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -187,6 +188,20 @@ fn rejected_outcome() -> JobOutcome {
     }
 }
 
+/// A run's metrics, through the recorders: an awkward name sorts
+/// after a plain one, and a histogram has an overflow count.
+fn metrics() -> Metrics {
+    let mut m = Metrics::default();
+    m.add("admitted", 44);
+    m.add(AWKWARD, u64::MAX);
+    m.set("queue_depth", -0.0);
+    m.set("wan_bw", SUBNORMAL);
+    for wait in [0.5, 3.0, 1e300] {
+        m.observe("wait_seconds", &[1.0, 10.0], wait);
+    }
+    m
+}
+
 fn telemetry() -> TelemetrySnapshot {
     TelemetrySnapshot {
         now: 99.75,
@@ -341,7 +356,7 @@ fn cases() -> Vec<Case> {
             &Response::Drained {
                 result: DrainedRun {
                     outcomes: vec![outcome(), rejected_outcome()],
-                    trace_jsonl: "{\"Meta\":{\"app\":\"kmeans\"}}\n{\"Span\":{\"id\":0}}\n".into(),
+                    metrics: metrics(),
                     makespan: 86.0,
                     violations: vec!["none".into(), AWKWARD.into()],
                 },
@@ -352,7 +367,7 @@ fn cases() -> Vec<Case> {
             &Response::Drained {
                 result: DrainedRun {
                     outcomes: Vec::new(),
-                    trace_jsonl: String::new(),
+                    metrics: Metrics::default(),
                     makespan: -0.0,
                     violations: Vec::new(),
                 },

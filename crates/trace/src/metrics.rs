@@ -8,7 +8,7 @@
 //! is therefore its own deterministic snapshot. No external
 //! dependencies, consistent with the workspace's vendored-only policy.
 
-use serde::{Deserialize, Serialize};
+use serde::{required, Deserialize, Reader, Serialize};
 use std::fmt::Write as _;
 
 /// A fixed-bucket histogram of real observations.
@@ -95,7 +95,12 @@ pub(crate) fn bounds_ok(bounds: &[f64]) -> bool {
 }
 
 /// A run's instrument values, each list sorted by name.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// Decoding refuses a value no recorder could have written (see
+/// [`Metrics::check`]), so a malformed record read from a file or off
+/// the wire is an error where it is read, not a panic in a later
+/// [`Histogram::quantile`].
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct Metrics {
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -118,6 +123,29 @@ fn entry<'a, T>(
         i
     });
     &mut items[i]
+}
+
+impl Deserialize for Metrics {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut counters, mut gauges, mut histograms) = (None, None, None);
+        let mut more = r.object_start("Metrics")?;
+        while more {
+            match &*r.key()? {
+                "counters" => r.field(&mut counters)?,
+                "gauges" => r.field(&mut gauges)?,
+                "histograms" => r.field(&mut histograms)?,
+                _ => r.skip_value()?,
+            }
+            more = r.object_more()?;
+        }
+        let metrics = Metrics {
+            counters: required(counters, "counters", "Metrics")?,
+            gauges: required(gauges, "gauges", "Metrics")?,
+            histograms: required(histograms, "histograms", "Metrics")?,
+        };
+        metrics.check().map_err(serde::Error::custom)?;
+        Ok(metrics)
+    }
 }
 
 impl Metrics {
@@ -156,8 +184,7 @@ impl Metrics {
     /// Why no sequence of recorder calls could have produced this
     /// value, if none could: names unsorted or repeated, histogram
     /// bounds not finite and strictly increasing, or a histogram with
-    /// other than `bounds.len() + 1` counts. For a record read from
-    /// outside the program.
+    /// other than `bounds.len() + 1` counts. Every decode runs it.
     pub fn check(&self) -> Result<(), String> {
         let sorted = |what: &str, names: Vec<&str>| match names.windows(2).find(|w| w[0] >= w[1]) {
             Some(w) => Err(format!("{what} {:?} is out of name order or repeated", w[1])),

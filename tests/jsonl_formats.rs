@@ -8,7 +8,7 @@
 //! formats shared one writer.
 
 use fg_learn::{HybridPredictor, LearnedPredictor};
-use fg_serve::{DrainedRun, IncidentBundle, IncidentReason, RecordedEvent, INCIDENT_VERSION};
+use fg_serve::{IncidentBundle, IncidentReason, RecordedEvent, INCIDENT_VERSION};
 use freeride_g::predict::{Observation, Predictor};
 use freeride_g::sched::{
     AccuracyLedger, AccuracySample, CoreEvent, CoreStats, DriftConfig, LoadLevel, ReplayError,
@@ -297,7 +297,7 @@ fn a_hostile_job_count_is_a_truncation_not_an_abort() {
 
 /// The two structural rules the exporters index by — a span's id is its
 /// position, its parent precedes it — hold for every trace
-/// `from_jsonl` accepts, and the wire's drained run inherits them.
+/// `from_jsonl` accepts.
 #[test]
 fn a_span_tree_the_exporters_cannot_index_is_refused_by_line() {
     let golden = from_jsonl(TRACE).unwrap();
@@ -321,14 +321,7 @@ fn a_span_tree_the_exporters_cannot_index_is_refused_by_line() {
         break_it(&mut trace);
         let text = to_jsonl(&trace);
         let expected = jsonl::Error::at(line_of(&text, id), reason);
-        assert_eq!(from_jsonl(&text), Err(expected.clone()), "{what}");
-        let drained = DrainedRun {
-            outcomes: Vec::new(),
-            trace_jsonl: text,
-            makespan: 0.0,
-            violations: Vec::new(),
-        };
-        assert_eq!(drained.into_result().err(), Some(expected), "{what}, over the wire");
+        assert_eq!(from_jsonl(&text), Err(expected), "{what}");
     }
 }
 
