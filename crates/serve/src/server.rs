@@ -37,12 +37,13 @@
 //! that can move bytes.
 
 use crate::engine::{answer_read, drained, ServerEngine};
-use crate::frame::{encode_frame, Frame, FrameDecoder, FrameKind, WireError};
+use crate::frame::{encode_frame, Frame, FrameDecoder, FrameKind, WireError, MAX_PAYLOAD};
 use crate::msg::{
     decode_request, decode_subscribe, encode_events, encode_metrics, encode_response, EventBatch,
     Request, Response, ServeMetrics,
 };
 use crate::recorder::IncidentBundle;
+use bytes::Bytes;
 use fg_sched::{CoreEvent, CoreStats, SchedSnapshot, Scheduler};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -388,7 +389,7 @@ impl Session {
     }
 
     fn respond(&self, seq: u32, resp: &Response) {
-        self.conn.send(&encode_frame(FrameKind::Response, seq, &encode_response(resp)));
+        self.conn.send(&response_frame(seq, resp));
     }
 
     /// If this session is subscribed and the published epoch has moved
@@ -409,12 +410,58 @@ impl Session {
     }
 }
 
+/// `resp` framed for the wire. A response too large for one frame — a
+/// drain of ≈ 39 000 jobs or more — is answered with a
+/// [`Response::Error`] naming its size and the cap, so the session
+/// lives on and the client learns why it got no rows.
+fn response_frame(seq: u32, resp: &Response) -> Bytes {
+    let payload = encode_response(resp);
+    if payload.len() > MAX_PAYLOAD as usize {
+        let reason = format!(
+            "response of {} bytes exceeds the frame payload cap of {MAX_PAYLOAD} bytes",
+            payload.len()
+        );
+        return encode_frame(
+            FrameKind::Response,
+            seq,
+            &encode_response(&Response::Error { reason }),
+        );
+    }
+    encode_frame(FrameKind::Response, seq, &payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ServeClient;
+    use crate::msg::{decode_response, DrainedRun};
     use fg_bench::figures::sched_models;
-    use fg_sched::{GridSpec, Policy};
+    use fg_sched::{GridSpec, LoadLevel, Policy, WorkloadShape, WorkloadSpec};
+
+    #[test]
+    fn a_response_too_large_for_a_frame_is_refused_with_its_size() {
+        let grid = GridSpec::demo(sched_models());
+        let names: Vec<&str> = grid.apps.iter().map(|(n, _)| n.as_str()).collect();
+        let spec = WorkloadSpec::shaped(WorkloadShape::HeavyTail, LoadLevel::Heavy, &names, 42);
+        let mut run =
+            DrainedRun::from_result(Scheduler::new(grid, Policy::Fcfs).run(&spec.generate()));
+        // One more row than fits: ≈ 40 000 of these.
+        let row = run.outcomes[0].clone();
+        let rows = MAX_PAYLOAD as usize / serde_json::to_string(&row).unwrap().len() + 1;
+        run.outcomes = vec![row; rows];
+        let resp = Response::Drained { result: run };
+        let size = encode_response(&resp).len();
+        assert!(size > MAX_PAYLOAD as usize);
+
+        let mut dec = FrameDecoder::new();
+        dec.push(&response_frame(7, &resp));
+        let frame = dec.next_frame().unwrap().expect("one whole frame");
+        assert_eq!(frame.seq, 7);
+        let reason = format!(
+            "response of {size} bytes exceeds the frame payload cap of {MAX_PAYLOAD} bytes"
+        );
+        assert_eq!(decode_response(&frame, 0).unwrap(), Response::Error { reason });
+    }
 
     #[test]
     fn connect_forgets_sessions_that_have_ended() {

@@ -14,12 +14,20 @@
 //! A drain flattens the finished run for the wire by moving its rows
 //! and its metrics: it builds no span tree and copies no row, so what
 //! it makes does not grow with the job count.
+//!
+//! A quote through the codec makes a fixed number of allocations: the
+//! buffers of its two documents, two frames and two decoded messages.
+//! The JSON writer prints numbers into stack buffers, so one that
+//! formatted through a temporary `String` fails here.
 
 use fg_bench::figures::sched_models;
 use fg_sched::{
-    CoreEvent, GridSpec, JobSpec, LoadLevel, Policy, Scheduler, WorkloadShape, WorkloadSpec,
+    CoreEvent, GridSpec, JobSpec, LoadLevel, Policy, PredictionQuote, Scheduler, WorkloadShape,
+    WorkloadSpec,
 };
-use fg_serve::{DrainedRun, Request, Response, ServerEngine};
+use fg_serve::frame::encode_frame;
+use fg_serve::msg::{decode_request, decode_response, encode_request, encode_response};
+use fg_serve::{DrainedRun, FrameDecoder, FrameKind, Request, Response, ServerEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -123,3 +131,38 @@ fn a_drain_makes_no_allocation_per_job() {
     // per `Job` span) or a copied row fails this.
     assert!(cost < jobs.len() as u64, "flattening {} jobs made {cost} allocations", jobs.len());
 }
+
+#[test]
+fn a_quote_through_the_codec_makes_a_fixed_number_of_allocations() {
+    let req =
+        Request::Quote { app: "kmeans".into(), dataset_bytes: 268_435_456, deadline_slack: 2.5 };
+    // Seventeen-digit, exponent-form and short floats.
+    let resp = Response::Quoted {
+        quote: Some(PredictionQuote {
+            standalone: 12.000000000000002,
+            corrected: 0.3333333333333333,
+            estimate: 1e21,
+            would_admit: Some(true),
+        }),
+    };
+    // Client encode → frame → server decode, and back, with one
+    // decoder per side kept across quotes as a session keeps them.
+    let (mut server, mut client) = (FrameDecoder::new(), FrameDecoder::new());
+    let mut quote = || {
+        server.push(&encode_frame(FrameKind::Request, 0, &encode_request(&req)));
+        let frame = server.next_frame().unwrap().expect("a whole request frame");
+        assert_eq!(decode_request(&frame, server.frames() - 1).unwrap(), req);
+        client.push(&encode_frame(FrameKind::Response, 0, &encode_response(&resp)));
+        let frame = client.next_frame().unwrap().expect("a whole response frame");
+        assert_eq!(decode_response(&frame, client.frames() - 1).unwrap(), resp);
+    };
+    // The first quote grows the decoders' buffers.
+    quote();
+    let before = made();
+    quote();
+    assert_eq!(made() - before, ALLOCATIONS_PER_QUOTE);
+}
+
+/// What one quote through the codec allocates, measured when numbers
+/// still printed through `core::fmt` (debug and release alike).
+const ALLOCATIONS_PER_QUOTE: u64 = 11;
